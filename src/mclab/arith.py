@@ -31,15 +31,3 @@ def parse_scalar(value) -> Scalar:
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
-
-def scalar_to_json(v: Scalar):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        # round-trip through 12 significant digits for stable report bytes
-        return float(f"{v:.12g}")
-    return v

@@ -387,7 +387,7 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
     function-space metrics the intersection can contain distinct points, so
     the request is refused rather than silently resolved.
     """
-    if space.carrier != VECTOR or space.p in (1, math.inf):
+    if not space.unique_midpoints:
         raise UniqueMidpointUndefined(
             f"midpoint sets of {space_label(space)} are not singletons; "
             "no unique midpoint exists"

@@ -490,7 +490,7 @@ def midpoint_map(
     point is fixed exactly: the two balls around y both have radius zero, so
     the map short-circuits to y when x == y.
     """
-    if space.carrier != "vector" or space.p in (1, math.inf):
+    if not space.unique_midpoints:
         raise UniqueMidpointUndefined(
             "midpoint maps need unique midpoints (1 < p < inf)"
         )
@@ -528,7 +528,7 @@ def semigroup_compose(
     """Compose the midpoint maps for the listed parameters (first entry
     applied first) and estimate the composition's Lipschitz constant over
     sampled pairs.  Returns (composed mapping, report)."""
-    if space.carrier != "vector" or space.p in (1, math.inf):
+    if not space.unique_midpoints:
         raise UniqueMidpointUndefined(
             "midpoint maps need unique midpoints (1 < p < inf)"
         )

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .convexsets import Box, MidConvention, midpoint_set
 from .properties import check_betweenness, check_property
+from .reports import to_json
 from .sampling import SamplePlan
 from .spaces import (
     PiecewisePoly,
@@ -47,9 +48,7 @@ class FixtureReport:
         return all(c.ok for c in self.claims)
 
     def to_json(self) -> dict:
-        from .verdicts import _jsonify
-
-        return {
+        return to_json({
             "fixture": self.name,
             "description": self.description,
             "ok": self.ok,
@@ -57,12 +56,12 @@ class FixtureReport:
                 {
                     "label": c.label,
                     "ok": c.ok,
-                    "lhs": _jsonify(c.lhs),
-                    "rhs": _jsonify(c.rhs),
+                    "lhs": c.lhs,
+                    "rhs": c.rhs,
                 }
                 for c in self.claims
             ],
-        }
+        })
 
 
 def _claim(label, lhs, rhs) -> Claim:

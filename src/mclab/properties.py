@@ -226,7 +226,7 @@ def _check_a(space, conv, plan, diam_tol, resolution, tol):
 def _check_b(space, plan, tol):
     """Property (B): the unique-midpoint map contracts with factor t in its
     first argument."""
-    if space.carrier != VECTOR or space.p in (1, math.inf):
+    if not space.unique_midpoints:
         return _verdict(
             "B",
             REFUSED,
@@ -600,7 +600,7 @@ def estimate_uniform_modulus(
     bisection for the feasibility boundary on the circle d(z, x) = 1 inside a
     sampled plane, and random admissible rejection samples.
     """
-    if space.carrier != VECTOR or space.p in (1, math.inf):
+    if not space.unique_midpoints:
         raise UniqueMidpointUndefined(
             "uniform-convexity moduli need unique midpoints (1 < p < inf)"
         )

@@ -6,26 +6,26 @@ from fractions import Fraction
 from pathlib import Path
 
 
+def to_json(value):
+    """JSON form of a report value: tuples become lists, integral rationals
+    ints and other rationals 'num/den' strings, floats are rounded to 12
+    significant digits; anything else is returned unchanged."""
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    return value
+
+
 def stable_json_dumps(obj) -> str:
-    """Deterministic serialisation: sorted keys, floats rounded to 12
-    significant digits, rationals as 'num/den' strings."""
-
-    def convert(o):
-        if isinstance(o, dict):
-            return {k: convert(o[k]) for k in sorted(o)}
-        if isinstance(o, (list, tuple)):
-            return [convert(x) for x in o]
-        if isinstance(o, Fraction):
-            if o.denominator == 1:
-                return int(o)
-            return f"{o.numerator}/{o.denominator}"
-        if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
-            return o
-        if isinstance(o, float):
-            return float(f"{o:.12g}")
-        return str(o)
-
-    return json.dumps(convert(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic serialisation of `to_json(obj)` with sorted keys."""
+    return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
 
 
 def write_reports(out_dir: str, stem: str, payload: dict, markdown: str) -> Path:
@@ -38,6 +38,7 @@ def write_reports(out_dir: str, stem: str, payload: dict, markdown: str) -> Path
 
 
 def fmt_value(v) -> str:
+    """Markdown form of a value: rationals as 'a/b', tuples as '(a, b)'."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):

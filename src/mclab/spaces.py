@@ -25,6 +25,7 @@ from .errors import (
     InternalInconsistency,
     MclabError,
 )
+from .reports import to_json
 
 VECTOR = "vector"
 PW_POLY = "pwpoly"
@@ -69,6 +70,13 @@ class MetricSpace:
     @property
     def id(self) -> str:
         return space_id(self)
+
+    @property
+    def unique_midpoints(self) -> bool:
+        """Whether every midpoint set is a single point: only the strictly
+        convex d_p, 1 < p < inf; d_1, d_inf and the function-space metrics
+        have midpoint sets with distinct points."""
+        return self.carrier == VECTOR and self.p not in (1, math.inf)
 
 
 def vector_space(dim: int, p: float, exact: bool = False) -> MetricSpace:
@@ -204,14 +212,9 @@ def poly_fn(c0: Scalar, c1: Scalar = 0, c2: Scalar = 0) -> PiecewisePoly:
 def point_to_json(point):
     """Vectors become arrays, functions {breakpoints, pieces}; rationals are
     'num/den' strings."""
-    from .arith import scalar_to_json
-
     if isinstance(point, PiecewisePoly):
-        return {
-            "breakpoints": [scalar_to_json(b) for b in point.breakpoints],
-            "pieces": [[scalar_to_json(c) for c in piece] for piece in point.pieces],
-        }
-    return [scalar_to_json(c) for c in point]
+        return to_json({"breakpoints": point.breakpoints, "pieces": point.pieces})
+    return to_json(point)
 
 
 def point_from_json(data):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Scalar, scalar_to_json
+from .arith import Scalar
+from .reports import to_json
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -47,21 +48,14 @@ class PropertyVerdict:
             "samples": self.samples,
         }
         if self.max_slack is not None:
-            out["maxSlack"] = scalar_to_json(self.max_slack)
+            out["maxSlack"] = self.max_slack
         if self.witness is not None:
-            out["witness"] = _jsonify(self.witness)
+            out["witness"] = self.witness
         if self.plan is not None:
-            out["plan"] = _jsonify(self.plan)
+            out["plan"] = self.plan
         if self.convention is not None:
             out["convention"] = self.convention
         if self.reason is not None:
             out["reason"] = self.reason
-        return out
+        return to_json(out)
 
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return scalar_to_json(value)

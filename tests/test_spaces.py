@@ -207,3 +207,50 @@ def test_point_json_round_trip():
     back = point_from_json(point_to_json(fn))
     assert back.breakpoints == fn.breakpoints
     assert back.pieces == fn.pieces
+
+
+@pytest.mark.parametrize(
+    "sid, unique",
+    [
+        ("vec2-p2", True),
+        ("vec3-p1.5", True),
+        ("vec2-p3", True),
+        ("vec2-p1", False),
+        ("vec2-p1-exact", False),
+        ("vec2-pinf", False),
+        ("vec2-pinf-exact", False),
+        ("l1fn-exact", False),
+        ("linffn", False),
+    ],
+)
+def test_unique_midpoints_gates_every_single_valued_operation(sid, unique):
+    from mclab import (
+        SamplePlan,
+        UniqueMidpointUndefined,
+        check_property,
+        estimate_uniform_modulus,
+        midpoint_map,
+        semigroup_compose,
+        unique_midpoint,
+    )
+
+    space = space_from_id(sid)
+    assert space.unique_midpoints is unique
+    if space.carrier == "vector":
+        x, y = (0,) * space.dim, (1,) + (0,) * (space.dim - 1)
+    else:
+        x, y = constant_fn(0), constant_fn(1)
+    plan = SamplePlan(count=3, seed=1)
+    assert check_property(space, "B", plan=plan).refused is not unique
+    operations = [
+        lambda: unique_midpoint(space, x, y, F(1, 2)),
+        lambda: midpoint_map(space, y, F(1, 2))(x),
+        lambda: semigroup_compose(space, y, [F(1, 2)], plan),
+        lambda: estimate_uniform_modulus(space, [0.5], budget=50),
+    ]
+    for operation in operations:
+        if unique:
+            operation()
+        else:
+            with pytest.raises(UniqueMidpointUndefined):
+                operation()
