@@ -34,7 +34,7 @@ from .properties import (
 )
 from .reports import fmt_value, write_reports
 from .sampling import SamplePlan
-from .spaces import space_from_id
+from .spaces import VECTOR, space_from_id
 from .verdicts import PropertyVerdict
 
 EXIT_OK = 0
@@ -93,6 +93,10 @@ def cmd_check(args, cfg: RunConfig) -> int:
         space = space_from_id(args.space)
     except MclabError as exc:
         print(f"config error: {exc}")
+        return EXIT_USAGE
+    if space.carrier != VECTOR:
+        # the samplers draw coordinate vectors; function spaces are library-only
+        print(f"config error: check needs a vector space id (vecN-pP), not {space.id!r}")
         return EXIT_USAGE
     conv = _CONVENTIONS[cfg.convention]
     expectations = _parse_expectations(args.expect)
@@ -157,6 +161,8 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         print(f"cannot read mapping spec: {exc}")
         return EXIT_USAGE
     try:
+        if not isinstance(data, dict):
+            raise MclabError("a mapping spec is a JSON object")
         space = space_from_id(data.get("space", "vec2-p2"))
         spec = mapping_from_json(data, space)
         params = HybridParams(

@@ -154,6 +154,14 @@ def cantor_point(
 
 def family_from_json(data) -> NestedFamily:
     """Family JSON: a list of sets, each a list of {center, radius}."""
+    if not isinstance(data, list) or not all(
+        isinstance(entry, list)
+        and all(isinstance(b, dict) and {"center", "radius"} <= b.keys() for b in entry)
+        for entry in data
+    ):
+        raise NestingError(
+            "a family is a JSON list of sets, each a list of {center, radius} balls"
+        )
     sets = []
     for entry in data:
         balls = [

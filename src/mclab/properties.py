@@ -363,6 +363,7 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
         t_grid = [Fraction(j, 8) for j in range(1, 8)]
         if not space.exact:
             t_grid = [float(t) for t in t_grid]
+    limit = 0 if space.exact else tol
     checks = 0
     budget = plan.count
     pair_rounds = 1 if plan.anchor_x is not None else max(1, plan.count // 100)
@@ -386,7 +387,7 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
             for w in rep.sample_points():
                 checks += 1
                 defect = abs(distance(space, x, w) + distance(space, w, y) - d)
-                if defect > tol:
+                if defect > limit:
                     return _verdict(
                         "C",
                         FAILS,

@@ -132,6 +132,15 @@ class TestCheck:
             == 2
         )
 
+    @pytest.mark.parametrize("space", ["l1fn-exact", "linffn"])
+    @pytest.mark.parametrize(
+        "prop", ["menger", "A", "B", "Bprime", "Bdoubleprime", "C", "homogeneity"]
+    )
+    def test_function_space_id_exits_two(self, space, prop, tmp_path, capsys):
+        argv = ["check", "--space", space, "--props", prop, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "vector space id" in capsys.readouterr().out
+
     def test_bad_expectation_exits_two(self, tmp_path):
         code = main(
             [
@@ -195,6 +204,10 @@ class TestFixedpointCommand:
         spec = write_json(tmp_path / "bad.json", dict(ROT_SPEC, space="vec2-q7"))
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
 
+    def test_spec_that_is_not_an_object_exits_two(self, tmp_path):
+        spec = write_json(tmp_path / "list.json", [1, 2])
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+
     def test_ball_domain_uses_the_spec_metric(self, tmp_path):
         # (0.9, 0.9) lies in the d_inf unit ball but outside the Euclidean one
         halving = {
@@ -231,6 +244,13 @@ class TestNestedCommand:
         fam = [[{"center": [0, 0], "radius": 1}]]
         path = write_json(tmp_path / "fam.json", fam)
         assert main(["nested", path, "--space", "vec2-q7", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "family", [{"a": 1}, [[1]], [{"center": [0, 0], "radius": 1}], [[{"radius": 1}]]]
+    )
+    def test_family_of_the_wrong_shape_exits_two(self, family, tmp_path):
+        path = write_json(tmp_path / "fam.json", family)
+        assert main(["nested", path, "--out", str(tmp_path)]) == 2
 
     def test_cantor_flag(self, tmp_path):
         fam = [[{"center": [0.25, 0.25], "radius": 0.5**n}] for n in range(1, 40)]

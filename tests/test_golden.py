@@ -65,6 +65,9 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
+    # the test runs without MCLAB_* overrides, so the regeneration must too
+    for key in [k for k in os.environ if k.startswith("MCLAB_")]:
+        del os.environ[key]
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:

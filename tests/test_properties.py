@@ -187,6 +187,19 @@ class TestPropertyC:
         assert total == pytest.approx(w["distance_sum"], abs=1e-12)
         assert total > w["segment_length"] + 1e-9
 
+    @pytest.mark.parametrize("scale", [F(1), F(1, 10**12)])
+    def test_exact_defect_fails_at_every_scale(self, scale):
+        # the exact defect is scale/8; a float tolerance would hide the small one
+        space = vector_space(3, math.inf, exact=True)
+        y = (scale, scale / 2, scale / 4)
+        plan = SamplePlan(count=200, seed=7, anchor_x=(0, 0, 0), anchor_y=y)
+        verdict = check_property(space, "C", plan=plan)
+        assert verdict.fails
+        w = verdict.witness
+        total = distance(space, w["x"], w["point"]) + distance(space, w["point"], w["y"])
+        assert total == w["distance_sum"]
+        assert verdict.max_slack == total - w["segment_length"] > 0
+
 
 class TestBetweenness:
     def test_sup_counterexample_two_versus_three_halves(self):
