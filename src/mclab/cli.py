@@ -277,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="RNG seed override")
     common.add_argument("--out", help="output directory for reports")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="force exact arithmetic")
-    mode.add_argument("--float", dest="float_mode", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="mclab",
@@ -319,13 +316,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if args.exact:
-        overrides["exact"] = True
-    elif args.float_mode:
-        overrides["exact"] = False
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_USAGE

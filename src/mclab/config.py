@@ -26,7 +26,6 @@ class RunConfig:
     coord_denominator: int = 16
     t_denominator: int = 16
     convention: str = "fromy"
-    exact: bool | None = None  # None: use each space's own mode
     fp_orbit_n: int = 256
     fp_window: int = 32
     fp_tol: float = 1e-6
@@ -42,35 +41,17 @@ class RunConfig:
         return out
 
 
-_INT_KEYS = {
-    "seed",
-    "grid_resolution",
-    "sample_count",
-    "coord_denominator",
-    "t_denominator",
-    "fp_orbit_n",
-    "fp_window",
-    "fp_budget",
-}
-_FLOAT_KEYS = {"tol", "diam_tol", "fp_tol", "fp_rmax"}
-_STR_KEYS = {"convention", "out_dir"}
+# every field's default fixes its type, so a key is coerced by that type
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _coerce(key: str, value):
+    if key not in _KEY_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _STR_KEYS:
-            return str(value)
-        if key == "exact":
-            if isinstance(value, bool) or value is None:
-                return value
-            return str(value).lower() in ("1", "true", "yes", "exact")
+        return _KEY_TYPES[key](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -85,10 +66,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
             raise ConfigError("config file must hold a JSON object")
         cfg = replace(cfg, **{k: _coerce(k, v) for k, v in data.items()})
     env = {}
-    for f in fields(RunConfig):
-        raw = os.environ.get(ENV_PREFIX + f.name.upper())
+    for key in _KEY_TYPES:
+        raw = os.environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
-            env[f.name] = _coerce(f.name, raw)
+            env[key] = _coerce(key, raw)
     if env:
         cfg = replace(cfg, **env)
     if overrides:

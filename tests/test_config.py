@@ -1,0 +1,60 @@
+from __future__ import annotations
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from mclab.cli import main
+from mclab.config import RunConfig, load_config
+from mclab.errors import ConfigError
+
+FIELDS = [f.name for f in fields(RunConfig)]
+
+
+def _other_value(name):
+    """A value of the field's type that differs from its default."""
+    default = getattr(RunConfig(), name)
+    if isinstance(default, str):
+        return default + "-set"
+    return default * 2 + 1
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_key_is_settable_from_a_config_file(name, tmp_path):
+    value = _other_value(name)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}), encoding="utf-8")
+    got = getattr(load_config(str(path)), name)
+    assert got == value
+    assert type(got) is type(getattr(RunConfig(), name))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_key_is_settable_from_the_environment(name, monkeypatch):
+    value = _other_value(name)
+    monkeypatch.setenv("MCLAB_" + name.upper(), str(value))
+    got = getattr(load_config(), name)
+    assert got == value
+    assert type(got) is type(getattr(RunConfig(), name))
+
+
+def test_exact_flag_is_gone(tmp_path):
+    argv = ["check", "--space", "vec3-p2", "--props", "A", "--out", str(tmp_path)]
+    assert main(argv + ["--exact"]) == 2
+    assert main(argv + ["--float"]) == 2
+
+
+def test_exact_config_key_is_gone(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"exact": True}), encoding="utf-8")
+    argv = ["check", "--space", "vec3-p2", "--props", "A", "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "unknown config key 'exact'" in capsys.readouterr().out
+
+
+def test_bad_value_names_the_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sample_count": "many"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad value for sample_count"):
+        load_config(str(path))
