@@ -385,6 +385,8 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
             s = t_grid[rng.randrange(len(t_grid))]
             rep = midpoint_set(space, u, v, s, conv, resolution=resolution, tol=tol)
             for w in rep.sample_points():
+                if checks >= budget:
+                    break
                 checks += 1
                 defect = abs(distance(space, x, w) + distance(space, w, y) - d)
                 if defect > limit:

@@ -187,6 +187,15 @@ class TestPropertyC:
         assert total == pytest.approx(w["distance_sum"], abs=1e-12)
         assert total > w["segment_length"] + 1e-9
 
+    @pytest.mark.parametrize("count", [20, 200])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_stops_at_its_sample_budget(self, count, exact):
+        # a d_1 midpoint set yields several points per draw
+        space = vector_space(3, 1, exact=exact)
+        verdict = check_property(space, "C", plan=SamplePlan(count=count, seed=7))
+        assert verdict.holds
+        assert verdict.samples == count
+
     @pytest.mark.parametrize("scale", [F(1), F(1, 10**12)])
     def test_exact_defect_fails_at_every_scale(self, scale):
         # the exact defect is scale/8; a float tolerance would hide the small one
