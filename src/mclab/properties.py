@@ -364,53 +364,45 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
         if not space.exact:
             t_grid = [float(t) for t in t_grid]
     limit = 0 if space.exact else tol
+    if plan.anchor_x is not None and plan.anchor_y is not None:
+        x, y = tuple(plan.anchor_x), tuple(plan.anchor_y)
+    else:
+        x, y = sample_distinct_pair(rng, space, plan)
+    d = distance(space, x, y)
+    seg = segment(space, x, y, t_grid, conv, resolution=resolution, tol=tol)
+    pool = segment_points(seg)
+    # seeded random exploration of (u, v, s) triples over the pool; an
+    # ordered scan would spend the whole budget near one corner
     checks = 0
-    budget = plan.count
-    pair_rounds = 1 if plan.anchor_x is not None else max(1, plan.count // 100)
-    for _ in range(pair_rounds):
-        if plan.anchor_x is not None and plan.anchor_y is not None:
-            x, y = tuple(plan.anchor_x), tuple(plan.anchor_y)
-        else:
-            x, y = sample_distinct_pair(rng, space, plan)
-        d = distance(space, x, y)
-        seg = segment(space, x, y, t_grid, conv, resolution=resolution, tol=tol)
-        pool = segment_points(seg)
-        # seeded random exploration of (u, v, s) triples over the pool; an
-        # ordered scan would spend the whole budget near one corner
-        while checks < budget:
-            u = pool[rng.randrange(len(pool))]
-            v = pool[rng.randrange(len(pool))]
-            if u == v:
-                continue
-            s = t_grid[rng.randrange(len(t_grid))]
-            rep = midpoint_set(space, u, v, s, conv, resolution=resolution, tol=tol)
-            for w in rep.sample_points():
-                if checks >= budget:
-                    break
-                checks += 1
-                defect = abs(distance(space, x, w) + distance(space, w, y) - d)
-                if defect > limit:
-                    return _verdict(
-                        "C",
-                        FAILS,
-                        plan=plan,
-                        conv=conv,
-                        samples=checks,
-                        witness={
-                            "x": x,
-                            "y": y,
-                            "u": u,
-                            "v": v,
-                            "s": s,
-                            "point": w,
-                            "distance_sum": distance(space, x, w)
-                            + distance(space, w, y),
-                            "segment_length": d,
-                        },
-                        max_slack=defect,
-                    )
-            if checks >= budget:
-                break
+    while checks < plan.count:
+        u = pool[rng.randrange(len(pool))]
+        v = pool[rng.randrange(len(pool))]
+        if u == v:
+            continue
+        s = t_grid[rng.randrange(len(t_grid))]
+        rep = midpoint_set(space, u, v, s, conv, resolution=resolution, tol=tol)
+        for w in rep.sample_points()[: plan.count - checks]:
+            checks += 1
+            defect = abs(distance(space, x, w) + distance(space, w, y) - d)
+            if defect > limit:
+                return _verdict(
+                    "C",
+                    FAILS,
+                    plan=plan,
+                    conv=conv,
+                    samples=checks,
+                    witness={
+                        "x": x,
+                        "y": y,
+                        "u": u,
+                        "v": v,
+                        "s": s,
+                        "point": w,
+                        "distance_sum": distance(space, x, w) + distance(space, w, y),
+                        "segment_length": d,
+                    },
+                    max_slack=defect,
+                )
     return _verdict("C", HOLDS, plan=plan, conv=conv, samples=checks)
 
 
