@@ -13,15 +13,23 @@ from mclab import (
     DimensionMismatch,
     ExactArithmeticUnsupported,
     PiecewisePoly,
+    SamplePlan,
+    UniqueMidpointUndefined,
+    check_property,
     constant_fn,
     distance,
+    estimate_uniform_modulus,
     l1_function_space,
     linf_function_space,
+    midpoint_map,
     pl_distance,
     poly_fn,
+    semigroup_compose,
     space_from_id,
+    unique_midpoint,
     vector_space,
 )
+from mclab.spaces import VECTOR
 
 
 class TestVectorDistance:
@@ -224,19 +232,9 @@ def test_point_json_round_trip():
     ],
 )
 def test_unique_midpoints_gates_every_single_valued_operation(sid, unique):
-    from mclab import (
-        SamplePlan,
-        UniqueMidpointUndefined,
-        check_property,
-        estimate_uniform_modulus,
-        midpoint_map,
-        semigroup_compose,
-        unique_midpoint,
-    )
-
     space = space_from_id(sid)
     assert space.unique_midpoints is unique
-    if space.carrier == "vector":
+    if space.carrier == VECTOR:
         x, y = (0,) * space.dim, (1,) + (0,) * (space.dim - 1)
     else:
         x, y = constant_fn(0), constant_fn(1)
