@@ -9,10 +9,12 @@ orbit-tail minimisation, and nested-intersection demonstrations.
 
 from .convexsets import (
     Box,
+    CappedSimplex,
     FiniteSet,
     MidConvention,
     SampledOracle,
     Segment,
+    SetUnion,
     Singleton,
     diameter,
     lifted_union,

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .config import RunConfig, load_config
-from .convexsets import MidConvention
+from .convexsets import MAX_SIMPLEX_AXES, MidConvention
 from .errors import ConfigError, DomainEscape, MclabError, SolverFailure
 from .fixedpoint import (
     HybridParams,
@@ -97,6 +97,10 @@ def cmd_check(args, cfg: RunConfig) -> int:
     if space.carrier != VECTOR:
         # the samplers draw coordinate vectors; function spaces are library-only
         print(f"config error: check needs a vector space id (vecN-pP), not {space.id!r}")
+        return EXIT_USAGE
+    if space.p == 1 and space.dim > MAX_SIMPLEX_AXES:
+        # d_1 midpoint sets are sampled at their up to 2^dim vertices
+        print(f"config error: check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
         return EXIT_USAGE
     conv = _CONVENTIONS[cfg.convention]
     expectations = _parse_expectations(args.expect)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -46,9 +45,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_RESOLUTION = 9
 GRID_ENUM_LIMIT = 4096
 
-# staircase seeds for d_1 oracles: identity and reversed orders first, then a
-# deterministic slice of the remaining coordinate orders
-_MAX_STAIRCASE_ORDERS = 12
+# a d_1 midpoint set has up to 2^m vertices for m differing coordinates
+MAX_SIMPLEX_AXES = 10
 
 
 class MidConvention(Enum):
@@ -81,6 +79,9 @@ class Singleton:
 
     def sample_points(self, **_):
         return [self.point]
+
+    def nearest(self, z):
+        return self.point
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,12 @@ class Box:
                 axes.append([lo, mid, hi])
         return [tuple(p) for p in itertools.product(*axes)]
 
+    def nearest(self, z):
+        """Clamp z into the box: a nearest point in every d_p."""
+        return tuple(
+            min(max(c, lo), hi) for lo, c, hi in zip(self.lower, z, self.upper)
+        )
+
     def corners(self):
         axes = [
             [lo] if lo == hi else [lo, hi] for lo, hi in zip(self.lower, self.upper)
@@ -141,6 +148,104 @@ class FiniteSet:
 
     def sample_points(self, **_):
         return list(self.points)
+
+
+@dataclass(frozen=True)
+class CappedSimplex:
+    """B[x, r1] ∩ B[y, r2] under d_1, with r1 + r2 = d_1(x, y).
+
+    By the triangle equality the members are exactly the points z of the
+    coordinate box of x and y with sum |z_i - x_i| = r1: in the offsets
+    u_i = |z_i - x_i| a simplex sum u_i = r1 capped by 0 <= u_i <= |y_i - x_i|.
+    """
+
+    x: tuple
+    y: tuple
+    r1: Scalar
+    exact: bool = True
+
+    kind = "simplex"
+
+    def nearest(self, z):
+        """A nearest member in d_1: clamp z into the box, then walk the
+        coordinates in order toward x (or y) until the offsets sum to r1.
+        Every unit walked changes that sum by exactly 1, so no member is
+        nearer."""
+        w = [
+            min(max(c, min(a, b)), max(a, b)) for c, a, b in zip(z, self.x, self.y)
+        ]
+        excess = sum(abs(c - a) for c, a in zip(w, self.x)) - self.r1
+        goals, left = (self.x, excess) if excess > 0 else (self.y, -excess)
+        for i, goal in enumerate(goals):
+            if not left:
+                break
+            gap = abs(goal - w[i])
+            if gap <= left:
+                w[i] = goal
+                left -= gap
+            else:
+                w[i] += left if goal > w[i] else -left
+                left = 0
+        return tuple(w)
+
+    def contains(self, z, tol: float = 0) -> bool:
+        if not all(
+            min(a, b) - tol <= c <= max(a, b) + tol
+            for c, a, b in zip(z, self.x, self.y)
+        ):
+            return False
+        return sum(abs(c - w) for c, w in zip(z, self.nearest(z))) <= tol
+
+    def sample_points(self, **_):
+        """The vertices: every offset at 0 or at its cap except at most one.
+        d(., B) is convex for a convex B, so maxima over the set, such as
+        its diameter, are attained here."""
+        axes = [i for i, (a, b) in enumerate(zip(self.x, self.y)) if a != b]
+        if len(axes) > MAX_SIMPLEX_AXES:
+            raise MclabError(
+                f"a d_1 midpoint set with {len(axes)} differing coordinates has "
+                f"too many vertices to enumerate (limit {MAX_SIMPLEX_AXES})"
+            )
+        caps = {i: abs(self.y[i] - self.x[i]) for i in axes}
+        points = []
+        for k in range(len(axes) + 1):
+            for full in itertools.combinations(axes, k):
+                left = self.r1 - sum(caps[i] for i in full)
+                if left < 0:
+                    continue
+                z = list(self.x)
+                for i in full:
+                    z[i] = self.y[i]
+                if not left:
+                    points.append(tuple(z))
+                    continue
+                for j in axes:
+                    if j not in full and left < caps[j]:
+                        w = list(z)
+                        w[j] += left if self.y[j] > self.x[j] else -left
+                        points.append(tuple(w))
+        return list(dict.fromkeys(points))
+
+
+@dataclass(frozen=True)
+class SetUnion:
+    """Finite union of set representations, kept as its parts."""
+
+    parts: tuple
+
+    kind = "union"
+
+    @property
+    def exact(self) -> bool:
+        return all(p.exact for p in self.parts)
+
+    def contains(self, z, tol: float = 0) -> bool:
+        return any(p.contains(z, tol) for p in self.parts)
+
+    def sample_points(self, **_):
+        return list(
+            dict.fromkeys(tuple(q) for p in self.parts for q in p.sample_points())
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +323,7 @@ class SampledOracle:
         return max(widths) / (self.resolution - 1) if widths else 0
 
 
-SetRep = Singleton | Box | FiniteSet | SampledOracle
+SetRep = Singleton | Box | FiniteSet | CappedSimplex | SetUnion | SampledOracle
 
 
 @dataclass(frozen=True)
@@ -279,104 +384,11 @@ def midpoint_set(
             upper.append(hi)
         return Box(tuple(lower), tuple(upper), exact=space.exact)
     if p == 1:
-        return _taxicab_midpoint_oracle(space, x, y, r1, r2, resolution, tol)
+        return CappedSimplex(tuple(x), tuple(y), r1, exact=space.exact)
     # strictly convex case: the intersection is the single point on the
     # straight chord at distance r1 from x
     w = r1 / d
     return Singleton(vlerp(x, y, w), exact=space.exact)
-
-
-def _staircase_point(x, y, r1, order):
-    """Member of the d_1 sphere intersection: walk coordinates toward y in
-    the given order, spending a total coordinate budget of r1."""
-    z = list(x)
-    left = r1
-    for i in order:
-        if left == 0:
-            break
-        gap = y[i] - z[i]
-        if gap == 0:
-            continue
-        mag = -gap if gap < 0 else gap
-        step = mag if mag <= left else left
-        z[i] = z[i] + (step if gap > 0 else -step)
-        left = left - step
-    return tuple(z)
-
-
-def _staircase_orders(n: int):
-    orders = [tuple(range(n)), tuple(reversed(range(n)))]
-    for perm in itertools.islice(itertools.permutations(range(n)), _MAX_STAIRCASE_ORDERS):
-        if perm not in orders:
-            orders.append(perm)
-    return orders
-
-
-def _taxicab_midpoint_oracle(space, x, y, r1, r2, resolution, tol):
-    """Oracle for B[x, r1] ∩ B[y, r2] under d_1 with r1 + r2 = d(x, y).
-
-    By the triangle equality every member z lies in the coordinate box of x
-    and y and has sum |z_i - x_i| = r1, so on a grid row the members sit in
-    one interval of the last coordinate.  The membership test stays the
-    two-distance predicate; the box pre-check and the row window only skip
-    points it rejects.  The window is computed in floats in both modes and
-    widened by `slack`, a bound on `tol` plus the rounding of every sum and
-    conversion involved; the float-mode box is widened by the same bound.
-    """
-    sx, sy = tuple(x), tuple(y)
-    n = len(sx)
-    mtol = 0 if space.exact else tol
-    xf, yf = [float(c) for c in sx], [float(c) for c in sy]
-    r1f, r2f = float(r1), float(r2)
-    # every value the window and the distance sums produce is below 2 * scale
-    # in magnitude and passes through at most 4n + 8 roundings
-    scale = sum(map(abs, xf + yf)) + n * (r1f + r2f) + mtol
-    slack = mtol + 8 * (n + 2) * sys.float_info.epsilon * scale
-    if space.exact:
-        box = [(min(a, b), max(a, b)) for a, b in zip(sx, sy)]
-    else:
-        box = [(min(a, b) - slack, max(a, b) + slack) for a, b in zip(sx, sy)]
-
-    def member(z):
-        return (
-            all(lo <= c <= hi for (lo, hi), c in zip(box, z))
-            and distance(space, z, sx) <= r1 + mtol
-            and distance(space, z, sy) <= r2 + mtol
-        )
-
-    budget_x, budget_y = r1f + slack, r2f + slack
-    *x_head, x_last = xf
-    *y_head, y_last = yf
-
-    def window(prefix):
-        # a member's last coordinate is within the budget its prefix leaves
-        # towards x and towards y; a negative budget empties the row
-        a = budget_x
-        b = budget_y
-        for c, xi, yi in zip(prefix, x_head, y_head):
-            c = float(c)
-            a -= abs(c - xi)
-            b -= abs(c - yi)
-        return max(x_last - a, y_last - b), min(x_last + a, y_last + b)
-
-    lower = tuple(max(xi - r1, yi - r2) for xi, yi in zip(x, y))
-    upper = tuple(min(xi + r1, yi + r2) for xi, yi in zip(x, y))
-    seeds = []
-    seen = set()
-    for order in _staircase_orders(len(x)):
-        pt = _staircase_point(x, y, r1, order)
-        if pt not in seen:
-            seen.add(pt)
-            seeds.append(pt)
-    return SampledOracle(
-        member=member,
-        lower=lower,
-        upper=upper,
-        resolution=resolution,
-        seeds=tuple(seeds),
-        exact=space.exact,
-        window=window,
-    )
 
 
 def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
@@ -565,32 +577,7 @@ def lifted_union(
     if all(isinstance(p, Singleton) for p in parts):
         points = tuple(dict.fromkeys(tuple(p.point) for p in parts))
         return FiniteSet(points, exact=space.exact)
-
-    def member(z):
-        return any(p.contains(z, tol) for p in parts)
-
-    lowers = []
-    uppers = []
-    seeds = []
-    for p in parts:
-        pts = p.sample_points()
-        seeds.extend(tuple(q) for q in pts)
-        if isinstance(p, Box) or isinstance(p, SampledOracle):
-            lowers.append(p.lower)
-            uppers.append(p.upper)
-        else:
-            lowers.append(pts[0])
-            uppers.append(pts[0])
-    lower = tuple(min(lo[i] for lo in lowers) for i in range(len(lowers[0])))
-    upper = tuple(max(hi[i] for hi in uppers) for i in range(len(uppers[0])))
-    return SampledOracle(
-        member=member,
-        lower=lower,
-        upper=upper,
-        resolution=resolution,
-        seeds=tuple(dict.fromkeys(seeds)),
-        exact=False,
-    )
+    return SetUnion(tuple(parts))
 
 
 # --------------------------------------------------------------------------
@@ -623,28 +610,3 @@ def diameter_with_witness(space: MetricSpace, rep: SetRep):
 
 def diameter(space: MetricSpace, rep: SetRep) -> Scalar:
     return diameter_with_witness(space, rep)[0]
-
-
-# --------------------------------------------------------------------------
-# serialization
-
-
-def setrep_to_json(rep: SetRep) -> dict:
-    """Tagged JSON form; oracle membership predicates serialize as their
-    bounding data and certified seed members only."""
-    from .spaces import point_to_json
-
-    out = {"repr": rep.kind, "exact": rep.exact}
-    if isinstance(rep, Singleton):
-        out["point"] = point_to_json(rep.point)
-    elif isinstance(rep, Box):
-        out["lower"] = point_to_json(rep.lower)
-        out["upper"] = point_to_json(rep.upper)
-    elif isinstance(rep, FiniteSet):
-        out["points"] = [point_to_json(p) for p in rep.points]
-    else:
-        out["lower"] = point_to_json(rep.lower)
-        out["upper"] = point_to_json(rep.upper)
-        out["resolution"] = rep.resolution
-        out["seeds"] = [point_to_json(p) for p in rep.seeds]
-    return out

@@ -13,8 +13,16 @@ import math
 from dataclasses import dataclass
 
 from .arith import Scalar
-from .convexsets import Box, FiniteSet, SampledOracle, SetRep, Singleton
-from .errors import EmptySetError
+from .convexsets import (
+    Box,
+    CappedSimplex,
+    FiniteSet,
+    SampledOracle,
+    SetRep,
+    SetUnion,
+    Singleton,
+)
+from .errors import EmptySetError, MclabError
 from .spaces import MetricSpace, distance
 
 
@@ -33,24 +41,36 @@ def _rep_points(rep: SetRep):
     return pts
 
 
+# convex representations whose nearest point has a closed form
+_CLOSED_FORM = (Singleton, Box, CappedSimplex)
+
+
 def _rep_resolution(rep: SetRep):
     if isinstance(rep, SampledOracle):
         return rep.grid_spacing
     return None
 
 
-def _directed_points(space, pts_a, pts_b):
+def _nearest(space, a, B):
+    """Distance from a to B and a point of B attaining it, ties broken to
+    the smallest point."""
+    if isinstance(B, SetUnion):
+        return min(_nearest(space, a, part) for part in B.parts)
+    if isinstance(B, FiniteSet):
+        return min((distance(space, a, b), b) for b in B.points)
+    if not isinstance(B, _CLOSED_FORM):
+        raise MclabError(f"no nearest-point form for a {B.kind} representation")
+    b = B.nearest(a)
+    return distance(space, a, b), b
+
+
+def _directed_points(space, pts_a, B):
+    """max over the points of A of the distance to B; ties break to the
+    smallest (a, b) witness."""
     best = None
     witness = None
     for a in pts_a:
-        nearest = None
-        nearest_pt = None
-        for b in pts_b:
-            d = distance(space, a, b)
-            if nearest is None or d < nearest or (d == nearest and b < nearest_pt):
-                nearest = d
-                nearest_pt = b
-        cand = (nearest, a, nearest_pt)
+        nearest, nearest_pt = _nearest(space, a, B)
         if (
             best is None
             or nearest > best
@@ -126,14 +146,16 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     if isinstance(A, Box) and isinstance(B, Box) and space.p == math.inf:
         value, witness = _directed_boxes(space, A, B)
         return HausdorffResult(value, witness, exact=A.exact and B.exact)
-    pts_a = _rep_points(A)
-    pts_b = _rep_points(B)
-    value, witness = _directed_points(space, pts_a, pts_b)
+    value, witness = _directed_points(space, _rep_points(A), B)
+    # d(., B) is convex for a convex B, so over a capped simplex its
+    # supremum sits at a vertex; a finite A is all its points
     exact = (
-        isinstance(A, (Singleton, FiniteSet))
-        and isinstance(B, (Singleton, FiniteSet))
-        and A.exact
+        A.exact
         and B.exact
+        and (
+            isinstance(A, (Singleton, FiniteSet))
+            or (isinstance(A, CappedSimplex) and isinstance(B, _CLOSED_FORM))
+        )
     )
     res = [r for r in (_rep_resolution(A), _rep_resolution(B)) if r is not None]
     return HausdorffResult(

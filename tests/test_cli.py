@@ -141,6 +141,13 @@ class TestCheck:
         assert main(argv) == 2
         assert "vector space id" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("space", ["vec11-p1", "vec11-p1-exact"])
+    def test_taxicab_above_the_vertex_bound_exits_two(self, space, tmp_path, capsys):
+        argv = ["check", "--space", space, "--props", "A", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "up to dimension 10" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
     def test_bad_expectation_exits_two(self, tmp_path):
         code = main(
             [

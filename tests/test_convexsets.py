@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from mclab import (
     Box,
+    CappedSimplex,
     FiniteSet,
     MclabError,
     MidConvention,
@@ -16,7 +19,9 @@ from mclab import (
     Singleton,
     UniqueMidpointUndefined,
     diameter,
+    directed_hausdorff,
     distance,
+    hausdorff,
     l1_function_space,
     lifted_union,
     midpoint_set,
@@ -25,7 +30,12 @@ from mclab import (
     unique_midpoint,
     vector_space,
 )
-from mclab.convexsets import radii_for, segment_points, verify_on_spheres
+from mclab.convexsets import (
+    MAX_SIMPLEX_AXES,
+    radii_for,
+    segment_points,
+    verify_on_spheres,
+)
 
 FX = MidConvention.FROM_X
 FY = MidConvention.FROM_Y
@@ -72,11 +82,7 @@ class TestMidpointSet:
                     continue
                 a = midpoint_set(space, x, y, F(1, 2), FX)
                 b = midpoint_set(space, x, y, F(1, 2), FY)
-                if isinstance(a, Box):
-                    assert (a.lower, a.upper) == (b.lower, b.upper)
-                else:
-                    assert a.seeds == b.seeds
-                    assert (a.lower, a.upper) == (b.lower, b.upper)
+                assert a == b
 
     def test_euclidean_sets_have_zero_diameter(self):
         space = vector_space(3, 2)
@@ -101,84 +107,149 @@ class TestMidpointSet:
         assert diameter(tax_space, rep) >= 1
 
 
-def _plain_taxicab_member(space, x, y, r1, r2, tol):
-    """The two-distance predicate, with no box pre-check."""
-    mtol = 0 if space.exact else tol
-    return lambda z: (
-        distance(space, z, x) <= r1 + mtol and distance(space, z, y) <= r2 + mtol
-    )
+def _half(lo, hi):
+    """The half-integer lattice values in [lo, hi]."""
+    return [F(k, 2) for k in range(math.ceil(2 * lo), math.floor(2 * hi) + 1)]
 
 
-def _taxicab_configs(exact, dim, conv):
-    """(x, y, t, resolution) cases, one per resolution 8-11: generic, with
-    degenerate axes (x_i == y_i), with a single differing axis, and generic
-    again; float cases alternate dyadic and non-dyadic inputs."""
-    rng = random.Random(f"{exact}:{dim}:{conv.value}")
-    for case in range(4):
-        dyadic = exact or case % 2 == 0
-
-        def coord():
-            return F(rng.randint(-16, 16), 8) if dyadic else rng.uniform(-2, 2)
-
-        t = F(rng.randint(1, 15), 16) if dyadic else rng.uniform(0.05, 0.95)
-        x = [coord() for _ in range(dim)]
-        y = [coord() for _ in range(dim)]
+def _simplex_cases(dim, count=8):
+    """(space, x, y, t) with half-integer x, y and a half-integer radius, so
+    every vertex and every nearest point of a lattice point is on the
+    half-integer lattice; the second case shares half the axes."""
+    space = vector_space(dim, 1, exact=True)
+    rng = random.Random(f"simplex:{dim}")
+    for case in range(count):
+        x = [F(rng.randint(-3, 3), 2) for _ in range(dim)]
+        y = [F(rng.randint(-3, 3), 2) for _ in range(dim)]
         if case == 1:
             for i in rng.sample(range(dim), dim // 2):
                 y[i] = x[i]
-        elif case == 2:
-            keep = rng.randrange(dim)
-            y = [yi if i == keep else xi for i, (xi, yi) in enumerate(zip(x, y))]
-        while y == x:
-            y[0] = coord()
-        if not exact:
-            x, y, t = [float(c) for c in x], [float(c) for c in y], float(t)
-        yield tuple(x), tuple(y), t, 8 + case
-    # the unit cube's diagonal at t = 1/2: the grid holds members beyond the
-    # staircase seeds in every dimension above 1
-    zero, one = (F(0), F(1)) if exact else (0.0, 1.0)
-    yield (zero,) * dim, (one,) * dim, one / 2, 9
+        while distance(space, x, y) < 1:
+            y[0] += 1
+        d = distance(space, x, y)
+        t = F(rng.randint(1, int(2 * d) - 1), 2) / d
+        yield space, tuple(x), tuple(y), t
 
 
-class TestTaxicabOracleWindow:
-    """The d_1 oracle enumerates only its last-axis window and pre-checks
-    the coordinate box; both must agree with the plain two-distance scan."""
+def _around(x, y):
+    """Lattice points of the coordinate box of x and y, padded by 1/2."""
+    axes = [_half(min(a, b) - F(1, 2), max(a, b) + F(1, 2)) for a, b in zip(x, y)]
+    return [tuple(p) for p in itertools.product(*axes)]
+
+
+def _two_distance(space, x, y, r1, r2):
+    return lambda z: distance(space, z, x) <= r1 and distance(space, z, y) <= r2
+
+
+class TestCappedSimplex:
+    """The closed-form d_1 midpoint set against brute force over the
+    half-integer lattice, which holds every vertex and nearest point."""
 
     @pytest.mark.parametrize("conv", [FX, FY], ids=["fromx", "fromy"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-    def test_sample_points_match_full_grid_scan(self, exact, dim, conv):
-        space = vector_space(dim, 1, exact=exact)
-        tol = 1e-9
-        grid_members = 0
-        for x, y, t, res in _taxicab_configs(exact, dim, conv):
-            rep = midpoint_set(space, x, y, t, conv, resolution=res, tol=tol)
+    def test_contains_is_the_two_distance_predicate(self, exact, dim, conv):
+        # a lattice point's d_1 distance to the set is a multiple of 1/2, so a
+        # float tolerance far below that separates members from the rest
+        tol = 0 if exact else 1e-9
+        for space, x, y, t in _simplex_cases(dim):
+            if not exact:
+                space = vector_space(dim, 1)
+                x, y, t = tuple(map(float, x)), tuple(map(float, y)), float(t)
+            rep = midpoint_set(space, x, y, t, conv)
+            assert isinstance(rep, CappedSimplex)
             r1, r2 = radii_for(conv, t, distance(space, x, y))
-            plain = _plain_taxicab_member(space, x, y, r1, r2, tol)
-            expected = list(dict.fromkeys(rep.seeds))
-            known = set(expected)
-            for g in rep.grid_points():
-                if g not in known and plain(g):
-                    expected.append(g)
-                    known.add(g)
-            grid_members += len(expected) - len(set(rep.seeds))
-            assert rep.sample_points(grid_limit=11**4) == expected
-
-            step = rep.grid_spacing or F(1, 8)
-            nudges = (tol / 2, 2 * tol, step / 2) if not exact else (
-                F(1, 2 * 10**9), F(1, 64), step / 2
-            )
-            probes = list(rep.seeds) + [tuple(rep.lower), tuple(rep.upper)]
-            for z in list(probes):
-                for i in range(dim):
-                    for delta in nudges:
-                        for sign in (1, -1):
-                            w = list(z)
-                            w[i] += sign * delta
-                            probes.append(tuple(w))
+            plain = _two_distance(space, x, y, r1 + tol, r2 + tol)
+            probes = _around(x, y)
+            if not exact:
+                # vertices nudged by tol/2 on one axis stay within tol
+                probes = [tuple(map(float, z)) for z in probes] + [
+                    v[:i] + (v[i] + sign * tol / 2,) + v[i + 1 :]
+                    for v in rep.sample_points()
+                    for i in range(dim)
+                    for sign in (1, -1)
+                ]
             for z in probes:
-                assert rep.contains(z) == plain(z), z
-        assert grid_members > 0 or dim == 1
+                assert rep.contains(z, tol) == plain(z), z
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_vertices_attain_linear_maxima_and_the_diameter(self, dim):
+        rng = random.Random(dim)
+        for space, x, y, t in _simplex_cases(dim):
+            rep = midpoint_set(space, x, y, t, FX)
+            members = [z for z in _around(x, y) if rep.contains(z)]
+            vertices = rep.sample_points()
+            assert set(vertices) <= set(members)
+            for _ in range(5):
+                w = [rng.randint(-3, 3) for _ in range(dim)]
+                score = lambda z: sum(a * b for a, b in zip(w, z))  # noqa: E731
+                assert max(map(score, members)) == max(map(score, vertices))
+            brute = max(distance(space, a, b) for a in members for b in members)
+            assert diameter(space, rep) == brute
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_nearest_attains_the_distance_to_the_set(self, dim):
+        for space, x, y, t in _simplex_cases(dim):
+            rep = midpoint_set(space, x, y, t, FX)
+            lattice = _around(x, y)
+            members = [z for z in lattice if rep.contains(z)]
+            for z in lattice:
+                near = rep.nearest(z)
+                assert rep.contains(near)
+                assert distance(space, z, near) == min(
+                    distance(space, z, m) for m in members
+                )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_directed_hausdorff_between_simplices_is_exact(self, dim):
+        cases = list(_simplex_cases(dim))
+        for (space, x, y, t), (_, u, v, s) in zip(cases, cases[1:]):
+            A = midpoint_set(space, x, y, t, FX)
+            B = midpoint_set(space, u, v, s, FX)
+            members_a = [z for z in _around(x, y) if A.contains(z)]
+            members_b = [z for z in _around(u, v) if B.contains(z)]
+            brute = max(
+                min(distance(space, a, b) for b in members_b) for a in members_a
+            )
+            result = directed_hausdorff(space, A, B)
+            assert result.exact
+            assert result.value == brute
+            wa, wb = result.witness
+            assert A.contains(wa) and B.contains(wb)
+            assert distance(space, wa, wb) == brute
+
+    def test_vertex_enumeration_is_bounded(self):
+        n = MAX_SIMPLEX_AXES + 1
+        space = vector_space(n, 1, exact=True)
+        rep = midpoint_set(space, (F(0),) * n, (F(1),) * n, F(1, 2), FX)
+        assert rep.contains((F(1),) * (n // 2) + (F(1, 2),) + (F(0),) * (n // 2))
+        with pytest.raises(MclabError):
+            rep.sample_points()
+
+
+def test_golden_bprime_certificate_re_evaluates_exactly():
+    """The committed d_1 (B') failure is an exact certificate: its lhs is
+    the Hausdorff distance of the two midpoint sets, recomputed here."""
+    path = Path(__file__).parent / "golden" / "check-vec3-p1-exact.json"
+    entry = next(
+        e for e in json.loads(path.read_text())["reports"] if e["property"] == "Bprime"
+    )
+    w = {k: v for k, v in entry["witness"].items()}
+
+    def point(v):
+        return tuple(F(c) for c in v)
+
+    space = vector_space(3, 1, exact=True)
+    x, y, z, t = point(w["x"]), point(w["y"]), point(w["z"]), F(w["t"])
+    result = hausdorff(
+        space, midpoint_set(space, x, y, t, FY), midpoint_set(space, z, y, t, FY)
+    )
+    assert result.exact
+    assert result.value == F(w["lhs"])
+    assert result.value - t * distance(space, x, z) == F(entry["maxSlack"])
+    wa, wb = result.witness
+    assert [point(p) for p in w["hausdorff_witness"]] == [wa, wb]
+    assert distance(space, wa, wb) == result.value
 
 
 class TestSphereEquivalence:
@@ -340,7 +411,8 @@ class TestLiftedUnion:
         # belongs to the midpoint box of some sampled corner point of A
         corners = A.sample_points(per_axis=3)
         boxes = [midpoint_set(space, c, y, t, FX) for c in corners]
-        lo, hi = union.lower, union.upper
+        lo = [min(b.lower[i] for b in boxes) for i in range(2)]
+        hi = [max(b.upper[i] for b in boxes) for i in range(2)]
         for i in range(64):
             for j in range(64):
                 z = (
@@ -384,22 +456,3 @@ class TestDiameter:
             distance(space, a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]
         )
         assert diameter(space, rep) == brute == 1
-
-
-def test_setrep_json_carries_repr_and_exact_tags():
-    from mclab.convexsets import setrep_to_json
-
-    space = vector_space(3, math.inf, exact=True)
-    rep = midpoint_set(space, (0, 0, 0), (2, 0, 0), F(1, 4), FX)
-    data = setrep_to_json(rep)
-    assert data["repr"] == "box" and data["exact"] is True
-    assert data["lower"] == ["1/2", "-1/2", "-1/2"]
-
-    tax = vector_space(4, 1, exact=True)
-    oracle = midpoint_set(tax, (F(0),) * 4, (F(1, 2),) * 4, F(1, 2), FX)
-    data = setrep_to_json(oracle)
-    assert data["repr"] == "oracle" and data["resolution"] >= 8
-    assert data["seeds"]
-
-    sing = setrep_to_json(Singleton((1.0, 2.0), exact=False))
-    assert sing == {"repr": "singleton", "exact": False, "point": [1.0, 2.0]}
