@@ -110,9 +110,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
     for prop in prop_list:
         if prop == "menger":
             verdicts.append(
-                check_menger_convex(
-                    space, plan, resolution=cfg.grid_resolution, tol=cfg.tol
-                )
+                check_menger_convex(space, plan, tol=cfg.tol)
             )
         elif prop == "homogeneity":
             verdicts.append(check_homogeneity(space, plan, tol=cfg.tol))
@@ -125,7 +123,6 @@ def cmd_check(args, cfg: RunConfig) -> int:
                     plan=plan,
                     diam_tol=cfg.diam_tol,
                     tol=cfg.tol,
-                    resolution=cfg.grid_resolution,
                 )
             )
         else:

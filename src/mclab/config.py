@@ -21,7 +21,6 @@ class RunConfig:
     seed: int = 20240601
     tol: float = 1e-9
     diam_tol: float = 1e-6
-    grid_resolution: int = 9
     sample_count: int = 1000
     coord_denominator: int = 16
     t_denominator: int = 16

@@ -2,13 +2,11 @@
 
 The midpoint set of x and y at parameter t is the intersection of two closed
 balls whose radii sum to d(x, y); it equals the corresponding sphere
-intersection.  Its shape depends on the metric: a single point for the
-strictly convex d_p (1 < p < inf), an axis-aligned box for d_inf, and a
-cross-polytope intersection for d_1 that we represent by a membership oracle
-seeded with explicitly constructed members.  The d_1 oracle enumerates its
-grid only near the hyperplane sum |z_i - x_i| = r1 that holds every member;
-the skipped grid points are ones its membership test rejects, so the sampled
-points are the same as those of a full grid scan.
+intersection.  Its shape depends on the metric, and each shape has a closed
+form: a single point for the strictly convex d_p (1 < p < inf), an
+axis-aligned box for d_inf, and a capped simplex for d_1 (the points of the
+coordinate box of x and y whose offsets from x sum to the first radius),
+sampled at its vertices.  A lifted union is kept as the union of its parts.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -42,8 +40,6 @@ from .spaces import (
 from .verdicts import FAILS, HOLDS, PropertyVerdict
 
 DEFAULT_TOL = 1e-9
-DEFAULT_RESOLUTION = 9
-GRID_ENUM_LIMIT = 4096
 
 # a d_1 midpoint set has up to 2^m vertices for m differing coordinates
 MAX_SIMPLEX_AXES = 10
@@ -250,77 +246,22 @@ class SetUnion:
 
 @dataclass(frozen=True, eq=False)
 class SampledOracle:
-    """Membership predicate plus a deterministic sample plan.
-
-    `seeds` are certified members constructed analytically; the grid over the
-    bounding box is enumerated only when it stays below GRID_ENUM_LIMIT
-    points, and the resolution is recorded either way so downstream values
-    can report their error bars.
-
-    `window`, when given, maps the coordinates of a grid point on every axis
-    but the last to float bounds (lo, hi), and only last-axis grid values v
-    with lo <= float(v) <= hi are tested.  Invariant: the window skips only
-    points that `member` rejects, so the sampled points and their order are
-    those of testing the whole grid with `member`.
-    """
+    """Membership predicate over a bounding box, with certified seed members
+    as its sample points; the representation of fixed-point domains."""
 
     member: Callable[[tuple], bool]
     lower: tuple
     upper: tuple
-    resolution: int
     seeds: tuple = ()
     exact: bool = False
-    window: Callable[[tuple], tuple] | None = None
 
     kind = "oracle"
-
-    def __post_init__(self):
-        if self.resolution < 8:
-            raise MclabError("oracle grid resolution must be at least 8 per axis")
 
     def contains(self, z, tol: float = 0) -> bool:
         return self.member(tuple(z))
 
-    def _axes(self):
-        axes = []
-        for lo, hi in zip(self.lower, self.upper):
-            if lo == hi:
-                axes.append([lo])
-            else:
-                step = (hi - lo) / (self.resolution - 1)
-                axes.append([lo + i * step for i in range(self.resolution)])
-        return axes
-
-    def grid_points(self):
-        return (tuple(p) for p in itertools.product(*self._axes()))
-
-    def sample_points(self, grid_limit: int = GRID_ENUM_LIMIT, **_):
-        points = list(dict.fromkeys(tuple(s) for s in self.seeds))
-        sizes = (1 if lo == hi else self.resolution
-                 for lo, hi in zip(self.lower, self.upper))
-        if math.prod(sizes) > grid_limit:
-            return points
-        known = set(points)
-        *axes, last = self._axes()
-        last_f = [float(v) for v in last]
-        # itertools.product order: the last axis varies fastest
-        for prefix in itertools.product(*axes):
-            if self.window is None:
-                candidates = last
-            else:
-                lo, hi = self.window(prefix)
-                candidates = [v for v, f in zip(last, last_f) if lo <= f <= hi]
-            for v in candidates:
-                g = prefix + (v,)
-                if g not in known and self.member(g):
-                    points.append(g)
-                    known.add(g)
-        return points
-
-    @property
-    def grid_spacing(self):
-        widths = [hi - lo for lo, hi in zip(self.lower, self.upper)]
-        return max(widths) / (self.resolution - 1) if widths else 0
+    def sample_points(self, **_):
+        return list(dict.fromkeys(tuple(s) for s in self.seeds))
 
 
 SetRep = Singleton | Box | FiniteSet | CappedSimplex | SetUnion | SampledOracle
@@ -351,7 +292,6 @@ def midpoint_set(
     y,
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
-    resolution: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
@@ -491,10 +431,9 @@ def sphere_equivalence_check(
     y,
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
-    resolution: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
-    rep = midpoint_set(space, x, y, t, conv, resolution=resolution, tol=tol)
+    rep = midpoint_set(space, x, y, t, conv, tol=tol)
     return verify_on_spheres(space, x, y, t, conv, rep, tol=tol)
 
 
@@ -508,7 +447,6 @@ def segment(
     y,
     t_grid,
     conv: MidConvention = MidConvention.FROM_X,
-    resolution: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> Segment:
     """Sampled segment: one midpoint set per parameter in `t_grid`."""
@@ -518,7 +456,7 @@ def segment(
     samples = []
     max_defect = 0
     for t in t_grid:
-        rep = midpoint_set(space, x, y, t, conv, resolution=resolution, tol=tol)
+        rep = midpoint_set(space, x, y, t, conv, tol=tol)
         for z in rep.sample_points():
             defect = abs(distance(space, x, z) + distance(space, z, y) - d)
             if defect > max_defect:
@@ -554,7 +492,6 @@ def lifted_union(
     y,
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
-    resolution: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Union of midpoint sets with y over representative points of A."""
@@ -571,9 +508,7 @@ def lifted_union(
         if tuple(a) == tuple(y):
             parts.append(Singleton(tuple(y), exact=space.exact))
         else:
-            parts.append(
-                midpoint_set(space, a, y, t, conv, resolution=resolution, tol=tol)
-            )
+            parts.append(midpoint_set(space, a, y, t, conv, tol=tol))
     if all(isinstance(p, Singleton) for p in parts):
         points = tuple(dict.fromkeys(tuple(p.point) for p in parts))
         return FiniteSet(points, exact=space.exact)
@@ -585,8 +520,8 @@ def lifted_union(
 
 
 def diameter_with_witness(space: MetricSpace, rep: SetRep):
-    """Diameter and a point pair achieving it (a grid lower bound for
-    oracle representations)."""
+    """Diameter and a point pair achieving it: exact for the midpoint-set
+    representations, a lower bound from the seeds of an oracle."""
     if isinstance(rep, Singleton):
         return 0, (rep.point, rep.point)
     if isinstance(rep, Box):

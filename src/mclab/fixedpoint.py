@@ -118,7 +118,7 @@ class HybridParams:
             raise MclabError("beta must lie in [0, 1]")
 
 
-def ball_domain(center, radius, resolution: int = 33, space=None) -> SampledOracle:
+def ball_domain(center, radius, space=None) -> SampledOracle:
     """Closed metric ball as a membership-oracle domain."""
     c = tuple(center)
 
@@ -129,24 +129,20 @@ def ball_domain(center, radius, resolution: int = 33, space=None) -> SampledOrac
 
     lower = tuple(ci - radius for ci in c)
     upper = tuple(ci + radius for ci in c)
-    return SampledOracle(
-        member=member, lower=lower, upper=upper, resolution=resolution, seeds=(c,)
-    )
+    return SampledOracle(member=member, lower=lower, upper=upper, seeds=(c,))
 
 
-def box_domain(lower, upper, resolution: int = 33) -> SampledOracle:
+def box_domain(lower, upper) -> SampledOracle:
     lo, hi = tuple(lower), tuple(upper)
 
     def member(z):
         return all(a - 1e-12 <= c <= b + 1e-12 for a, c, b in zip(lo, z, hi))
 
     mid = tuple((a + b) / 2 for a, b in zip(lo, hi))
-    return SampledOracle(
-        member=member, lower=lo, upper=hi, resolution=resolution, seeds=(mid,)
-    )
+    return SampledOracle(member=member, lower=lo, upper=hi, seeds=(mid,))
 
 
-def whole_space_domain(dim: int, radius: float = 8.0, resolution: int = 33) -> SampledOracle:
+def whole_space_domain(dim: int, radius: float = 8.0) -> SampledOracle:
     """Unrestricted domain with a finite sampling window."""
     lower = tuple(-radius for _ in range(dim))
     upper = tuple(radius for _ in range(dim))
@@ -154,7 +150,6 @@ def whole_space_domain(dim: int, radius: float = 8.0, resolution: int = 33) -> S
         member=lambda z: True,
         lower=lower,
         upper=upper,
-        resolution=resolution,
         seeds=((0.0,) * dim,),
     )
 
@@ -611,14 +606,12 @@ def _domain_from_json(obj, space: MetricSpace) -> SetRep:
         return ball_domain(
             tuple(float(c) for c in obj["center"]),
             float(obj["radius"]),
-            resolution=int(obj.get("resolution", 33)),
             space=space,
         )
     if repr_tag == "box":
         return box_domain(
             tuple(parse_scalar(c) for c in obj["lower"]),
             tuple(parse_scalar(c) for c in obj["upper"]),
-            resolution=int(obj.get("resolution", 33)),
         )
     if repr_tag == "all":
         return whole_space_domain(space.dim, radius=float(obj.get("radius", 8.0)))

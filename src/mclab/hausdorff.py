@@ -1,9 +1,12 @@
 """Hausdorff distance between set representations.
 
-Exact for pairs of finite representations (pairwise min-max) and for pairs
-of boxes under the sup metric, where the distance separates per coordinate
-into interval Hausdorff distances.  Everything else is evaluated on the
-representations' sample points with the grid resolution recorded.  Witness
+The directed distance from A to B is the maximum, over A's sample points, of
+the distance to B.  That distance is exact: a finite B is searched point by
+point, a singleton, box or capped simplex has a closed-form nearest point,
+and a union takes the nearest over its parts.  Boxes under the sup metric
+are compared per coordinate as interval Hausdorff distances.  The result is
+marked exact when A's sample points attain the supremum: A finite, or A a
+capped simplex (whose vertices are its sample points) and B convex.  Witness
 pairs are always returned; ties break to the lexicographically smallest
 witness so results are deterministic.
 """
@@ -17,7 +20,6 @@ from .convexsets import (
     Box,
     CappedSimplex,
     FiniteSet,
-    SampledOracle,
     SetRep,
     SetUnion,
     Singleton,
@@ -31,7 +33,6 @@ class HausdorffResult:
     value: Scalar
     witness: tuple  # (point in A, nearest point of B)
     exact: bool
-    resolution: Scalar | None = None
 
 
 def _rep_points(rep: SetRep):
@@ -43,12 +44,6 @@ def _rep_points(rep: SetRep):
 
 # convex representations whose nearest point has a closed form
 _CLOSED_FORM = (Singleton, Box, CappedSimplex)
-
-
-def _rep_resolution(rep: SetRep):
-    if isinstance(rep, SampledOracle):
-        return rep.grid_spacing
-    return None
 
 
 def _nearest(space, a, B):
@@ -157,10 +152,7 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
             or (isinstance(A, CappedSimplex) and isinstance(B, _CLOSED_FORM))
         )
     )
-    res = [r for r in (_rep_resolution(A), _rep_resolution(B)) if r is not None]
-    return HausdorffResult(
-        value, witness, exact=exact, resolution=max(res) if res else None
-    )
+    return HausdorffResult(value, witness, exact=exact)
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
@@ -173,10 +165,6 @@ def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
         chosen = backward
     else:
         chosen = forward if forward.witness <= backward.witness else backward
-    res = [r for r in (forward.resolution, backward.resolution) if r is not None]
     return HausdorffResult(
-        chosen.value,
-        chosen.witness,
-        exact=forward.exact and backward.exact,
-        resolution=max(res) if res else None,
+        chosen.value, chosen.witness, exact=forward.exact and backward.exact
     )

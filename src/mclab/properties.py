@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .arith import Scalar
 from .convexsets import (
-    DEFAULT_RESOLUTION,
     DEFAULT_TOL,
     Box,
     FiniteSet,
@@ -44,14 +43,11 @@ from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict
 PROPERTY_NAMES = ("A", "B", "Bprime", "Bdoubleprime", "C")
 
 
-def _verdict(name, outcome, plan=None, conv=None, resolution=None, **kw):
-    described = plan.describe() if plan is not None else None
-    if described is not None and resolution is not None:
-        described["grid_resolution"] = resolution
+def _verdict(name, outcome, plan=None, conv=None, **kw):
     return PropertyVerdict(
         property=name,
         outcome=outcome,
-        plan=described,
+        plan=plan.describe() if plan is not None else None,
         convention=conv.value if conv is not None else None,
         **kw,
     )
@@ -65,7 +61,6 @@ def check_menger_convex(
     space: MetricSpace,
     plan: SamplePlan,
     carrier_points=None,
-    resolution: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
     """Between any two sampled points, at the sampled split, some third point
@@ -120,7 +115,7 @@ def check_menger_convex(
         x, y = sample_distinct_pair(rng, space, plan)
         t = sample_t(rng, space, plan, k)
         verdict = sphere_equivalence_check(
-            space, x, y, t, MidConvention.FROM_X, resolution=resolution, tol=tol
+            space, x, y, t, MidConvention.FROM_X, tol=tol
         )
         checked += 1
         if not verdict.holds:
@@ -139,7 +134,6 @@ def check_menger_convex(
         plan=plan,
         samples=checked,
         max_slack=max_slack,
-        resolution=resolution,
     )
 
 
@@ -154,7 +148,6 @@ def check_property(
     plan: SamplePlan | None = None,
     diam_tol: float = 1e-6,
     tol: float = DEFAULT_TOL,
-    resolution: int = DEFAULT_RESOLUTION,
     max_set_size: int = 8,
     t_grid=None,
 ) -> PropertyVerdict:
@@ -162,14 +155,14 @@ def check_property(
         raise MclabError(f"unknown property {which!r}")
     plan = plan or SamplePlan()
     if which == "A":
-        return _check_a(space, conv, plan, diam_tol, resolution, tol)
+        return _check_a(space, conv, plan, diam_tol, tol)
     if which == "B":
         return _check_b(space, plan, tol)
     if which == "Bprime":
-        return _check_bprime(space, conv, plan, tol, resolution)
+        return _check_bprime(space, conv, plan, tol)
     if which == "Bdoubleprime":
-        return _check_bdoubleprime(space, conv, plan, tol, resolution, max_set_size)
-    return _check_c(space, conv, plan, tol, resolution, t_grid)
+        return _check_bdoubleprime(space, conv, plan, tol, max_set_size)
+    return _check_c(space, conv, plan, tol, t_grid)
 
 
 def _sample_xyt(rng, space, plan, k):
@@ -180,13 +173,13 @@ def _sample_xyt(rng, space, plan, k):
     return x, y, sample_t(rng, space, plan, k)
 
 
-def _check_a(space, conv, plan, diam_tol, resolution, tol):
+def _check_a(space, conv, plan, diam_tol, tol):
     """Property (A): every midpoint set is a single point."""
     rng = plan.rng()
     worst = 0
     for k in range(plan.count):
         x, y, t = _sample_xyt(rng, space, plan, k)
-        rep = midpoint_set(space, x, y, t, conv, resolution=resolution, tol=tol)
+        rep = midpoint_set(space, x, y, t, conv, tol=tol)
         diam, pair = diameter_with_witness(space, rep)
         if diam > diam_tol:
             p, q = pair
@@ -219,7 +212,6 @@ def _check_a(space, conv, plan, diam_tol, resolution, tol):
         conv=conv,
         samples=plan.count,
         max_slack=worst,
-        resolution=resolution,
     )
 
 
@@ -268,7 +260,7 @@ def _check_b(space, plan, tol):
     return verdict
 
 
-def _check_bprime(space, conv, plan, tol, resolution):
+def _check_bprime(space, conv, plan, tol):
     """Property (B'): Hausdorff contraction of the midpoint set in its first
     argument with factor t."""
     rng = plan.rng()
@@ -279,8 +271,8 @@ def _check_bprime(space, conv, plan, tol, resolution):
         while z == y or z == x:
             z = sample_point(rng, space, plan)
         t = sample_t(rng, space, plan, k)
-        cx = midpoint_set(space, x, y, t, conv, resolution=resolution, tol=tol)
-        cz = midpoint_set(space, z, y, t, conv, resolution=resolution, tol=tol)
+        cx = midpoint_set(space, x, y, t, conv, tol=tol)
+        cz = midpoint_set(space, z, y, t, conv, tol=tol)
         h = hausdorff(space, cx, cz)
         lhs = h.value
         rhs = t * distance(space, x, z)
@@ -311,7 +303,7 @@ def _check_bprime(space, conv, plan, tol, resolution):
     )
 
 
-def _check_bdoubleprime(space, conv, plan, tol, resolution, max_set_size):
+def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
     """Property (B''): Hausdorff contraction of the set-lifted union."""
     rng = plan.rng()
     max_slack = None
@@ -322,8 +314,8 @@ def _check_bdoubleprime(space, conv, plan, tol, resolution, max_set_size):
         B = FiniteSet(pts_b, exact=space.exact)
         y = sample_point(rng, space, plan)
         t = sample_t(rng, space, plan, k)
-        CA = lifted_union(space, A, y, t, conv, resolution=resolution, tol=tol)
-        CB = lifted_union(space, B, y, t, conv, resolution=resolution, tol=tol)
+        CA = lifted_union(space, A, y, t, conv, tol=tol)
+        CB = lifted_union(space, B, y, t, conv, tol=tol)
         lhs = hausdorff(space, CA, CB).value
         rhs = t * hausdorff(space, A, B).value
         slack = lhs - rhs
@@ -356,7 +348,7 @@ def _check_bdoubleprime(space, conv, plan, tol, resolution, max_set_size):
     )
 
 
-def _check_c(space, conv, plan, tol, resolution, t_grid):
+def _check_c(space, conv, plan, tol, t_grid):
     """Property (C): midpoint sets of segment members stay on the segment."""
     rng = plan.rng()
     if t_grid is None:
@@ -369,7 +361,7 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
     else:
         x, y = sample_distinct_pair(rng, space, plan)
     d = distance(space, x, y)
-    seg = segment(space, x, y, t_grid, conv, resolution=resolution, tol=tol)
+    seg = segment(space, x, y, t_grid, conv, tol=tol)
     pool = segment_points(seg)
     # seeded random exploration of (u, v, s) triples over the pool; an
     # ordered scan would spend the whole budget near one corner
@@ -380,7 +372,7 @@ def _check_c(space, conv, plan, tol, resolution, t_grid):
         if u == v:
             continue
         s = t_grid[rng.randrange(len(t_grid))]
-        rep = midpoint_set(space, u, v, s, conv, resolution=resolution, tol=tol)
+        rep = midpoint_set(space, u, v, s, conv, tol=tol)
         for w in rep.sample_points()[: plan.count - checks]:
             checks += 1
             defect = abs(distance(space, x, w) + distance(space, w, y) - d)
@@ -420,7 +412,6 @@ def check_betweenness(
     p2,
     conv: MidConvention = MidConvention.FROM_X,
     tol: float = DEFAULT_TOL,
-    resolution: int = DEFAULT_RESOLUTION,
 ) -> PropertyVerdict:
     """Does the deeper midpoint p2 lie between p1 and y?
 
@@ -429,8 +420,8 @@ def check_betweenness(
     """
     if not t1 < t2:
         raise MclabError("need t1 < t2")
-    rep1 = midpoint_set(space, x, y, t1, conv, resolution=resolution, tol=tol)
-    rep2 = midpoint_set(space, x, y, t2, conv, resolution=resolution, tol=tol)
+    rep1 = midpoint_set(space, x, y, t1, conv, tol=tol)
+    rep2 = midpoint_set(space, x, y, t2, conv, tol=tol)
     mtol = 0 if space.exact else tol
     if not rep1.contains(p1, mtol):
         raise MembershipError("p1 is not a member of the first midpoint set")
