@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from .errors import MclabError
+
 Scalar = Union[int, float, Fraction]
 
 
@@ -28,6 +30,9 @@ def parse_scalar(value) -> Scalar:
     if isinstance(value, (int, float, Fraction)):
         return value
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MclabError(f"cannot interpret {value!r} as a scalar") from exc
+    raise MclabError(f"cannot interpret {value!r} as a scalar")
 

@@ -102,7 +102,13 @@ def cmd_check(args, cfg: RunConfig) -> int:
         # d_1 midpoint sets are sampled at their up to 2^dim vertices
         print(f"config error: check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
         return EXIT_USAGE
-    conv = _CONVENTIONS[cfg.convention]
+    conv = _CONVENTIONS.get(cfg.convention)
+    if conv is None:
+        print(
+            f"config error: convention must be one of {sorted(_CONVENTIONS)}, "
+            f"not {cfg.convention!r}"
+        )
+        return EXIT_USAGE
     expectations = _parse_expectations(args.expect)
     plan = _plan_from_config(cfg)
     prop_list = [p.strip() for p in args.props.split(",") if p.strip()]

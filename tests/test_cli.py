@@ -148,6 +148,17 @@ class TestCheck:
         assert "up to dimension 10" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())
 
+    def test_unknown_convention_in_a_config_file_exits_two(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"convention": "nope"})
+        argv = ["check", "--space", "vec2-p2", "--props", "A", "--config", cfg]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "convention must be one of" in capsys.readouterr().out
+
+    def test_unknown_convention_in_the_environment_exits_two(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MCLAB_CONVENTION", "nope")
+        argv = ["check", "--space", "vec2-p2", "--props", "A", "--out", str(tmp_path)]
+        assert main(argv) == 2
+
     def test_bad_expectation_exits_two(self, tmp_path):
         code = main(
             [
@@ -215,6 +226,12 @@ class TestFixedpointCommand:
         spec = write_json(tmp_path / "list.json", [1, 2])
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
 
+    def test_non_scalar_matrix_entry_exits_two(self, tmp_path, capsys):
+        bad = dict(DOUBLING_SPEC, parameters={"matrix": [[None, 0], [0, 1]], "offset": [0, 0]})
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "cannot interpret None as a scalar" in capsys.readouterr().out
+
     def test_ball_domain_uses_the_spec_metric(self, tmp_path):
         # (0.9, 0.9) lies in the d_inf unit ball but outside the Euclidean one
         halving = {
@@ -258,6 +275,12 @@ class TestNestedCommand:
     def test_family_of_the_wrong_shape_exits_two(self, family, tmp_path):
         path = write_json(tmp_path / "fam.json", family)
         assert main(["nested", path, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("radius", [None, "abc"], ids=["null", "text"])
+    def test_non_scalar_radius_exits_two(self, radius, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": [0, 0], "radius": radius}]])
+        assert main(["nested", path, "--out", str(tmp_path)]) == 2
+        assert "as a scalar" in capsys.readouterr().out
 
     def test_cantor_flag(self, tmp_path):
         fam = [[{"center": [0.25, 0.25], "radius": 0.5**n}] for n in range(1, 40)]
