@@ -31,6 +31,7 @@ CHECK_EXPECT = {
     "vec3-p1": _L1,
     "vec3-pinf-exact": _L1 + ",C=fails",
     "vec3-p2": "",
+    "vec6-pinf": _L1 + ",C=fails",
 }
 
 CASES = [f"check-{space}" for space in CHECK_EXPECT] + [
