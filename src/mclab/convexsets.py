@@ -8,6 +8,12 @@ axis-aligned box for d_inf, and a capped simplex for d_1 (the points of the
 coordinate box of x and y whose offsets from x sum to the first radius),
 sampled at its vertices.  A lifted union is kept as the union of its parts.
 
+Every member of a midpoint set lies on both bounding spheres.  The check of
+a d_inf box reads per-axis extremes instead of scanning its 3^n sample grid:
+over the grid, d_inf(z, x) runs from the largest per-axis minimum of
+|z_i - x_i| to the largest per-axis maximum, so the worst sphere gap sits at
+one of four numbers; only a box that fails is scanned, for its first point.
+
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
 from x.  They coincide at t = 1/2 and are reflections of each other in t.
@@ -101,17 +107,21 @@ class Box:
             lo - tol <= c <= hi + tol for lo, c, hi in zip(self.lower, z, self.upper)
         )
 
-    def sample_points(self, per_axis: int = 3, **_):
+    def axis_values(self, per_axis: int = 3):
+        """Sample values per coordinate: the bound of a degenerate axis, else
+        both bounds and, for per_axis >= 3, their midpoint."""
         axes = []
         for lo, hi in zip(self.lower, self.upper):
             if lo == hi:
-                axes.append([lo])
+                axes.append((lo,))
             elif per_axis <= 2:
-                axes.append([lo, hi])
+                axes.append((lo, hi))
             else:
-                mid = (lo + hi) / 2
-                axes.append([lo, mid, hi])
-        return [tuple(p) for p in itertools.product(*axes)]
+                axes.append((lo, (lo + hi) / 2, hi))
+        return axes
+
+    def sample_points(self, per_axis: int = 3, **_):
+        return list(itertools.product(*self.axis_values(per_axis)))
 
     def nearest(self, z):
         """Clamp z into the box: a nearest point in every d_p."""
@@ -120,10 +130,7 @@ class Box:
         )
 
     def corners(self):
-        axes = [
-            [lo] if lo == hi else [lo, hi] for lo, hi in zip(self.lower, self.upper)
-        ]
-        return [tuple(p) for p in itertools.product(*axes)]
+        return list(itertools.product(*self.axis_values(per_axis=2)))
 
 
 @dataclass(frozen=True)
@@ -382,6 +389,25 @@ def verify_on_spheres(
     d = distance(space, x, y)
     r1, r2 = radii_for(conv, t, d)
     slack_tol = 0 if space.exact else tol
+    if isinstance(rep, Box) and space.p == math.inf:
+        # d_inf(z, c) over the box's sample grid runs between its per-axis
+        # extremes, and |d - r| is largest at an end of that range (also in
+        # float: rounding is monotone); a failure falls through to the scan
+        # so that it names the scan's first point
+        axes = rep.axis_values()
+        gap = max(
+            abs(dc - r)
+            for c, r in ((x, r1), (y, r2))
+            for dc in _sup_distance_range(axes, c)
+        )
+        if gap <= slack_tol:
+            return PropertyVerdict(
+                property="SphereEquivalence",
+                outcome=HOLDS,
+                samples=math.prod(len(values) for values in axes),
+                max_slack=gap if gap > 0 else 0,
+                convention=conv.value,
+            )
     points = rep.sample_points()
     if not points:
         return PropertyVerdict(
@@ -423,6 +449,14 @@ def verify_on_spheres(
         max_slack=max_slack,
         convention=conv.value,
     )
+
+
+def _sup_distance_range(axes, c):
+    """Least and greatest d_inf(z, c) over the points z of the product of
+    the per-axis value lists `axes`; each |v - c_i| is the difference that
+    `distance` takes, so both ends are bit-exact."""
+    spans = [[abs(v - ci) for v in values] for values, ci in zip(axes, c)]
+    return max(map(min, spans)), max(map(max, spans))
 
 
 def sphere_equivalence_check(

@@ -4,11 +4,13 @@ The directed distance from A to B is the maximum, over A's sample points, of
 the distance to B.  That distance is exact: a finite B is searched point by
 point, a singleton, box or capped simplex has a closed-form nearest point,
 and a union takes the nearest over its parts.  Boxes under the sup metric
-are compared per coordinate as interval Hausdorff distances.  The result is
-marked exact when A's sample points attain the supremum: A finite, or A a
-capped simplex (whose vertices are its sample points) and B convex.  Witness
-pairs are always returned; ties break to the lexicographically smallest
-witness so results are deterministic.
+are compared per coordinate as interval Hausdorff distances.  Two finite
+sets share one distance table: its row minima give the distance from A to
+B, its column minima the distance from B to A.  The result is marked exact
+when A's sample points attain the supremum: A finite, or A a capped simplex
+(whose vertices are its sample points) and B convex.  Witness pairs are
+always returned; ties break to the lexicographically smallest witness so
+results are deterministic.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ def _rep_points(rep: SetRep):
 
 # convex representations whose nearest point has a closed form
 _CLOSED_FORM = (Singleton, Box, CappedSimplex)
+_FINITE = (Singleton, FiniteSet)
 
 
 def _nearest(space, a, B):
@@ -59,13 +62,12 @@ def _nearest(space, a, B):
     return distance(space, a, b), b
 
 
-def _directed_points(space, pts_a, B):
-    """max over the points of A of the distance to B; ties break to the
-    smallest (a, b) witness."""
+def _directed_points(rows):
+    """max over rows (a, distance from a to B, nearest point of B) of the
+    distance; ties break to the smallest (a, b) witness."""
     best = None
     witness = None
-    for a in pts_a:
-        nearest, nearest_pt = _nearest(space, a, B)
+    for a, nearest, nearest_pt in rows:
         if (
             best is None
             or nearest > best
@@ -141,24 +143,45 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     if isinstance(A, Box) and isinstance(B, Box) and space.p == math.inf:
         value, witness = _directed_boxes(space, A, B)
         return HausdorffResult(value, witness, exact=A.exact and B.exact)
-    value, witness = _directed_points(space, _rep_points(A), B)
+    value, witness = _directed_points(
+        (a, *_nearest(space, a, B)) for a in _rep_points(A)
+    )
     # d(., B) is convex for a convex B, so over a capped simplex its
     # supremum sits at a vertex; a finite A is all its points
     exact = (
         A.exact
         and B.exact
         and (
-            isinstance(A, (Singleton, FiniteSet))
+            isinstance(A, _FINITE)
             or (isinstance(A, CappedSimplex) and isinstance(B, _CLOSED_FORM))
         )
     )
     return HausdorffResult(value, witness, exact=exact)
 
 
+def _finite_pair(space, A, B):
+    """Both directed distances between finite sets from one distance table:
+    row minima give A -> B, column minima B -> A (d(a, b) and d(b, a) are
+    bit-equal)."""
+    pts_a, pts_b = _rep_points(A), _rep_points(B)
+    table = [[distance(space, a, b) for b in pts_b] for a in pts_a]
+    exact = A.exact and B.exact
+    forward = _directed_points(
+        (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)
+    )
+    backward = _directed_points(
+        (b, *min(zip(column, pts_a))) for b, column in zip(pts_b, zip(*table))
+    )
+    return HausdorffResult(*forward, exact), HausdorffResult(*backward, exact)
+
+
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
     """max of the two directed distances; witness from the deciding direction."""
-    forward = directed_hausdorff(space, A, B)
-    backward = directed_hausdorff(space, B, A)
+    if isinstance(A, _FINITE) and isinstance(B, _FINITE):
+        forward, backward = _finite_pair(space, A, B)
+    else:
+        forward = directed_hausdorff(space, A, B)
+        backward = directed_hausdorff(space, B, A)
     if forward.value > backward.value:
         chosen = forward
     elif backward.value > forward.value:

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mclab import (
     Box,
@@ -30,7 +32,9 @@ from mclab import (
     unique_midpoint,
     vector_space,
 )
+import mclab.convexsets as convexsets
 from mclab.convexsets import (
+    DEFAULT_TOL,
     MAX_SIMPLEX_AXES,
     radii_for,
     segment_points,
@@ -306,6 +310,112 @@ class TestSphereEquivalence:
                 rep = midpoint_set(space, x, y, t, FX)
                 assert rep.sample_points()
                 assert sphere_equivalence_check(space, x, y, t, FX).holds
+
+
+def _scan_on_spheres(space, x, y, t, conv, rep, tol=DEFAULT_TOL):
+    """Outcome, samples, max_slack and first failing point of a plain scan
+    of every sample point of `rep` against both spheres."""
+    r1, r2 = radii_for(conv, t, distance(space, x, y))
+    slack_tol = 0 if space.exact else tol
+    points = rep.sample_points()
+    max_slack = 0
+    for z in points:
+        gap = max(
+            abs(distance(space, z, x) - r1), abs(distance(space, z, y) - r2)
+        )
+        if gap > slack_tol:
+            return "fails", len(points), gap, z
+        if gap > max_slack:
+            max_slack = gap
+    return "holds", len(points), max_slack, None
+
+
+@st.composite
+def _sup_boxes(draw):
+    """(space, x, y, t, conv, box): a d_inf midpoint box in dimension 1-6,
+    on the rational lattice or in floats, with each axis kept, collapsed
+    to one value, or shifted or widened off the spheres."""
+    dim = draw(st.integers(1, 6))
+    exact = draw(st.booleans())
+    if exact:
+        coord = st.integers(-32, 32).map(lambda k: F(k, 16))
+        t = draw(st.integers(1, 15).map(lambda k: F(k, 16)))
+        step = st.integers(1, 8).map(lambda k: F(k, 16))
+    else:
+        coord = st.one_of(
+            st.integers(-32, 32).map(lambda k: k / 16),
+            st.floats(-2, 2, allow_nan=False),
+        )
+        t = draw(st.floats(0.02, 0.98))
+        step = st.sampled_from([1e-12, 1e-6, 0.125])
+    x = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    assume(x != y)
+    conv = draw(st.sampled_from(list(MidConvention)))
+    space = vector_space(dim, math.inf, exact=exact)
+    rep = midpoint_set(space, x, y, t, conv)
+    lower, upper = [], []
+    for lo, hi in zip(rep.lower, rep.upper):
+        move = draw(st.sampled_from(["keep", "keep", "lo", "hi", "mid", "shift", "grow"]))
+        if move == "lo":
+            hi = lo
+        elif move == "hi":
+            lo = hi
+        elif move == "mid":
+            lo = hi = (lo + hi) / 2
+        elif move == "shift":
+            delta = draw(step)
+            lo, hi = lo + delta, hi + delta
+        elif move == "grow":
+            delta = draw(step)
+            lo, hi = lo - delta, hi + delta
+        lower.append(lo)
+        upper.append(hi)
+    return space, x, y, t, conv, Box(tuple(lower), tuple(upper), exact=exact)
+
+
+class TestSupBoxOnSpheres:
+    """The per-axis check of a d_inf box against both spheres gives the
+    verdict of a plain scan over the box's sample points."""
+
+    @given(_sup_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_per_axis_check_equals_the_scan(self, case):
+        space, x, y, t, conv, box = case
+        verdict = verify_on_spheres(space, x, y, t, conv, box)
+        outcome, samples, max_slack, point = _scan_on_spheres(
+            space, x, y, t, conv, box
+        )
+        assert verdict.outcome == outcome
+        assert verdict.samples == samples
+        assert verdict.max_slack == max_slack
+        assert type(verdict.max_slack) is type(max_slack)
+        assert (verdict.witness or {}).get("point") == point
+
+    def test_a_box_on_the_spheres_costs_no_per_point_distance(self, monkeypatch):
+        space = vector_space(6, math.inf)
+        x, y = (0.0, 0.5, -1.0, 1.5, 0.25, -0.75), (2.0, -0.5, 0.0, 1.0, 1.0, 0.0)
+        rep = midpoint_set(space, x, y, 0.375, FX)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(convexsets, "distance", counting)
+        verdict = verify_on_spheres(space, x, y, 0.375, FX, rep)
+        assert verdict.holds and verdict.samples == len(rep.sample_points()) == 243
+        assert len(calls) == 1  # d(x, y) for the radii
+
+    def test_sample_points_read_the_axis_values(self):
+        box = Box((F(0), F(1), F(2)), (F(1), F(1), F(3)))
+        assert box.axis_values() == [
+            (0, F(1, 2), 1),
+            (1,),
+            (2, F(5, 2), 3),
+        ]
+        assert box.sample_points() == list(itertools.product(*box.axis_values()))
+        assert box.corners() == box.sample_points(per_axis=2)
 
 
 class TestUniqueMidpoint:

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclab import (
     Box,
@@ -18,6 +20,7 @@ from mclab import (
     vector_space,
 )
 from mclab.convexsets import segment_finite_set
+from mclab.hausdorff import HausdorffResult, _directed_boxes
 
 
 def _grid_of_box(box: Box, per_axis: int):
@@ -136,3 +139,121 @@ class TestMetricAxioms:
         result = hausdorff(space, A, B)
         wa, wb = result.witness
         assert distance(space, wa, wb) == pytest.approx(result.value, abs=1e-12)
+
+
+def _finite_rep(draw, point, exact):
+    """A FiniteSet of 1-6 points, possibly repeated, or a Singleton."""
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    if len(points) == 1 and draw(st.booleans()):
+        return Singleton(points[0], exact=exact)
+    return FiniteSet(tuple(points), exact=exact)
+
+
+@st.composite
+def _finite_pairs(draw):
+    """(space, A, B) for p in {1, 2, inf}; coarse half-integer lattices make
+    distance ties common, floats make them rare."""
+    p = draw(st.sampled_from([1, 2, math.inf]))
+    dim = draw(st.integers(1, 4))
+    exact = p != 2 and draw(st.booleans())
+    if exact:
+        coord = st.integers(-3, 3).map(lambda k: F(k, 2))
+    else:
+        coord = st.one_of(
+            st.integers(-3, 3).map(lambda k: k / 2), st.floats(-2, 2, allow_nan=False)
+        )
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    space = vector_space(dim, p, exact=exact)
+    return space, _finite_rep(draw, point, exact), _finite_rep(draw, point, exact)
+
+
+@st.composite
+def _exact_finite_triples(draw):
+    p = draw(st.sampled_from([1, math.inf]))
+    dim = draw(st.integers(1, 4))
+    coord = st.integers(-8, 8).map(lambda k: F(k, 4))
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    space = vector_space(dim, p, exact=True)
+    return space, *(_finite_rep(draw, point, True) for _ in range(3))
+
+
+@st.composite
+def _exact_box_pairs(draw):
+    """Two exact boxes in dimension 1-6 with some degenerate axes."""
+    dim = draw(st.integers(1, 6))
+    coord = st.integers(-12, 12).map(lambda k: F(k, 4))
+
+    def box():
+        lower, upper = [], []
+        for _ in range(dim):
+            a, b = sorted((draw(coord), draw(coord)))
+            if draw(st.booleans()):
+                b = a
+            lower.append(a)
+            upper.append(b)
+        return Box(tuple(lower), tuple(upper))
+
+    return vector_space(dim, math.inf, exact=True), box(), box()
+
+
+class TestFinitePairs:
+    """hausdorff on two finite sets reads one distance table; it must agree
+    with the two directed distances measured point by point."""
+
+    @given(_finite_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_max_of_the_directed_distances(self, case):
+        space, A, B = case
+        forward = directed_hausdorff(space, A, B)
+        backward = directed_hausdorff(space, B, A)
+        if forward.value != backward.value:
+            chosen = max(forward, backward, key=lambda h: h.value)
+        else:
+            chosen = min(forward, backward, key=lambda h: h.witness)
+        expected = HausdorffResult(
+            chosen.value, chosen.witness, forward.exact and backward.exact
+        )
+        result = hausdorff(space, A, B)
+        assert result == expected
+        assert type(result.value) is type(expected.value)
+
+    def test_ties_break_to_the_smallest_witness(self):
+        space = vector_space(1, 1, exact=True)
+        A = FiniteSet(((F(0),), (F(2),)))
+        B = FiniteSet(((F(1),),))
+        # every pair is at distance 1: forward and backward tie, and the
+        # smallest witness over both directions is ((0,), (1,))
+        result = hausdorff(space, A, B)
+        assert result.value == 1
+        assert result.witness == ((F(0),), (F(1),))
+        assert result.exact
+
+
+class TestExactHausdorffProperties:
+    """ROADMAP item 5: on exact finite sets the Hausdorff distance is a
+    metric with no tolerance, and the closed-form box distance equals a
+    finite brute force."""
+
+    @given(_exact_finite_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_symmetry_and_triangle_inequality(self, case):
+        space, A, B, C = case
+        hab = hausdorff(space, A, B).value
+        assert hab == hausdorff(space, B, A).value
+        assert hab <= hausdorff(space, A, C).value + hausdorff(space, C, B).value
+        assert hausdorff(space, A, A).value == 0
+
+    @given(_exact_box_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_directed_boxes_match_corners_and_clamp_points(self, case):
+        # d(., B) is convex, so its maximum over A sits at a corner of A;
+        # the clamp of that corner is its nearest point of B
+        space, A, B = case
+        brute = max(
+            min(distance(space, a, b) for b in [*B.corners(), B.nearest(a)])
+            for a in A.corners()
+        )
+        value, (wa, wb) = _directed_boxes(space, A, B)
+        assert value == brute
+        assert A.contains(wa) and B.contains(wb)
+        assert distance(space, wa, wb) == value
