@@ -36,3 +36,19 @@ def parse_scalar(value) -> Scalar:
             raise MclabError(f"cannot interpret {value!r} as a scalar") from exc
     raise MclabError(f"cannot interpret {value!r} as a scalar")
 
+
+
+def parse_float(value) -> float:
+    """float(value), with MclabError for a value that is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise MclabError(f"cannot interpret {value!r} as a number") from exc
+
+
+def parse_vector(value, what: str, convert=parse_scalar) -> tuple:
+    """The entries of a JSON list through `convert`; MclabError naming
+    `what` for any other JSON value."""
+    if not isinstance(value, (list, tuple)):
+        raise MclabError(f"{what} must be a list, not {value!r}")
+    return tuple(convert(c) for c in value)

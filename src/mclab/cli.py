@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import parse_float, parse_vector
 from .config import RunConfig, load_config
 from .convexsets import MAX_SIMPLEX_AXES, MidConvention
 from .errors import ConfigError, DomainEscape, MclabError, SolverFailure
@@ -175,7 +176,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         params = HybridParams(
             Fraction(str(data.get("alpha", 1))), Fraction(str(data.get("beta", 0)))
         )
-        x0 = tuple(float(c) for c in data.get("x0", (0.0,) * space.dim))
+        x0 = parse_vector(data.get("x0", (0.0,) * space.dim), "x0", parse_float)
     except (MclabError, KeyError, ValueError) as exc:
         print(f"bad mapping spec: {exc}")
         return EXIT_USAGE

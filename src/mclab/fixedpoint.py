@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Scalar, parse_scalar
+from .arith import Scalar, parse_float, parse_vector
 from .convexsets import (
     Box,
     FiniteSet,
@@ -576,43 +576,51 @@ def mapping_from_json(obj: dict, space: MetricSpace) -> MappingSpec:
 
 
 def _mapping_only_from_json(obj: dict) -> Mapping:
+    if not isinstance(obj, dict):
+        raise MclabError(f"a mapping must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     params = obj.get("parameters", {})
+    if not isinstance(params, dict):
+        raise MclabError(f"parameters must be a JSON object, not {params!r}")
     if kind == "affine":
-        matrix = tuple(tuple(parse_scalar(c) for c in row) for row in params["matrix"])
-        offset = tuple(parse_scalar(c) for c in params["offset"])
+        matrix = parse_vector(
+            params["matrix"], "matrix", lambda row: parse_vector(row, "matrix row")
+        )
+        offset = parse_vector(params["offset"], "offset")
         return Affine(matrix, offset)
     if kind == "rotation":
         if "turns" in params:
             angle = 2 * math.pi * float(Fraction(str(params["turns"])))
         else:
-            angle = float(params["angle"])
-        center = tuple(float(c) for c in params.get("center", (0.0, 0.0)))
+            angle = parse_float(params["angle"])
+        center = parse_vector(params.get("center", (0.0, 0.0)), "center", parse_float)
         return Rotation(angle, center)
     if kind == "box_projection":
-        lower = tuple(parse_scalar(c) for c in params["lower"])
-        upper = tuple(parse_scalar(c) for c in params["upper"])
+        lower = parse_vector(params["lower"], "lower")
+        upper = parse_vector(params["upper"], "upper")
         return BoxProjection(lower, upper)
     if kind == "composition":
-        return Composition(tuple(_mapping_only_from_json(m) for m in params["maps"]))
+        return Composition(parse_vector(params["maps"], "maps", _mapping_only_from_json))
     raise MclabError(f"unknown mapping kind {kind!r}")
 
 
 def _domain_from_json(obj, space: MetricSpace) -> SetRep:
     if obj is None:
         return whole_space_domain(space.dim)
+    if not isinstance(obj, dict):
+        raise MclabError(f"a domain must be a JSON object, not {obj!r}")
     repr_tag = obj.get("repr")
     if repr_tag == "ball":
         return ball_domain(
-            tuple(float(c) for c in obj["center"]),
-            float(obj["radius"]),
+            parse_vector(obj["center"], "center", parse_float),
+            parse_float(obj["radius"]),
             space=space,
         )
     if repr_tag == "box":
         return box_domain(
-            tuple(parse_scalar(c) for c in obj["lower"]),
-            tuple(parse_scalar(c) for c in obj["upper"]),
+            parse_vector(obj["lower"], "lower"),
+            parse_vector(obj["upper"], "upper"),
         )
     if repr_tag == "all":
-        return whole_space_domain(space.dim, radius=float(obj.get("radius", 8.0)))
+        return whole_space_domain(space.dim, radius=parse_float(obj.get("radius", 8.0)))
     raise MclabError(f"unknown domain representation {repr_tag!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Scalar, parse_scalar
+from .arith import Scalar, parse_scalar, parse_vector
 from .errors import NestingError, SolverFailure
 from .spaces import MetricSpace, distance, vscale, vsub, vadd
 
@@ -165,10 +165,7 @@ def family_from_json(data) -> NestedFamily:
     sets = []
     for entry in data:
         balls = [
-            Ball(
-                tuple(parse_scalar(c) for c in b["center"]),
-                parse_scalar(b["radius"]),
-            )
+            Ball(parse_vector(b["center"], "center"), parse_scalar(b["radius"]))
             for b in entry
         ]
         sets.append(balls)

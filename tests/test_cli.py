@@ -232,6 +232,30 @@ class TestFixedpointCommand:
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
         assert "cannot interpret None as a scalar" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(DOUBLING_SPEC, parameters={"matrix": 5, "offset": [0, 0]}),
+            dict(ROT_SPEC, domain={"repr": "ball", "center": 5, "radius": 1}),
+            dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0], "radius": None}),
+            dict(ROT_SPEC, domain=[1]),
+            dict(ROT_SPEC, parameters=[1]),
+            dict(ROT_SPEC, x0=5),
+        ],
+        ids=[
+            "scalar-matrix",
+            "scalar-ball-center",
+            "null-ball-radius",
+            "list-domain",
+            "list-parameters",
+            "scalar-x0",
+        ],
+    )
+    def test_spec_value_of_the_wrong_shape_exits_two(self, bad, tmp_path, capsys):
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "bad mapping spec" in capsys.readouterr().out
+
     def test_ball_domain_uses_the_spec_metric(self, tmp_path):
         # (0.9, 0.9) lies in the d_inf unit ball but outside the Euclidean one
         halving = {
@@ -275,6 +299,11 @@ class TestNestedCommand:
     def test_family_of_the_wrong_shape_exits_two(self, family, tmp_path):
         path = write_json(tmp_path / "fam.json", family)
         assert main(["nested", path, "--out", str(tmp_path)]) == 2
+
+    def test_scalar_center_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": 5, "radius": 1}]])
+        assert main(["nested", path, "--out", str(tmp_path)]) == 2
+        assert "center must be a list" in capsys.readouterr().out
 
     @pytest.mark.parametrize("radius", [None, "abc"], ids=["null", "text"])
     def test_non_scalar_radius_exits_two(self, radius, tmp_path, capsys):
