@@ -44,6 +44,19 @@ class RunConfig:
 _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
+# least allowed value of each bounded key: a run draws at least one sample,
+# tolerances are distances, exact coordinates k/coord_denominator need a
+# positive denominator, and exact parameters k/t_denominator need some k
+# with 0 < k/t_denominator < 1
+_MINIMUMS = {
+    "sample_count": 1,
+    "tol": 0,
+    "diam_tol": 0,
+    "coord_denominator": 1,
+    "t_denominator": 2,
+}
+
+
 def _coerce(key: str, value):
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
@@ -75,4 +88,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         cfg = replace(
             cfg, **{k: _coerce(k, v) for k, v in overrides.items() if v is not None}
         )
+    for key, least in _MINIMUMS.items():
+        value = getattr(cfg, key)
+        if not value >= least:
+            raise ConfigError(f"{key} must be at least {least}, not {value!r}")
     return cfg

@@ -58,3 +58,31 @@ def test_bad_value_names_the_key(tmp_path):
     path.write_text(json.dumps({"sample_count": "many"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="bad value for sample_count"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "space, values",
+    [
+        ("vec3-pinf", {"tol": -1.0}),
+        ("vec3-pinf", {"diam_tol": -1.0}),
+        ("vec3-pinf", {"sample_count": -5}),
+        ("vec3-pinf", {"sample_count": 0}),
+        ("vec3-pinf-exact", {"coord_denominator": 0}),
+        ("vec3-pinf-exact", {"t_denominator": 1}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_out_of_range_value_exits_two(space, values, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    argv = ["check", "--space", space, "--props", "A,Bprime", "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    (key,) = values
+    assert f"{key} must be at least" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_value_from_the_environment_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setenv("MCLAB_SAMPLE_COUNT", "0")
+    with pytest.raises(ConfigError, match="sample_count must be at least 1"):
+        load_config()
