@@ -37,7 +37,6 @@ def parse_scalar(value) -> Scalar:
     raise MclabError(f"cannot interpret {value!r} as a scalar")
 
 
-
 def parse_float(value) -> float:
     """float(value), with MclabError for a value that is not a number."""
     try:

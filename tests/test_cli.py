@@ -294,16 +294,18 @@ class TestNestedCommand:
         assert main(["nested", path, "--space", "vec2-q7", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "family", [{"a": 1}, [[1]], [{"center": [0, 0], "radius": 1}], [[{"radius": 1}]]]
+        "family",
+        [
+            {"a": 1},
+            [[1]],
+            [{"center": [0, 0], "radius": 1}],
+            [[{"radius": 1}]],
+            [[{"center": 5, "radius": 1}]],
+        ],
     )
     def test_family_of_the_wrong_shape_exits_two(self, family, tmp_path):
         path = write_json(tmp_path / "fam.json", family)
         assert main(["nested", path, "--out", str(tmp_path)]) == 2
-
-    def test_scalar_center_exits_two(self, tmp_path, capsys):
-        path = write_json(tmp_path / "fam.json", [[{"center": 5, "radius": 1}]])
-        assert main(["nested", path, "--out", str(tmp_path)]) == 2
-        assert "center must be a list" in capsys.readouterr().out
 
     @pytest.mark.parametrize("radius", [None, "abc"], ids=["null", "text"])
     def test_non_scalar_radius_exits_two(self, radius, tmp_path, capsys):
