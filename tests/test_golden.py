@@ -34,9 +34,49 @@ CHECK_EXPECT = {
     "vec6-pinf": _L1 + ",C=fails",
 }
 
-CASES = [f"check-{space}" for space in CHECK_EXPECT] + [
-    f"reproduce-{name}" for name in sorted(FIXTURES)
-]
+# solver inputs: the README rotation on a ball, a box projection (the
+# (2, 1) nonspreading case) on a box, a halving affine map on the whole
+# space, and a feasible family of nested balls
+INPUTS = {
+    "fixedpoint-ball": {
+        "space": "vec2-p2",
+        "kind": "rotation",
+        "parameters": {"turns": "1/7", "center": [0, 0]},
+        "domain": {"repr": "ball", "center": [0, 0], "radius": 1},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [1, 0],
+    },
+    "fixedpoint-box": {
+        "space": "vec2-p2",
+        "kind": "box_projection",
+        "parameters": {"lower": [0, 0], "upper": [1, 1]},
+        "domain": {"repr": "box", "lower": [-3, -3], "upper": [3, 3]},
+        "alpha": 2,
+        "beta": 1,
+        "x0": [2.5, -1.5],
+    },
+    "fixedpoint-all": {
+        "space": "vec2-p2",
+        "kind": "affine",
+        "parameters": {"matrix": [[0.5, 0], [0, 0.5]], "offset": [0.5, 0.5]},
+        "domain": {"repr": "all", "radius": 4},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [-2, 3],
+    },
+    "nested-feasible": [
+        [{"center": [0.5, 0], "radius": 1.5}],
+        [{"center": [0.25, 0], "radius": 1.25}, {"center": [0, 1], "radius": 1}],
+        [{"center": [0.125, 0], "radius": 1.125}],
+    ],
+}
+
+CASES = (
+    [f"check-{space}" for space in CHECK_EXPECT]
+    + [f"reproduce-{name}" for name in sorted(FIXTURES)]
+    + list(INPUTS)
+)
 
 
 def run_case(case: str, out_dir: Path) -> Path:
@@ -49,8 +89,14 @@ def run_case(case: str, out_dir: Path) -> Path:
         argv = ["check", "--space", name, *common]
         if CHECK_EXPECT[name]:
             argv += ["--expect", CHECK_EXPECT[name]]
-    else:
+    elif command == "reproduce":
         argv = ["reproduce", name, *common]
+    else:
+        # fixedpoint and nested write one report name whatever the input
+        source = out_dir / f"{case}-input.json"
+        source.write_text(json.dumps(INPUTS[case]), encoding="utf-8")
+        argv = [command, str(source), *common]
+        case = command
     main(argv)
     return out_dir / f"{case}.json"
 
@@ -73,5 +119,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             report = run_case(case, Path(tmp))
-            (GOLDEN_DIR / report.name).write_bytes(report.read_bytes())
-            print(f"wrote {GOLDEN_DIR / report.name}", file=sys.stderr)
+            golden = GOLDEN_DIR / f"{case}.json"
+            golden.write_bytes(report.read_bytes())
+            print(f"wrote {golden}", file=sys.stderr)
