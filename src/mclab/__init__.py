@@ -11,8 +11,8 @@ from .convexsets import (
     Box,
     CappedSimplex,
     FiniteSet,
+    MetricBall,
     MidConvention,
-    SampledOracle,
     Segment,
     SetUnion,
     Singleton,
@@ -45,9 +45,8 @@ from .fixedpoint import (
     HybridParams,
     MappingSpec,
     Rotation,
+    WholeSpace,
     asymptotic_center,
-    ball_domain,
-    box_domain,
     coercivity_probe,
     find_fixed_point,
     make_asymptotic_functional,
@@ -55,12 +54,10 @@ from .fixedpoint import (
     orbit,
     semigroup_compose,
     verify_hybrid,
-    whole_space_domain,
 )
 from .fixtures import FIXTURES
 from .hausdorff import HausdorffResult, directed_hausdorff, hausdorff
 from .nested import (
-    Ball,
     NestedFamily,
     build_shrinking_family,
     cantor_point,

@@ -241,16 +241,16 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
 
 def cmd_nested(args, cfg: RunConfig) -> int:
     try:
-        with open(args.family, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        family = family_from_json(data)
-    except (OSError, json.JSONDecodeError, MclabError) as exc:
-        print(f"cannot read family: {exc}")
-        return EXIT_USAGE
-    try:
         space = space_from_id(args.space)
     except MclabError as exc:
         print(f"config error: {exc}")
+        return EXIT_USAGE
+    try:
+        with open(args.family, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        family = family_from_json(data, space)
+    except (OSError, json.JSONDecodeError, MclabError) as exc:
+        print(f"cannot read family: {exc}")
         return EXIT_USAGE
     payload = {"config": cfg.resolved(), "space": space.id}
     try:

@@ -7,6 +7,9 @@ form: a single point for the strictly convex d_p (1 < p < inf), an
 axis-aligned box for d_inf, and a capped simplex for d_1 (the points of the
 coordinate box of x and y whose offsets from x sum to the first radius),
 sampled at its vertices.  A lifted union is kept as the union of its parts.
+A closed ball of any metric is a `MetricBall`: the fixed-point solvers use
+it as a domain and the nested-family solver as a constraint, and its
+constructor is where a center and radius are validated.
 
 Every member of a midpoint set lies on both bounding spheres.  The check of
 a d_inf box reads per-axis extremes instead of scanning its 3^n sample grid:
@@ -251,10 +254,44 @@ class SetUnion:
         )
 
 
+@dataclass(frozen=True)
+class MetricBall:
+    """Closed ball B[center, radius] in the metric of `space`; every d_p ball
+    lies in the coordinate box [lower, upper] of its d_inf ball."""
+
+    space: MetricSpace
+    center: tuple
+    radius: Scalar
+
+    def __post_init__(self):
+        check_point(self.space, self.center)
+        if not self.radius >= 0:
+            raise MclabError(f"ball radius must be at least 0, not {self.radius!r}")
+
+    def contains(self, z, tol: float = 0) -> bool:
+        return distance(self.space, z, self.center) <= self.radius + tol
+
+    @property
+    def lower(self):
+        return tuple(c - self.radius for c in self.center)
+
+    @property
+    def upper(self):
+        return tuple(c + self.radius for c in self.center)
+
+    def project(self, z):
+        """z if it lies in the ball, else the point at distance `radius` on the
+        segment from the center to z.  This radial step lands in the ball
+        under every d_p but is the nearest point of the ball only for d_2."""
+        d = distance(self.space, z, self.center)
+        return z if d <= self.radius else vlerp(self.center, z, self.radius / d)
+
+
+# not a set representation; kept only because perfbench/tracer.py wraps it at install
 @dataclass(frozen=True, eq=False)
 class SampledOracle:
     """Membership predicate over a bounding box, with certified seed members
-    as its sample points; the representation of fixed-point domains."""
+    as its sample points."""
 
     member: Callable[[tuple], bool]
     lower: tuple
@@ -271,7 +308,7 @@ class SampledOracle:
         return list(dict.fromkeys(tuple(s) for s in self.seeds))
 
 
-SetRep = Singleton | Box | FiniteSet | CappedSimplex | SetUnion | SampledOracle
+SetRep = Singleton | Box | FiniteSet | CappedSimplex | SetUnion
 
 
 @dataclass(frozen=True)
@@ -554,8 +591,8 @@ def lifted_union(
 
 
 def diameter_with_witness(space: MetricSpace, rep: SetRep):
-    """Diameter and a point pair achieving it: exact for the midpoint-set
-    representations, a lower bound from the seeds of an oracle."""
+    """Diameter and a point pair achieving it, exact for the midpoint-set
+    representations."""
     if isinstance(rep, Singleton):
         return 0, (rep.point, rep.point)
     if isinstance(rep, Box):

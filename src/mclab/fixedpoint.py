@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Scalar, parse_float, parse_vector
-from .convexsets import (
-    Box,
-    FiniteSet,
-    MidConvention,
-    SampledOracle,
-    SetRep,
-    Singleton,
-    unique_midpoint,
-)
+from .convexsets import Box, MetricBall, MidConvention, unique_midpoint
 from .errors import (
     DomainEscape,
     MclabError,
@@ -35,7 +27,7 @@ from .errors import (
     UniqueMidpointUndefined,
 )
 from .sampling import SamplePlan
-from .spaces import MetricSpace, distance, vadd, vscale
+from .spaces import MetricSpace, check_point, distance, vadd, vscale
 from .verdicts import FAILS, HOLDS, PropertyVerdict
 
 
@@ -97,10 +89,38 @@ class Composition:
 Mapping = Affine | Rotation | BoxProjection | Composition
 
 
+# the slack of every domain membership test
+DOMAIN_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class WholeSpace:
+    """The whole of R^dim: every point is a member, and the cube of
+    half-width `radius` about the origin is only the window that sampling
+    and the search draw from."""
+
+    dim: int
+    radius: float = 8.0
+
+    def contains(self, z, tol: float = 0) -> bool:
+        return True
+
+    @property
+    def lower(self):
+        return (-self.radius,) * self.dim
+
+    @property
+    def upper(self):
+        return (self.radius,) * self.dim
+
+
+Domain = MetricBall | Box | WholeSpace
+
+
 @dataclass(frozen=True)
 class MappingSpec:
     mapping: Mapping
-    domain: SetRep
+    domain: Domain
 
     def apply(self, x):
         return self.mapping.apply(x)
@@ -118,59 +138,11 @@ class HybridParams:
             raise MclabError("beta must lie in [0, 1]")
 
 
-def ball_domain(center, radius, space=None) -> SampledOracle:
-    """Closed metric ball as a membership-oracle domain."""
-    c = tuple(center)
-
-    def member(z):
-        if space is not None:
-            return distance(space, z, c) <= radius + 1e-12
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(z, c))) <= radius + 1e-12
-
-    lower = tuple(ci - radius for ci in c)
-    upper = tuple(ci + radius for ci in c)
-    return SampledOracle(member=member, lower=lower, upper=upper, seeds=(c,))
-
-
-def box_domain(lower, upper) -> SampledOracle:
-    lo, hi = tuple(lower), tuple(upper)
-
-    def member(z):
-        return all(a - 1e-12 <= c <= b + 1e-12 for a, c, b in zip(lo, z, hi))
-
-    mid = tuple((a + b) / 2 for a, b in zip(lo, hi))
-    return SampledOracle(member=member, lower=lo, upper=hi, seeds=(mid,))
-
-
-def whole_space_domain(dim: int, radius: float = 8.0) -> SampledOracle:
-    """Unrestricted domain with a finite sampling window."""
-    lower = tuple(-radius for _ in range(dim))
-    upper = tuple(radius for _ in range(dim))
-    return SampledOracle(
-        member=lambda z: True,
-        lower=lower,
-        upper=upper,
-        seeds=((0.0,) * dim,),
-    )
-
-
-def _domain_bounds(domain: SetRep):
-    if isinstance(domain, (Box, SampledOracle)):
-        return domain.lower, domain.upper
-    pts = domain.sample_points()
-    lower = tuple(min(p[i] for p in pts) for i in range(len(pts[0])))
-    upper = tuple(max(p[i] for p in pts) for i in range(len(pts[0])))
-    return lower, upper
-
-
-def _sample_domain_point(rng, domain: SetRep):
-    if isinstance(domain, (Singleton, FiniteSet)):
-        pts = domain.sample_points()
-        return pts[rng.randrange(len(pts))]
-    lower, upper = _domain_bounds(domain)
+def _sample_domain_point(rng, domain: Domain):
+    lower, upper = domain.lower, domain.upper
     for _ in range(10_000):
         z = tuple(rng.uniform(lo, hi) for lo, hi in zip(lower, upper))
-        if domain.contains(z, 1e-12):
+        if domain.contains(z, DOMAIN_TOL):
             return z
     raise SolverFailure("rejection sampling found no domain point")
 
@@ -198,9 +170,9 @@ def verify_hybrid(
         y = _sample_domain_point(rng, spec.domain)
         tx = spec.apply(x)
         ty = spec.apply(y)
-        if not spec.domain.contains(tx, 1e-9) or not spec.domain.contains(ty, 1e-9):
-            escaped = tx if not spec.domain.contains(tx, 1e-9) else ty
-            raise DomainEscape(f"mapping sends a sampled point to {escaped}")
+        for image in (tx, ty):
+            if not spec.domain.contains(image, DOMAIN_TOL):
+                raise DomainEscape(f"mapping sends a sampled point to {image}")
         d_txty = distance(space, tx, ty) ** 2
         d_xty = distance(space, x, ty) ** 2
         d_txy = distance(space, tx, y) ** 2
@@ -253,14 +225,14 @@ def orbit(
 ) -> OrbitResult:
     """Iterate the mapping from x0; flag the orbit unbounded as soon as the
     distance back to x0 exceeds rmax."""
-    if not spec.domain.contains(x0, 1e-9):
+    if not spec.domain.contains(x0, DOMAIN_TOL):
         raise DomainEscape("starting point lies outside the domain")
     points = [tuple(x0)]
     radius = 0
     x = tuple(x0)
     for _ in range(n):
         x = spec.apply(x)
-        if not spec.domain.contains(x, 1e-9):
+        if not spec.domain.contains(x, DOMAIN_TOL):
             raise DomainEscape(f"orbit escaped the domain at {x}")
         points.append(tuple(x))
         r = distance(space, x, x0)
@@ -447,16 +419,15 @@ def find_fixed_point(
     than silently accepted.
     """
     F = make_asymptotic_functional(space, spec, x0, orbit_n, window, rmax)
-    lower, upper = _domain_bounds(spec.domain)
 
     def objective(z):
         return asymptotic_center(space, F, z)
 
     u0, f_val, evals = pattern_search(
         objective,
-        lower,
-        upper,
-        feasible=lambda z: spec.domain.contains(z, 1e-12),
+        spec.domain.lower,
+        spec.domain.upper,
+        feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
         budget=budget,
         xtol=min(tol * 1e-3, 1e-9),
     )
@@ -604,23 +575,24 @@ def _mapping_only_from_json(obj: dict) -> Mapping:
     raise MclabError(f"unknown mapping kind {kind!r}")
 
 
-def _domain_from_json(obj, space: MetricSpace) -> SetRep:
+def _domain_from_json(obj, space: MetricSpace) -> Domain:
     if obj is None:
-        return whole_space_domain(space.dim)
+        return WholeSpace(space.dim)
     if not isinstance(obj, dict):
         raise MclabError(f"a domain must be a JSON object, not {obj!r}")
     repr_tag = obj.get("repr")
     if repr_tag == "ball":
-        return ball_domain(
+        return MetricBall(
+            space,
             parse_vector(obj["center"], "center", parse_float),
             parse_float(obj["radius"]),
-            space=space,
         )
     if repr_tag == "box":
-        return box_domain(
-            parse_vector(obj["lower"], "lower"),
-            parse_vector(obj["upper"], "upper"),
-        )
+        lower = parse_vector(obj["lower"], "lower")
+        upper = parse_vector(obj["upper"], "upper")
+        for bound in (lower, upper):
+            check_point(space, bound)
+        return Box(lower, upper, exact=space.exact)
     if repr_tag == "all":
-        return whole_space_domain(space.dim, radius=parse_float(obj.get("radius", 8.0)))
+        return WholeSpace(space.dim, parse_float(obj.get("radius", 8.0)))
     raise MclabError(f"unknown domain representation {repr_tag!r}")

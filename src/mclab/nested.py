@@ -1,32 +1,28 @@
 """Decreasing families of ball-intersection sets and common-point search.
 
-Sets are stored intensionally as lists of closed balls and never enumerated.
+Sets are stored intensionally as lists of `MetricBall`s of one space, whose
+constructor validates each center and radius, and never enumerated.
 Feasibility is established by cyclic projection over all ball constraints,
-with projection onto a single d_p ball computed by radial scaling toward its
-center.  A family whose diameter estimates vanish admits a unique common
-point up to the final diameter; this is checked by restarting the solver
-from a second start.
+each step being `MetricBall.project`, a radial step toward the center.  A
+family whose diameter estimates vanish admits a unique common point up to
+the final diameter; this is checked by restarting the solver from a second
+start.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Scalar, parse_scalar, parse_vector
+from .arith import parse_scalar, parse_vector
+from .convexsets import MetricBall
 from .errors import NestingError, SolverFailure
-from .spaces import MetricSpace, distance, vscale, vsub, vadd
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: Scalar
+from .spaces import MetricSpace, distance, vadd
 
 
 @dataclass(frozen=True)
 class NestedFamily:
     """Ordered list of sets, each an intersection of finitely many balls."""
 
-    sets: tuple  # of tuples of Ball
+    sets: tuple  # of tuples of MetricBall
     diam_estimates: tuple  # per set, min over balls of 2r (an upper bound)
 
     def all_balls(self):
@@ -57,15 +53,7 @@ def build_shrinking_family(space: MetricSpace, centers, radii) -> NestedFamily:
             raise NestingError(
                 f"consecutive balls not nested: drift {drift} exceeds {r1 - r2}"
             )
-    return family_of_balls([[Ball(tuple(c), r)] for c, r in zip(centers, radii)])
-
-
-def _project_onto_ball(space: MetricSpace, z, ball: Ball):
-    d = distance(space, z, ball.center)
-    if d <= ball.radius:
-        return z
-    scale = ball.radius / d
-    return vadd(ball.center, vscale(vsub(z, ball.center), scale))
+    return family_of_balls([[MetricBall(space, tuple(c), r)] for c, r in zip(centers, radii)])
 
 
 def max_violation(space: MetricSpace, family: NestedFamily, z):
@@ -94,7 +82,7 @@ def common_point(
     stalled = 0
     for _ in range(max_sweeps):
         for ball in family.all_balls():
-            z = _project_onto_ball(space, z, ball)
+            z = ball.project(z)
         violation, worst_ball = max_violation(space, family, z)
         if violation <= tol:
             return z
@@ -152,8 +140,8 @@ def cantor_point(
     return z1
 
 
-def family_from_json(data) -> NestedFamily:
-    """Family JSON: a list of sets, each a list of {center, radius}."""
+def family_from_json(data, space: MetricSpace) -> NestedFamily:
+    """Family JSON: a list of sets, each a list of {center, radius} balls."""
     if not isinstance(data, list) or not all(
         isinstance(entry, list)
         and all(isinstance(b, dict) and {"center", "radius"} <= b.keys() for b in entry)
@@ -162,14 +150,13 @@ def family_from_json(data) -> NestedFamily:
         raise NestingError(
             "a family is a JSON list of sets, each a list of {center, radius} balls"
         )
-    sets = []
-    for entry in data:
-        balls = [
-            Ball(parse_vector(b["center"], "center"), parse_scalar(b["radius"]))
+    return family_of_balls(
+        [
+            MetricBall(space, parse_vector(b["center"], "center"), parse_scalar(b["radius"]))
             for b in entry
         ]
-        sets.append(balls)
-    return family_of_balls(sets)
+        for entry in data
+    )
 
 
 def family_to_json(family: NestedFamily):

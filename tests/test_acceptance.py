@@ -28,7 +28,6 @@ from mclab import (
     find_fixed_point,
     make_asymptotic_functional,
     asymptotic_center,
-    ball_domain,
     midpoint_set,
     semigroup_compose,
     unique_midpoint,
@@ -36,6 +35,7 @@ from mclab import (
     verify_hybrid,
     HybridParams,
     MappingSpec,
+    MetricBall,
     Rotation,
 )
 from mclab.nested import max_violation
@@ -186,7 +186,7 @@ def test_criterion_09_uniform_modulus():
 def test_criterion_10_rotation_fixed_point():
     start = time.perf_counter()
     space = vector_space(2, 2)
-    spec = MappingSpec(Rotation(2 * math.pi / 7), ball_domain((0.0, 0.0), 1.0))
+    spec = MappingSpec(Rotation(2 * math.pi / 7), MetricBall(space, (0.0, 0.0), 1.0))
     params = HybridParams(1, 0)
     hybrid = verify_hybrid(space, spec, params, SamplePlan(count=1000, seed=1001))
     result = find_fixed_point(space, spec, params, (1.0, 0.0))

@@ -6,18 +6,19 @@ import pytest
 
 from mclab import (
     Affine,
+    Box,
     BoxProjection,
     DomainEscape,
     HybridParams,
     MappingSpec,
     MclabError,
+    MetricBall,
     MidConvention,
     Rotation,
     SamplePlan,
     UniqueMidpointUndefined,
+    WholeSpace,
     asymptotic_center,
-    ball_domain,
-    box_domain,
     coercivity_probe,
     distance,
     find_fixed_point,
@@ -27,7 +28,6 @@ from mclab import (
     semigroup_compose,
     vector_space,
     verify_hybrid,
-    whole_space_domain,
 )
 from mclab.fixedpoint import AsymptoticFunctional, mapping_from_json
 
@@ -38,7 +38,7 @@ NONSPREADING = HybridParams(2, 1)
 
 def rotation_spec(turns=1 / 7, center=(0.0, 0.0), radius=1.0):
     return MappingSpec(
-        Rotation(2 * math.pi * turns, center), ball_domain(center, radius)
+        Rotation(2 * math.pi * turns, center), MetricBall(SP2, center, radius)
     )
 
 
@@ -78,14 +78,15 @@ class TestVerifyHybrid:
 
     def test_box_projection_is_metrically_nonspreading(self):
         spec = MappingSpec(
-            BoxProjection((0.0, 0.0), (1.0, 1.0)), box_domain((-3.0, -3.0), (3.0, 3.0))
+            BoxProjection((0.0, 0.0), (1.0, 1.0)),
+            Box((-3.0, -3.0), (3.0, 3.0), exact=False),
         )
         verdict = verify_hybrid(SP2, spec, NONSPREADING, SamplePlan(count=10_000))
         assert verdict.holds
 
     def test_doubling_fails_with_doubled_distances(self):
         spec = MappingSpec(
-            Affine(((2, 0), (0, 2)), (0, 0)), whole_space_domain(2, radius=4)
+            Affine(((2, 0), (0, 2)), (0, 0)), WholeSpace(2, radius=4)
         )
         verdict = verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=100))
         assert verdict.fails
@@ -94,7 +95,8 @@ class TestVerifyHybrid:
 
     def test_non_self_map_detected(self):
         spec = MappingSpec(
-            Affine(((1, 0), (0, 1)), (10.0, 0.0)), box_domain((-1.0, -1.0), (1.0, 1.0))
+            Affine(((1, 0), (0, 1)), (10.0, 0.0)),
+            Box((-1.0, -1.0), (1.0, 1.0), exact=False),
         )
         with pytest.raises(DomainEscape):
             verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=10))
@@ -108,7 +110,7 @@ class TestOrbit:
 
     def test_contraction_orbit_converges(self):
         spec = MappingSpec(
-            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), whole_space_domain(2, radius=8)
+            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2, radius=8)
         )
         orb = orbit(SP2, spec, (-3.0, 3.0), 100)
         assert orb.bounded
@@ -116,7 +118,7 @@ class TestOrbit:
 
     def test_translation_flagged_unbounded(self):
         spec = MappingSpec(
-            Affine(((1, 0), (0, 1)), (1.0, 0.0)), whole_space_domain(2, radius=1e7)
+            Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )
         orb = orbit(SP2, spec, (0.0, 0.0), 500, rmax=100.0)
         assert not orb.bounded
@@ -129,7 +131,7 @@ class TestOrbit:
 
 class TestAsymptoticCenter:
     def quarter_turn(self):
-        return MappingSpec(Rotation(math.pi / 2), ball_domain((0.0, 0.0), 1.0))
+        return MappingSpec(Rotation(math.pi / 2), MetricBall(SP2, (0.0, 0.0), 1.0))
 
     def test_value_at_the_center(self):
         F = make_asymptotic_functional(SP2, self.quarter_turn(), (1.0, 0.0))
@@ -142,7 +144,7 @@ class TestAsymptoticCenter:
     def test_constant_mapping_tail(self):
         c = (0.3, -0.4)
         spec = MappingSpec(
-            Affine(((0, 0), (0, 0)), c), whole_space_domain(2, radius=4)
+            Affine(((0, 0), (0, 0)), c), WholeSpace(2, radius=4)
         )
         F = make_asymptotic_functional(SP2, spec, (1.0, 1.0))
         y = (0.5, 0.5)
@@ -154,7 +156,7 @@ class TestAsymptoticCenter:
 
     def test_tail_value_recorded_across_orbit_lengths(self):
         spec = MappingSpec(
-            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), whole_space_domain(2, radius=8)
+            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2, radius=8)
         )
         # toward the attractor the tail value shrinks with the orbit length;
         # elsewhere it may grow, so the trend is recorded rather than assumed
@@ -194,7 +196,7 @@ class TestFindFixedPoint:
 
     def test_contraction_converges_to_its_fixed_point(self):
         spec = MappingSpec(
-            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), whole_space_domain(2, radius=4)
+            Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2, radius=4)
         )
         result = find_fixed_point(SP2, spec, NONEXPANSIVE, (-2.0, 3.0))
         assert result.point == pytest.approx((1.0, 1.0), abs=1e-6)
@@ -202,7 +204,8 @@ class TestFindFixedPoint:
 
     def test_projection_returns_a_fixed_box_point(self):
         spec = MappingSpec(
-            BoxProjection((0.0, 0.0), (1.0, 1.0)), box_domain((-3.0, -3.0), (3.0, 3.0))
+            BoxProjection((0.0, 0.0), (1.0, 1.0)),
+            Box((-3.0, -3.0), (3.0, 3.0), exact=False),
         )
         result = find_fixed_point(SP2, spec, NONSPREADING, (2.5, -1.5))
         assert result.residual <= 1e-6
@@ -221,7 +224,7 @@ class TestFindFixedPoint:
         from mclab import SolverFailure
 
         spec = MappingSpec(
-            Affine(((1, 0), (0, 1)), (1.0, 0.0)), whole_space_domain(2, radius=1e7)
+            Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )
         with pytest.raises(SolverFailure):
             find_fixed_point(SP2, spec, NONEXPANSIVE, (0.0, 0.0), rmax=50.0)
@@ -258,7 +261,7 @@ class TestFindFixedPoint:
 
 class TestCoercivity:
     def test_quarter_turn_grows_linearly_along_the_axis(self):
-        spec = MappingSpec(Rotation(math.pi / 2), ball_domain((0.0, 0.0), 1.0))
+        spec = MappingSpec(Rotation(math.pi / 2), MetricBall(SP2, (0.0, 0.0), 1.0))
         F = make_asymptotic_functional(SP2, spec, (1.0, 0.0))
         probe = coercivity_probe(SP2, F, (0.0, 0.0), (1.0, 0.0))
         assert probe["holds"]
@@ -267,7 +270,7 @@ class TestCoercivity:
 
     def test_constant_mapping_growth(self):
         c = (0.5, 0.0)
-        spec = MappingSpec(Affine(((0, 0), (0, 0)), c), whole_space_domain(2, radius=4))
+        spec = MappingSpec(Affine(((0, 0), (0, 0)), c), WholeSpace(2, radius=4))
         F = make_asymptotic_functional(SP2, spec, (0.0, 0.0))
         probe = coercivity_probe(SP2, F, (0.0, 0.0), (1.0, 0.0))
         assert probe["holds"]

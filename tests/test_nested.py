@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from mclab import (
-    Ball,
+    MetricBall,
     NestingError,
     SolverFailure,
     build_shrinking_family,
@@ -68,7 +68,9 @@ class TestCommonPoint:
             assert distance(SP2, pt, ball.center) <= ball.radius + 1e-6
 
     def test_disjoint_balls_yield_a_violation_certificate(self):
-        family = family_of_balls([[Ball((0.0, 0.0), 1.0), Ball((5.0, 0.0), 1.0)]])
+        family = family_of_balls(
+            [[MetricBall(SP2, (0.0, 0.0), 1.0), MetricBall(SP2, (5.0, 0.0), 1.0)]]
+        )
         with pytest.raises(SolverFailure) as err:
             common_point(SP2, family, tol=1e-6)
         assert err.value.certificate["violation"] >= 1.0
@@ -115,5 +117,5 @@ class TestJson:
     def test_round_trip(self):
         family = drifting_family(5)
         data = family_to_json(family)
-        back = family_from_json(data)
+        back = family_from_json(data, SP2)
         assert back.sets == family.sets
