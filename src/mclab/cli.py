@@ -35,7 +35,7 @@ from .properties import (
 )
 from .reports import fmt_value, write_reports
 from .sampling import SamplePlan
-from .spaces import VECTOR, space_from_id
+from .spaces import VECTOR, check_point, space_from_id
 from .verdicts import PropertyVerdict
 
 EXIT_OK = 0
@@ -172,28 +172,34 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         if not isinstance(data, dict):
             raise MclabError("a mapping spec is a JSON object")
         space = space_from_id(data.get("space", "vec2-p2"))
+        if space.carrier != VECTOR or space.exact:
+            # the solver samples float coordinate vectors
+            raise MclabError(
+                f"fixedpoint needs a float vector space id (vecN-pP), not {space.id!r}"
+            )
         spec = mapping_from_json(data, space)
         params = HybridParams(
             Fraction(str(data.get("alpha", 1))), Fraction(str(data.get("beta", 0)))
         )
         x0 = parse_vector(data.get("x0", (0.0,) * space.dim), "x0", parse_float)
+        check_point(space, x0)
     except (MclabError, KeyError, ValueError) as exc:
         print(f"bad mapping spec: {exc}")
         return EXIT_USAGE
     plan = _plan_from_config(cfg, count=min(cfg.sample_count, 2000))
     payload = {"config": cfg.resolved(), "space": space.id}
-    verdict = verify_hybrid(space, spec, params, plan, tol=cfg.tol)
-    payload["hybrid"] = verdict.to_json()
-    if not verdict.holds:
-        write_reports(
-            cfg.out_dir,
-            "fixedpoint",
-            payload,
-            f"# Fixed point\n\nHybrid inequality fails; witness recorded.\n",
-        )
-        print("fixedpoint: hybrid inequality FAILS")
-        return EXIT_FAIL
     try:
+        verdict = verify_hybrid(space, spec, params, plan, tol=cfg.tol)
+        payload["hybrid"] = verdict.to_json()
+        if not verdict.holds:
+            write_reports(
+                cfg.out_dir,
+                "fixedpoint",
+                payload,
+                f"# Fixed point\n\nHybrid inequality fails; witness recorded.\n",
+            )
+            print("fixedpoint: hybrid inequality FAILS")
+            return EXIT_FAIL
         result = find_fixed_point(
             space,
             spec,

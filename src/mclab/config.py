@@ -45,15 +45,21 @@ _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 # least allowed value of each bounded key: a run draws at least one sample,
-# tolerances are distances, exact coordinates k/coord_denominator need a
-# positive denominator, and exact parameters k/t_denominator need some k
-# with 0 < k/t_denominator < 1
+# tolerances and the orbit bound are distances, exact coordinates
+# k/coord_denominator need a positive denominator, exact parameters
+# k/t_denominator need some k with 0 < k/t_denominator < 1, and the solver
+# needs an orbit step, a tail point and a functional evaluation
 _MINIMUMS = {
     "sample_count": 1,
     "tol": 0,
     "diam_tol": 0,
     "coord_denominator": 1,
     "t_denominator": 2,
+    "fp_orbit_n": 1,
+    "fp_window": 1,
+    "fp_tol": 0,
+    "fp_budget": 1,
+    "fp_rmax": 0,
 }
 
 
@@ -92,4 +98,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         value = getattr(cfg, key)
         if not value >= least:
             raise ConfigError(f"{key} must be at least {least}, not {value!r}")
+    if cfg.fp_window > cfg.fp_orbit_n:
+        # the tail window is taken from the orbit's points
+        raise ConfigError(
+            f"fp_window must be at least 1 and at most fp_orbit_n ({cfg.fp_orbit_n}), "
+            f"not {cfg.fp_window!r}"
+        )
     return cfg

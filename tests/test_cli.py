@@ -256,6 +256,55 @@ class TestFixedpointCommand:
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
         assert "bad mapping spec" in capsys.readouterr().out
 
+    def test_map_that_leaves_the_domain_exits_one(self, tmp_path, capsys):
+        escaping = dict(
+            DOUBLING_SPEC,
+            parameters={"matrix": [[1, 0], [0, 1]], "offset": [10, 0]},
+            domain={"repr": "box", "lower": [-1, -1], "upper": [1, 1]},
+            x0=[0, 0],
+        )
+        spec = write_json(tmp_path / "escape.json", escaping)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "fixedpoint.json").read_text())
+        assert "mapping sends a sampled point" in report["error"]
+        assert "hybrid" not in report
+        assert "mapping sends a sampled point" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("space", ["l1fn", "vec2-p1-exact"])
+    def test_space_the_solver_cannot_sample_exits_two(self, space, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", dict(ROT_SPEC, space=space))
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "needs a float vector space id" in capsys.readouterr().out
+        assert not (tmp_path / "fixedpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                dict(ROT_SPEC, domain={"repr": "box", "lower": [1, 0], "upper": [0, 1]}),
+                "lower bound exceeds upper bound",
+            ),
+            (
+                dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0], "radius": -1}),
+                "ball radius must be at least 0",
+            ),
+            (
+                dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0, 0], "radius": 1}),
+                "point of length 3 in a 2-dimensional space",
+            ),
+            (
+                dict(ROT_SPEC, domain={"repr": "box", "lower": [-1] * 3, "upper": [1] * 3}),
+                "point of length 3 in a 2-dimensional space",
+            ),
+            (dict(ROT_SPEC, x0=[1, 0, 0]), "point of length 3 in a 2-dimensional space"),
+        ],
+        ids=["box-lower-above-upper", "negative-radius", "3d-center", "3d-box", "3d-x0"],
+    )
+    def test_invalid_domain_or_start_exits_two(self, bad, message, tmp_path, capsys):
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().out
+
     def test_ball_domain_uses_the_spec_metric(self, tmp_path):
         # (0.9, 0.9) lies in the d_inf unit ball but outside the Euclidean one
         halving = {
@@ -306,6 +355,17 @@ class TestNestedCommand:
     def test_family_of_the_wrong_shape_exits_two(self, family, tmp_path):
         path = write_json(tmp_path / "fam.json", family)
         assert main(["nested", path, "--out", str(tmp_path)]) == 2
+
+    def test_negative_radius_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": [0, 0], "radius": -1}]])
+        assert main(["nested", path, "--out", str(tmp_path)]) == 2
+        assert "ball radius must be at least 0" in capsys.readouterr().out
+
+    def test_family_of_another_dimension_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": [0, 0], "radius": 1}]])
+        argv = ["nested", path, "--space", "vec3-p2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "point of length 2 in a 3-dimensional space" in capsys.readouterr().out
 
     @pytest.mark.parametrize("radius", [None, "abc"], ids=["null", "text"])
     def test_non_scalar_radius_exits_two(self, radius, tmp_path, capsys):

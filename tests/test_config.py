@@ -69,6 +69,12 @@ def test_bad_value_names_the_key(tmp_path):
         ("vec3-pinf", {"sample_count": 0}),
         ("vec3-pinf-exact", {"coord_denominator": 0}),
         ("vec3-pinf-exact", {"t_denominator": 1}),
+        ("vec3-pinf", {"fp_orbit_n": 0}),
+        ("vec3-pinf", {"fp_window": 0}),
+        ("vec3-pinf", {"fp_window": 300}),
+        ("vec3-pinf", {"fp_tol": -1.0}),
+        ("vec3-pinf", {"fp_budget": 0}),
+        ("vec3-pinf", {"fp_rmax": -1.0}),
     ],
     ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
 )
