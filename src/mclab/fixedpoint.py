@@ -102,6 +102,10 @@ class WholeSpace:
     dim: int
     radius: float = 8.0
 
+    def __post_init__(self):
+        if not self.radius >= 0:
+            raise MclabError(f"window radius must be at least 0, not {self.radius!r}")
+
     def contains(self, z, tol: float = 0) -> bool:
         return True
 

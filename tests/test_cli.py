@@ -297,8 +297,19 @@ class TestFixedpointCommand:
                 "point of length 3 in a 2-dimensional space",
             ),
             (dict(ROT_SPEC, x0=[1, 0, 0]), "point of length 3 in a 2-dimensional space"),
+            (
+                dict(DOUBLING_SPEC, domain={"repr": "all", "radius": -1}),
+                "window radius must be at least 0",
+            ),
         ],
-        ids=["box-lower-above-upper", "negative-radius", "3d-center", "3d-box", "3d-x0"],
+        ids=[
+            "box-lower-above-upper",
+            "negative-radius",
+            "3d-center",
+            "3d-box",
+            "3d-x0",
+            "negative-window",
+        ],
     )
     def test_invalid_domain_or_start_exits_two(self, bad, message, tmp_path, capsys):
         spec = write_json(tmp_path / "bad.json", bad)
