@@ -32,6 +32,7 @@ CHECK_EXPECT = {
     "vec3-pinf-exact": _L1 + ",C=fails",
     "vec3-p2": "",
     "vec6-pinf": _L1 + ",C=fails",
+    "vec8-p1-exact": _L1,
 }
 
 # solver inputs: the README rotation on a ball, a box projection (the
