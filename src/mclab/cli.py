@@ -12,6 +12,7 @@ Exit codes: 0 success or expected outcome, 1 property or solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -286,7 +287,10 @@ def cmd_nested(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` keeps no
+    state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="RNG seed override")

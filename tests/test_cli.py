@@ -457,3 +457,30 @@ class TestDeterminism:
             ]
         )
         assert code == 2
+
+
+class TestParserReuse:
+    """The parser is built once per process; consecutive calls of `main`
+    must not see each other's arguments."""
+
+    def test_the_parser_is_built_once(self):
+        from mclab.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_a_flag_does_not_carry_over(self, tmp_path):
+        fam = [
+            [{"center": [0.5, 0], "radius": 1.5}],
+            [{"center": [0.25, 0], "radius": 1.25}],
+        ]
+        path = write_json(tmp_path / "fam.json", fam)
+        # the diameters never vanish, so only the plain search succeeds
+        assert main(["nested", path, "--cantor", "--out", str(tmp_path)]) == 1
+        assert main(["nested", path, "--out", str(tmp_path)]) == 0
+
+    def test_an_expectation_does_not_carry_over(self, tmp_path):
+        argv = ["check", "--space", "vec3-p1", "--props", "A", "--out", str(tmp_path)]
+        assert main(argv + ["--expect", "A=fails"]) == 0
+        assert main(argv) == 1
+        report = json.loads((tmp_path / "check-vec3-p1.json").read_text())
+        assert report["reports"][0]["expected"] == "holds"
