@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Scalar, parse_float, parse_vector
+from .arith import Scalar, parse_float, parse_scalar, parse_vector
 from .convexsets import Box, MetricBall, MidConvention, unique_midpoint
 from .errors import (
     DomainEscape,
@@ -545,12 +545,21 @@ def semigroup_compose(
 def mapping_from_json(obj: dict, space: MetricSpace) -> MappingSpec:
     """Build a MappingSpec on `space` from its JSON form {kind, parameters,
     domain}; a "ball" domain is a ball in the metric of `space`."""
-    mapping = _mapping_only_from_json(obj)
+    mapping = _mapping_only_from_json(obj, space.dim)
     domain = _domain_from_json(obj.get("domain"), space)
     return MappingSpec(mapping=mapping, domain=domain)
 
 
-def _mapping_only_from_json(obj: dict) -> Mapping:
+def _sized_vector(value, what: str, dim: int, convert=parse_scalar) -> tuple:
+    """parse_vector, with MclabError unless there are `dim` entries."""
+    out = parse_vector(value, what, convert)
+    if len(out) != dim:
+        raise MclabError(f"{what} has {len(out)} entries in a {dim}-dimensional space")
+    return out
+
+
+def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
+    """The mapping of a JSON spec, acting on R^dim."""
     if not isinstance(obj, dict):
         raise MclabError(f"a mapping must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
@@ -558,24 +567,33 @@ def _mapping_only_from_json(obj: dict) -> Mapping:
     if not isinstance(params, dict):
         raise MclabError(f"parameters must be a JSON object, not {params!r}")
     if kind == "affine":
-        matrix = parse_vector(
-            params["matrix"], "matrix", lambda row: parse_vector(row, "matrix row")
+        matrix = _sized_vector(
+            params["matrix"],
+            "matrix",
+            dim,
+            lambda row: _sized_vector(row, "matrix row", dim),
         )
-        offset = parse_vector(params["offset"], "offset")
+        offset = _sized_vector(params["offset"], "offset", dim)
         return Affine(matrix, offset)
     if kind == "rotation":
+        if dim != 2:
+            raise MclabError(f"a rotation needs a 2-dimensional space, not {dim}")
         if "turns" in params:
             angle = 2 * math.pi * float(Fraction(str(params["turns"])))
         else:
             angle = parse_float(params["angle"])
-        center = parse_vector(params.get("center", (0.0, 0.0)), "center", parse_float)
+        center = _sized_vector(params.get("center", (0.0, 0.0)), "center", 2, parse_float)
         return Rotation(angle, center)
     if kind == "box_projection":
-        lower = parse_vector(params["lower"], "lower")
-        upper = parse_vector(params["upper"], "upper")
+        lower = _sized_vector(params["lower"], "lower", dim)
+        upper = _sized_vector(params["upper"], "upper", dim)
         return BoxProjection(lower, upper)
     if kind == "composition":
-        return Composition(parse_vector(params["maps"], "maps", _mapping_only_from_json))
+        return Composition(
+            parse_vector(
+                params["maps"], "maps", lambda m: _mapping_only_from_json(m, dim)
+            )
+        )
     raise MclabError(f"unknown mapping kind {kind!r}")
 
 

@@ -316,6 +316,35 @@ class TestFixedpointCommand:
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                dict(
+                    DOUBLING_SPEC,
+                    parameters={"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, 0]},
+                    domain={"repr": "ball", "center": [0, 0], "radius": 1},
+                ),
+                "matrix row has 3 entries in a 2-dimensional space",
+            ),
+            (
+                dict(ROT_SPEC, space="vec3-p2", x0=[1, 0, 0],
+                     domain={"repr": "ball", "center": [0, 0, 0], "radius": 1}),
+                "a rotation needs a 2-dimensional space, not 3",
+            ),
+            (
+                dict(DOUBLING_SPEC, parameters={"matrix": [[1, 0, 0], [0, 1, 0]], "offset": [0, 0]}),
+                "matrix row has 3 entries in a 2-dimensional space",
+            ),
+        ],
+        ids=["3x3-affine-on-vec2", "rotation-on-vec3", "2x3-affine-on-vec2"],
+    )
+    def test_mapping_of_another_dimension_exits_two(self, bad, message, tmp_path, capsys):
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().out
+        assert not (tmp_path / "fixedpoint.json").exists()
+
     def test_ball_domain_uses_the_spec_metric(self, tmp_path):
         # (0.9, 0.9) lies in the d_inf unit ball but outside the Euclidean one
         halving = {
