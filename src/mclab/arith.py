@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 from .errors import MclabError
@@ -12,6 +12,17 @@ Scalar = Union[int, float, Fraction]
 
 def is_rational(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction))
+
+
+def common_denominator(values) -> int:
+    """Least common denominator of rationals (ints have denominator 1)."""
+    return lcm(*(v.denominator for v in values))
+
+
+def scaled(values, den: int) -> list:
+    """The rationals `values` times `den`, a multiple of their denominators,
+    as ints: exact arithmetic on them needs no Fraction until the end."""
+    return [v.numerator * (den // v.denominator) for v in values]
 
 
 def rational_sqrt(v: Fraction) -> Fraction | None:

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Scalar, is_rational, rational_sqrt
+from .arith import Scalar, common_denominator, is_rational, rational_sqrt, scaled
 from .errors import (
     DimensionMismatch,
     ExactArithmeticUnsupported,
@@ -241,16 +241,22 @@ def distance(space: MetricSpace, a, b) -> Scalar:
 def _vector_distance(space: MetricSpace, a, b) -> Scalar:
     check_point(space, a)
     check_point(space, b)
-    diffs = [abs(x - y) for x, y in zip(a, b)]
     p = space.p
+    if space.exact:
+        if p not in _EXACT_P_VALUES:
+            raise ExactArithmeticUnsupported(
+                f"exact arithmetic supports p in {{1, inf}}, not p={p}"
+            )
+        # integer differences over one common denominator: one Fraction is
+        # built at the end instead of one per coordinate step
+        den = common_denominator((*a, *b))
+        diffs = [abs(u - v) for u, v in zip(scaled(a, den), scaled(b, den))]
+        return Fraction(max(diffs) if p == math.inf else sum(diffs), den)
+    diffs = [abs(x - y) for x, y in zip(a, b)]
     if p == math.inf:
         return max(diffs)
     if p == 1:
         return sum(diffs)
-    if space.exact:
-        raise ExactArithmeticUnsupported(
-            f"exact arithmetic supports p in {{1, inf}}, not p={p}"
-        )
     total = sum(float(d) ** p for d in diffs)
     return total ** (1.0 / p)
 
