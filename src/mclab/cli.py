@@ -12,7 +12,6 @@ Exit codes: 0 success or expected outcome, 1 property or solver failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
@@ -287,10 +286,7 @@ def cmd_nested(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: `parse_args` keeps no
-    state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="RNG seed override")
@@ -328,10 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -492,11 +492,6 @@ class TestParserReuse:
     """The parser is built once per process; consecutive calls of `main`
     must not see each other's arguments."""
 
-    def test_the_parser_is_built_once(self):
-        from mclab.cli import build_parser
-
-        assert build_parser() is build_parser()
-
     def test_a_flag_does_not_carry_over(self, tmp_path):
         fam = [
             [{"center": [0.5, 0], "radius": 1.5}],
