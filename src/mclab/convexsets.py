@@ -30,9 +30,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable
 
-from .arith import Scalar
+from .arith import Scalar, common_denominator, scaled
 from .errors import (
     EmptySetError,
     InternalInconsistency,
@@ -176,23 +177,13 @@ class CappedSimplex:
         """A nearest member in d_1: clamp z into the box, then walk the
         coordinates in order toward x (or y) until the offsets sum to r1.
         Every unit walked changes that sum by exactly 1, so no member is
-        nearer."""
-        w = [
-            min(max(c, min(a, b)), max(a, b)) for c, a, b in zip(z, self.x, self.y)
-        ]
-        excess = sum(abs(c - a) for c, a in zip(w, self.x)) - self.r1
-        goals, left = (self.x, excess) if excess > 0 else (self.y, -excess)
-        for i, goal in enumerate(goals):
-            if not left:
-                break
-            gap = abs(goal - w[i])
-            if gap <= left:
-                w[i] = goal
-                left -= gap
-            else:
-                w[i] += left if goal > w[i] else -left
-                left = 0
-        return tuple(w)
+        nearer.  Exact mode walks integers over one common denominator."""
+        if not self.exact:
+            return tuple(_simplex_walk(z, self.x, self.y, self.r1))
+        den = common_denominator((*z, *self.x, *self.y, self.r1))
+        (r1,) = scaled((self.r1,), den)
+        w = _simplex_walk(scaled(z, den), scaled(self.x, den), scaled(self.y, den), r1)
+        return tuple(Fraction(c, den) for c in w)
 
     def contains(self, z, tol: float = 0) -> bool:
         if not all(
@@ -202,16 +193,21 @@ class CappedSimplex:
             return False
         return sum(abs(c - w) for c, w in zip(z, self.nearest(z))) <= tol
 
-    def sample_points(self, **_):
-        """The vertices: every offset at 0 or at its cap except at most one.
-        d(., B) is convex for a convex B, so maxima over the set, such as
-        its diameter, are attained here."""
+    def _axes(self):
+        """The differing coordinates, at most MAX_SIMPLEX_AXES of them."""
         axes = [i for i, (a, b) in enumerate(zip(self.x, self.y)) if a != b]
         if len(axes) > MAX_SIMPLEX_AXES:
             raise MclabError(
                 f"a d_1 midpoint set with {len(axes)} differing coordinates has "
                 f"too many vertices to enumerate (limit {MAX_SIMPLEX_AXES})"
             )
+        return axes
+
+    def sample_points(self, **_):
+        """The vertices: every offset at 0 or at its cap except at most one.
+        d(., B) is convex for a convex B, so maxima over the set, such as
+        its diameter, are attained here."""
+        axes = self._axes()
         caps = {i: abs(self.y[i] - self.x[i]) for i in axes}
         points = []
         for k in range(len(axes) + 1):
@@ -231,6 +227,54 @@ class CappedSimplex:
                         w[j] += left if self.y[j] > self.x[j] else -left
                         points.append(tuple(w))
         return list(dict.fromkeys(points))
+
+    def vertex_count(self) -> int:
+        """len(sample_points()) of an exact simplex, counted by subset sums
+        of the integer caps instead of enumerated: the sets S of axes at
+        their caps with sum(S) = r1, plus the pairs of such a set and an
+        axis j outside it with sum(S) < r1 < sum(S) + cap_j.  No two of
+        these give the same point, so nothing is deduplicated."""
+        caps = [abs(self.y[i] - self.x[i]) for i in self._axes()]
+        den = common_denominator((*caps, self.r1))
+        caps = scaled(caps, den)
+        (r1,) = scaled((self.r1,), den)
+        sums = {0: 1}  # number of axis sets by cap sum, sums above r1 dropped
+        for c in caps:
+            for s, k in list(sums.items()):
+                if s + c <= r1:
+                    sums[s + c] = sums.get(s + c, 0) + k
+        count = sums.get(r1, 0)
+        for c in caps:
+            for s in sums:
+                if r1 - c < s < r1:
+                    # sets without this axis summing to s: sums[s] minus
+                    # those with it, which are the sets without it summing
+                    # to s - c; the alternating chain ends at a missing sum
+                    sign = 1
+                    while s in sums:
+                        count += sign * sums[s]
+                        sign, s = -sign, s - c
+        return count
+
+
+def _simplex_walk(z, x, y, r1) -> list:
+    """CappedSimplex.nearest on plain numbers: clamp z into the box of x and
+    y, then move the coordinates in index order toward x (the clamped
+    offsets exceed r1) or toward y until the offsets sum to r1."""
+    w = [min(max(c, min(a, b)), max(a, b)) for c, a, b in zip(z, x, y)]
+    excess = sum(abs(c - a) for c, a in zip(w, x)) - r1
+    goals, left = (x, excess) if excess > 0 else (y, -excess)
+    for i, goal in enumerate(goals):
+        if not left:
+            break
+        gap = abs(goal - w[i])
+        if gap <= left:
+            w[i] = goal
+            left -= gap
+        else:
+            w[i] += left if goal > w[i] else -left
+            left = 0
+    return w
 
 
 @dataclass(frozen=True)
@@ -445,6 +489,23 @@ def verify_on_spheres(
                 max_slack=gap if gap > 0 else 0,
                 convention=conv.value,
             )
+    if (
+        isinstance(rep, CappedSimplex)
+        and space.exact
+        and space.p == 1
+        and (rep.x, rep.y, rep.r1) == (tuple(x), tuple(y), r1)
+        and 0 <= r1 <= d
+    ):
+        # the caps sum to d_1(x, y) = d, and every vertex has offsets in
+        # [0, cap_i] summing to r1, so d_1(z, x) = r1 and d_1(z, y) = d - r1
+        # exactly: the scan would find every gap 0
+        return PropertyVerdict(
+            property="SphereEquivalence",
+            outcome=HOLDS,
+            samples=rep.vertex_count(),
+            max_slack=0,
+            convention=conv.value,
+        )
     points = rep.sample_points()
     if not points:
         return PropertyVerdict(

@@ -229,6 +229,8 @@ class TestCappedSimplex:
         assert rep.contains((F(1),) * (n // 2) + (F(1, 2),) + (F(0),) * (n // 2))
         with pytest.raises(MclabError):
             rep.sample_points()
+        with pytest.raises(MclabError):
+            rep.vertex_count()
 
 
 def test_golden_bprime_certificate_re_evaluates_exactly():
@@ -416,6 +418,122 @@ class TestSupBoxOnSpheres:
         ]
         assert box.sample_points() == list(itertools.product(*box.axis_values()))
         assert box.corners() == box.sample_points(per_axis=2)
+
+
+# rationals with unlike denominators, ints among them
+_RATIONAL = st.one_of(
+    st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
+
+
+@st.composite
+def _exact_simplices(draw):
+    """(x, y, r1): an exact d_1 simplex in dimension 1-8 with some axes
+    degenerate (x_i = y_i) and r1 one of 0, d, a sum of caps, or a
+    fraction of d."""
+    dim = draw(st.integers(1, 8))
+    x = tuple(draw(st.lists(_RATIONAL, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.one_of(st.just(a), _RATIONAL)) for a in x)
+    assume(x != y)
+    caps = [abs(b - a) for a, b in zip(x, y)]
+    r1 = draw(
+        st.one_of(
+            st.just(F(0)),
+            st.just(sum(caps, F(0))),
+            st.sets(st.integers(0, dim - 1)).map(lambda s: sum((caps[i] for i in s), F(0))),
+            st.integers(0, 16).map(lambda k: sum(caps, F(0)) * F(k, 16)),
+        )
+    )
+    return x, y, r1
+
+
+class TestExactSimplexArithmetic:
+    """The integer paths of an exact CappedSimplex against the Fraction
+    forms they replace."""
+
+    @given(_exact_simplices())
+    @settings(max_examples=300, deadline=None)
+    def test_counted_vertices_equal_the_enumeration(self, case):
+        rep = CappedSimplex(*case)
+        assert rep.vertex_count() == len(rep.sample_points())
+
+    @given(_exact_simplices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_nearest_equals_the_fraction_walk(self, case, data):
+        x, y, r1 = case
+        z = tuple(data.draw(st.lists(_RATIONAL, min_size=len(x), max_size=len(x))))
+        walked = convexsets._simplex_walk(z, x, y, r1)
+        assert CappedSimplex(x, y, r1).nearest(z) == tuple(walked)
+
+
+@st.composite
+def _simplices_to_check(draw):
+    """(space, x, y, t, conv, rep): an exact d_1 pair with t in [-1/8, 9/8],
+    and the midpoint simplex of its radii, or one with another r1, a moved
+    endpoint or swapped endpoints."""
+    x, y, _ = draw(_exact_simplices())
+    space = vector_space(len(x), 1, exact=True)
+    t = F(draw(st.integers(-2, 18)), 16)
+    conv = draw(st.sampled_from(list(MidConvention)))
+    r1, _ = radii_for(conv, t, distance(space, x, y))
+    u, v = x, y
+    move = draw(st.sampled_from(["keep", "keep", "radius", "endpoint", "swap"]))
+    if move == "radius":
+        r1 += F(draw(st.sampled_from([-1, 1])), draw(st.integers(1, 16)))
+    elif move == "endpoint":
+        i = draw(st.integers(0, len(x) - 1))
+        u = x[:i] + (x[i] + F(1, 4),) + x[i + 1 :]
+    elif move == "swap":
+        u, v = y, x
+    return space, x, y, t, conv, CappedSimplex(u, v, r1)
+
+
+class TestSimplexOnSpheres:
+    """The closed-form check of an exact d_1 simplex against both spheres
+    gives the verdict of a plain scan over its vertices."""
+
+    @given(_simplices_to_check())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_scan(self, case):
+        space, x, y, t, conv, rep = case
+        verdict = verify_on_spheres(space, x, y, t, conv, rep)
+        if not rep.sample_points():
+            assert verdict.fails and verdict.samples == 0
+            return
+        outcome, samples, max_slack, point = _scan_on_spheres(
+            space, x, y, t, conv, rep
+        )
+        assert verdict.outcome == outcome
+        assert verdict.samples == samples
+        assert verdict.max_slack == max_slack
+        assert type(verdict.max_slack) is type(max_slack)
+        assert (verdict.witness or {}).get("point") == point
+
+    def test_a_simplex_that_breaks_the_invariant_names_a_point(self):
+        space = vector_space(3, 1, exact=True)
+        x, y = (F(0), F(0), F(0)), (F(2), F(1), F(0))
+        rep = CappedSimplex(x, y, F(3, 2))  # the spheres ask for r1 = 3/4
+        verdict = verify_on_spheres(space, x, y, F(1, 4), FX, rep)
+        assert verdict.fails
+        assert verdict.witness["point"] == rep.sample_points()[0]
+        assert verdict.witness["distance_to_x"] == F(3, 2)
+
+    def test_a_simplex_on_the_spheres_costs_no_per_vertex_distance(self, monkeypatch):
+        space = vector_space(8, 1, exact=True)
+        x = (F(0), F(1, 2), F(-1), F(3, 2), F(1, 4), F(-3, 4), F(1), F(0))
+        y = (F(2), F(-1, 2), F(0), F(1), F(1), F(0), F(-1, 3), F(5, 7))
+        rep = midpoint_set(space, x, y, F(3, 8), FX)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(convexsets, "distance", counting)
+        verdict = verify_on_spheres(space, x, y, F(3, 8), FX, rep)
+        assert verdict.holds and verdict.max_slack == 0
+        assert verdict.samples == len(rep.sample_points())
+        assert len(calls) == 1  # d(x, y) for the radii
 
 
 class TestUniqueMidpoint:

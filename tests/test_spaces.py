@@ -118,6 +118,44 @@ def test_exact_taxicab_symmetry_and_rationality(xs, ys):
     assert d == sum(abs(p - q) for p, q in zip(a, b))
 
 
+# ints and rationals with unlike denominators, mixed in one vector
+_RATIONAL = st.one_of(
+    st.integers(-40, 40), st.fractions(min_value=-4, max_value=4, max_denominator=60)
+)
+
+
+@st.composite
+def _exact_triples(draw):
+    """(space, x, y, z) on an exact id: d_1 or d_inf, dimension 1-6."""
+    dim = draw(st.integers(1, 6))
+    space = vector_space(dim, draw(st.sampled_from([1, math.inf])), exact=True)
+    points = [tuple(draw(st.lists(_RATIONAL, min_size=dim, max_size=dim))) for _ in range(3)]
+    return (space, *points)
+
+
+class TestExactIntegerKernel:
+    """Exact d_1 and d_inf sum or maximise integer differences over one
+    common denominator."""
+
+    @given(_exact_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_fraction_formula(self, case):
+        space, a, b, _ = case
+        diffs = [abs(F(u) - F(v)) for u, v in zip(a, b)]
+        expected = max(diffs) if space.p == math.inf else sum(diffs)
+        assert distance(space, a, b) == expected
+
+    @given(_exact_triples())
+    @settings(max_examples=300, deadline=None)
+    def test_metric_axioms_hold_with_no_tolerance(self, case):
+        space, x, y, z = case
+        dxy = distance(space, x, y)
+        assert distance(space, x, x) == 0
+        assert (dxy == 0) == (x == y)
+        assert distance(space, y, x) == dxy
+        assert distance(space, x, z) + distance(space, z, y) >= dxy
+
+
 class TestPiecewiseDistance:
     def test_constants_in_integral_metric(self):
         space = l1_function_space()
