@@ -324,13 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once per process: parse_args keeps no state between calls
-_PARSER = build_parser()
+# built by the first call of main and kept: parse_args keeps no state
+# between calls, and building on import would slow every import
+_parser = None
 
 
 def main(argv=None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
