@@ -7,6 +7,7 @@ import pytest
 
 from mclab import (
     Box,
+    ExactArithmeticUnsupported,
     MembershipError,
     MidConvention,
     SamplePlan,
@@ -249,6 +250,14 @@ class TestBetweenness:
         with pytest.raises(MembershipError):
             check_betweenness(
                 space, x, y, 0.25, 0.5, (0.9, 0.9, 0.9), (1.0, 0.0, 0.0), conv=FX
+            )
+
+
+    def test_float_points_in_an_exact_space_are_refused(self):
+        space = vector_space(2, 1, exact=True)
+        with pytest.raises(ExactArithmeticUnsupported):
+            check_betweenness(
+                space, (0, 0), (2, 2), F(1, 4), F(1, 2), (0.5, 0.5), (1.0, 1.0)
             )
 
 
