@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .arith import Scalar, common_denominator, scaled
+from .arith import Scalar, common_denominator, is_rational, scaled
 from .errors import (
     EmptySetError,
     InternalInconsistency,
@@ -177,10 +177,12 @@ class CappedSimplex:
         """A nearest member in d_1: clamp z into the box, then walk the
         coordinates in order toward x (or y) until the offsets sum to r1.
         Every unit walked changes that sum by exactly 1, so no member is
-        nearer.  Exact mode walks integers over one common denominator."""
-        if not self.exact:
+        nearer.  Rational inputs of an exact simplex are walked as integers
+        over one common denominator."""
+        values = (*z, *self.x, *self.y, self.r1)
+        if not (self.exact and all(map(is_rational, values))):
             return tuple(_simplex_walk(z, self.x, self.y, self.r1))
-        den = common_denominator((*z, *self.x, *self.y, self.r1))
+        den = common_denominator(values)
         (r1,) = scaled((self.r1,), den)
         w = _simplex_walk(scaled(z, den), scaled(self.x, den), scaled(self.y, den), r1)
         return tuple(Fraction(c, den) for c in w)
@@ -493,6 +495,7 @@ def verify_on_spheres(
         isinstance(rep, CappedSimplex)
         and space.exact
         and space.p == 1
+        and is_rational(r1)
         and (rep.x, rep.y, rep.r1) == (tuple(x), tuple(y), r1)
         and 0 <= r1 <= d
     ):

@@ -37,7 +37,7 @@ from .sampling import (
     sample_point,
     sample_t,
 )
-from .spaces import VECTOR, MetricSpace, check_point, distance, vscale
+from .spaces import VECTOR, MetricSpace, distance, vscale
 from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict
 
 PROPERTY_NAMES = ("A", "B", "Bprime", "Bdoubleprime", "C")
@@ -420,8 +420,6 @@ def check_betweenness(
     """
     if not t1 < t2:
         raise MclabError("need t1 < t2")
-    check_point(space, p1)
-    check_point(space, p2)
     rep1 = midpoint_set(space, x, y, t1, conv, tol=tol)
     rep2 = midpoint_set(space, x, y, t2, conv, tol=tol)
     mtol = 0 if space.exact else tol

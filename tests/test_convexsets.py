@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mclab import (
     Box,
     CappedSimplex,
+    ExactArithmeticUnsupported,
     FiniteSet,
     MclabError,
     MidConvention,
@@ -465,6 +466,11 @@ class TestExactSimplexArithmetic:
         walked = convexsets._simplex_walk(z, x, y, r1)
         assert CappedSimplex(x, y, r1).nearest(z) == tuple(walked)
 
+    def test_a_float_point_is_walked_without_the_integer_path(self):
+        rep = CappedSimplex((F(0), F(0)), (F(2), F(2)), F(2))
+        assert rep.nearest((0.5, 0.5)) == (1.5, 0.5)
+        assert rep.contains((1.5, 0.5)) and not rep.contains((0.5, 0.5))
+
 
 @st.composite
 def _simplices_to_check(draw):
@@ -517,6 +523,13 @@ class TestSimplexOnSpheres:
         assert verdict.fails
         assert verdict.witness["point"] == rep.sample_points()[0]
         assert verdict.witness["distance_to_x"] == F(3, 2)
+
+    def test_a_float_parameter_in_an_exact_space_is_refused_by_the_scan(self):
+        space = vector_space(3, 1, exact=True)
+        x, y = (F(0), F(0), F(0)), (F(2), F(1), F(-1))
+        rep = midpoint_set(space, x, y, 0.25, FX)
+        with pytest.raises(ExactArithmeticUnsupported):
+            verify_on_spheres(space, x, y, 0.25, FX, rep)
 
     def test_a_simplex_on_the_spheres_costs_no_per_vertex_distance(self, monkeypatch):
         space = vector_space(8, 1, exact=True)
