@@ -322,14 +322,18 @@ class TestFixedpointCommand:
             (
                 dict(
                     DOUBLING_SPEC,
-                    parameters={"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0, 0, 0]},
+                    parameters={"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "offset": [0] * 3},
                     domain={"repr": "ball", "center": [0, 0], "radius": 1},
                 ),
                 "matrix row has 3 entries in a 2-dimensional space",
             ),
             (
-                dict(ROT_SPEC, space="vec3-p2", x0=[1, 0, 0],
-                     domain={"repr": "ball", "center": [0, 0, 0], "radius": 1}),
+                dict(
+                    ROT_SPEC,
+                    space="vec3-p2",
+                    domain={"repr": "ball", "center": [0, 0, 0], "radius": 1},
+                    x0=[1, 0, 0],
+                ),
                 "a rotation needs a 2-dimensional space, not 3",
             ),
             (
