@@ -33,7 +33,12 @@ CHECK_EXPECT = {
     "vec3-p2": "",
     "vec6-pinf": _L1 + ",C=fails",
     "vec8-p1-exact": _L1,
+    "vec1-p2": "",
 }
+
+# property lists for the cases that run more than the default suite; the
+# vec1-p2 homogeneity verdict holds with an int 0 worst slack
+CHECK_PROPS = {"vec1-p2": "menger,A,B,Bprime,Bdoubleprime,C,homogeneity"}
 
 # solver inputs: the README rotation on a ball, a box projection (the
 # (2, 1) nonspreading case) on a box, a halving affine map on the whole
@@ -90,6 +95,8 @@ def run_case(case: str, out_dir: Path) -> Path:
         argv = ["check", "--space", name, *common]
         if CHECK_EXPECT[name]:
             argv += ["--expect", CHECK_EXPECT[name]]
+        if name in CHECK_PROPS:
+            argv += ["--props", CHECK_PROPS[name]]
     elif command == "reproduce":
         argv = ["reproduce", name, *common]
     else:
