@@ -29,6 +29,7 @@ from .fixedpoint import (
 from .fixtures import FIXTURES
 from .nested import cantor_point, common_point, family_from_json, max_violation
 from .properties import (
+    PROPERTY_NAMES,
     check_homogeneity,
     check_menger_convex,
     check_property,
@@ -41,8 +42,6 @@ from .verdicts import PropertyVerdict
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_CONVENTIONS = {"fromx": MidConvention.FROM_X, "fromy": MidConvention.FROM_Y}
 
 
 def _plan_from_config(cfg: RunConfig, count=None) -> SamplePlan:
@@ -103,11 +102,12 @@ def cmd_check(args, cfg: RunConfig) -> int:
         # d_1 midpoint sets are sampled at their up to 2^dim vertices
         print(f"config error: check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
         return EXIT_USAGE
-    conv = _CONVENTIONS.get(cfg.convention)
-    if conv is None:
+    try:
+        conv = MidConvention(cfg.convention)
+    except ValueError:
         print(
-            f"config error: convention must be one of {sorted(_CONVENTIONS)}, "
-            f"not {cfg.convention!r}"
+            f"config error: convention must be one of "
+            f"{sorted(c.value for c in MidConvention)}, not {cfg.convention!r}"
         )
         return EXIT_USAGE
     expectations = _parse_expectations(args.expect)
@@ -121,7 +121,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
             )
         elif prop == "homogeneity":
             verdicts.append(check_homogeneity(space, plan, tol=cfg.tol))
-        elif prop in ("A", "B", "Bprime", "Bdoubleprime", "C"):
+        elif prop in PROPERTY_NAMES:
             verdicts.append(
                 check_property(
                     space,

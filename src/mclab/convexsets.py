@@ -83,7 +83,7 @@ class Singleton:
             return tuple(z) == tuple(self.point)
         return all(abs(a - b) <= tol for a, b in zip(z, self.point))
 
-    def sample_points(self, **_):
+    def sample_points(self):
         return [self.point]
 
     def nearest(self, z):
@@ -124,7 +124,7 @@ class Box:
                 axes.append((lo, (lo + hi) / 2, hi))
         return axes
 
-    def sample_points(self, per_axis: int = 3, **_):
+    def sample_points(self, per_axis: int = 3):
         return list(itertools.product(*self.axis_values(per_axis)))
 
     def nearest(self, z):
@@ -153,7 +153,7 @@ class FiniteSet:
             return tuple(z) in {tuple(p) for p in self.points}
         return any(all(abs(a - b) <= tol for a, b in zip(z, p)) for p in self.points)
 
-    def sample_points(self, **_):
+    def sample_points(self):
         return list(self.points)
 
 
@@ -205,7 +205,7 @@ class CappedSimplex:
             )
         return axes
 
-    def sample_points(self, **_):
+    def sample_points(self):
         """The vertices: every offset at 0 or at its cap except at most one.
         d(., B) is convex for a convex B, so maxima over the set, such as
         its diameter, are attained here."""
@@ -294,7 +294,7 @@ class SetUnion:
     def contains(self, z, tol: float = 0) -> bool:
         return any(p.contains(z, tol) for p in self.parts)
 
-    def sample_points(self, **_):
+    def sample_points(self):
         return list(
             dict.fromkeys(tuple(q) for p in self.parts for q in p.sample_points())
         )
@@ -350,7 +350,7 @@ class SampledOracle:
     def contains(self, z, tol: float = 0) -> bool:
         return self.member(tuple(z))
 
-    def sample_points(self, **_):
+    def sample_points(self):
         return list(dict.fromkeys(tuple(s) for s in self.seeds))
 
 
@@ -471,7 +471,7 @@ def verify_on_spheres(
     """
     d = distance(space, x, y)
     r1, r2 = radii_for(conv, t, d)
-    slack_tol = 0 if space.exact else tol
+    limit = space.limit(tol)
     if isinstance(rep, Box) and space.p == math.inf:
         # d_inf(z, c) over the box's sample grid runs between its per-axis
         # extremes, and |d - r| is largest at an end of that range (also in
@@ -483,7 +483,7 @@ def verify_on_spheres(
             for c, r in ((x, r1), (y, r2))
             for dc in _sup_distance_range(axes, c)
         )
-        if gap <= slack_tol:
+        if gap <= limit:
             return PropertyVerdict(
                 property="SphereEquivalence",
                 outcome=HOLDS,
@@ -523,7 +523,7 @@ def verify_on_spheres(
         dx = distance(space, z, x)
         dy = distance(space, z, y)
         gap = max(abs(dx - r1), abs(dy - r2))
-        if gap > slack_tol:
+        if gap > limit:
             return PropertyVerdict(
                 property="SphereEquivalence",
                 outcome=FAILS,
@@ -597,8 +597,7 @@ def segment(
             if defect > max_defect:
                 max_defect = defect
         samples.append((t, rep))
-    limit = 0 if space.exact else tol
-    if max_defect > limit:
+    if max_defect > space.limit(tol):
         raise InternalInconsistency(
             f"segment sample misses the betweenness identity by {max_defect}"
         )
@@ -630,12 +629,9 @@ def lifted_union(
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Union of midpoint sets with y over representative points of A."""
-    if isinstance(A, (Singleton, FiniteSet)):
-        reps_points = A.sample_points()
-    elif isinstance(A, Box):
-        reps_points = A.sample_points(per_axis=3)
-    else:
+    if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
+    reps_points = A.sample_points()
     if not reps_points:
         raise EmptySetError("cannot lift an empty set")
     parts = []

@@ -262,7 +262,6 @@ class AsymptoticFunctional:
     is approximated by the maximum over the tail window.
     """
 
-    base: tuple
     points: tuple
     window: int
 
@@ -295,7 +294,7 @@ def make_asymptotic_functional(
             "orbit unbounded; the tail functional is undefined",
             certificate={"radius": orb.radius, "rmax": rmax},
         )
-    return AsymptoticFunctional(tuple(x0), orb.points, window)
+    return AsymptoticFunctional(orb.points, window)
 
 
 def coercivity_probe(
@@ -335,25 +334,23 @@ def pattern_search(
     f,
     lower,
     upper,
-    feasible=None,
+    feasible,
     budget: int = 20_000,
     xtol: float = 1e-9,
-    init_grid: int = 5,
 ):
     """Derivative-free compass search over a box with deterministic scan order.
 
-    Starts from the best feasible point of a coarse grid, then repeatedly
-    tries +/- step moves along each axis, halving the step whenever no move
-    improves.  Returns (point, value, evaluations).
+    Starts from the best feasible point of a grid of 5 values per axis, then
+    repeatedly tries +/- step moves along each axis, halving the step
+    whenever no move improves.  Returns (point, value, evaluations).
     """
     n = len(lower)
-    feasible = feasible or (lambda z: True)
     axes = []
     for lo, hi in zip(lower, upper):
         if lo == hi:
             axes.append([lo])
         else:
-            axes.append([lo + (hi - lo) * i / (init_grid - 1) for i in range(init_grid)])
+            axes.append([lo + (hi - lo) * i / 4 for i in range(5)])
     best = None
     best_val = None
     evals = 0

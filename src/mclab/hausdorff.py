@@ -94,14 +94,6 @@ def _interval_directed(a_lo, a_hi, b_lo, b_hi):
     return d_hi, a_hi
 
 
-def _interval_nearest(x, lo, hi):
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
-
-
 def _directed_boxes(space, A: Box, B: Box):
     """Directed Hausdorff between boxes under the sup metric: the maximum
     over coordinates of the directed interval distance."""
@@ -131,11 +123,7 @@ def _directed_boxes(space, A: Box, B: Box):
                 a_pt.append(alo)
             else:
                 a_pt.append(max(alo, blo))
-    b_pt = tuple(
-        _interval_nearest(c, blo, bhi)
-        for c, blo, bhi in zip(a_pt, B.lower, B.upper)
-    )
-    return best, (tuple(a_pt), b_pt)
+    return best, (tuple(a_pt), B.nearest(a_pt))
 
 
 def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:

@@ -53,6 +53,38 @@ def _verdict(name, outcome, plan=None, conv=None, **kw):
     )
 
 
+def _first_failure(name, plan, trials, limit, conv=None, worst=None):
+    """Verdict of the seeded `trials`, each a pair (slack, witness).
+
+    The first slack above `limit` fails, with the certificate that
+    `witness()` builds; a slack of None is a trial that failed without
+    measuring one (a sphere check of a set with no sampled members).
+    Otherwise the verdict holds with the worst slack, starting from `worst`.
+    `witness` is called before the next trial is drawn, so it may read the
+    trial's loop variables."""
+    samples = 0
+    for samples, (slack, witness) in enumerate(trials, 1):
+        if slack is None or slack > limit:
+            return _verdict(
+                name,
+                FAILS,
+                plan=plan,
+                conv=conv,
+                samples=samples,
+                witness=witness(),
+                max_slack=slack,
+            )
+        if worst is None or slack > worst:
+            worst = slack
+    return _verdict(name, HOLDS, plan=plan, conv=conv, samples=samples, max_slack=worst)
+
+
+def _sample_xy(rng, space, plan):
+    if plan.anchor_x is not None and plan.anchor_y is not None:
+        return tuple(plan.anchor_x), tuple(plan.anchor_y)
+    return sample_distinct_pair(rng, space, plan)
+
+
 # --------------------------------------------------------------------------
 # Menger convexity
 
@@ -70,70 +102,58 @@ def check_menger_convex(
     (sub-spaces such as the integer lattice); otherwise the midpoint set is
     constructed and its sampled members are verified on both spheres.
     """
-    rng = plan.rng()
-    slack_tol = 0 if space.exact else tol
-    max_slack = 0
-    checked = 0
-    for k in range(plan.count):
-        if carrier_points is not None:
-            pool = list(carrier_points)
-            x = pool[rng.randrange(len(pool))]
-            y = pool[rng.randrange(len(pool))]
-            while y == x:
-                y = pool[rng.randrange(len(pool))]
+    if carrier_points is not None:
+        return _check_menger_on_carrier(space, plan, list(carrier_points), tol)
+
+    def trials():
+        rng = plan.rng()
+        for k in range(plan.count):
+            x, y = sample_distinct_pair(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            d = distance(space, x, y)
-            r1, r2 = radii_for(MidConvention.FROM_X, t, d)
-            found = None
-            for z in pool:
-                if z == x or z == y:
-                    continue
-                if (
-                    abs(distance(space, z, x) - r1) <= slack_tol
-                    and abs(distance(space, z, y) - r2) <= slack_tol
-                ):
-                    found = z
-                    break
-            checked += 1
-            if found is None:
-                return _verdict(
-                    "MengerConvex",
-                    FAILS,
-                    plan=plan,
-                    samples=checked,
-                    witness={
-                        "x": x,
-                        "y": y,
-                        "t": t,
-                        "radius_x": r1,
-                        "radius_y": r2,
-                        "carrier_size": len(pool),
-                        "reason": "no carrier point on both spheres",
-                    },
-                )
-            continue
-        x, y = sample_distinct_pair(rng, space, plan)
+            v = sphere_equivalence_check(space, x, y, t, MidConvention.FROM_X, tol=tol)
+            yield v.max_slack, lambda: v.witness
+
+    return _first_failure("MengerConvex", plan, trials(), space.limit(tol), worst=0)
+
+
+def _check_menger_on_carrier(space, plan, pool, tol):
+    """Menger convexity inside a finite carrier: for each sampled pair of
+    carrier points some other carrier point lies on both spheres."""
+    if len({tuple(z) for z in pool}) < 2:
+        raise MclabError("a Menger carrier needs at least two distinct points")
+    rng = plan.rng()
+    limit = space.limit(tol)
+    for k in range(plan.count):
+        x = pool[rng.randrange(len(pool))]
+        y = pool[rng.randrange(len(pool))]
+        while y == x:
+            y = pool[rng.randrange(len(pool))]
         t = sample_t(rng, space, plan, k)
-        verdict = sphere_equivalence_check(
-            space, x, y, t, MidConvention.FROM_X, tol=tol
-        )
-        checked += 1
-        if not verdict.holds:
+        r1, r2 = radii_for(MidConvention.FROM_X, t, distance(space, x, y))
+        if not any(
+            z != x
+            and z != y
+            and abs(distance(space, z, x) - r1) <= limit
+            and abs(distance(space, z, y) - r2) <= limit
+            for z in pool
+        ):
             return _verdict(
                 "MengerConvex",
                 FAILS,
                 plan=plan,
-                samples=checked,
-                witness=verdict.witness,
+                samples=k + 1,
+                witness={
+                    "x": x,
+                    "y": y,
+                    "t": t,
+                    "radius_x": r1,
+                    "radius_y": r2,
+                    "carrier_size": len(pool),
+                    "reason": "no carrier point on both spheres",
+                },
             )
-        if verdict.max_slack is not None and verdict.max_slack > max_slack:
-            max_slack = verdict.max_slack
     return _verdict(
-        "MengerConvex",
-        HOLDS,
-        plan=plan,
-        samples=checked,
-        max_slack=max_slack,
+        "MengerConvex", HOLDS, plan=plan, samples=plan.count, max_slack=0
     )
 
 
@@ -165,54 +185,30 @@ def check_property(
     return _check_c(space, conv, plan, tol, t_grid)
 
 
-def _sample_xyt(rng, space, plan, k):
-    if plan.anchor_x is not None and plan.anchor_y is not None:
-        x, y = tuple(plan.anchor_x), tuple(plan.anchor_y)
-    else:
-        x, y = sample_distinct_pair(rng, space, plan)
-    return x, y, sample_t(rng, space, plan, k)
-
-
 def _check_a(space, conv, plan, diam_tol, tol):
     """Property (A): every midpoint set is a single point."""
-    rng = plan.rng()
-    worst = 0
-    for k in range(plan.count):
-        x, y, t = _sample_xyt(rng, space, plan, k)
-        rep = midpoint_set(space, x, y, t, conv, tol=tol)
-        diam, pair = diameter_with_witness(space, rep)
-        if diam > diam_tol:
-            p, q = pair
-            return _verdict(
-                "A",
-                FAILS,
-                plan=plan,
-                conv=conv,
-                samples=k + 1,
-                witness={
-                    "x": x,
-                    "y": y,
-                    "t": t,
-                    "point_1": p,
-                    "point_2": q,
-                    "distance": diam,
-                    "distance_to_x_1": distance(space, p, x),
-                    "distance_to_x_2": distance(space, q, x),
-                    "distance_to_y_1": distance(space, p, y),
-                    "distance_to_y_2": distance(space, q, y),
-                },
-                max_slack=diam,
-            )
-        if diam > worst:
-            worst = diam
-    return _verdict(
-        "A",
-        HOLDS,
-        plan=plan,
-        conv=conv,
-        samples=plan.count,
-        max_slack=worst,
-    )
+
+    def trials():
+        rng = plan.rng()
+        for k in range(plan.count):
+            x, y = _sample_xy(rng, space, plan)
+            t = sample_t(rng, space, plan, k)
+            rep = midpoint_set(space, x, y, t, conv, tol=tol)
+            diam, (p, q) = diameter_with_witness(space, rep)
+            yield diam, lambda: {
+                "x": x,
+                "y": y,
+                "t": t,
+                "point_1": p,
+                "point_2": q,
+                "distance": diam,
+                "distance_to_x_1": distance(space, p, x),
+                "distance_to_x_2": distance(space, q, x),
+                "distance_to_y_1": distance(space, p, y),
+                "distance_to_y_2": distance(space, q, y),
+            }
+
+    return _first_failure("A", plan, trials(), diam_tol, conv, worst=0)
 
 
 def _check_b(space, plan, tol):
@@ -226,140 +222,101 @@ def _check_b(space, plan, tol):
             reason=f"midpoint sets of {space_label(space)} are not singletons; "
             "no unique midpoint exists",
         )
-    rng = plan.rng()
-    max_slack = None
     equality_hit = False
-    for k in range(plan.count):
-        x, y = sample_distinct_pair(rng, space, plan)
-        z = sample_point(rng, space, plan)
-        while z == y:
+
+    def trials():
+        nonlocal equality_hit
+        rng = plan.rng()
+        for k in range(plan.count):
+            x, y = sample_distinct_pair(rng, space, plan)
             z = sample_point(rng, space, plan)
-        t = sample_t(rng, space, plan, k)
-        mx = unique_midpoint(space, x, y, t)
-        mz = unique_midpoint(space, z, y, t)
-        lhs = distance(space, mx, mz)
-        rhs = t * distance(space, x, z) if x != z else 0
-        slack = lhs - rhs
-        if slack > tol:
-            return _verdict(
-                "B",
-                FAILS,
-                plan=plan,
-                samples=k + 1,
-                witness={"x": x, "y": y, "z": z, "t": t, "lhs": lhs, "rhs": rhs},
-                max_slack=slack,
-            )
-        if x != z and abs(slack) <= 1e-6:
-            equality_hit = True
-        if max_slack is None or slack > max_slack:
-            max_slack = slack
-    verdict = _verdict(
-        "B", HOLDS, plan=plan, samples=plan.count, max_slack=max_slack
-    )
-    verdict.witness = {"equality_attained": equality_hit}
+            while z == y:
+                z = sample_point(rng, space, plan)
+            t = sample_t(rng, space, plan, k)
+            mx = unique_midpoint(space, x, y, t)
+            mz = unique_midpoint(space, z, y, t)
+            lhs = distance(space, mx, mz)
+            rhs = t * distance(space, x, z) if x != z else 0
+            slack = lhs - rhs
+            equality_hit = equality_hit or (x != z and abs(slack) <= 1e-6)
+            yield slack, lambda: {"x": x, "y": y, "z": z, "t": t, "lhs": lhs, "rhs": rhs}
+
+    verdict = _first_failure("B", plan, trials(), tol)
+    if verdict.holds:
+        verdict.witness = {"equality_attained": equality_hit}
     return verdict
 
 
 def _check_bprime(space, conv, plan, tol):
     """Property (B'): Hausdorff contraction of the midpoint set in its first
     argument with factor t."""
-    rng = plan.rng()
-    max_slack = None
-    for k in range(plan.count):
-        x, y = sample_distinct_pair(rng, space, plan)
-        z = sample_point(rng, space, plan)
-        while z == y or z == x:
+
+    def trials():
+        rng = plan.rng()
+        for k in range(plan.count):
+            x, y = sample_distinct_pair(rng, space, plan)
             z = sample_point(rng, space, plan)
-        t = sample_t(rng, space, plan, k)
-        cx = midpoint_set(space, x, y, t, conv, tol=tol)
-        cz = midpoint_set(space, z, y, t, conv, tol=tol)
-        h = hausdorff(space, cx, cz)
-        lhs = h.value
-        rhs = t * distance(space, x, z)
-        slack = lhs - rhs
-        if slack > tol:
-            return _verdict(
-                "Bprime",
-                FAILS,
-                plan=plan,
-                conv=conv,
-                samples=k + 1,
-                witness={
-                    "x": x,
-                    "y": y,
-                    "z": z,
-                    "t": t,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "ratio": lhs / distance(space, x, z),
-                    "hausdorff_witness": h.witness,
-                },
-                max_slack=slack,
-            )
-        if max_slack is None or slack > max_slack:
-            max_slack = slack
-    return _verdict(
-        "Bprime", HOLDS, plan=plan, conv=conv, samples=plan.count, max_slack=max_slack
-    )
+            while z == y or z == x:
+                z = sample_point(rng, space, plan)
+            t = sample_t(rng, space, plan, k)
+            cx = midpoint_set(space, x, y, t, conv, tol=tol)
+            cz = midpoint_set(space, z, y, t, conv, tol=tol)
+            h = hausdorff(space, cx, cz)
+            rhs = t * distance(space, x, z)
+            yield h.value - rhs, lambda: {
+                "x": x,
+                "y": y,
+                "z": z,
+                "t": t,
+                "lhs": h.value,
+                "rhs": rhs,
+                "ratio": h.value / distance(space, x, z),
+                "hausdorff_witness": h.witness,
+            }
+
+    return _first_failure("Bprime", plan, trials(), tol, conv)
 
 
 def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
     """Property (B''): Hausdorff contraction of the set-lifted union."""
-    rng = plan.rng()
-    max_slack = None
-    for k in range(plan.count):
-        pts_a = sample_finite_points(rng, space, plan, max_set_size)
-        pts_b = sample_finite_points(rng, space, plan, max_set_size)
-        A = FiniteSet(pts_a, exact=space.exact)
-        B = FiniteSet(pts_b, exact=space.exact)
-        y = sample_point(rng, space, plan)
-        t = sample_t(rng, space, plan, k)
-        CA = lifted_union(space, A, y, t, conv, tol=tol)
-        CB = lifted_union(space, B, y, t, conv, tol=tol)
-        lhs = hausdorff(space, CA, CB).value
-        rhs = t * hausdorff(space, A, B).value
-        slack = lhs - rhs
-        if slack > tol:
-            return _verdict(
-                "Bdoubleprime",
-                FAILS,
-                plan=plan,
-                conv=conv,
-                samples=k + 1,
-                witness={
-                    "A": list(pts_a),
-                    "B": list(pts_b),
-                    "y": y,
-                    "t": t,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                },
-                max_slack=slack,
-            )
-        if max_slack is None or slack > max_slack:
-            max_slack = slack
-    return _verdict(
-        "Bdoubleprime",
-        HOLDS,
-        plan=plan,
-        conv=conv,
-        samples=plan.count,
-        max_slack=max_slack,
-    )
+
+    def trials():
+        rng = plan.rng()
+        for k in range(plan.count):
+            pts_a = sample_finite_points(rng, space, plan, max_set_size)
+            pts_b = sample_finite_points(rng, space, plan, max_set_size)
+            A = FiniteSet(pts_a, exact=space.exact)
+            B = FiniteSet(pts_b, exact=space.exact)
+            y = sample_point(rng, space, plan)
+            t = sample_t(rng, space, plan, k)
+            CA = lifted_union(space, A, y, t, conv, tol=tol)
+            CB = lifted_union(space, B, y, t, conv, tol=tol)
+            lhs = hausdorff(space, CA, CB).value
+            rhs = t * hausdorff(space, A, B).value
+            yield lhs - rhs, lambda: {
+                "A": list(pts_a),
+                "B": list(pts_b),
+                "y": y,
+                "t": t,
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+
+    return _first_failure("Bdoubleprime", plan, trials(), tol, conv)
 
 
 def _check_c(space, conv, plan, tol, t_grid):
-    """Property (C): midpoint sets of segment members stay on the segment."""
+    """Property (C): midpoint sets of segment members stay on the segment.
+
+    Its budget runs over the sampled members of each drawn midpoint set, and
+    a holding verdict records no slack."""
     rng = plan.rng()
     if t_grid is None:
         t_grid = [Fraction(j, 8) for j in range(1, 8)]
         if not space.exact:
             t_grid = [float(t) for t in t_grid]
-    limit = 0 if space.exact else tol
-    if plan.anchor_x is not None and plan.anchor_y is not None:
-        x, y = tuple(plan.anchor_x), tuple(plan.anchor_y)
-    else:
-        x, y = sample_distinct_pair(rng, space, plan)
+    limit = space.limit(tol)
+    x, y = _sample_xy(rng, space, plan)
     d = distance(space, x, y)
     seg = segment(space, x, y, t_grid, conv, tol=tol)
     pool = segment_points(seg)
@@ -422,39 +379,28 @@ def check_betweenness(
         raise MclabError("need t1 < t2")
     rep1 = midpoint_set(space, x, y, t1, conv, tol=tol)
     rep2 = midpoint_set(space, x, y, t2, conv, tol=tol)
-    mtol = 0 if space.exact else tol
-    if not rep1.contains(p1, mtol):
+    limit = space.limit(tol)
+    if not rep1.contains(p1, limit):
         raise MembershipError("p1 is not a member of the first midpoint set")
-    if not rep2.contains(p2, mtol):
+    if not rep2.contains(p2, limit):
         raise MembershipError("p2 is not a member of the second midpoint set")
     lhs = distance(space, p1, p2) + distance(space, p2, y)
     rhs = distance(space, p1, y)
     gap = abs(lhs - rhs)
-    witness = {
-        "x": x,
-        "y": y,
-        "t1": t1,
-        "t2": t2,
-        "p1": p1,
-        "p2": p2,
-        "sum_via_p2": lhs,
-        "direct": rhs,
-    }
-    limit = 0 if space.exact else tol
-    if gap > limit:
-        return PropertyVerdict(
-            property="Betweenness",
-            outcome=FAILS,
-            samples=1,
-            witness=witness,
-            max_slack=gap,
-            convention=conv.value,
-        )
     return PropertyVerdict(
         property="Betweenness",
-        outcome=HOLDS,
+        outcome=FAILS if gap > limit else HOLDS,
         samples=1,
-        witness=witness,
+        witness={
+            "x": x,
+            "y": y,
+            "t1": t1,
+            "t2": t2,
+            "p1": p1,
+            "p2": p2,
+            "sum_via_p2": lhs,
+            "direct": rhs,
+        },
         max_slack=gap,
         convention=conv.value,
     )
@@ -478,7 +424,6 @@ def check_homogeneity(
     """
     if space.carrier != VECTOR:
         raise MclabError("homogeneity checks need a vector carrier")
-    rng = plan.rng()
     zero = (0,) * space.dim
     e1 = (1,) + (0,) * (space.dim - 1)
 
@@ -488,44 +433,28 @@ def check_homogeneity(
             return min(cap, d)
         return d
 
-    probes = [(0, e1), (3, e1), (-2, e1)]
-    samples = []
-    for k in range(plan.count):
-        alpha = rng.uniform(-4, 4)
-        if space.exact:
-            alpha = Fraction(rng.randint(-4 * 16, 4 * 16), 16)
-        samples.append((alpha, sample_point(rng, space, plan)))
-    max_gap = 0
-    total = 0
-    for alpha, x in probes + samples:
-        lhs = metric(zero, vscale(x, alpha))
-        rhs = abs(alpha) * metric(zero, x)
-        gap = abs(lhs - rhs)
-        total += 1
-        if gap > tol:
-            return PropertyVerdict(
-                property="Homogeneity",
-                outcome=FAILS,
-                samples=total,
-                witness={
-                    "alpha": alpha,
-                    "x": x,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "cap": cap,
-                },
-                max_slack=gap,
-                plan=plan.describe(),
-            )
-        if gap > max_gap:
-            max_gap = gap
-    return PropertyVerdict(
-        property="Homogeneity",
-        outcome=HOLDS,
-        samples=total,
-        max_slack=max_gap,
-        plan=plan.describe(),
-    )
+    def scalings():
+        yield from [(0, e1), (3, e1), (-2, e1)]
+        rng = plan.rng()
+        for _ in range(plan.count):
+            alpha = rng.uniform(-4, 4)
+            if space.exact:
+                alpha = Fraction(rng.randint(-4 * 16, 4 * 16), 16)
+            yield alpha, sample_point(rng, space, plan)
+
+    def trials():
+        for alpha, x in scalings():
+            lhs = metric(zero, vscale(x, alpha))
+            rhs = abs(alpha) * metric(zero, x)
+            yield abs(lhs - rhs), lambda: {
+                "alpha": alpha,
+                "x": x,
+                "lhs": lhs,
+                "rhs": rhs,
+                "cap": cap,
+            }
+
+    return _first_failure("Homogeneity", plan, trials(), tol, worst=0)
 
 
 # --------------------------------------------------------------------------

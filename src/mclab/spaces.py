@@ -78,6 +78,11 @@ class MetricSpace:
         have midpoint sets with distinct points."""
         return self.carrier == VECTOR and self.p not in (1, math.inf)
 
+    def limit(self, tol):
+        """The largest slack a sampled identity may show: 0 in exact
+        arithmetic, where identities hold exactly, else `tol`."""
+        return 0 if self.exact else tol
+
 
 def vector_space(dim: int, p: float, exact: bool = False) -> MetricSpace:
     return MetricSpace(VECTOR, dim, METRIC_DP, p, exact)

@@ -152,7 +152,7 @@ class TestAsymptoticCenter:
 
     def test_window_must_fit_the_orbit(self):
         with pytest.raises(MclabError):
-            AsymptoticFunctional((0.0, 0.0), ((0.0, 0.0),) * 4, window=8)
+            AsymptoticFunctional(((0.0, 0.0),) * 4, window=8)
 
     def test_tail_value_recorded_across_orbit_lengths(self):
         spec = MappingSpec(

@@ -8,6 +8,7 @@ import pytest
 from mclab import (
     Box,
     ExactArithmeticUnsupported,
+    MclabError,
     MembershipError,
     MidConvention,
     SamplePlan,
@@ -59,6 +60,16 @@ class TestMengerConvexity:
                 distance(space, z, w["x"]) == r1 and distance(space, z, w["y"]) == r2
             )
             assert not on_both
+
+
+    def test_carrier_needs_two_distinct_points(self):
+        # one point, or one point twice, left no second point to draw
+        space = vector_space(1, 1, exact=True)
+        for carrier in ([], [(0,)], [(0,), (0,)]):
+            with pytest.raises(MclabError):
+                check_menger_convex(
+                    space, SamplePlan(count=5, seed=1), carrier_points=carrier
+                )
 
 
 class TestPropertyA:
