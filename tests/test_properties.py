@@ -61,6 +61,51 @@ class TestMengerConvexity:
             )
             assert not on_both
 
+    def test_carrier_verdict_bytes(self):
+        # no golden report covers a carrier verdict: pin both outcomes
+        space = vector_space(1, 1, exact=True)
+        carrier = [(0,), (1,), (2,)]
+        plan = {
+            "low": -2,
+            "high": 2,
+            "coord_denominator": 16,
+            "t_denominator": 16,
+            "t_values": ["1/2"],
+        }
+        # seed 1 draws the pair {0, 2}; (1,) lies on both spheres
+        holds = check_menger_convex(
+            space,
+            SamplePlan(count=1, seed=1, t_values=(F(1, 2),)),
+            carrier_points=carrier,
+        )
+        assert holds.to_json() == {
+            "property": "MengerConvex",
+            "outcome": "holds",
+            "samples": 1,
+            "maxSlack": 0,
+            "plan": {"count": 1, "seed": 1, **plan},
+        }
+        # seed 15 first draws a pair of neighbours at its fifth sample
+        fails = check_menger_convex(
+            space,
+            SamplePlan(count=10, seed=15, t_values=(F(1, 2),)),
+            carrier_points=carrier,
+        )
+        assert fails.to_json() == {
+            "property": "MengerConvex",
+            "outcome": "fails",
+            "samples": 5,
+            "witness": {
+                "x": [1],
+                "y": [0],
+                "t": "1/2",
+                "radius_x": "1/2",
+                "radius_y": "1/2",
+                "carrier_size": 3,
+                "reason": "no carrier point on both spheres",
+            },
+            "plan": {"count": 10, "seed": 15, **plan},
+        }
 
     def test_carrier_needs_two_distinct_points(self):
         # one point, or one point twice, left no second point to draw
