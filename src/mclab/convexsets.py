@@ -47,7 +47,7 @@ from .spaces import (
     distance,
     vlerp,
 )
-from .verdicts import FAILS, HOLDS, PropertyVerdict
+from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 DEFAULT_TOL = 1e-9
 
@@ -484,12 +484,12 @@ def verify_on_spheres(
             for dc in _sup_distance_range(axes, c)
         )
         if gap <= limit:
-            return PropertyVerdict(
-                property="SphereEquivalence",
-                outcome=HOLDS,
+            return verdict(
+                "SphereEquivalence",
+                HOLDS,
+                conv=conv,
                 samples=math.prod(len(values) for values in axes),
                 max_slack=gap if gap > 0 else 0,
-                convention=conv.value,
             )
     if (
         isinstance(rep, CappedSimplex)
@@ -502,21 +502,20 @@ def verify_on_spheres(
         # the caps sum to d_1(x, y) = d, and every vertex has offsets in
         # [0, cap_i] summing to r1, so d_1(z, x) = r1 and d_1(z, y) = d - r1
         # exactly: the scan would find every gap 0
-        return PropertyVerdict(
-            property="SphereEquivalence",
-            outcome=HOLDS,
+        return verdict(
+            "SphereEquivalence",
+            HOLDS,
+            conv=conv,
             samples=rep.vertex_count(),
             max_slack=0,
-            convention=conv.value,
         )
     points = rep.sample_points()
     if not points:
-        return PropertyVerdict(
-            property="SphereEquivalence",
-            outcome=FAILS,
-            samples=0,
+        return verdict(
+            "SphereEquivalence",
+            FAILS,
+            conv=conv,
             witness={"x": x, "y": y, "t": t, "reason": "no sampled members"},
-            convention=conv.value,
         )
     max_slack = 0
     for z in points:
@@ -524,9 +523,10 @@ def verify_on_spheres(
         dy = distance(space, z, y)
         gap = max(abs(dx - r1), abs(dy - r2))
         if gap > limit:
-            return PropertyVerdict(
-                property="SphereEquivalence",
-                outcome=FAILS,
+            return verdict(
+                "SphereEquivalence",
+                FAILS,
+                conv=conv,
                 samples=len(points),
                 witness={
                     "x": x,
@@ -539,16 +539,15 @@ def verify_on_spheres(
                     "radius_y": r2,
                 },
                 max_slack=gap,
-                convention=conv.value,
             )
         if gap > max_slack:
             max_slack = gap
-    return PropertyVerdict(
-        property="SphereEquivalence",
-        outcome=HOLDS,
+    return verdict(
+        "SphereEquivalence",
+        HOLDS,
+        conv=conv,
         samples=len(points),
         max_slack=max_slack,
-        convention=conv.value,
     )
 
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .sampling import SamplePlan
 from .spaces import MetricSpace, check_point, distance, vadd, vscale
-from .verdicts import FAILS, HOLDS, PropertyVerdict
+from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 
 # --------------------------------------------------------------------------
@@ -198,14 +198,13 @@ def verify_hybrid(
             }
     if max_slack is None:
         raise MclabError("hybrid verification needs a positive sample count")
-    outcome = HOLDS if max_slack <= tol else FAILS
-    return PropertyVerdict(
-        property="GeneralizedHybrid",
-        outcome=outcome,
+    return verdict(
+        "GeneralizedHybrid",
+        HOLDS if max_slack <= tol else FAILS,
+        plan=plan,
         samples=plan.count,
         max_slack=max_slack,
         witness=worst,
-        plan=plan.describe(),
     )
 
 

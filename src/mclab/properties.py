@@ -38,45 +38,9 @@ from .sampling import (
     sample_t,
 )
 from .spaces import VECTOR, MetricSpace, distance, vscale
-from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict
+from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict, first_failure, verdict
 
 PROPERTY_NAMES = ("A", "B", "Bprime", "Bdoubleprime", "C")
-
-
-def _verdict(name, outcome, plan=None, conv=None, **kw):
-    return PropertyVerdict(
-        property=name,
-        outcome=outcome,
-        plan=plan.describe() if plan is not None else None,
-        convention=conv.value if conv is not None else None,
-        **kw,
-    )
-
-
-def _first_failure(name, plan, trials, limit, conv=None, worst=None):
-    """Verdict of the seeded `trials`, each a pair (slack, witness).
-
-    The first slack above `limit` fails, with the certificate that
-    `witness()` builds; a slack of None is a trial that failed without
-    measuring one (a sphere check of a set with no sampled members).
-    Otherwise the verdict holds with the worst slack, starting from `worst`.
-    `witness` is called before the next trial is drawn, so it may read the
-    trial's loop variables."""
-    samples = 0
-    for samples, (slack, witness) in enumerate(trials, 1):
-        if slack is None or slack > limit:
-            return _verdict(
-                name,
-                FAILS,
-                plan=plan,
-                conv=conv,
-                samples=samples,
-                witness=witness(),
-                max_slack=slack,
-            )
-        if worst is None or slack > worst:
-            worst = slack
-    return _verdict(name, HOLDS, plan=plan, conv=conv, samples=samples, max_slack=worst)
 
 
 def _sample_xy(rng, space, plan):
@@ -113,7 +77,7 @@ def check_menger_convex(
             v = sphere_equivalence_check(space, x, y, t, MidConvention.FROM_X, tol=tol)
             yield v.max_slack, lambda: v.witness
 
-    return _first_failure("MengerConvex", plan, trials(), space.limit(tol), worst=0)
+    return first_failure("MengerConvex", trials(), space.limit(tol), plan, worst=0)
 
 
 def _check_menger_on_carrier(space, plan, pool, tol):
@@ -121,40 +85,35 @@ def _check_menger_on_carrier(space, plan, pool, tol):
     carrier points some other carrier point lies on both spheres."""
     if len({tuple(z) for z in pool}) < 2:
         raise MclabError("a Menger carrier needs at least two distinct points")
-    rng = plan.rng()
     limit = space.limit(tol)
-    for k in range(plan.count):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        while y == x:
+
+    def trials():
+        rng = plan.rng()
+        for k in range(plan.count):
+            x = pool[rng.randrange(len(pool))]
             y = pool[rng.randrange(len(pool))]
-        t = sample_t(rng, space, plan, k)
-        r1, r2 = radii_for(MidConvention.FROM_X, t, distance(space, x, y))
-        if not any(
-            z != x
-            and z != y
-            and abs(distance(space, z, x) - r1) <= limit
-            and abs(distance(space, z, y) - r2) <= limit
-            for z in pool
-        ):
-            return _verdict(
-                "MengerConvex",
-                FAILS,
-                plan=plan,
-                samples=k + 1,
-                witness={
-                    "x": x,
-                    "y": y,
-                    "t": t,
-                    "radius_x": r1,
-                    "radius_y": r2,
-                    "carrier_size": len(pool),
-                    "reason": "no carrier point on both spheres",
-                },
+            while y == x:
+                y = pool[rng.randrange(len(pool))]
+            t = sample_t(rng, space, plan, k)
+            r1, r2 = radii_for(MidConvention.FROM_X, t, distance(space, x, y))
+            found = any(
+                z != x
+                and z != y
+                and abs(distance(space, z, x) - r1) <= limit
+                and abs(distance(space, z, y) - r2) <= limit
+                for z in pool
             )
-    return _verdict(
-        "MengerConvex", HOLDS, plan=plan, samples=plan.count, max_slack=0
-    )
+            yield 0 if found else None, lambda: {
+                "x": x,
+                "y": y,
+                "t": t,
+                "radius_x": r1,
+                "radius_y": r2,
+                "carrier_size": len(pool),
+                "reason": "no carrier point on both spheres",
+            }
+
+    return first_failure("MengerConvex", trials(), limit, plan, worst=0)
 
 
 # --------------------------------------------------------------------------
@@ -208,14 +167,14 @@ def _check_a(space, conv, plan, diam_tol, tol):
                 "distance_to_y_2": distance(space, q, y),
             }
 
-    return _first_failure("A", plan, trials(), diam_tol, conv, worst=0)
+    return first_failure("A", trials(), diam_tol, plan, conv, worst=0)
 
 
 def _check_b(space, plan, tol):
     """Property (B): the unique-midpoint map contracts with factor t in its
     first argument."""
     if not space.unique_midpoints:
-        return _verdict(
+        return verdict(
             "B",
             REFUSED,
             plan=plan,
@@ -241,10 +200,10 @@ def _check_b(space, plan, tol):
             equality_hit = equality_hit or (x != z and abs(slack) <= 1e-6)
             yield slack, lambda: {"x": x, "y": y, "z": z, "t": t, "lhs": lhs, "rhs": rhs}
 
-    verdict = _first_failure("B", plan, trials(), tol)
-    if verdict.holds:
-        verdict.witness = {"equality_attained": equality_hit}
-    return verdict
+    b = first_failure("B", trials(), tol, plan)
+    if b.holds:
+        b.witness = {"equality_attained": equality_hit}
+    return b
 
 
 def _check_bprime(space, conv, plan, tol):
@@ -274,7 +233,7 @@ def _check_bprime(space, conv, plan, tol):
                 "hausdorff_witness": h.witness,
             }
 
-    return _first_failure("Bprime", plan, trials(), tol, conv)
+    return first_failure("Bprime", trials(), tol, plan, conv)
 
 
 def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
@@ -302,7 +261,7 @@ def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
                 "rhs": rhs,
             }
 
-    return _first_failure("Bdoubleprime", plan, trials(), tol, conv)
+    return first_failure("Bdoubleprime", trials(), tol, plan, conv)
 
 
 def _check_c(space, conv, plan, tol, t_grid):
@@ -310,49 +269,45 @@ def _check_c(space, conv, plan, tol, t_grid):
 
     Its budget runs over the sampled members of each drawn midpoint set, and
     a holding verdict records no slack."""
-    rng = plan.rng()
     if t_grid is None:
         t_grid = [Fraction(j, 8) for j in range(1, 8)]
         if not space.exact:
             t_grid = [float(t) for t in t_grid]
-    limit = space.limit(tol)
-    x, y = _sample_xy(rng, space, plan)
-    d = distance(space, x, y)
-    seg = segment(space, x, y, t_grid, conv, tol=tol)
-    pool = segment_points(seg)
-    # seeded random exploration of (u, v, s) triples over the pool; an
-    # ordered scan would spend the whole budget near one corner
-    checks = 0
-    while checks < plan.count:
-        u = pool[rng.randrange(len(pool))]
-        v = pool[rng.randrange(len(pool))]
-        if u == v:
-            continue
-        s = t_grid[rng.randrange(len(t_grid))]
-        rep = midpoint_set(space, u, v, s, conv, tol=tol)
-        for w in rep.sample_points()[: plan.count - checks]:
-            checks += 1
-            defect = abs(distance(space, x, w) + distance(space, w, y) - d)
-            if defect > limit:
-                return _verdict(
-                    "C",
-                    FAILS,
-                    plan=plan,
-                    conv=conv,
-                    samples=checks,
-                    witness={
-                        "x": x,
-                        "y": y,
-                        "u": u,
-                        "v": v,
-                        "s": s,
-                        "point": w,
-                        "distance_sum": distance(space, x, w) + distance(space, w, y),
-                        "segment_length": d,
-                    },
-                    max_slack=defect,
-                )
-    return _verdict("C", HOLDS, plan=plan, conv=conv, samples=checks)
+
+    def trials():
+        rng = plan.rng()
+        x, y = _sample_xy(rng, space, plan)
+        d = distance(space, x, y)
+        seg = segment(space, x, y, t_grid, conv, tol=tol)
+        pool = segment_points(seg)
+        # seeded random exploration of (u, v, s) triples over the pool; an
+        # ordered scan would spend the whole budget near one corner
+        checks = 0
+        while checks < plan.count:
+            u = pool[rng.randrange(len(pool))]
+            v = pool[rng.randrange(len(pool))]
+            if u == v:
+                continue
+            s = t_grid[rng.randrange(len(t_grid))]
+            rep = midpoint_set(space, u, v, s, conv, tol=tol)
+            for w in rep.sample_points()[: plan.count - checks]:
+                checks += 1
+                dsum = distance(space, x, w) + distance(space, w, y)
+                yield abs(dsum - d), lambda: {
+                    "x": x,
+                    "y": y,
+                    "u": u,
+                    "v": v,
+                    "s": s,
+                    "point": w,
+                    "distance_sum": dsum,
+                    "segment_length": d,
+                }
+
+    c = first_failure("C", trials(), space.limit(tol), plan, conv)
+    if c.holds:
+        c.max_slack = None
+    return c
 
 
 # --------------------------------------------------------------------------
@@ -387,9 +342,10 @@ def check_betweenness(
     lhs = distance(space, p1, p2) + distance(space, p2, y)
     rhs = distance(space, p1, y)
     gap = abs(lhs - rhs)
-    return PropertyVerdict(
-        property="Betweenness",
-        outcome=FAILS if gap > limit else HOLDS,
+    return verdict(
+        "Betweenness",
+        FAILS if gap > limit else HOLDS,
+        conv=conv,
         samples=1,
         witness={
             "x": x,
@@ -402,7 +358,6 @@ def check_betweenness(
             "direct": rhs,
         },
         max_slack=gap,
-        convention=conv.value,
     )
 
 
@@ -454,7 +409,7 @@ def check_homogeneity(
                 "cap": cap,
             }
 
-    return _first_failure("Homogeneity", plan, trials(), tol, worst=0)
+    return first_failure("Homogeneity", trials(), tol, plan, worst=0)
 
 
 # --------------------------------------------------------------------------
@@ -481,10 +436,9 @@ def check_diameter_strict(
     delta_int = distance(space, A.lower, A.upper)
     k_hat = delta_c / delta_int if delta_c else delta_c
     threshold = 1 if space.exact and A.exact and C.exact else 1 - tol
-    outcome = HOLDS if k_hat < threshold else FAILS
-    return PropertyVerdict(
-        property="DiameterStrict",
-        outcome=outcome,
+    return verdict(
+        "DiameterStrict",
+        HOLDS if k_hat < threshold else FAILS,
         samples=len(C.sample_points()),
         witness={
             "diameter_inner": delta_c,

@@ -1,10 +1,13 @@
-"""Verdict container shared by the property checkers.
+"""Verdicts of the property checkers, and the one loop that builds them.
 
 A check never proves a universally quantified statement; it either gathers
 sampled evidence (holds), produces a counterexample certificate (fails), or
 refuses because the operation it relies on is undefined on the space
 (refused).  Fail certificates carry every input needed to re-evaluate both
 sides of the violated relation through the public operations.
+
+Every verdict is built by `verdict`; every sampled checker feeds its seeded
+trials to `first_failure`.
 """
 from __future__ import annotations
 
@@ -47,15 +50,49 @@ class PropertyVerdict:
             "outcome": self.outcome,
             "samples": self.samples,
         }
-        if self.max_slack is not None:
-            out["maxSlack"] = self.max_slack
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.plan is not None:
-            out["plan"] = self.plan
-        if self.convention is not None:
-            out["convention"] = self.convention
-        if self.reason is not None:
-            out["reason"] = self.reason
+        optional = {
+            "maxSlack": self.max_slack,
+            "witness": self.witness,
+            "plan": self.plan,
+            "convention": self.convention,
+            "reason": self.reason,
+        }
+        out.update((key, value) for key, value in optional.items() if value is not None)
         return to_json(out)
 
+def verdict(name, outcome, plan=None, conv=None, **kw) -> PropertyVerdict:
+    """A verdict on property `name`, recording the sample plan's description
+    and the midpoint convention when given."""
+    return PropertyVerdict(
+        property=name,
+        outcome=outcome,
+        plan=plan.describe() if plan is not None else None,
+        convention=conv.value if conv is not None else None,
+        **kw,
+    )
+
+
+def first_failure(name, trials, limit, plan=None, conv=None, worst=None):
+    """Verdict of the seeded `trials`, each a pair (slack, witness).
+
+    The first slack above `limit` fails, with the certificate that
+    `witness()` builds; a slack of None is a trial that failed without
+    measuring one (a sphere check of a set with no sampled members, a
+    carrier with no point on both spheres).  Otherwise the verdict holds
+    with the worst slack, starting from `worst`.  `witness` is called before
+    the next trial is drawn, so it may read the trial's loop variables."""
+    samples = 0
+    for samples, (slack, witness) in enumerate(trials, 1):
+        if slack is None or slack > limit:
+            return verdict(
+                name,
+                FAILS,
+                plan=plan,
+                conv=conv,
+                samples=samples,
+                witness=witness(),
+                max_slack=slack,
+            )
+        if worst is None or slack > worst:
+            worst = slack
+    return verdict(name, HOLDS, plan=plan, conv=conv, samples=samples, max_slack=worst)
