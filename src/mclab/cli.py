@@ -37,11 +37,13 @@ from .properties import (
 from .reports import fmt_value, write_reports
 from .sampling import SamplePlan
 from .spaces import VECTOR, check_point, space_from_id
-from .verdicts import PropertyVerdict
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# the names --props and --expect accept
+CHECK_PROPS = ("menger", *PROPERTY_NAMES, "homogeneity")
 
 
 def _plan_from_config(cfg: RunConfig, count=None) -> SamplePlan:
@@ -70,7 +72,8 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _parse_expectations(text: str | None):
+def _parse_expectations(text: str | None, props):
+    """--expect as {name: outcome}; every name must be one of the --props."""
     out = {}
     if not text:
         return out
@@ -84,7 +87,10 @@ def _parse_expectations(text: str | None):
         value = value.strip().lower()
         if value not in ("holds", "fails", "refused"):
             raise ConfigError(f"bad expected outcome {value!r}")
-        out[name.strip()] = value
+        name = name.strip()
+        if name not in props:
+            raise ConfigError(f"--expect names {name!r}, which --props does not run")
+        out[name] = value
     return out
 
 
@@ -110,36 +116,26 @@ def cmd_check(args, cfg: RunConfig) -> int:
             f"{sorted(c.value for c in MidConvention)}, not {cfg.convention!r}"
         )
         return EXIT_USAGE
-    expectations = _parse_expectations(args.expect)
-    plan = _plan_from_config(cfg)
     prop_list = [p.strip() for p in args.props.split(",") if p.strip()]
-    verdicts: list[PropertyVerdict] = []
     for prop in prop_list:
-        if prop == "menger":
-            verdicts.append(
-                check_menger_convex(space, plan, tol=cfg.tol)
-            )
-        elif prop == "homogeneity":
-            verdicts.append(check_homogeneity(space, plan, tol=cfg.tol))
-        elif prop in PROPERTY_NAMES:
-            verdicts.append(
-                check_property(
-                    space,
-                    prop,
-                    conv=conv,
-                    plan=plan,
-                    diam_tol=cfg.diam_tol,
-                    tol=cfg.tol,
-                )
-            )
-        else:
+        if prop not in CHECK_PROPS:
             print(f"unknown property {prop!r}")
             return EXIT_USAGE
+    expectations = _parse_expectations(args.expect, prop_list)
+    plan = _plan_from_config(cfg)
     ok = True
     lines = [f"# Property suite on {space.id}", ""]
     entries = []
-    for v in verdicts:
-        expected = expectations.get(v.property, "holds")
+    for prop in prop_list:
+        if prop == "menger":
+            v = check_menger_convex(space, plan, tol=cfg.tol)
+        elif prop == "homogeneity":
+            v = check_homogeneity(space, plan, tol=cfg.tol)
+        else:
+            v = check_property(
+                space, prop, conv=conv, plan=plan, diam_tol=cfg.diam_tol, tol=cfg.tol
+            )
+        expected = expectations.get(prop, "holds")
         matched = v.outcome == expected
         ok = ok and matched
         mark = "PASS" if matched else "FAIL"
@@ -308,9 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--props",
         default="menger,A,B,Bprime,Bdoubleprime,C",
-        help="comma list from menger,A,B,Bprime,Bdoubleprime,C,homogeneity",
+        help=f"comma list from {','.join(CHECK_PROPS)}",
     )
-    p.add_argument("--expect", help="expected outcomes, e.g. A=fails,C=fails")
+    p.add_argument(
+        "--expect", help="expected outcomes by --props name, e.g. menger=holds,A=fails"
+    )
 
     p = sub.add_parser("fixedpoint", parents=[common], help="verify a mapping and solve")
     p.add_argument("spec", help="mapping spec JSON file")

@@ -175,6 +175,35 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_expectations_use_the_props_names(self, tmp_path):
+        # menger=fails and homogeneity=fails were dropped, and the run passed
+        argv = ["check", "--space", "vec3-p2", "--props", "menger,homogeneity"]
+        argv += ["--expect", "menger=fails,homogeneity=fails", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        report = json.loads((tmp_path / "check-vec3-p2.json").read_text())
+        assert [r["expected"] for r in report["reports"]] == ["fails", "fails"]
+        assert [r["matched"] for r in report["reports"]] == [False, False]
+
+    @pytest.mark.parametrize("expect", ["MengerConvex=holds", "A=fails", "menger=holds,C=holds"])
+    def test_an_expectation_outside_the_run_exits_two(self, expect, tmp_path, capsys):
+        argv = ["check", "--space", "vec3-p2", "--props", "menger,homogeneity"]
+        assert main(argv + ["--expect", expect, "--out", str(tmp_path)]) == 2
+        assert "which --props does not run" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
+    def test_an_unknown_property_exits_two_before_any_checker_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import mclab.cli as cli
+
+        calls = []
+        for name in ("check_menger_convex", "check_property", "check_homogeneity"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        argv = ["check", "--space", "vec10-p1-exact", "--props", "menger,A,Bdoubleprime,typo"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "unknown property 'typo'" in capsys.readouterr().out
+        assert calls == []
+
     def test_reports_embed_the_resolved_config(self, tmp_path):
         main(
             [
