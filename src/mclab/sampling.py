@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import MclabError
 from .spaces import MetricSpace, VECTOR
 
 
@@ -25,6 +26,11 @@ class SamplePlan:
     t_values: tuple | None = None
     anchor_x: tuple | None = None
     anchor_y: tuple | None = None
+
+    def __post_init__(self):
+        # with no samples every checker would hold on no evidence
+        if self.count < 1:
+            raise MclabError(f"a sample plan needs count >= 1, not {self.count}")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

@@ -117,6 +117,14 @@ class TestMengerConvexity:
                 )
 
 
+class TestSamplePlan:
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_a_plan_needs_a_positive_count(self, count):
+        # count 0 let every sampled checker hold on no samples
+        with pytest.raises(MclabError):
+            SamplePlan(count=count)
+
+
 class TestPropertyA:
     def test_holds_on_strictly_convex_spaces(self):
         for p in (1.5, 2, 3):
