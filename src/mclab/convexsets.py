@@ -630,11 +630,8 @@ def lifted_union(
     """Union of midpoint sets with y over representative points of A."""
     if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
-    reps_points = A.sample_points()
-    if not reps_points:
-        raise EmptySetError("cannot lift an empty set")
     parts = []
-    for a in reps_points:
+    for a in A.sample_points():
         if tuple(a) == tuple(y):
             parts.append(Singleton(tuple(y), exact=space.exact))
         else:

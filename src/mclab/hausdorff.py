@@ -78,51 +78,20 @@ def _directed_points(rows):
     return best, witness
 
 
-def _interval_directed(a_lo, a_hi, b_lo, b_hi):
-    """sup over [a_lo, a_hi] of the distance to [b_lo, b_hi], with the
-    endpoint of A achieving it."""
-    def dist_to_b(x):
-        if x < b_lo:
-            return b_lo - x
-        if x > b_hi:
-            return x - b_hi
-        return 0
-
-    d_lo, d_hi = dist_to_b(a_lo), dist_to_b(a_hi)
-    if d_lo >= d_hi:
-        return d_lo, a_lo
-    return d_hi, a_hi
-
-
 def _directed_boxes(space, A: Box, B: Box):
-    """Directed Hausdorff between boxes under the sup metric: the maximum
-    over coordinates of the directed interval distance."""
-    best = 0
-    best_axis = 0
-    per_axis_points = []
-    for i, (alo, ahi, blo, bhi) in enumerate(
-        zip(A.lower, A.upper, B.lower, B.upper)
-    ):
-        val, a_end = _interval_directed(alo, ahi, blo, bhi)
-        per_axis_points.append(a_end)
-        if val > best:
-            best = val
-            best_axis = i
-    # witness in A: the extreme endpoint on the deciding axis, the nearest
-    # feasible value on every other axis, so no other coordinate exceeds it
-    a_pt = []
-    for i, (alo, ahi, blo, bhi) in enumerate(
-        zip(A.lower, A.upper, B.lower, B.upper)
-    ):
-        if i == best_axis:
-            a_pt.append(per_axis_points[i])
-        else:
-            if ahi < blo:
-                a_pt.append(ahi)
-            elif alo > bhi:
-                a_pt.append(alo)
-            else:
-                a_pt.append(max(alo, blo))
+    """Directed Hausdorff between boxes under the sup metric: the largest
+    distance from an end of one of A's intervals to B's interval on the same
+    axis; ties keep the first axis and the lower end.  The witness in A takes
+    that end on its axis and the clamp of B.lower into A on every other axis
+    (A's own bound on a tie), whose distance to B is no larger."""
+    best, best_axis, best_end = 0, 0, A.lower[0]
+    for i, (alo, ahi, blo, bhi) in enumerate(zip(A.lower, A.upper, B.lower, B.upper)):
+        for a in (alo, ahi):
+            gap = max(blo - a, a - bhi, 0)
+            if gap > best:
+                best, best_axis, best_end = gap, i, a
+    a_pt = [min(max(alo, blo), ahi) for alo, ahi, blo in zip(A.lower, A.upper, B.lower)]
+    a_pt[best_axis] = best_end
     return best, (tuple(a_pt), B.nearest(a_pt))
 
 

@@ -494,9 +494,6 @@ def estimate_uniform_modulus(
             s = min(2.0, s * 1.25 + 1e-3)
             s_grid.append(s)
 
-        def ratio_at(z, mid):
-            return distance(space, z, mid)
-
         for w, v in frames:
             for s in s_grid:
                 if evals >= per_eps:
@@ -521,7 +518,7 @@ def estimate_uniform_modulus(
                 zc = on_circle(lo_t)
                 evals += 1
                 if feasible(zc):
-                    best = max(best, ratio_at(zc, mid))
+                    best = max(best, distance(space, zc, mid))
                 # coarse scan for the last feasible angle
                 K = 32
                 last_good = lo_t
@@ -532,7 +529,7 @@ def estimate_uniform_modulus(
                     evals += 1
                     if feasible(z):
                         last_good = theta
-                        best = max(best, ratio_at(z, mid))
+                        best = max(best, distance(space, z, mid))
                     else:
                         first_bad = theta
                         break
@@ -544,7 +541,7 @@ def estimate_uniform_modulus(
                         evals += 1
                         if feasible(z):
                             a = m
-                            best = max(best, ratio_at(z, mid))
+                            best = max(best, distance(space, z, mid))
                         else:
                             b = m
         # random admissible rejection samples with the remaining budget
@@ -557,7 +554,7 @@ def estimate_uniform_modulus(
             z = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
             evals += 1
             if distance(space, z, x) <= 1 and distance(space, z, y) <= 1:
-                best = max(best, ratio_at(z, mid))
+                best = max(best, distance(space, z, mid))
         out.append((eps, 1.0 - best))
     return out
 

@@ -138,10 +138,6 @@ def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(a, s):
     return tuple(x * s for x in a)
 
