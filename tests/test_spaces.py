@@ -156,6 +156,81 @@ class TestExactIntegerKernel:
         assert distance(space, x, z) + distance(space, z, y) >= dxy
 
 
+# rationals with unlike denominators
+_COEFF = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 8]))
+
+
+@st.composite
+def _exact_functions(draw, quadratic):
+    """A rational piecewise polynomial with up to three interior breakpoints;
+    linear pieces only when `quadratic` is false."""
+    cuts = draw(st.lists(st.integers(1, 11), max_size=3, unique=True))
+    degree = 3 if quadratic else 2
+    pieces = [
+        tuple(draw(st.lists(_COEFF, min_size=degree, max_size=degree))) + (0,) * (3 - degree)
+        for _ in range(len(cuts) + 1)
+    ]
+    return PiecewisePoly((F(0), *sorted(F(c, 12) for c in cuts), F(1)), tuple(pieces))
+
+
+@st.composite
+def _function_triples(draw, sid):
+    """(f, g, h) for linffn-exact with quadratic pieces, or for l1fn-exact
+    with linear pieces, whose sign changes are rational.  Now and then g is
+    f itself, f split at one more breakpoint, or f plus a difference on one
+    piece that a wrong metric misses: c (x - u)(x - v), zero at both ends,
+    for the sup metric, and c (x - m), of integral zero, for the L1 one."""
+    quadratic = sid == "linffn-exact"
+    fns = _exact_functions(quadratic=quadratic)
+    f, g, h = draw(fns), draw(fns), draw(fns)
+    same = draw(st.sampled_from(["no", "no", "copy", "split", "perturb"]))
+    bps = f.breakpoints
+    i = draw(st.integers(0, len(bps) - 2))
+    u, v = bps[i], bps[i + 1]
+    if same == "copy":
+        g = f
+    elif same == "split":
+        g = PiecewisePoly(
+            (*bps[: i + 1], (u + v) / 2, *bps[i + 1 :]),
+            (*f.pieces[: i + 1], f.pieces[i], *f.pieces[i + 1 :]),
+        )
+    elif same == "perturb":
+        c = draw(st.integers(1, 4))
+        bump = (c * u * v, -c * (u + v), c) if quadratic else (-c * (u + v) / 2, c, 0)
+        piece = tuple(a + b for a, b in zip(f.pieces[i], bump))
+        g = PiecewisePoly(bps, (*f.pieces[:i], piece, *f.pieces[i + 1 :]))
+    return f, g, h
+
+
+def _equal_functions(f, g):
+    """Piecewise polynomials of degree <= 2 agree on an interval exactly when
+    they agree at three points inside it."""
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return all(
+        f.value(q) == g.value(q)
+        for u, v in zip(grid, grid[1:])
+        for q in (u + (v - u) / 4, (u + v) / 2, u + 3 * (v - u) / 4)
+    )
+
+
+class TestExactFunctionSpaceAxioms:
+    """Identity, symmetry and the triangle inequality on the exact function
+    spaces, with no tolerance."""
+
+    @pytest.mark.parametrize("sid", ["linffn-exact", "l1fn-exact"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_metric_axioms_hold_with_no_tolerance(self, sid, data):
+        space = space_from_id(sid)
+        f, g, h = data.draw(_function_triples(sid))
+        dfg = distance(space, f, g)
+        assert isinstance(dfg, (int, F))
+        assert distance(space, f, f) == 0
+        assert (dfg == 0) == _equal_functions(f, g)
+        assert distance(space, g, f) == dfg
+        assert distance(space, f, h) + distance(space, h, g) >= dfg
+
+
 class TestPiecewiseDistance:
     def test_constants_in_integral_metric(self):
         space = l1_function_space()
