@@ -85,12 +85,13 @@ def _directed_boxes(space, A: Box, B: Box):
     that end on its axis and the clamp of B.lower into A on every other axis
     (A's own bound on a tie), whose distance to B is no larger."""
     best, best_axis, best_end = 0, 0, A.lower[0]
-    for i, (alo, ahi, blo, bhi) in enumerate(zip(A.lower, A.upper, B.lower, B.upper)):
+    bounds = list(zip(A.lower, A.upper, B.lower, B.upper))
+    for i, (alo, ahi, blo, bhi) in enumerate(bounds):
         for a in (alo, ahi):
             gap = max(blo - a, a - bhi, 0)
             if gap > best:
                 best, best_axis, best_end = gap, i, a
-    a_pt = [min(max(alo, blo), ahi) for alo, ahi, blo in zip(A.lower, A.upper, B.lower)]
+    a_pt = [min(max(alo, blo), ahi) for alo, ahi, blo, _ in bounds]
     a_pt[best_axis] = best_end
     return best, (tuple(a_pt), B.nearest(a_pt))
 
