@@ -42,7 +42,12 @@ CHECK_PROPS = {"vec1-p2": "menger,A,B,Bprime,Bdoubleprime,C,homogeneity"}
 
 # solver inputs: the README rotation on a ball, a box projection (the
 # (2, 1) nonspreading case) on a box, a halving affine map on the whole
-# space, and a feasible family of nested balls
+# space, one 3-D affine contraction per float distance branch (d_1, d_inf
+# and a general p), and a feasible family of nested balls
+# column sums (the d_1 operator norm) and row sums (the d_inf one) are at
+# most 3/4, so the map contracts in every d_p
+_CONTRACTION = [[0.25, 0.25, 0], [0, 0.5, 0.25], [0.25, 0, 0.25]]
+
 INPUTS = {
     "fixedpoint-ball": {
         "space": "vec2-p2",
@@ -70,6 +75,33 @@ INPUTS = {
         "alpha": 1,
         "beta": 0,
         "x0": [-2, 3],
+    },
+    "fixedpoint-p1": {
+        "space": "vec3-p1",
+        "kind": "affine",
+        "parameters": {"matrix": _CONTRACTION, "offset": [1, -0.5, 0.25]},
+        "domain": {"repr": "all", "radius": 4},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [3, -2, 1.5],
+    },
+    "fixedpoint-pinf": {
+        "space": "vec3-pinf",
+        "kind": "affine",
+        "parameters": {"matrix": _CONTRACTION, "offset": [0.75, 0.5, -1]},
+        "domain": {"repr": "box", "lower": [-4, -4, -4], "upper": [4, 4, 4]},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [-3.5, 2, 0.5],
+    },
+    "fixedpoint-p1.5": {
+        "space": "vec3-p1.5",
+        "kind": "affine",
+        "parameters": {"matrix": _CONTRACTION, "offset": [0.5, -0.25, 0.25]},
+        "domain": {"repr": "ball", "center": [0, 0, 0], "radius": 4},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [1, 2, -1],
     },
     "nested-feasible": [
         [{"center": [0.5, 0], "radius": 1.5}],
