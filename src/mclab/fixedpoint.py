@@ -27,7 +27,7 @@ from .errors import (
     UniqueMidpointUndefined,
 )
 from .sampling import SamplePlan
-from .spaces import MetricSpace, check_point, distance, vadd, vscale
+from .spaces import MetricSpace, check_point, distance, distances, vadd, vscale
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 
@@ -274,7 +274,7 @@ class AsymptoticFunctional:
 def asymptotic_center(space: MetricSpace, F: AsymptoticFunctional, y) -> Scalar:
     """Value of the orbit-tail functional at y."""
     half = Fraction(1, 2) if space.exact else 0.5
-    return half * max(distance(space, p, y) for p in F.tail)
+    return half * max(distances(space, y, F.tail))
 
 
 def make_asymptotic_functional(
@@ -430,7 +430,7 @@ def find_fixed_point(
         xtol=min(tol * 1e-3, 1e-9),
     )
     residual = distance(space, spec.apply(u0), u0)
-    orbit_radius = max(distance(space, p, x0) for p in F.points)
+    orbit_radius = max(distances(space, x0, F.points))
     return FixedPointResult(
         point=u0,
         residual=residual,

@@ -262,6 +262,29 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
     return total ** (1.0 / p)
 
 
+def distances(space: MetricSpace, y, points) -> list:
+    """`[distance(space, q, y) for q in points]`, equal in value and type.
+
+    Float vector spaces build the coordinate terms one axis at a time over
+    all points and reduce each point's terms in coordinate order with the
+    same `sum`/`max` as `distance`; exact and function spaces go pair by
+    pair.
+    """
+    if space.carrier != VECTOR or space.exact:
+        return [distance(space, q, y) for q in points]
+    check_point(space, y)
+    for q in points:
+        check_point(space, q)
+    p = space.p
+    if p == math.inf or p == 1:
+        columns = [[abs(c - v) for c in axis] for axis, v in zip(zip(*points), y)]
+        reduce = max if p == math.inf else sum
+        return [reduce(terms) for terms in zip(*columns)]
+    columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in zip(zip(*points), y)]
+    root = 1.0 / p
+    return [sum(terms) ** root for terms in zip(*columns)]
+
+
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:
     """L1 or sup distance between two piecewise polynomials.
 

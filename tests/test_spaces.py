@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ from mclab import (
     check_property,
     constant_fn,
     distance,
+    distances,
     estimate_uniform_modulus,
     l1_function_space,
     linf_function_space,
@@ -229,6 +231,109 @@ class TestExactFunctionSpaceAxioms:
         assert (dfg == 0) == _equal_functions(f, g)
         assert distance(space, g, f) == dfg
         assert distance(space, f, h) + distance(space, h, g) >= dfg
+
+
+# floats (subnormals included), ints and both signed zeros
+_FLOAT_COORD = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-50, 50),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+# the same without subnormals and tiny floats, so that no power of a
+# difference underflows (p <= 3) and the rounding bound of the triangle
+# inequality holds
+_NORMAL_COORD = st.one_of(
+    st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-6),
+    st.integers(-50, 50),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def _float_vectors(draw, dim, count, coord=_FLOAT_COORD):
+    """`count` vectors of `dim` coordinates, some of them repeated."""
+    vector = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    pool = draw(st.lists(vector, min_size=1, max_size=count))
+    return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+
+
+@st.composite
+def _float_fans(draw):
+    """(space, y, points) on a float id: p in {1, 1.5, 2, 3, inf},
+    dimension 1-6, 1-40 points; y is now and then one of the points."""
+    dim = draw(st.integers(1, 6))
+    space = vector_space(dim, draw(st.sampled_from([1, 1.5, 2, 3, math.inf])))
+    points = draw(_float_vectors(dim, draw(st.integers(1, 40))))
+    y = draw(st.one_of(_float_vectors(dim, 1).map(lambda v: v[0]), st.sampled_from(points)))
+    return space, y, points
+
+
+@st.composite
+def _exact_fans(draw):
+    """(space, y, points) on an exact id: d_1 or d_inf of dimension 1-6, or
+    linffn-exact and l1fn-exact with the pieces of their axiom test."""
+    kind = draw(st.sampled_from(["vector", "linffn-exact", "l1fn-exact"]))
+    if kind == "vector":
+        dim = draw(st.integers(1, 6))
+        space = vector_space(dim, draw(st.sampled_from([1, math.inf])), exact=True)
+        point = st.lists(_RATIONAL, min_size=dim, max_size=dim).map(tuple)
+    else:
+        space = space_from_id(kind)
+        point = _exact_functions(quadratic=kind == "linffn-exact")
+    return space, draw(point), draw(st.lists(point, min_size=1, max_size=8))
+
+
+def _assert_pairwise(space, y, points):
+    got = distances(space, y, points)
+    want = [distance(space, q, y) for q in points]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestOneToManyDistances:
+    """`distances(space, y, points)` is the per-pair list bit for bit: the
+    fixed-point search compares its values, so a last-bit change moves the
+    search path."""
+
+    @given(_float_fans())
+    @settings(max_examples=300, deadline=None)
+    def test_float_kernel_equals_the_pairwise_list(self, case):
+        _assert_pairwise(*case)
+
+    @given(_exact_fans())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_and_function_spaces_equal_the_pairwise_list(self, case):
+        _assert_pairwise(*case)
+
+    @pytest.mark.parametrize("sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf"])
+    def test_a_point_of_the_wrong_length_raises(self, sid):
+        space = space_from_id(sid)
+        good = (0.0, 1.0, 2)
+        for y, points in [(good, [good, (1.0, 2.0)]), ((1.0, 2.0), [good]), (good, [good * 2])]:
+            with pytest.raises(DimensionMismatch):
+                distances(space, y, points)
+
+
+class TestFloatMetricAxioms:
+    """Identity and symmetry hold with no tolerance on the float vector ids;
+    the triangle inequality holds up to 4 * N * eps * (d(x, y) + d(y, z)),
+    which covers the rounding of the N differences, powers and sums and of
+    the root on each side."""
+
+    @pytest.mark.parametrize("p", ["1", "1.5", "2", "inf"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_metric_axioms(self, p, data):
+        dim = data.draw(st.integers(1, 6))
+        space = space_from_id(f"vec{dim}-p{p}")
+        x, y, z = data.draw(_float_vectors(dim, 3, _NORMAL_COORD))
+        dxy, dyz = distance(space, x, y), distance(space, y, z)
+        assert distance(space, x, x) == 0
+        assert distance(space, y, x) == dxy
+        bound = 4 * space.dim * sys.float_info.epsilon * (dxy + dyz)
+        assert distance(space, x, z) <= dxy + dyz + bound
 
 
 class TestPiecewiseDistance:
