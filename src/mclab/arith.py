@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isfinite, isqrt, lcm
 from typing import Union
 
 from .errors import MclabError
@@ -37,7 +37,9 @@ def rational_sqrt(v: Fraction) -> Fraction | None:
 
 
 def parse_scalar(value) -> Scalar:
-    """Accept ints, floats, Fractions, or 'num/den' strings."""
+    """Accept ints, finite floats, Fractions, or 'num/den' strings."""
+    if isinstance(value, float) and not isfinite(value):
+        raise MclabError(f"{value!r} is not a finite number")
     if isinstance(value, (int, float, Fraction)):
         return value
     if isinstance(value, str):
@@ -49,11 +51,14 @@ def parse_scalar(value) -> Scalar:
 
 
 def parse_float(value) -> float:
-    """float(value), with MclabError for a value that is not a number."""
+    """float(value), with MclabError for a value that is not a finite number."""
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError) as exc:
         raise MclabError(f"cannot interpret {value!r} as a number") from exc
+    if not isfinite(out):
+        raise MclabError(f"{value!r} is not a finite number")
+    return out
 
 
 def parse_vector(value, what: str, convert=parse_scalar) -> tuple:

@@ -115,6 +115,8 @@ _FN_ID = re.compile(r"^(l1fn|linffn)(-exact)?$")
 
 
 def space_from_id(text: str) -> MetricSpace:
+    if not isinstance(text, str):
+        raise MclabError(f"a space id is a string, not {text!r}")
     m = _VECTOR_ID.match(text)
     if m:
         dim = int(m.group(1))

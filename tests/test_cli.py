@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -251,6 +252,26 @@ class TestFixedpointCommand:
         spec = write_json(tmp_path / "bad.json", dict(ROT_SPEC, space="vec2-q7"))
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
 
+    def test_space_id_that_is_not_a_string_exits_two(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "bad.json", dict(ROT_SPEC, space=5))
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "a space id is a string, not 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(ROT_SPEC, domain={"repr": "all", "radius": 4}, x0=[math.inf, 0]),
+            dict(ROT_SPEC, domain={"repr": "all", "radius": "inf"}),
+            dict(ROT_SPEC, parameters={"angle": "nan", "center": [0, 0]}),
+        ],
+        ids=["infinite-x0", "infinite-window", "nan-angle"],
+    )
+    def test_non_finite_number_exits_two(self, bad, tmp_path, capsys):
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "is not a finite number" in capsys.readouterr().out
+        assert not (tmp_path / "fixedpoint.json").exists()
+
     def test_spec_that_is_not_an_object_exits_two(self, tmp_path):
         spec = write_json(tmp_path / "list.json", [1, 2])
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
@@ -445,6 +466,12 @@ class TestNestedCommand:
         path = write_json(tmp_path / "fam.json", [[{"center": [0, 0], "radius": radius}]])
         assert main(["nested", path, "--out", str(tmp_path)]) == 2
         assert "as a scalar" in capsys.readouterr().out
+
+    def test_non_finite_center_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": [math.nan, 0, 0], "radius": 1}]])
+        argv = ["nested", path, "--space", "vec3-p2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "nan is not a finite number" in capsys.readouterr().out
 
     def test_cantor_flag(self, tmp_path):
         fam = [[{"center": [0.25, 0.25], "radius": 0.5**n}] for n in range(1, 40)]
