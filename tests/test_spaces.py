@@ -31,7 +31,7 @@ from mclab import (
     unique_midpoint,
     vector_space,
 )
-from mclab.spaces import VECTOR
+from mclab.spaces import VECTOR, vlerp
 
 
 class TestVectorDistance:
@@ -262,11 +262,14 @@ def _float_vectors(draw, dim, count, coord=_FLOAT_COORD):
 @st.composite
 def _float_fans(draw):
     """(space, y, points) on a float id: p in {1, 1.5, 2, 3, inf},
-    dimension 1-6, 1-40 points; y is now and then one of the points."""
+    dimension 1-6, 1-40 points, now and then all ints, where d_1 and d_inf
+    stay ints; y is now and then one of the points."""
     dim = draw(st.integers(1, 6))
     space = vector_space(dim, draw(st.sampled_from([1, 1.5, 2, 3, math.inf])))
-    points = draw(_float_vectors(dim, draw(st.integers(1, 40))))
-    y = draw(st.one_of(_float_vectors(dim, 1).map(lambda v: v[0]), st.sampled_from(points)))
+    coord = draw(st.sampled_from([_FLOAT_COORD, st.integers(-50, 50)]))
+    points = draw(_float_vectors(dim, draw(st.integers(1, 40)), coord))
+    fresh = _float_vectors(dim, 1, coord).map(lambda v: v[0])
+    y = draw(st.one_of(fresh, st.sampled_from(points)))
     return space, y, points
 
 
@@ -329,6 +332,9 @@ class TestFloatMetricAxioms:
         dim = data.draw(st.integers(1, 6))
         space = space_from_id(f"vec{dim}-p{p}")
         x, y, z = data.draw(_float_vectors(dim, 3, _NORMAL_COORD))
+        if data.draw(st.booleans()):
+            # a point on the segment, where the inequality is tight
+            y = vlerp(x, z, data.draw(st.floats(0, 1)))
         dxy, dyz = distance(space, x, y), distance(space, y, z)
         assert distance(space, x, x) == 0
         assert distance(space, y, x) == dxy
