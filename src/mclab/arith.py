@@ -38,9 +38,9 @@ def rational_sqrt(v: Fraction) -> Fraction | None:
 
 def parse_scalar(value) -> Scalar:
     """Accept ints, finite floats, Fractions, or 'num/den' strings."""
-    if isinstance(value, float) and not isfinite(value):
-        raise MclabError(f"{value!r} is not a finite number")
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, float):
+        return parse_float(value)
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
         try:

@@ -278,11 +278,12 @@ def distances(space: MetricSpace, y, points) -> list:
     for q in points:
         check_point(space, q)
     p = space.p
+    axes = zip(zip(*points), y)
     if p == math.inf or p == 1:
-        columns = [[abs(c - v) for c in axis] for axis, v in zip(zip(*points), y)]
+        columns = [[abs(c - v) for c in axis] for axis, v in axes]
         reduce = max if p == math.inf else sum
         return [reduce(terms) for terms in zip(*columns)]
-    columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in zip(zip(*points), y)]
+    columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in axes]
     root = 1.0 / p
     return [sum(terms) ** root for terms in zip(*columns)]
 
