@@ -260,8 +260,32 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
         return max(diffs)
     if p == 1:
         return sum(diffs)
-    total = sum(float(d) ** p for d in diffs)
-    return total ** (1.0 / p)
+    return _dp_value(diffs, p)
+
+
+# The smallest d_p value (1 < p < inf) taken from sum(d ** p) ** (1 / p) as
+# it stands: below it the powers of the differences may have underflowed.
+# Its p-th power is still a normal float for p <= 3.
+_DP_FLOOR = 1e-100
+
+
+def _dp_value(diffs, p) -> float:
+    """sum(d ** p for d in diffs) ** (1 / p).  Where the powers overflow, or
+    the value falls below _DP_FLOOR, it is recomputed relative to the
+    largest difference m, as m * sum((d / m) ** p) ** (1 / p); in range the
+    bits are those of the plain formula."""
+    try:
+        value = sum(float(d) ** p for d in diffs) ** (1.0 / p)
+    except OverflowError:
+        value = math.inf
+    if _DP_FLOOR <= value < math.inf:
+        return value
+    m = max(diffs)
+    if m == 0 or m == math.inf:
+        # identical points keep the plain formula's 0.0; an infinite
+        # difference is an infinite distance, where d / m would give NaN
+        return value if m == 0 else math.inf
+    return m * sum((d / m) ** p for d in diffs) ** (1.0 / p)
 
 
 def distances(space: MetricSpace, y, points) -> list:
@@ -277,15 +301,29 @@ def distances(space: MetricSpace, y, points) -> list:
     check_point(space, y)
     for q in points:
         check_point(space, q)
-    p = space.p
-    axes = zip(zip(*points), y)
+    return _float_fan(space.p, y, list(zip(*points)))
+
+
+def _float_fan(p, y, axes) -> list:
+    """`distances` on a float vector space, after the point checks: `axes`
+    holds the points' coordinates axis by axis."""
+    pairs = zip(axes, y)
     if p == math.inf or p == 1:
-        columns = [[abs(c - v) for c in axis] for axis, v in axes]
+        columns = [[abs(c - v) for c in axis] for axis, v in pairs]
         reduce = max if p == math.inf else sum
         return [reduce(terms) for terms in zip(*columns)]
-    columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in axes]
-    root = 1.0 / p
-    return [sum(terms) ** root for terms in zip(*columns)]
+    try:
+        columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in pairs]
+    except OverflowError:
+        columns = None
+    if columns is not None:
+        root = 1.0 / p
+        values = [sum(terms) ** root for terms in zip(*columns)]
+        if _DP_FLOOR <= min(values) and max(values) < math.inf:
+            return values
+    # a value out of range: every point goes through the guarded formula,
+    # which returns the same bits as above for the values in range
+    return [_dp_value([abs(c - v) for c, v in zip(q, y)], p) for q in zip(*axes)]
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:

@@ -37,6 +37,17 @@ TRANSLATION_SPEC = {
     "x0": [0, 0],
 }
 
+# d_3 powers of differences near 1e120 overflow a float
+HALVING_P3_SPEC = {
+    "space": "vec2-p3",
+    "kind": "affine",
+    "parameters": {"matrix": [["1/2", 0], [0, "1/2"]], "offset": [0, 0]},
+    "domain": {"repr": "all", "radius": 1e120},
+    "alpha": 1,
+    "beta": 0,
+    "x0": [1, 0],
+}
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -244,6 +255,10 @@ class TestFixedpointCommand:
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "fixedpoint.json").read_text())
         assert "unbounded" in report["error"]
+
+    def test_window_whose_distances_overflow_exits_without_traceback(self, tmp_path):
+        spec = write_json(tmp_path / "halve.json", HALVING_P3_SPEC)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) in (0, 1, 2)
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["fixedpoint", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2

@@ -233,9 +233,11 @@ class TestExactFunctionSpaceAxioms:
         assert distance(space, f, h) + distance(space, h, g) >= dfg
 
 
-# floats (subnormals included), ints and both signed zeros
+# floats (subnormals included, and now and then any finite float, whose
+# powers and differences overflow), ints and both signed zeros
 _FLOAT_COORD = st.one_of(
     st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-50, 50),
     st.sampled_from([0.0, -0.0]),
 )
@@ -317,6 +319,31 @@ class TestOneToManyDistances:
         for y, points in [(good, [good, (1.0, 2.0)]), ((1.0, 2.0), [good]), (good, [good * 2])]:
             with pytest.raises(DimensionMismatch):
                 distances(space, y, points)
+
+
+class TestDpRange:
+    """d_p for 1 < p < inf keeps its value where the powers of the
+    differences underflow or overflow a float."""
+
+    @pytest.mark.parametrize(
+        "sid, a, b, want",
+        [
+            ("vec1-p2", (0.0,), (1e-200,), 1e-200),
+            ("vec2-p1.5", (0, 0), (1e-250, 0), 1e-250),
+            ("vec2-p3", (0.0, 0.0), (1e120, 0.0), 1e120),
+        ],
+    )
+    def test_out_of_range_differences(self, sid, a, b, want):
+        space = space_from_id(sid)
+        assert distance(space, a, b) == want
+        assert distances(space, b, [a, b]) == [want, 0.0]
+
+    @pytest.mark.parametrize("p", ["1.5", "2", "3"])
+    def test_an_infinite_difference_is_an_infinite_distance(self, p):
+        space = space_from_id(f"vec2-p{p}")
+        a, b = (-1e308, 1.0), (1e308, 0.0)
+        assert distance(space, a, b) == math.inf
+        assert distances(space, b, [a, b]) == [math.inf, 0.0]
 
 
 class TestFloatMetricAxioms:
