@@ -319,11 +319,35 @@ def _float_fan(p, y, axes) -> list:
     if columns is not None:
         root = 1.0 / p
         values = [sum(terms) ** root for terms in zip(*columns)]
-        if _DP_FLOOR <= min(values) and max(values) < math.inf:
+        if min(values, default=_DP_FLOOR) >= _DP_FLOOR and max(values, default=0) < math.inf:
             return values
     # a value out of range: every point goes through the guarded formula,
     # which returns the same bits as above for the values in range
     return [_dp_value([abs(c - v) for c, v in zip(q, y)], p) for q in zip(*axes)]
+
+
+def distance_table(space: MetricSpace, rows, cols) -> list:
+    """`[[distance(space, a, b) for b in cols] for a in rows]`, equal in
+    value and type, with each point checked once.
+
+    Float vector spaces run the `distances` kernel once per row; exact
+    vector spaces scale every point once to one common denominator and
+    build one Fraction per entry; function spaces go pair by pair.
+    """
+    if space.carrier != VECTOR:
+        return [[distance(space, a, b) for b in cols] for a in rows]
+    for q in (*rows, *cols):
+        check_point(space, q)
+    if not space.exact:
+        axes = list(zip(*cols))
+        return [_float_fan(space.p, a, axes) for a in rows]
+    den = common_denominator([c for q in (*rows, *cols) for c in q])
+    cols = [scaled(b, den) for b in cols]
+    reduce = max if space.p == math.inf else sum
+    return [
+        [Fraction(reduce([abs(u - v) for u, v in zip(a, b)]), den) for b in cols]
+        for a in (scaled(a, den) for a in rows)
+    ]
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:

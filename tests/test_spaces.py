@@ -19,6 +19,7 @@ from mclab import (
     check_property,
     constant_fn,
     distance,
+    distance_table,
     distances,
     estimate_uniform_modulus,
     l1_function_space,
@@ -290,11 +291,24 @@ def _exact_fans(draw):
     return space, draw(point), draw(st.lists(point, min_size=1, max_size=8))
 
 
+def _bits(values):
+    """Each value with its type, floats by their bits: signed zeros and
+    last-bit changes differ."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
 def _assert_pairwise(space, y, points):
     got = distances(space, y, points)
-    want = [distance(space, q, y) for q in points]
-    assert got == want
-    assert [type(v) for v in got] == [type(v) for v in want]
+    assert _bits(got) == _bits([distance(space, q, y) for q in points])
+
+
+@st.composite
+def _tables(draw):
+    """(space, rows, cols): the points of a float or exact fan as columns,
+    and rows drawn from them and the fan's centre, repeats included."""
+    space, y, points = draw(st.one_of(_float_fans(), _exact_fans()))
+    rows = draw(st.lists(st.sampled_from([y, *points]), min_size=1, max_size=8))
+    return space, rows, points
 
 
 class TestOneToManyDistances:
@@ -321,6 +335,29 @@ class TestOneToManyDistances:
                 distances(space, y, points)
 
 
+class TestDistanceTable:
+    """`distance_table(space, rows, cols)` is the pairwise table bit for
+    bit: Hausdorff distances compare its entries and report them."""
+
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pairwise_table(self, case):
+        space, rows, cols = case
+        got = distance_table(space, rows, cols)
+        want = [[distance(space, a, b) for b in cols] for a in rows]
+        assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
+    @pytest.mark.parametrize(
+        "sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf", "vec3-p1-exact", "vec3-pinf-exact"]
+    )
+    def test_a_point_of_the_wrong_length_raises(self, sid):
+        space = space_from_id(sid)
+        good = (0, F(1, 2), 2) if space.exact else (0.0, 1.0, 2)
+        for rows, cols in [([good], [good, (1, 2)]), ([(1, 2)], [good]), ([good], [good * 2])]:
+            with pytest.raises(DimensionMismatch):
+                distance_table(space, rows, cols)
+
+
 class TestDpRange:
     """d_p for 1 < p < inf keeps its value where the powers of the
     differences underflow or overflow a float."""
@@ -337,6 +374,7 @@ class TestDpRange:
         space = space_from_id(sid)
         assert distance(space, a, b) == want
         assert distances(space, b, [a, b]) == [want, 0.0]
+        assert distance_table(space, [a, b], [b]) == [[want], [0.0]]
 
     @pytest.mark.parametrize("p", ["1.5", "2", "3"])
     def test_an_infinite_difference_is_an_infinite_distance(self, p):
@@ -344,6 +382,7 @@ class TestDpRange:
         a, b = (-1e308, 1.0), (1e308, 0.0)
         assert distance(space, a, b) == math.inf
         assert distances(space, b, [a, b]) == [math.inf, 0.0]
+        assert distance_table(space, [a, b], [b]) == [[math.inf], [0.0]]
 
 
 class TestFloatMetricAxioms:
