@@ -1,12 +1,12 @@
 """Hausdorff distance between set representations.
 
 The directed distance from A to B is the maximum, over A's sample points, of
-the distance to B.  That distance is exact: a finite B is searched point by
-point, a singleton, box or capped simplex has a closed-form nearest point,
-and a union takes the nearest over its parts.  Boxes under the sup metric
-are compared per coordinate as interval Hausdorff distances.  Two finite
-sets share one distance table: its row minima give the distance from A to
-B, its column minima the distance from B to A.  The result is marked exact
+the distance to B.  That distance is exact: a finite B is searched in one
+`distances` row, a singleton, box or capped simplex has a closed-form
+nearest point, and a union takes the nearest over its parts.  Boxes under
+the sup metric are compared per coordinate as interval Hausdorff
+distances.  Two finite sets share one `distance_table`: its row minima give
+the distance from A to B, its column minima the distance from B to A.  The result is marked exact
 when A's sample points attain the supremum: A finite, or A a capped simplex
 (whose vertices are its sample points) and B convex.  Witness pairs are
 always returned; ties break to the lexicographically smallest witness so
@@ -27,7 +27,7 @@ from .convexsets import (
     Singleton,
 )
 from .errors import EmptySetError, MclabError
-from .spaces import MetricSpace, distance
+from .spaces import MetricSpace, distance, distance_table, distances
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _nearest(space, a, B):
     if isinstance(B, SetUnion):
         return min(_nearest(space, a, part) for part in B.parts)
     if isinstance(B, FiniteSet):
-        return min((distance(space, a, b), b) for b in B.points)
+        return min(zip(distances(space, a, B.points), B.points))
     if not isinstance(B, _CLOSED_FORM):
         raise MclabError(f"no nearest-point form for a {B.kind} representation")
     b = B.nearest(a)
@@ -122,7 +122,7 @@ def _finite_pair(space, A, B):
     row minima give A -> B, column minima B -> A (d(a, b) and d(b, a) are
     bit-equal)."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
-    table = [[distance(space, a, b) for b in pts_b] for a in pts_a]
+    table = distance_table(space, pts_a, pts_b)
     exact = A.exact and B.exact
     forward = _directed_points(
         (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)
