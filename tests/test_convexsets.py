@@ -333,17 +333,25 @@ def _scan_on_spheres(space, x, y, t, conv, rep, tol=DEFAULT_TOL):
     return "holds", len(points), max_slack, None
 
 
+# a rational in (0, 1) with a denominator of 2-30
+_EXACT_T = st.integers(2, 30).flatmap(lambda q: st.integers(1, q - 1).map(lambda k: F(k, q)))
+
+
 @st.composite
-def _sup_boxes(draw):
+def _sup_boxes(draw, exact=None):
     """(space, x, y, t, conv, box): a d_inf midpoint box in dimension 1-6,
-    on the rational lattice or in floats, with each axis kept, collapsed
-    to one value, or shifted or widened off the spheres."""
+    exact (rationals with denominators 1-30 and plain ints) or in floats
+    unless `exact` is given, with each axis kept, collapsed to one value,
+    or shifted or widened off the spheres."""
     dim = draw(st.integers(1, 6))
-    exact = draw(st.booleans())
+    if exact is None:
+        exact = draw(st.booleans())
     if exact:
-        coord = st.integers(-32, 32).map(lambda k: F(k, 16))
-        t = draw(st.integers(1, 15).map(lambda k: F(k, 16)))
-        step = st.integers(1, 8).map(lambda k: F(k, 16))
+        coord = st.one_of(
+            st.integers(-2, 2), st.builds(F, st.integers(-60, 60), st.integers(1, 30))
+        )
+        t = draw(_EXACT_T)
+        step = st.builds(F, st.integers(1, 8), st.integers(1, 30))
     else:
         coord = st.one_of(
             st.integers(-32, 32).map(lambda k: k / 16),
@@ -375,6 +383,22 @@ def _sup_boxes(draw):
         lower.append(lo)
         upper.append(hi)
     return space, x, y, t, conv, Box(tuple(lower), tuple(upper), exact=exact)
+
+
+class TestExactSupBox:
+    """The bounds of an exact d_inf midpoint box against the Fraction
+    formula, with d(x, y) and the radii worked out here."""
+
+    @given(_sup_boxes(exact=True))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_box_bounds_equal_the_fraction_formula(self, case):
+        space, x, y, t, conv, _ = case
+        d = max(abs(F(a) - F(b)) for a, b in zip(x, y))
+        r1, r2 = (t * d, (1 - t) * d) if conv is FX else ((1 - t) * d, t * d)
+        rep = midpoint_set(space, x, y, t, conv)
+        assert rep.lower == tuple(max(a - r1, b - r2) for a, b in zip(x, y))
+        assert rep.upper == tuple(min(a + r1, b + r2) for a, b in zip(x, y))
+        assert all(type(v) is F for v in (*rep.lower, *rep.upper))
 
 
 class TestSupBoxOnSpheres:
