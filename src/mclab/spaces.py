@@ -275,7 +275,7 @@ def _dp_value(diffs, p) -> float:
     largest difference m, as m * sum((d / m) ** p) ** (1 / p); in range the
     bits are those of the plain formula."""
     try:
-        value = sum(float(d) ** p for d in diffs) ** (1.0 / p)
+        value = sum([float(d) ** p for d in diffs]) ** (1.0 / p)
     except OverflowError:
         value = math.inf
     if _DP_FLOOR <= value < math.inf:
@@ -286,6 +286,12 @@ def _dp_value(diffs, p) -> float:
         # difference is an infinite distance, where d / m would give NaN
         return value if m == 0 else math.inf
     return m * sum((d / m) ** p for d in diffs) ** (1.0 / p)
+
+
+def _dp_in_range(values) -> bool:
+    """Whether d_p values from the plain formula need no recomputation by
+    `_dp_value`: none below _DP_FLOOR and none infinite."""
+    return min(values, default=_DP_FLOOR) >= _DP_FLOOR and max(values, default=0) < math.inf
 
 
 def distances(space: MetricSpace, y, points) -> list:
@@ -319,7 +325,7 @@ def _float_fan(p, y, axes) -> list:
     if columns is not None:
         root = 1.0 / p
         values = [sum(terms) ** root for terms in zip(*columns)]
-        if min(values, default=_DP_FLOOR) >= _DP_FLOOR and max(values, default=0) < math.inf:
+        if _dp_in_range(values):
             return values
     # a value out of range: every point goes through the guarded formula,
     # which returns the same bits as above for the values in range
@@ -330,24 +336,39 @@ def distance_table(space: MetricSpace, rows, cols) -> list:
     """`[[distance(space, a, b) for b in cols] for a in rows]`, equal in
     value and type, with each point checked once.
 
-    Float vector spaces run the `distances` kernel once per row; exact
-    vector spaces scale every point once to one common denominator and
-    build one Fraction per entry; function spaces go pair by pair.
+    Float vector spaces reduce each pair's differences in place with the
+    same `sum`/`max`/root as `distance`: the finite sets of a Hausdorff
+    distance have a few points each, too few for the one-to-many kernel of
+    `distances` to pay off.  Exact vector spaces scale every point once to
+    one common denominator and build one Fraction per entry; function
+    spaces go pair by pair.
     """
     if space.carrier != VECTOR:
         return [[distance(space, a, b) for b in cols] for a in rows]
     for q in (*rows, *cols):
         check_point(space, q)
-    if not space.exact:
-        axes = list(zip(*cols))
-        return [_float_fan(space.p, a, axes) for a in rows]
-    den = common_denominator([c for q in (*rows, *cols) for c in q])
-    cols = [scaled(b, den) for b in cols]
-    reduce = max if space.p == math.inf else sum
-    return [
-        [Fraction(reduce([abs(u - v) for u, v in zip(a, b)]), den) for b in cols]
-        for a in (scaled(a, den) for a in rows)
-    ]
+    p = space.p
+    reduce = max if p == math.inf else sum
+    if space.exact:
+        den = common_denominator([c for q in (*rows, *cols) for c in q])
+        cols = [scaled(b, den) for b in cols]
+        return [
+            [Fraction(reduce([abs(u - v) for u, v in zip(a, b)]), den) for b in cols]
+            for a in (scaled(a, den) for a in rows)
+        ]
+    if p == math.inf or p == 1:
+        return [[reduce([abs(u - v) for u, v in zip(a, b)]) for b in cols] for a in rows]
+    root = 1.0 / p
+    try:
+        table = [
+            [sum([float(abs(u - v)) ** p for u, v in zip(a, b)]) ** root for b in cols]
+            for a in rows
+        ]
+    except OverflowError:
+        table = None
+    if table is not None and _dp_in_range([v for row in table for v in row]):
+        return table
+    return [[_dp_value([abs(u - v) for u, v in zip(a, b)], p) for b in cols] for a in rows]
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:
