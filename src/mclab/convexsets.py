@@ -11,11 +11,17 @@ A closed ball of any metric is a `MetricBall`: the fixed-point solvers use
 it as a domain and the nested-family solver as a constraint, and its
 constructor is where a center and radius are validated.
 
+An exact d_inf box is built in integers: x, y and the radii are scaled to
+one common denominator, and one Fraction is made per bound at the end.
+
 Every member of a midpoint set lies on both bounding spheres.  The check of
 a d_inf box reads per-axis extremes instead of scanning its 3^n sample grid:
 over the grid, d_inf(z, x) runs from the largest per-axis minimum of
 |z_i - x_i| to the largest per-axis maximum, so the worst sphere gap sits at
-one of four numbers; only a box that fails is scanned, for its first point.
+one of four numbers.  An exact box is read in integers over twice the
+common denominator of its bounds, centres and radii, where the axis
+midpoints (lo + hi) // 2 are exact.  Only a box that fails is scanned, for
+its first point.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -397,6 +403,8 @@ def midpoint_set(
     d = distance(space, x, y)
     r1, r2 = radii_for(conv, t, d)
     p = space.p
+    if p == math.inf and space.exact and is_rational(r1) and is_rational(r2):
+        return _exact_sup_box(x, y, r1, r2)
     if p == math.inf:
         lower, upper = [], []
         for xi, yi in zip(x, y):
@@ -419,6 +427,24 @@ def midpoint_set(
     # straight chord at distance r1 from x
     w = r1 / d
     return Singleton(vlerp(x, y, w), exact=space.exact)
+
+
+def _exact_sup_box(x, y, r1, r2) -> Box:
+    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii: each
+    bound max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2) in integers
+    over one common denominator, and one Fraction per bound at the end."""
+    den = common_denominator((*x, *y, r1, r2))
+    s1, s2 = scaled((r1, r2), den)
+    lower, upper = [], []
+    for a, b in zip(scaled(x, den), scaled(y, den)):
+        lo, hi = max(a - s1, b - s2), min(a + s1, b + s2)
+        if lo > hi:
+            raise InternalInconsistency(
+                "empty box intersection for a sup-metric midpoint set"
+            )
+        lower.append(Fraction(lo, den))
+        upper.append(Fraction(hi, den))
+    return Box(tuple(lower), tuple(upper), exact=True)
 
 
 def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
@@ -477,12 +503,7 @@ def verify_on_spheres(
         # extremes, and |d - r| is largest at an end of that range (also in
         # float: rounding is monotone); a failure falls through to the scan
         # so that it names the scan's first point
-        axes = rep.axis_values()
-        gap = max(
-            abs(dc - r)
-            for c, r in ((x, r1), (y, r2))
-            for dc in _sup_distance_range(axes, c)
-        )
+        gap, axes = _sup_box_gap(space, rep, ((x, r1), (y, r2)))
         if gap <= limit:
             return verdict(
                 "SphereEquivalence",
@@ -551,12 +572,36 @@ def verify_on_spheres(
     )
 
 
-def _sup_distance_range(axes, c):
-    """Least and greatest d_inf(z, c) over the points z of the product of
-    the per-axis value lists `axes`; each |v - c_i| is the difference that
-    `distance` takes, so both ends are bit-exact."""
-    spans = [[abs(v - ci) for v in values] for values, ci in zip(axes, c)]
-    return max(map(min, spans)), max(map(max, spans))
+def _sup_box_gap(space, rep: Box, spheres):
+    """The largest |d_inf(z, c) - r| over the points z of the box's sample
+    grid and the spheres (c, r), with the grid's per-axis values.  An exact
+    box is read in integers over twice the common denominator of its
+    bounds, centres and radii, where every axis midpoint (lo + hi) // 2 is
+    exact; one Fraction is built at the end."""
+    values = (*rep.lower, *rep.upper, *(v for c, r in spheres for v in (*c, r)))
+    if not (space.exact and all(map(is_rational, values))):
+        axes = rep.axis_values()
+        return _sphere_gap(axes, spheres), axes
+    den = 2 * common_denominator(values)
+    axes = [
+        (lo,) if lo == hi else (lo, (lo + hi) // 2, hi)
+        for lo, hi in zip(scaled(rep.lower, den), scaled(rep.upper, den))
+    ]
+    spheres = [(scaled(c, den), *scaled((r,), den)) for c, r in spheres]
+    return Fraction(_sphere_gap(axes, spheres), den), axes
+
+
+def _sphere_gap(axes, spheres):
+    """The largest |d_inf(z, c) - r| over the points z of the product of
+    the per-axis value lists `axes` and the spheres (c, r).  d_inf(z, c)
+    runs from the largest per-axis least |v - c_i| to the largest per-axis
+    greatest one, and each |v - c_i| is the difference that `distance`
+    takes, so both ends are bit-exact."""
+    gaps = []
+    for c, r in spheres:
+        spans = [[abs(v - ci) for v in values] for values, ci in zip(axes, c)]
+        gaps += (abs(max(map(min, spans)) - r), abs(max(map(max, spans)) - r))
+    return max(gaps)
 
 
 def sphere_equivalence_check(
