@@ -5,10 +5,11 @@ the distance to B.  That distance is exact: a finite B is searched in one
 `distances` row, a singleton, box or capped simplex has a closed-form
 nearest point, and a union takes the nearest over its parts.  Boxes under
 the sup metric are compared per coordinate as interval Hausdorff
-distances.  Two finite sets share one `distance_table`: its row minima give
-the distance from A to B, its column minima the distance from B to A.  The result is marked exact
-when A's sample points attain the supremum: A finite, or A a capped simplex
-(whose vertices are its sample points) and B convex.  Witness pairs are
+distances.  Two finite sets share one `distance_table`, which checks each
+point once: its row minima give the distance from A to B, its column
+minima the distance from B to A.  The result is marked exact when A's
+sample points attain the supremum: A finite, or A a capped simplex (whose
+vertices are its sample points) and B convex.  Witness pairs are
 always returned; ties break to the lexicographically smallest witness so
 results are deterministic.
 """

@@ -307,19 +307,14 @@ def distances(space: MetricSpace, y, points) -> list:
     check_point(space, y)
     for q in points:
         check_point(space, q)
-    return _float_fan(space.p, y, list(zip(*points)))
-
-
-def _float_fan(p, y, axes) -> list:
-    """`distances` on a float vector space, after the point checks: `axes`
-    holds the points' coordinates axis by axis."""
-    pairs = zip(axes, y)
+    p = space.p
+    axes = zip(zip(*points), y)
     if p == math.inf or p == 1:
-        columns = [[abs(c - v) for c in axis] for axis, v in pairs]
+        columns = [[abs(c - v) for c in axis] for axis, v in axes]
         reduce = max if p == math.inf else sum
         return [reduce(terms) for terms in zip(*columns)]
     try:
-        columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in pairs]
+        columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in axes]
     except OverflowError:
         columns = None
     if columns is not None:
@@ -329,7 +324,7 @@ def _float_fan(p, y, axes) -> list:
             return values
     # a value out of range: every point goes through the guarded formula,
     # which returns the same bits as above for the values in range
-    return [_dp_value([abs(c - v) for c, v in zip(q, y)], p) for q in zip(*axes)]
+    return [_dp_value([abs(c - v) for c, v in zip(q, y)], p) for q in points]
 
 
 def distance_table(space: MetricSpace, rows, cols) -> list:
