@@ -260,7 +260,13 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
         return max(diffs)
     if p == 1:
         return sum(diffs)
-    return _dp_value(diffs, p)
+    try:
+        value = sum([float(d) ** p for d in diffs]) ** (1.0 / p)
+    except OverflowError:
+        value = math.inf
+    if _DP_FLOOR <= value < math.inf:
+        return value
+    return _dp_rescaled(diffs, p, value)
 
 
 # The smallest d_p value (1 < p < inf) taken from sum(d ** p) ** (1 / p) as
@@ -269,29 +275,16 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
 _DP_FLOOR = 1e-100
 
 
-def _dp_value(diffs, p) -> float:
-    """sum(d ** p for d in diffs) ** (1 / p).  Where the powers overflow, or
-    the value falls below _DP_FLOOR, it is recomputed relative to the
-    largest difference m, as m * sum((d / m) ** p) ** (1 / p); in range the
-    bits are those of the plain formula."""
-    try:
-        value = sum([float(d) ** p for d in diffs]) ** (1.0 / p)
-    except OverflowError:
-        value = math.inf
-    if _DP_FLOOR <= value < math.inf:
-        return value
+def _dp_rescaled(diffs, p, value) -> float:
+    """The d_p value of `diffs` where `value`, the plain formula (inf where
+    its powers overflowed), is below _DP_FLOOR or infinite: recomputed
+    relative to the largest difference m as m * sum((d / m) ** p) ** (1 / p)."""
     m = max(diffs)
     if m == 0 or m == math.inf:
         # identical points keep the plain formula's 0.0; an infinite
         # difference is an infinite distance, where d / m would give NaN
         return value if m == 0 else math.inf
     return m * sum((d / m) ** p for d in diffs) ** (1.0 / p)
-
-
-def _dp_in_range(values) -> bool:
-    """Whether d_p values from the plain formula need no recomputation by
-    `_dp_value`: none below _DP_FLOOR and none infinite."""
-    return min(values, default=_DP_FLOOR) >= _DP_FLOOR and max(values, default=0) < math.inf
 
 
 def distances(space: MetricSpace, y, points) -> list:
@@ -316,15 +309,18 @@ def distances(space: MetricSpace, y, points) -> list:
     try:
         columns = [[float(abs(c - v)) ** p for c in axis] for axis, v in axes]
     except OverflowError:
-        columns = None
-    if columns is not None:
-        root = 1.0 / p
-        values = [sum(terms) ** root for terms in zip(*columns)]
-        if _dp_in_range(values):
-            return values
-    # a value out of range: every point goes through the guarded formula,
-    # which returns the same bits as above for the values in range
-    return [_dp_value([abs(c - v) for c, v in zip(q, y)], p) for q in points]
+        return [distance(space, q, y) for q in points]
+    root = 1.0 / p
+    values = [sum(terms) ** root for terms in zip(*columns)]
+    # an infinite value makes the sum infinite, and a sum is cheaper than a max
+    if values and (min(values) < _DP_FLOOR or sum(values) == math.inf):
+        # the values out of range (0 at y itself among them) are taken
+        # pair by pair, where `distance` recomputes them
+        values = [
+            v if _DP_FLOOR <= v < math.inf else distance(space, q, y)
+            for v, q in zip(values, points)
+        ]
+    return values
 
 
 def distance_table(space: MetricSpace, rows, cols) -> list:
@@ -360,10 +356,15 @@ def distance_table(space: MetricSpace, rows, cols) -> list:
             for a in rows
         ]
     except OverflowError:
-        table = None
-    if table is not None and _dp_in_range([v for row in table for v in row]):
-        return table
-    return [[_dp_value([abs(u - v) for u, v in zip(a, b)], p) for b in cols] for a in rows]
+        return [[distance(space, a, b) for b in cols] for a in rows]
+    values = [v for row in table for v in row]
+    if values and (min(values) < _DP_FLOOR or sum(values) == math.inf):
+        # as in `distances`: the values out of range are taken pair by pair
+        table = [
+            [v if _DP_FLOOR <= v < math.inf else distance(space, a, b) for v, b in zip(row, cols)]
+            for a, row in zip(rows, table)
+        ]
+    return table
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:
