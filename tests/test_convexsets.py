@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mclab import (
@@ -342,7 +342,7 @@ def _sup_boxes(draw, exact=None):
     """(space, x, y, t, conv, box): a d_inf midpoint box in dimension 1-6,
     exact (rationals with denominators 1-30 and plain ints) or in floats
     unless `exact` is given, with each axis kept, collapsed to one value,
-    or shifted or widened off the spheres."""
+    shifted or widened off the spheres, or replaced by any interval."""
     dim = draw(st.integers(1, 6))
     if exact is None:
         exact = draw(st.booleans())
@@ -367,7 +367,9 @@ def _sup_boxes(draw, exact=None):
     rep = midpoint_set(space, x, y, t, conv)
     lower, upper = [], []
     for lo, hi in zip(rep.lower, rep.upper):
-        move = draw(st.sampled_from(["keep", "keep", "lo", "hi", "mid", "shift", "grow"]))
+        move = draw(
+            st.sampled_from(["keep", "keep", "lo", "hi", "mid", "shift", "grow", "span"])
+        )
         if move == "lo":
             hi = lo
         elif move == "hi":
@@ -380,6 +382,10 @@ def _sup_boxes(draw, exact=None):
         elif move == "grow":
             delta = draw(step)
             lo, hi = lo - delta, hi + delta
+        elif move == "span":
+            # any interval of coordinates, exact ones as Fractions so that
+            # the midpoint of two ints stays exact
+            lo, hi = sorted(F(draw(coord)) if exact else draw(coord) for _ in "lh")
         lower.append(lo)
         upper.append(hi)
     return space, x, y, t, conv, Box(tuple(lower), tuple(upper), exact=exact)
@@ -418,6 +424,29 @@ class TestSupBoxOnSpheres:
         assert verdict.max_slack == max_slack
         assert type(verdict.max_slack) is type(max_slack)
         assert (verdict.witness or {}).get("point") == point
+
+    @given(_sup_boxes())
+    # an axis midpoint, 5/14, off the lattice of the box and the centre
+    # 2/7: the least distance to x is taken there
+    @example(
+        (
+            vector_space(1, math.inf, exact=True),
+            (F(2, 7),),
+            (F(8, 7),),
+            F(1, 2),
+            FX,
+            Box((F(0),), (F(5, 7),)),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gap_is_the_largest_gap_of_the_scan(self, case):
+        space, x, y, t, conv, box = case
+        points = box.sample_points()
+        for sphere in zip((x, y), radii_for(conv, t, distance(space, x, y))):
+            gap, axes = convexsets._sup_box_gap(space, box, (sphere,))
+            c, r = sphere
+            assert gap == max(abs(distance(space, z, c) - r) for z in points)
+            assert math.prod(map(len, axes)) == len(points)
 
     def test_a_box_on_the_spheres_costs_no_per_point_distance(self, monkeypatch):
         space = vector_space(6, math.inf)
