@@ -328,7 +328,7 @@ def distance_table(space: MetricSpace, rows, cols) -> list:
     value and type, with each point checked once.
 
     Float vector spaces reduce each pair's differences in place with the
-    same `sum`/`max`/root as `distance`: the finite sets of a Hausdorff
+    same `sum`, `max` and root as `distance`: the finite sets of a Hausdorff
     distance have a few points each, too few for the one-to-many kernel of
     `distances` to pay off.  Exact vector spaces scale every point once to
     one common denominator and build one Fraction per entry; function
