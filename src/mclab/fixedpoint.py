@@ -9,13 +9,17 @@ for all x, y in U, with alpha outside (0, 1) and beta in [0, 1].  The class
 contains nonexpansive mappings at (1, 0) and metrically nonspreading
 mappings at (2, 1).  When some orbit is bounded, the tail of the orbit
 defines a functional whose minimiser is a fixed point; the functional is
-minimised here by a deterministic derivative-free pattern search.
+minimised here by a deterministic derivative-free pattern search.  It is
+evaluated over the distinct tail points only: an orbit that has reached a
+float fixed point or cycle repeats a few points many times, and equal points
+give equal distances, so the maximum over the distinct points in order of
+first occurrence is the maximum over the whole tail, bit for bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Scalar, parse_float, parse_scalar, parse_vector
@@ -163,7 +167,11 @@ def verify_hybrid(
     tol: float = 1e-9,
 ) -> PropertyVerdict:
     """Sample pairs from the domain and test the hybrid inequality; the worst
-    sample's four squared distances are recorded."""
+    sample's four squared distances are recorded.
+
+    A pair whose squared distances or sides leave the float range (a square
+    beyond it, or inf - inf and 0 * inf on the sides) cannot be decided, and
+    raises SolverFailure rather than recording inf or NaN."""
     plan = plan or SamplePlan()
     rng = plan.rng()
     a, b = params.alpha, params.beta
@@ -177,12 +185,18 @@ def verify_hybrid(
         for image in (tx, ty):
             if not spec.domain.contains(image, DOMAIN_TOL):
                 raise DomainEscape(f"mapping sends a sampled point to {image}")
-        d_txty = distance(space, tx, ty) ** 2
-        d_xty = distance(space, x, ty) ** 2
-        d_txy = distance(space, tx, y) ** 2
-        d_xy = distance(space, x, y) ** 2
+        try:
+            d_txty = distance(space, tx, ty) ** 2
+            d_xty = distance(space, x, ty) ** 2
+            d_txy = distance(space, tx, y) ** 2
+            d_xy = distance(space, x, y) ** 2
+        except OverflowError:
+            # float ** raises where float * gives inf
+            raise _out_of_float_range(x, y) from None
         lhs = a * d_txty + (1 - a) * d_xty
         rhs = b * d_txy + (1 - b) * d_xy
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (lhs, rhs)):
+            raise _out_of_float_range(x, y)
         slack = lhs - rhs
         if max_slack is None or slack > max_slack:
             max_slack = slack
@@ -203,6 +217,13 @@ def verify_hybrid(
         samples=plan.count,
         max_slack=max_slack,
         witness=worst,
+    )
+
+
+def _out_of_float_range(x, y) -> SolverFailure:
+    return SolverFailure(
+        f"the hybrid inequality leaves the float range at x = {x}, y = {y}",
+        certificate={"x": x, "y": y},
     )
 
 
@@ -256,15 +277,18 @@ class AsymptoticFunctional:
     orbit points to y: every member of the half-way midpoint set of an orbit
     point and y sits at exactly half their distance, so the functional does
     not depend on which member is chosen.  The limit superior over the orbit
-    is approximated by the maximum over the tail window.
+    is approximated by the maximum over the tail window, taken over
+    `distinct_tail`, the tail's distinct points in order of first occurrence.
     """
 
     points: tuple
     window: int
+    distinct_tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window < 1 or len(self.points) < self.window:
             raise MclabError("orbit length must be at least the tail window")
+        object.__setattr__(self, "distinct_tail", tuple(dict.fromkeys(self.tail)))
 
     @property
     def tail(self):
@@ -274,7 +298,7 @@ class AsymptoticFunctional:
 def asymptotic_center(space: MetricSpace, F: AsymptoticFunctional, y) -> Scalar:
     """Value of the orbit-tail functional at y."""
     half = Fraction(1, 2) if space.exact else 0.5
-    return half * max(distances(space, y, F.tail))
+    return half * max(distances(space, y, F.distinct_tail))
 
 
 def make_asymptotic_functional(
@@ -309,10 +333,7 @@ def coercivity_probe(
     """
     ks = [2**j for j in range(max_power + 1)]
     values = [asymptotic_center(space, F, vadd(u, vscale(direction, k))) for k in ks]
-    tail = F.tail
-    orbit_bound = max(
-        asymptotic_center(space, F, p) for p in tail
-    )
+    orbit_bound = max(asymptotic_center(space, F, p) for p in F.distinct_tail)
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     holds = nondecreasing and values[-1] > orbit_bound and values[-1] > values[0]
     return {
@@ -430,7 +451,7 @@ def find_fixed_point(
         xtol=min(tol * 1e-3, 1e-9),
     )
     residual = distance(space, spec.apply(u0), u0)
-    orbit_radius = max(distances(space, x0, F.points))
+    orbit_radius = max(distances(space, x0, tuple(dict.fromkeys(F.points))))
     return FixedPointResult(
         point=u0,
         residual=residual,

@@ -261,29 +261,31 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
     if p == 1:
         return sum(diffs)
     try:
-        value = sum([float(d) ** p for d in diffs]) ** (1.0 / p)
+        total = sum([float(d) ** p for d in diffs])
     except OverflowError:
-        value = math.inf
-    if _DP_FLOOR <= value < math.inf:
-        return value
-    return _dp_rescaled(diffs, p, value)
+        total = math.inf
+    if _DP_SUM_FLOOR <= total < math.inf:
+        return total ** (1.0 / p)
+    return _dp_rescaled(diffs, p)
 
 
-# The smallest d_p value (1 < p < inf) taken from sum(d ** p) ** (1 / p) as
-# it stands: below it the powers of the differences may have underflowed.
-# Its p-th power is still a normal float for p <= 3.
-_DP_FLOOR = 1e-100
+# The smallest sum of powers sum(d ** p) (1 < p < inf) whose root is taken
+# as it stands, for every p: below it the powers may have underflowed or be
+# subnormal.  A subnormal power is off by at most 2**-1075, and over fewer
+# than 2**40 coordinates these errors stay below 2**-53 of this floor, so
+# above it the sum keeps a float's precision.
+_DP_SUM_FLOOR = 1e-292
 
 
-def _dp_rescaled(diffs, p, value) -> float:
-    """The d_p value of `diffs` where `value`, the plain formula (inf where
-    its powers overflowed), is below _DP_FLOOR or infinite: recomputed
-    relative to the largest difference m as m * sum((d / m) ** p) ** (1 / p)."""
+def _dp_rescaled(diffs, p) -> float:
+    """The d_p value of `diffs` where the sum of their powers is below
+    _DP_SUM_FLOOR or overflows: recomputed relative to the largest
+    difference m as m * sum((d / m) ** p) ** (1 / p)."""
     m = max(diffs)
     if m == 0 or m == math.inf:
-        # identical points keep the plain formula's 0.0; an infinite
-        # difference is an infinite distance, where d / m would give NaN
-        return value if m == 0 else math.inf
+        # identical points are at 0.0, as the plain formula gives; an
+        # infinite difference is an infinite distance, where d / m is NaN
+        return 0.0 if m == 0 else math.inf
     return m * sum((d / m) ** p for d in diffs) ** (1.0 / p)
 
 
@@ -311,16 +313,16 @@ def distances(space: MetricSpace, y, points) -> list:
     except OverflowError:
         return [distance(space, q, y) for q in points]
     root = 1.0 / p
-    values = [sum(terms) ** root for terms in zip(*columns)]
-    # an infinite value makes the sum infinite, and a sum is cheaper than a max
-    if values and (min(values) < _DP_FLOOR or sum(values) == math.inf):
-        # the values out of range (0 at y itself among them) are taken
+    totals = [sum(terms) for terms in zip(*columns)]
+    # an infinite total makes the sum infinite, and a sum is cheaper than a max
+    if totals and (min(totals) < _DP_SUM_FLOOR or sum(totals) == math.inf):
+        # the totals out of range (0 at y itself among them) are taken
         # pair by pair, where `distance` recomputes them
-        values = [
-            v if _DP_FLOOR <= v < math.inf else distance(space, q, y)
-            for v, q in zip(values, points)
+        return [
+            t ** root if _DP_SUM_FLOOR <= t < math.inf else distance(space, q, y)
+            for t, q in zip(totals, points)
         ]
-    return values
+    return [t ** root for t in totals]
 
 
 def distance_table(space: MetricSpace, rows, cols) -> list:
@@ -351,20 +353,23 @@ def distance_table(space: MetricSpace, rows, cols) -> list:
         return [[reduce([abs(u - v) for u, v in zip(a, b)]) for b in cols] for a in rows]
     root = 1.0 / p
     try:
-        table = [
-            [sum([float(abs(u - v)) ** p for u, v in zip(a, b)]) ** root for b in cols]
+        totals = [
+            [sum([float(abs(u - v)) ** p for u, v in zip(a, b)]) for b in cols]
             for a in rows
         ]
     except OverflowError:
         return [[distance(space, a, b) for b in cols] for a in rows]
-    values = [v for row in table for v in row]
-    if values and (min(values) < _DP_FLOOR or sum(values) == math.inf):
-        # as in `distances`: the values out of range are taken pair by pair
-        table = [
-            [v if _DP_FLOOR <= v < math.inf else distance(space, a, b) for v, b in zip(row, cols)]
-            for a, row in zip(rows, table)
+    flat = [t for row in totals for t in row]
+    if flat and (min(flat) < _DP_SUM_FLOOR or sum(flat) == math.inf):
+        # as in `distances`: the totals out of range are taken pair by pair
+        return [
+            [
+                t ** root if _DP_SUM_FLOOR <= t < math.inf else distance(space, a, b)
+                for t, b in zip(row, cols)
+            ]
+            for a, row in zip(rows, totals)
         ]
-    return table
+    return [[t ** root for t in row] for row in totals]
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mclab.cli import main
 
@@ -43,6 +45,17 @@ HALVING_P3_SPEC = {
     "kind": "affine",
     "parameters": {"matrix": [["1/2", 0], [0, "1/2"]], "offset": [0, 0]},
     "domain": {"repr": "all", "radius": 1e120},
+    "alpha": 1,
+    "beta": 0,
+    "x0": [1, 0],
+}
+
+# squared distances between images near 1e301 leave the float range
+HUGE_AFFINE_SPEC = {
+    "space": "vec2-p2",
+    "kind": "affine",
+    "parameters": {"matrix": [[1e300, 0], [0, 1e300]], "offset": [0, 0]},
+    "domain": {"repr": "all", "radius": 8},
     "alpha": 1,
     "beta": 0,
     "x0": [1, 0],
@@ -259,6 +272,64 @@ class TestFixedpointCommand:
     def test_window_whose_distances_overflow_exits_without_traceback(self, tmp_path):
         spec = write_json(tmp_path / "halve.json", HALVING_P3_SPEC)
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) in (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "scale, alpha, beta, radius",
+        [
+            # squares beyond the float range, under zero weights too,
+            # where 0 * inf would be NaN
+            (1e300, 1, 0, 8),
+            (1e300, 0, 1, 8),
+            (1e300, 2, 1, 8),
+            # finite squares near 1e300 whose weighted sides are inf - inf
+            (1, 1e10, 0, 1e150),
+        ],
+    )
+    def test_sides_out_of_the_float_range_exit_one_with_an_error(
+        self, scale, alpha, beta, radius, tmp_path, capsys
+    ):
+        spec = dict(HUGE_AFFINE_SPEC, alpha=alpha, beta=beta)
+        spec["parameters"] = {"matrix": [[scale, 0], [0, scale]], "offset": [0, 0]}
+        spec["domain"] = {"repr": "all", "radius": radius}
+        path = write_json(tmp_path / "huge.json", spec)
+        assert main(["fixedpoint", path, "--out", str(tmp_path)]) == 1
+        assert "float range" in capsys.readouterr().out
+        text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+        assert "float range" in json.loads(text)["error"]
+        assert "NaN" not in text and "Infinity" not in text
+
+    @given(data=st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_specs_with_magnitudes_up_to_1e300_exit_without_traceback(
+        self, data, tmp_path
+    ):
+        magnitude = st.sampled_from([0, 1, -1, 0.25, 1e-300, 1e10, 1e154, 1e300, -1e300])
+        pair = st.lists(magnitude, min_size=2, max_size=2)
+        spec = {
+            "space": data.draw(st.sampled_from(["vec2-p1", "vec2-p2", "vec2-p3", "vec2-pinf"])),
+            "kind": "affine",
+            "parameters": {"matrix": data.draw(st.lists(pair, min_size=2, max_size=2)),
+                           "offset": data.draw(pair)},
+            "domain": data.draw(st.sampled_from([
+                {"repr": "all", "radius": 8},
+                {"repr": "all", "radius": 1e300},
+                {"repr": "ball", "center": [0, 0], "radius": 1e300},
+            ])),
+            "alpha": data.draw(st.sampled_from([0, 1, 2])),
+            "beta": data.draw(st.sampled_from([0, 1])),
+            "x0": data.draw(pair),
+        }
+        path = write_json(tmp_path / "spec.json", spec)
+        cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20, "fp_budget": 2000})
+        rc = main(["fixedpoint", path, "--out", str(tmp_path), "--config", cfg])
+        assert rc in (0, 1, 2)
+        if rc != 2:
+            text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+            json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["fixedpoint", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2

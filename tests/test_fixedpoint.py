@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclab import (
     Affine,
@@ -21,6 +23,7 @@ from mclab import (
     asymptotic_center,
     coercivity_probe,
     distance,
+    distances,
     find_fixed_point,
     make_asymptotic_functional,
     midpoint_map,
@@ -167,6 +170,67 @@ class TestAsymptoticCenter:
             elsewhere.append(asymptotic_center(SP2, F, (0.0, 0.0)))
         assert all(b <= a + 1e-15 for a, b in zip(at_fix, at_fix[1:]))
         assert len(elsewhere) == 4 and all(v >= 0 for v in elsewhere)
+
+
+def _twin(c):
+    """A coordinate equal in value to c: ints and integral floats swap type,
+    and 0.0 and -0.0 swap sign."""
+    if isinstance(c, int):
+        return float(c)
+    if c == 0:
+        return -c
+    return int(c) if c.is_integer() else c
+
+
+_COORD = st.one_of(
+    st.integers(-5, 5), st.sampled_from([0.0, -0.0]), st.floats(-10, 10, width=16)
+)
+
+
+@st.composite
+def _tails(draw):
+    """(space, y, tail) with p in {1, 1.5, 2, inf}: tail points drawn from a
+    small pool, now and then as a twin that equals a pool point in value."""
+    dim = draw(st.integers(1, 3))
+    space = vector_space(dim, draw(st.sampled_from([1, 1.5, 2, math.inf])))
+    point = st.lists(_COORD, min_size=dim, max_size=dim).map(tuple)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    twin = pick.map(lambda q: tuple(_twin(c) for c in q))
+    tail = draw(st.lists(st.one_of(pick, twin), min_size=1, max_size=40))
+    return space, draw(point), tail
+
+
+def _bits(value):
+    return type(value), value.hex()
+
+
+class TestDistinctTail:
+    """The functional measures each distinct tail point once and keeps,
+    bit for bit, the value over the whole tail."""
+
+    @given(_tails())
+    @settings(max_examples=300, deadline=None)
+    def test_value_equals_the_maximum_over_the_whole_tail(self, case):
+        space, y, tail = case
+        F = AsymptoticFunctional(tuple(tail), len(tail))
+        full = 0.5 * max(distances(space, y, F.tail))
+        assert _bits(asymptotic_center(space, F, y)) == _bits(full)
+        probe = coercivity_probe(space, F, y, (1.0,) * space.dim, max_power=2)
+        bound = max(asymptotic_center(space, F, q) for q in F.tail)
+        assert _bits(probe["orbit_bound"]) == _bits(bound)
+
+    def test_golden_rotation_tail_is_all_distinct(self):
+        F = make_asymptotic_functional(SP2, rotation_spec(), (1.0, 0.0))
+        assert F.distinct_tail == F.tail
+        for y in [(0.0, 0.0), (0.25, -0.5), F.tail[3]]:
+            full = 0.5 * max(distances(SP2, y, F.tail))
+            assert _bits(asymptotic_center(SP2, F, y)) == _bits(full)
+
+    def test_contraction_tail_that_reached_its_fixed_point_is_one_point(self):
+        spec = MappingSpec(Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2))
+        F = make_asymptotic_functional(SP2, spec, (-3.0, 3.0))
+        assert len(F.tail) == 32 and F.distinct_tail == ((1.0, 1.0),)
 
 
 class TestFindFixedPoint:

@@ -117,6 +117,13 @@ CASES = (
 )
 
 
+def report_stem(case: str) -> str:
+    """The name, without suffix, of the reports that `case` writes."""
+    command = case.split("-", 1)[0]
+    # fixedpoint and nested write one report name whatever the input
+    return case if command in ("check", "reproduce") else command
+
+
 def run_case(case: str, out_dir: Path) -> Path:
     """Run the command behind `case` and return the JSON report it wrote."""
     cfg = out_dir / "golden-config.json"
@@ -132,21 +139,26 @@ def run_case(case: str, out_dir: Path) -> Path:
     elif command == "reproduce":
         argv = ["reproduce", name, *common]
     else:
-        # fixedpoint and nested write one report name whatever the input
         source = out_dir / f"{case}-input.json"
         source.write_text(json.dumps(INPUTS[case]), encoding="utf-8")
         argv = [command, str(source), *common]
-        case = command
     main(argv)
-    return out_dir / f"{case}.json"
+    return out_dir / f"{report_stem(case)}.json"
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
     for key in [k for k in os.environ if k.startswith("MCLAB_")]:
         monkeypatch.delenv(key)
+    golden = (GOLDEN_DIR / f"{case}.json").read_bytes()
+    # stale reports, longer than the new ones, under both report names: the
+    # command rewrites them in place and must leave none of their bytes
+    stale = b"stale report\n" * (len(golden) // 13 + 100)
+    for suffix in (".json", ".md"):
+        (tmp_path / f"{report_stem(case)}{suffix}").write_bytes(stale)
     written = run_case(case, tmp_path)
-    assert written.read_bytes() == (GOLDEN_DIR / f"{case}.json").read_bytes()
+    assert written.read_bytes() == golden
+    assert b"stale report" not in written.with_suffix(".md").read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mclab.reports import stable_json_dumps, to_json
+from mclab.cli import main
+from mclab.reports import stable_json_dumps, to_json, write_reports
 
 scalars = st.one_of(
     st.fractions(),
@@ -44,3 +46,50 @@ def test_scalar_forms():
     assert to_json(0.1 + 0.2) == 0.3
     assert to_json((1, (Fraction(1, 2), True, None))) == [1, ["1/2", True, None]]
     assert stable_json_dumps({"b": 1, "a": 2.0}) == '{\n  "a": 2.0,\n  "b": 1\n}\n'
+
+
+class TestWriteReports:
+    """Reports are rewritten in place and cut to length: the bytes on disk
+    are those of a fresh `Path.write_text(text, encoding="utf-8")`."""
+
+    LONG = ({"points": list(range(200))}, "# Long\n\n" + "- line\n" * 200)
+    SHORT = ({"point": 1}, "# Short\n")
+
+    def assert_reports(self, out, payload, markdown):
+        assert (out / "r.json").read_bytes() == stable_json_dumps(payload).encode()
+        assert (out / "r.md").read_bytes() == markdown.encode()
+
+    def test_a_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        write_reports(tmp_path, "r", *self.LONG)
+        write_reports(tmp_path, "r", *self.SHORT)
+        self.assert_reports(tmp_path, *self.SHORT)
+
+    def test_a_longer_rewrite_leaves_the_new_bytes(self, tmp_path):
+        write_reports(tmp_path, "r", *self.SHORT)
+        write_reports(tmp_path, "r", *self.LONG)
+        self.assert_reports(tmp_path, *self.LONG)
+
+    def test_text_is_encoded_as_write_text_encodes_it(self, tmp_path):
+        markdown = "# Différence\r\n\n- d(x, y) ≤ 1\n"
+        write_reports(tmp_path, "r", {"name": "α"}, markdown)
+        (tmp_path / "ref.md").write_text(markdown, encoding="utf-8")
+        assert (tmp_path / "r.md").read_bytes() == (tmp_path / "ref.md").read_bytes()
+
+    def test_a_missing_out_directory_is_created(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps([[{"center": [0, 0], "radius": 1}]]), encoding="utf-8")
+        out = tmp_path / "new" / "reports"
+        assert main(["nested", str(family), "--out", str(out)]) == 0
+        assert json.loads((out / "nested.json").read_text(encoding="utf-8"))["result"]
+        assert (out / "nested.md").is_file()
+
+    def test_a_new_file_gets_the_mode_of_write_text(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_reports(tmp_path, "r", *self.SHORT)
+            (tmp_path / "ref.json").write_text("{}", encoding="utf-8")
+        finally:
+            os.umask(old)
+        want = (tmp_path / "ref.json").stat().st_mode
+        assert (tmp_path / "r.json").stat().st_mode == want
+        assert (tmp_path / "r.md").stat().st_mode == want

@@ -368,6 +368,9 @@ class TestDpRange:
             ("vec1-p2", (0.0,), (1e-200,), 1e-200),
             ("vec2-p1.5", (0, 0), (1e-250, 0), 1e-250),
             ("vec2-p3", (0.0, 0.0), (1e120, 0.0), 1e120),
+            # subnormal powers whose root lies far above 1e-100
+            ("vec1-p4", (0.0,), (1e-80,), 1e-80),
+            ("vec2-p10", (0.0, 0.0), (0.0, 1e-31), 1e-31),
         ],
     )
     def test_out_of_range_differences(self, sid, a, b, want):
