@@ -43,7 +43,8 @@ CHECK_PROPS = {"vec1-p2": "menger,A,B,Bprime,Bdoubleprime,C,homogeneity"}
 # solver inputs: the README rotation on a ball, a box projection (the
 # (2, 1) nonspreading case) on a box, a halving affine map on the whole
 # space, one 3-D affine contraction per float distance branch (d_1, d_inf
-# and a general p), and a feasible family of nested balls
+# and a general p), a 3-D signed-permutation contraction whose float orbit
+# ends in a 2-cycle, and a feasible family of nested balls
 # column sums (the d_1 operator norm) and row sums (the d_inf one) are at
 # most 3/4, so the map contracts in every d_p
 _CONTRACTION = [[0.25, 0.25, 0], [0, 0.5, 0.25], [0.25, 0, 0.25]]
@@ -102,6 +103,20 @@ INPUTS = {
         "alpha": 1,
         "beta": 0,
         "x0": [1, 2, -1],
+    },
+    # drawn like the perfbench `solvers` maps; the orbit's last 32 points
+    # alternate between two floats that differ in the last place
+    "fixedpoint-cycle2": {
+        "space": "vec3-p2",
+        "kind": "affine",
+        "parameters": {
+            "matrix": [[-0.59, 0, 0], [0, 0, -0.46], [0, 0.83, 0]],
+            "offset": [-2.86, 2.01, -3.47],
+        },
+        "domain": {"repr": "ball", "center": [-1.76, 2.51, -1.29], "radius": 2},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [-1.76, 2.51, -1.29],
     },
     "nested-feasible": [
         [{"center": [0.5, 0], "radius": 1.5}],
