@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -33,7 +33,7 @@ class RunConfig:
     out_dir: str = "reports"
 
     def resolved(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         # the output directory is environment, not run semantics; keeping it
         # out of the embedded config makes report bytes location-independent
         out.pop("out_dir")

@@ -9,11 +9,13 @@ for all x, y in U, with alpha outside (0, 1) and beta in [0, 1].  The class
 contains nonexpansive mappings at (1, 0) and metrically nonspreading
 mappings at (2, 1).  When some orbit is bounded, the tail of the orbit
 defines a functional whose minimiser is a fixed point; the functional is
-minimised here by a deterministic derivative-free pattern search.  It is
-evaluated over the distinct tail points only: an orbit that has reached a
-float fixed point or cycle repeats a few points many times, and equal points
-give equal distances, so the maximum over the distinct points in order of
-first occurrence is the maximum over the whole tail, bit for bit.
+minimised here by a deterministic derivative-free pattern search.  The orbit
+stops iterating at its first exact repeat, whose cycle gives every later
+point.  The functional is evaluated over the distinct tail points only: an
+orbit that has reached a float fixed point or cycle repeats a few points
+many times, and equal points give equal distances, so the maximum over the
+distinct points in order of first occurrence is the maximum over the whole
+tail, bit for bit.
 """
 from __future__ import annotations
 
@@ -169,12 +171,17 @@ def verify_hybrid(
     """Sample pairs from the domain and test the hybrid inequality; the worst
     sample's four squared distances are recorded.
 
-    A pair whose squared distances or sides leave the float range (a square
-    beyond it, or inf - inf and 0 * inf on the sides) cannot be decided, and
-    raises SolverFailure rather than recording inf or NaN."""
+    A pair whose images, squared distances, sides or slack leave the float
+    range (an image coordinate that overflowed, a square beyond the range,
+    inf - inf and 0 * inf on the sides, or a difference of finite sides that
+    overflows) cannot be decided, and raises SolverFailure rather than
+    recording inf or NaN or blaming the domain for the overflow."""
     plan = plan or SamplePlan()
     rng = plan.rng()
-    a, b = params.alpha, params.beta
+    a, a1, b, b1 = (
+        (w, float(w))
+        for w in (params.alpha, 1 - params.alpha, params.beta, 1 - params.beta)
+    )
     max_slack = None
     worst = None
     for _ in range(plan.count):
@@ -182,6 +189,8 @@ def verify_hybrid(
         y = _sample_domain_point(rng, spec.domain)
         tx = spec.apply(x)
         ty = spec.apply(y)
+        if _non_finite((*tx, *ty)):
+            raise _out_of_float_range(x, y)
         for image in (tx, ty):
             if not spec.domain.contains(image, DOMAIN_TOL):
                 raise DomainEscape(f"mapping sends a sampled point to {image}")
@@ -193,11 +202,11 @@ def verify_hybrid(
         except OverflowError:
             # float ** raises where float * gives inf
             raise _out_of_float_range(x, y) from None
-        lhs = a * d_txty + (1 - a) * d_xty
-        rhs = b * d_txy + (1 - b) * d_xy
-        if any(isinstance(v, float) and not math.isfinite(v) for v in (lhs, rhs)):
-            raise _out_of_float_range(x, y)
+        lhs = _weighted(a, d_txty) + _weighted(a1, d_xty)
+        rhs = _weighted(b, d_txy) + _weighted(b1, d_xy)
         slack = lhs - rhs
+        if _non_finite((lhs, rhs, slack)):
+            raise _out_of_float_range(x, y)
         if max_slack is None or slack > max_slack:
             max_slack = slack
             worst = {
@@ -218,6 +227,20 @@ def verify_hybrid(
         max_slack=max_slack,
         witness=worst,
     )
+
+
+def _weighted(weight, square):
+    """`w * square` for weight = (w, float(w)).  A Fraction or int w times a
+    float is float(w) times it, so a float square takes the float, which
+    skips the Fraction arithmetic; an int or Fraction square keeps the exact
+    product."""
+    w, fw = weight
+    return fw * square if isinstance(square, float) else w * square
+
+
+def _non_finite(values) -> bool:
+    """Whether some float among `values` is inf or NaN."""
+    return any(isinstance(v, float) and not math.isfinite(v) for v in values)
 
 
 def _out_of_float_range(x, y) -> SolverFailure:
@@ -246,17 +269,30 @@ def orbit(
     rmax: float = 1e6,
 ) -> OrbitResult:
     """Iterate the mapping from x0; flag the orbit unbounded as soon as the
-    distance back to x0 exceeds rmax."""
+    distance back to x0 exceeds rmax.
+
+    The mapping is a function of its point alone, so once x_k repeats an
+    earlier x_j bit for bit the orbit cycles through x_j, ..., x_{k-1} from
+    there on: the remaining points are copied from that cycle, with no map
+    application, membership test or distance.  Each of them was tested and
+    measured when it first came, so the points, radius and bound are those
+    of the full iteration.  Points are compared by `repr`, which tells 0.0
+    from -0.0 where `==` and hashing do not."""
     if not spec.domain.contains(x0, DOMAIN_TOL):
         raise DomainEscape("starting point lies outside the domain")
-    points = [tuple(x0)]
-    radius = 0
     x = tuple(x0)
-    for _ in range(n):
-        x = spec.apply(x)
+    points = [x]
+    first = {repr(x): 0}  # index of each point's first occurrence
+    radius = 0
+    for k in range(1, n + 1):
+        x = tuple(spec.apply(x))
+        j = first.setdefault(repr(x), k)
+        if j < k:
+            points += [points[j + (m - j) % (k - j)] for m in range(k, n + 1)]
+            break
         if not spec.domain.contains(x, DOMAIN_TOL):
             raise DomainEscape(f"orbit escaped the domain at {x}")
-        points.append(tuple(x))
+        points.append(x)
         r = distance(space, x, x0)
         if r > radius:
             radius = r
@@ -296,9 +332,16 @@ class AsymptoticFunctional:
 
 
 def asymptotic_center(space: MetricSpace, F: AsymptoticFunctional, y) -> Scalar:
-    """Value of the orbit-tail functional at y."""
+    """Value of the orbit-tail functional at y.
+
+    A tail that has settled on one point, as most contractions' do, costs
+    one `distance`: `distances` gives that value, and the maximum of one
+    value is itself."""
     half = Fraction(1, 2) if space.exact else 0.5
-    return half * max(distances(space, y, F.distinct_tail))
+    tail = F.distinct_tail
+    if len(tail) == 1:
+        return half * distance(space, tail[0], y)
+    return half * max(distances(space, y, tail))
 
 
 def make_asymptotic_functional(

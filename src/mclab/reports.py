@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 
@@ -16,17 +18,96 @@ def to_json(value):
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
+        return _rational_json(value)
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return _round12(value)
     return value
 
 
+def _rational_json(value: Fraction):
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _round12(value: float) -> float:
+    return float(f"{value:.12g}")
+
+
+class _NotEncoded(Exception):
+    """A value the one-pass encoder leaves to `json`."""
+
+
 def stable_json_dumps(obj) -> str:
-    """Deterministic serialisation of `to_json(obj)` with sorted keys."""
-    return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
+    """`json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"`, byte for
+    byte, built in one recursive pass over `obj` without the copy that
+    `to_json` makes or the pure-Python path that `json` takes for `indent`.
+
+    Values other than dicts with str keys, lists, tuples, str, bool, None,
+    int, Fraction and float are left to `json`, which encodes or rejects
+    them as that expression does."""
+    out = []
+    try:
+        _encode(obj, "\n", out)
+    except _NotEncoded:
+        return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the JSON text of `value` to `out`; `newline` is a line break
+    followed by the indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, float):
+        out.append(_float_text(_round12(value)))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise _NotEncoded
+        inner = newline + "  "
+        opener = "{"
+        for key in sorted(value):
+            out.append(f"{opener}{inner}{_quote(key)}: ")
+            _encode(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _encode(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, Fraction):
+        _encode(_rational_json(value), newline, out)
+    else:
+        raise _NotEncoded
+
+
+def _float_text(value: float) -> str:
+    """How `json` writes a float: `float.__repr__`, or its names for NaN and
+    the infinities."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
 
 
 def write_reports(out_dir: str, stem: str, payload: dict, markdown: str) -> Path:
@@ -42,13 +123,19 @@ def write_reports(out_dir: str, stem: str, payload: dict, markdown: str) -> Path
 
 def _rewrite(path: Path, text: str) -> None:
     """`path.write_text(text, encoding="utf-8")` without truncating the file
-    first: the text is written over the old bytes and the file is cut at its
-    end.  Rewriting the same report on every run then costs a fraction of
-    what truncating to zero does on file systems that discard freed blocks."""
+    first: the UTF-8 bytes are written over the old ones and the file is cut
+    at their end.  Rewriting the same report on every run then costs a
+    fraction of what truncating to zero does on file systems that discard
+    freed blocks."""
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.truncate()
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def fmt_value(v) -> str:

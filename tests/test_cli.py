@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mclab.cli import main
@@ -248,6 +248,40 @@ class TestCheck:
         assert report["reports"][0]["plan"]["seed"] == 99
 
 
+# the four squares are finite, lhs = -1e308 and rhs = 1e308, and their
+# difference is -inf
+SLACK_OVERFLOW_SPEC = {
+    "space": "vec2-p1",
+    "kind": "affine",
+    "parameters": {"matrix": [[0, 0], [0, 0]], "offset": [0, 1e154]},
+    "domain": {"repr": "all", "radius": 8},
+    "alpha": 2,
+    "beta": 1,
+    "x0": [0, 0],
+}
+
+
+@st.composite
+def _huge_affine_specs(draw):
+    """Affine specs on 2-D float spaces with entries from 1e-300 to 1e300."""
+    magnitude = st.sampled_from([0, 1, -1, 0.25, 1e-300, 1e10, 1e154, 1e300, -1e300])
+    pair = st.lists(magnitude, min_size=2, max_size=2)
+    return {
+        "space": draw(st.sampled_from(["vec2-p1", "vec2-p2", "vec2-p3", "vec2-pinf"])),
+        "kind": "affine",
+        "parameters": {"matrix": draw(st.lists(pair, min_size=2, max_size=2)),
+                       "offset": draw(pair)},
+        "domain": draw(st.sampled_from([
+            {"repr": "all", "radius": 8},
+            {"repr": "all", "radius": 1e300},
+            {"repr": "ball", "center": [0, 0], "radius": 1e300},
+        ])),
+        "alpha": draw(st.sampled_from([0, 1, 2])),
+        "beta": draw(st.sampled_from([0, 1])),
+        "x0": draw(pair),
+    }
+
+
 class TestFixedpointCommand:
     def test_rotation_spec_converges(self, tmp_path):
         spec = write_json(tmp_path / "rot.json", ROT_SPEC)
@@ -298,31 +332,38 @@ class TestFixedpointCommand:
         assert "float range" in json.loads(text)["error"]
         assert "NaN" not in text and "Infinity" not in text
 
-    @given(data=st.data())
+    def test_finite_sides_whose_slack_overflows_exit_one_with_an_error(
+        self, tmp_path, capsys
+    ):
+        path = write_json(tmp_path / "spec.json", SLACK_OVERFLOW_SPEC)
+        cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20, "fp_budget": 2000})
+        assert main(["fixedpoint", path, "--out", str(tmp_path), "--config", cfg]) == 1
+        assert "float range" in capsys.readouterr().out
+        text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+        assert "float range" in json.loads(text)["error"]
+        assert "Infinity" not in text
+
+    def test_image_that_overflows_is_no_domain_escape(self, tmp_path, capsys):
+        spec = dict(
+            HUGE_AFFINE_SPEC,
+            parameters={"matrix": [[1e300, 1e300], [0, 1]], "offset": [0, 0]},
+            domain={"repr": "ball", "center": [0, 0], "radius": 1e300},
+        )
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["fixedpoint", path, "--out", str(tmp_path)]) == 1
+        error = json.loads((tmp_path / "fixedpoint.json").read_text(encoding="utf-8"))["error"]
+        assert "float range" in error and "sends a sampled point" not in error
+
+    @given(spec=_huge_affine_specs())
+    @example(spec=SLACK_OVERFLOW_SPEC)
     @settings(
         max_examples=100,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_specs_with_magnitudes_up_to_1e300_exit_without_traceback(
-        self, data, tmp_path
+        self, spec, tmp_path
     ):
-        magnitude = st.sampled_from([0, 1, -1, 0.25, 1e-300, 1e10, 1e154, 1e300, -1e300])
-        pair = st.lists(magnitude, min_size=2, max_size=2)
-        spec = {
-            "space": data.draw(st.sampled_from(["vec2-p1", "vec2-p2", "vec2-p3", "vec2-pinf"])),
-            "kind": "affine",
-            "parameters": {"matrix": data.draw(st.lists(pair, min_size=2, max_size=2)),
-                           "offset": data.draw(pair)},
-            "domain": data.draw(st.sampled_from([
-                {"repr": "all", "radius": 8},
-                {"repr": "all", "radius": 1e300},
-                {"repr": "ball", "center": [0, 0], "radius": 1e300},
-            ])),
-            "alpha": data.draw(st.sampled_from([0, 1, 2])),
-            "beta": data.draw(st.sampled_from([0, 1])),
-            "x0": data.draw(pair),
-        }
         path = write_json(tmp_path / "spec.json", spec)
         cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20, "fp_budget": 2000})
         rc = main(["fixedpoint", path, "--out", str(tmp_path), "--config", cfg])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from mclab import (
     MidConvention,
     Rotation,
     SamplePlan,
+    SolverFailure,
     UniqueMidpointUndefined,
     WholeSpace,
     asymptotic_center,
@@ -32,7 +36,13 @@ from mclab import (
     vector_space,
     verify_hybrid,
 )
-from mclab.fixedpoint import AsymptoticFunctional, mapping_from_json
+from mclab.fixedpoint import (
+    DOMAIN_TOL,
+    AsymptoticFunctional,
+    OrbitResult,
+    _sample_domain_point,
+    mapping_from_json,
+)
 
 SP2 = vector_space(2, 2)
 NONEXPANSIVE = HybridParams(1, 0)
@@ -70,8 +80,6 @@ class TestVerifyHybrid:
         spec = rotation_spec()
         plan = SamplePlan(count=200, seed=21)
         rng = plan.rng()
-        from mclab.fixedpoint import _sample_domain_point
-
         for _ in range(plan.count):
             x = _sample_domain_point(rng, spec.domain)
             y = _sample_domain_point(rng, spec.domain)
@@ -104,6 +112,52 @@ class TestVerifyHybrid:
         with pytest.raises(DomainEscape):
             verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=10))
 
+    def test_overflowed_image_is_a_float_range_failure_not_an_escape(self):
+        # a row's products overflow to inf and -inf, so an image coordinate
+        # is NaN or inf: the domain is not to blame
+        spec = MappingSpec(
+            Affine(((1e300, 1e300), (0, 1)), (0, 0)), MetricBall(SP2, (0.0, 0.0), 1e300)
+        )
+        with pytest.raises(SolverFailure, match="float range"):
+            verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=20, seed=7))
+
+    def test_finite_sides_whose_slack_overflows_fail_on_the_float_range(self):
+        # lhs = -1e308 and rhs = 1e308 are finite, their difference is not
+        spec = MappingSpec(Affine(((0, 0), (0, 0)), (0, 1e154)), WholeSpace(2))
+        with pytest.raises(SolverFailure, match="float range"):
+            verify_hybrid(vector_space(2, 1), spec, NONSPREADING, SamplePlan(count=20))
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize(
+        "params",
+        [NONEXPANSIVE, NONSPREADING, HybridParams(Fraction(4, 3), Fraction(1, 3))],
+        ids=["1-0", "2-1", "4/3-1/3"],
+    )
+    def test_each_sample_weighs_its_squares_as_the_plain_formula(self, p, params):
+        # a box projection with int bounds gives int squares under d_1 and
+        # d_inf, beside float ones, and 4/3 * 25 is not float(4/3) * 25; one
+        # sample per seed, so that every sample's sides are compared, not
+        # only the worst
+        space = vector_space(2, p)
+        spec = MappingSpec(
+            BoxProjection((0, 0), (5, 5)), Box((-20.0, -20.0), (20.0, 20.0), exact=False)
+        )
+        a, b = params.alpha, params.beta
+        for seed in range(60):
+            rng = random.Random(seed)
+            x = _sample_domain_point(rng, spec.domain)
+            y = _sample_domain_point(rng, spec.domain)
+            tx, ty = spec.apply(x), spec.apply(y)
+            lhs = a * distance(space, tx, ty) ** 2 + (1 - a) * distance(space, x, ty) ** 2
+            rhs = b * distance(space, tx, y) ** 2 + (1 - b) * distance(space, x, y) ** 2
+            got = verify_hybrid(space, spec, params, SamplePlan(count=1, seed=seed))
+            for value, want in [
+                (got.witness["lhs"], lhs),
+                (got.witness["rhs"], rhs),
+                (got.max_slack, lhs - rhs),
+            ]:
+                assert (type(value), repr(value)) == (type(want), repr(want))
+
 
 class TestOrbit:
     def test_rotation_orbit_stays_bounded(self):
@@ -130,6 +184,126 @@ class TestOrbit:
     def test_start_outside_domain_rejected(self):
         with pytest.raises(DomainEscape):
             orbit(SP2, rotation_spec(), (5.0, 0.0), 10)
+
+
+def _iterated_orbit(space, spec, x0, n, rmax=1e6):
+    """The orbit by plain iteration of all n steps: the reference for the
+    orbit's stop at its first exact repeat."""
+    if not spec.domain.contains(x0, DOMAIN_TOL):
+        raise DomainEscape("starting point lies outside the domain")
+    points = [tuple(x0)]
+    radius = 0
+    x = tuple(x0)
+    for _ in range(n):
+        x = spec.apply(x)
+        if not spec.domain.contains(x, DOMAIN_TOL):
+            raise DomainEscape(f"orbit escaped the domain at {x}")
+        points.append(tuple(x))
+        r = distance(space, x, x0)
+        if r > radius:
+            radius = r
+        if radius > rmax:
+            return OrbitResult(tuple(points), radius, False)
+    return OrbitResult(tuple(points), radius, True)
+
+
+@dataclass(frozen=True)
+class Negation:
+    """x -> -x, which sends 0.0 to -0.0 and back."""
+
+    def apply(self, x):
+        return tuple(-c for c in x)
+
+
+def _signed_permutation_contraction(seed: int, dom: str):
+    """(spec, x0): x -> A x + b on R^3 with A a signed permutation times a
+    diagonal with entries in (0.1, 0.9), fixed point in [-3, 3]^3, on a
+    ball, a box or the whole space; float orbits of these maps often end in
+    a cycle of points that differ in the last place."""
+    rng = random.Random(seed)
+    perm = list(range(3))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1.0, 1.0)) for _ in range(3)]
+    diag = [rng.uniform(0.1, 0.9) for _ in range(3)]
+    A = [[0.0] * 3 for _ in range(3)]
+    for row in range(3):
+        A[row][perm[row]] = signs[row] * diag[perm[row]]
+    xstar = [rng.uniform(-3, 3) for _ in range(3)]
+    b = [xstar[r] - sum(A[r][c] * xstar[c] for c in range(3)) for r in range(3)]
+    # centred within (1 - max diag) of x*, so that T maps the domain into itself
+    shift = (1 - max(diag)) * rng.random() / 3
+    center = tuple(x + shift * rng.uniform(-1, 1) for x in xstar)
+    domain = {
+        "ball": MetricBall(vector_space(3, 2), center, 2.0),
+        "box": Box(tuple(c - 2 for c in center), tuple(c + 2 for c in center), exact=False),
+        "all": WholeSpace(3),
+    }[dom]
+    spec = MappingSpec(Affine(tuple(map(tuple, A)), tuple(b)), domain)
+    return spec, center if dom != "all" else (0.0, 0.0, 0.0)
+
+
+class TestOrbitStopsAtItsFirstRepeat:
+    """The orbit that stops at its first exact repeat gives the points,
+    radius and bound of the full iteration, bit for bit."""
+
+    def assert_same_orbit(self, space, spec, x0, n=256, rmax=1e6):
+        got = orbit(space, spec, x0, n, rmax)
+        want = _iterated_orbit(space, spec, x0, n, rmax)
+        assert [repr(q) for q in got.points] == [repr(q) for q in want.points]
+        assert (type(got.radius), repr(got.radius)) == (type(want.radius), repr(want.radius))
+        assert got.bounded == want.bounded
+        return got
+
+    @pytest.mark.parametrize("dom", ["ball", "box", "all"])
+    def test_seeded_signed_permutation_contractions(self, dom):
+        space = vector_space(3, 2)
+        distinct = []
+        for seed in range(40):
+            spec, x0 = _signed_permutation_contraction(seed, dom)
+            got = self.assert_same_orbit(space, spec, x0)
+            distinct.append(len(set(map(repr, got.points[-32:]))))
+        # the seeds reach fixed points and cycles of more than one point
+        assert 1 in distinct and max(distinct) > 1
+
+    def test_golden_rotation_never_repeats(self):
+        got = self.assert_same_orbit(SP2, rotation_spec(), (1.0, 0.0))
+        assert len(set(map(repr, got.points))) == 257
+
+    def test_box_projection_is_fixed_after_one_step(self):
+        spec = MappingSpec(
+            BoxProjection((0, 0), (1, 1)), Box((-3.0, -3.0), (3.0, 3.0), exact=False)
+        )
+        got = self.assert_same_orbit(SP2, spec, (2.5, -1.5))
+        assert set(got.points[1:]) == {(1, 0)}
+
+    def test_cycle_through_the_start(self):
+        spec = MappingSpec(
+            Affine(((0, 1, 0), (0, 0, 1), (1, 0, 0)), (0, 0, 0)), WholeSpace(3)
+        )
+        got = self.assert_same_orbit(vector_space(3, 1), spec, (1.0, 2.0, 3.0), n=100)
+        assert got.points[99] == (1.0, 2.0, 3.0)
+
+    def test_negation_alternates_zero_and_negative_zero(self):
+        # 0.0 == -0.0 and both hash alike, so a repeat keyed by either
+        # would stop at step 1 and copy 0.0 over every -0.0
+        spec = MappingSpec(Negation(), WholeSpace(1))
+        got = self.assert_same_orbit(vector_space(1, 2), spec, (0.0,))
+        assert [repr(q) for q in got.points[:3]] == ["(0.0,)", "(-0.0,)", "(0.0,)"]
+
+    def test_unbounded_orbit(self):
+        spec = MappingSpec(Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, 1e7))
+        got = self.assert_same_orbit(SP2, spec, (0.0, 0.0), n=500, rmax=100.0)
+        assert not got.bounded
+
+    def test_orbit_that_leaves_the_domain(self):
+        spec = MappingSpec(
+            Affine(((1, 0), (0, 1)), (1.0, 0.0)), Box((-5.0, -5.0), (5.0, 5.0), exact=False)
+        )
+        with pytest.raises(DomainEscape) as got:
+            orbit(SP2, spec, (0.0, 0.0), 20)
+        with pytest.raises(DomainEscape) as want:
+            _iterated_orbit(SP2, spec, (0.0, 0.0), 20)
+        assert str(got.value) == str(want.value)
 
 
 class TestAsymptoticCenter:
@@ -285,8 +459,6 @@ class TestFindFixedPoint:
         assert result.f_value <= grid_best + 1e-9
 
     def test_unbounded_orbit_is_an_error(self):
-        from mclab import SolverFailure
-
         spec = MappingSpec(
             Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mclab.cli import main
@@ -38,6 +40,59 @@ def test_to_json_is_idempotent(value):
 @given(values)
 def test_stable_json_dumps_writes_to_json(value):
     assert json.loads(stable_json_dumps(value)) == to_json(value)
+
+
+def reference_dumps(value) -> str:
+    """The bytes a report has always had: `json` over the `to_json` copy."""
+    return json.dumps(to_json(value), sort_keys=True, indent=2) + "\n"
+
+
+# every float spelling json knows, text with non-ASCII and control
+# characters, and empty containers at any depth
+edge_scalars = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 1.5e300]),
+    st.fractions(),
+    st.integers(),
+    st.text(),
+    st.sampled_from(["", "α≤β", "\x00\x1f\x7f", 'q"\\/', "\u2028\ud83d", "😀"]),
+    st.booleans(),
+    st.none(),
+)
+edge_values = st.recursive(
+    edge_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(edge_values)
+@example({"": [], "b": {}, "α": ((), {"x": [{}]}), "\n": -0.0})
+def test_stable_json_dumps_gives_the_bytes_of_json(value):
+    assert stable_json_dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1: "int key", 2: [0.1 + 0.2]},
+        {"nested": {True: Fraction(1, 3), False: None}},
+        [{"x": 1}, {2.5: "float key"}],
+    ],
+)
+def test_dicts_with_keys_that_are_not_str_match_json(value):
+    assert stable_json_dumps(value) == reference_dumps(value)
+
+
+def test_values_json_cannot_encode_are_rejected_as_json_rejects_them():
+    with pytest.raises(TypeError):
+        reference_dumps({"a": [object()]})
+    with pytest.raises(TypeError):
+        stable_json_dumps({"a": [object()]})
 
 
 def test_scalar_forms():
