@@ -171,11 +171,12 @@ def verify_hybrid(
     """Sample pairs from the domain and test the hybrid inequality; the worst
     sample's four squared distances are recorded.
 
-    A pair whose images, squared distances, sides or slack leave the float
-    range (an image coordinate that overflowed, a square beyond the range,
-    inf - inf and 0 * inf on the sides, or a difference of finite sides that
-    overflows) cannot be decided, and raises SolverFailure rather than
-    recording inf or NaN or blaming the domain for the overflow."""
+    A pair that leaves the float range cannot be decided, and raises
+    SolverFailure rather than recording inf or NaN: an image with an inf or
+    NaN coordinate (an overflow in the mapping, not a point outside the
+    domain), a square beyond the range, or a slack that is not finite (a
+    side that is inf or NaN, from inf - inf or 0 * inf, or finite sides
+    whose difference overflows)."""
     plan = plan or SamplePlan()
     rng = plan.rng()
     a, a1, b, b1 = (
@@ -189,7 +190,8 @@ def verify_hybrid(
         y = _sample_domain_point(rng, spec.domain)
         tx = spec.apply(x)
         ty = spec.apply(y)
-        if _non_finite((*tx, *ty)):
+        # checked on every domain: under d_inf, `max` can pass over a NaN
+        if not all(map(_finite, (*tx, *ty))):
             raise _out_of_float_range(x, y)
         for image in (tx, ty):
             if not spec.domain.contains(image, DOMAIN_TOL):
@@ -205,7 +207,9 @@ def verify_hybrid(
         lhs = _weighted(a, d_txty) + _weighted(a1, d_xty)
         rhs = _weighted(b, d_txy) + _weighted(b1, d_xy)
         slack = lhs - rhs
-        if _non_finite((lhs, rhs, slack)):
+        # a side that is inf or NaN makes the slack so, and so do finite
+        # sides whose difference overflows
+        if not _finite(slack):
             raise _out_of_float_range(x, y)
         if max_slack is None or slack > max_slack:
             max_slack = slack
@@ -238,9 +242,9 @@ def _weighted(weight, square):
     return fw * square if isinstance(square, float) else w * square
 
 
-def _non_finite(values) -> bool:
-    """Whether some float among `values` is inf or NaN."""
-    return any(isinstance(v, float) and not math.isfinite(v) for v in values)
+def _finite(value) -> bool:
+    """False for a float inf or NaN; ints and Fractions are finite."""
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _out_of_float_range(x, y) -> SolverFailure:

@@ -13,6 +13,7 @@ from mclab import (
     Affine,
     Box,
     BoxProjection,
+    Composition,
     DomainEscape,
     HybridParams,
     MappingSpec,
@@ -120,6 +121,21 @@ class TestVerifyHybrid:
         )
         with pytest.raises(SolverFailure, match="float range"):
             verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=20, seed=7))
+
+    def test_nan_image_that_d_inf_would_pass_over_is_a_float_range_failure(self):
+        # (x1, x2) -> (x1, x1) -> (x1, 1e308 x1 - 1e308 x1), which is NaN once
+        # |x1| > 1.8; max(|x1 - y1|, nan) is finite, so only the images show
+        # the overflow
+        spec = MappingSpec(
+            Composition((
+                Affine(((1, 0), (1, 0)), (0, 0)),
+                Affine(((1, 0), (1e308, -1e308)), (0, 0)),
+            )),
+            WholeSpace(2),
+        )
+        space = vector_space(2, math.inf)
+        with pytest.raises(SolverFailure, match="float range"):
+            verify_hybrid(space, spec, NONEXPANSIVE, SamplePlan(count=20))
 
     def test_finite_sides_whose_slack_overflows_fail_on_the_float_range(self):
         # lhs = -1e308 and rhs = 1e308 are finite, their difference is not
