@@ -332,27 +332,30 @@ class TestFixedpointCommand:
         assert "float range" in json.loads(text)["error"]
         assert "NaN" not in text and "Infinity" not in text
 
-    def test_finite_sides_whose_slack_overflows_exit_one_with_an_error(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SLACK_OVERFLOW_SPEC,
+            # the first row's products overflow to inf and -inf, so an image
+            # has a NaN coordinate and lies outside the ball
+            dict(
+                HUGE_AFFINE_SPEC,
+                parameters={"matrix": [[1e300, 1e300], [0, 1]], "offset": [0, 0]},
+                domain={"repr": "ball", "center": [0, 0], "radius": 1e300},
+            ),
+        ],
+        ids=["slack", "image"],
+    )
+    def test_overflow_past_the_sides_exits_one_with_a_float_range_error(
+        self, spec, tmp_path, capsys
     ):
-        path = write_json(tmp_path / "spec.json", SLACK_OVERFLOW_SPEC)
-        cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20, "fp_budget": 2000})
-        assert main(["fixedpoint", path, "--out", str(tmp_path), "--config", cfg]) == 1
-        assert "float range" in capsys.readouterr().out
-        text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
-        assert "float range" in json.loads(text)["error"]
-        assert "Infinity" not in text
-
-    def test_image_that_overflows_is_no_domain_escape(self, tmp_path, capsys):
-        spec = dict(
-            HUGE_AFFINE_SPEC,
-            parameters={"matrix": [[1e300, 1e300], [0, 1]], "offset": [0, 0]},
-            domain={"repr": "ball", "center": [0, 0], "radius": 1e300},
-        )
         path = write_json(tmp_path / "spec.json", spec)
         assert main(["fixedpoint", path, "--out", str(tmp_path)]) == 1
-        error = json.loads((tmp_path / "fixedpoint.json").read_text(encoding="utf-8"))["error"]
+        assert "float range" in capsys.readouterr().out
+        text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+        error = json.loads(text)["error"]
         assert "float range" in error and "sends a sampled point" not in error
+        assert "Infinity" not in text
 
     @given(spec=_huge_affine_specs())
     @example(spec=SLACK_OVERFLOW_SPEC)

@@ -113,15 +113,6 @@ class TestVerifyHybrid:
         with pytest.raises(DomainEscape):
             verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=10))
 
-    def test_overflowed_image_is_a_float_range_failure_not_an_escape(self):
-        # a row's products overflow to inf and -inf, so an image coordinate
-        # is NaN or inf: the domain is not to blame
-        spec = MappingSpec(
-            Affine(((1e300, 1e300), (0, 1)), (0, 0)), MetricBall(SP2, (0.0, 0.0), 1e300)
-        )
-        with pytest.raises(SolverFailure, match="float range"):
-            verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=20, seed=7))
-
     def test_nan_image_that_d_inf_would_pass_over_is_a_float_range_failure(self):
         # (x1, x2) -> (x1, x1) -> (x1, 1e308 x1 - 1e308 x1), which is NaN once
         # |x1| > 1.8; max(|x1 - y1|, nan) is finite, so only the images show
@@ -136,12 +127,6 @@ class TestVerifyHybrid:
         space = vector_space(2, math.inf)
         with pytest.raises(SolverFailure, match="float range"):
             verify_hybrid(space, spec, NONEXPANSIVE, SamplePlan(count=20))
-
-    def test_finite_sides_whose_slack_overflows_fail_on_the_float_range(self):
-        # lhs = -1e308 and rhs = 1e308 are finite, their difference is not
-        spec = MappingSpec(Affine(((0, 0), (0, 0)), (0, 1e154)), WholeSpace(2))
-        with pytest.raises(SolverFailure, match="float range"):
-            verify_hybrid(vector_space(2, 1), spec, NONSPREADING, SamplePlan(count=20))
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     @pytest.mark.parametrize(
