@@ -51,6 +51,7 @@ from .spaces import (
     MetricSpace,
     check_point,
     distance,
+    distances,
     vlerp,
 )
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
@@ -183,15 +184,27 @@ class CappedSimplex:
         """A nearest member in d_1: clamp z into the box, then walk the
         coordinates in order toward x (or y) until the offsets sum to r1.
         Every unit walked changes that sum by exactly 1, so no member is
-        nearer.  Rational inputs of an exact simplex are walked as integers
-        over one common denominator."""
+        nearer."""
+        return self.nearest_with_distance(z)[1]
+
+    def nearest_with_distance(self, z):
+        """(d_1(z, w), w) for the nearest member w, the distance taken from
+        the walk's own coordinates.  Rational inputs of an exact simplex are
+        walked as integers over one common denominator, and the distance is
+        one Fraction of their differences; other inputs take the float sum
+        of `distance`."""
         values = (*z, *self.x, *self.y, self.r1)
         if not (self.exact and all(map(is_rational, values))):
-            return tuple(_simplex_walk(z, self.x, self.y, self.r1))
+            w = _simplex_walk(z, self.x, self.y, self.r1)
+            return sum([abs(u - v) for u, v in zip(z, w)]), tuple(w)
         den = common_denominator(values)
         (r1,) = scaled((self.r1,), den)
-        w = _simplex_walk(scaled(z, den), scaled(self.x, den), scaled(self.y, den), r1)
-        return tuple(Fraction(c, den) for c in w)
+        zs = scaled(z, den)
+        w = _simplex_walk(zs, scaled(self.x, den), scaled(self.y, den), r1)
+        return (
+            Fraction(sum([abs(u - v) for u, v in zip(zs, w)]), den),
+            tuple(Fraction(c, den) for c in w),
+        )
 
     def contains(self, z, tol: float = 0) -> bool:
         if not all(
@@ -199,7 +212,7 @@ class CappedSimplex:
             for c, a, b in zip(z, self.x, self.y)
         ):
             return False
-        return sum(abs(c - w) for c, w in zip(z, self.nearest(z))) <= tol
+        return self.nearest_with_distance(z)[0] <= tol
 
     def _axes(self):
         """The differing coordinates, at most MAX_SIMPLEX_AXES of them."""
@@ -214,26 +227,49 @@ class CappedSimplex:
     def sample_points(self):
         """The vertices: every offset at 0 or at its cap except at most one.
         d(., B) is convex for a convex B, so maxima over the set, such as
-        its diameter, are attained here."""
-        axes = self._axes()
-        caps = {i: abs(self.y[i] - self.x[i]) for i in axes}
+        its diameter, are attained here.
+
+        The sets of axes at their caps are taken level by level in the
+        order of `itertools.combinations`, each cap sum one addition on its
+        prefix's.  A set whose caps exceed r1 is dropped with all its
+        supersets: caps are at least 0, and adding one never lowers a sum,
+        in floats too.  Inputs that are all Fractions are summed as
+        integers over one common denominator.  Rational vertices are
+        distinct (see `vertex_count`), so only others are deduplicated."""
+        x, y, r1 = self.x, self.y, self.r1
+        den = 0
+        if all(isinstance(c, Fraction) for c in (*x, *y, r1)):
+            den = common_denominator((*x, *y, r1))
+            xs, ys, (top,) = scaled(x, den), scaled(y, den), scaled((r1,), den)
+        else:
+            xs, ys, top = x, y, r1
+        moves = [(j, abs(ys[j] - xs[j]), ys[j] > xs[j]) for j in self._axes()]
         points = []
-        for k in range(len(axes) + 1):
-            for full in itertools.combinations(axes, k):
-                left = self.r1 - sum(caps[i] for i in full)
-                if left < 0:
-                    continue
-                z = list(self.x)
-                for i in full:
-                    z[i] = self.y[i]
+        # (axes at their caps, cap sum, vertex, next position in moves)
+        level = [((), 0, list(x), 0)] if not top < 0 else []
+        while level:
+            grown = []
+            for full, total, z, start in level:
+                left = top - total
                 if not left:
                     points.append(tuple(z))
-                    continue
-                for j in axes:
-                    if j not in full and left < caps[j]:
-                        w = list(z)
-                        w[j] += left if self.y[j] > self.x[j] else -left
-                        points.append(tuple(w))
+                else:
+                    for j, cap, up in moves:
+                        if left < cap and j not in full:
+                            c = xs[j] + left if up else xs[j] - left
+                            w = z.copy()
+                            w[j] = Fraction(c, den) if den else c
+                            points.append(tuple(w))
+                for k in range(start, len(moves)):
+                    j, cap, _ = moves[k]
+                    t = total + cap
+                    if not top - t < 0:
+                        v = z.copy()
+                        v[j] = y[j]
+                        grown.append((full + (j,), t, v, k + 1))
+            level = grown
+        if all(map(is_rational, (*x, *y, r1))):
+            return points
         return list(dict.fromkeys(points))
 
     def vertex_count(self) -> int:
@@ -268,9 +304,16 @@ class CappedSimplex:
 def _simplex_walk(z, x, y, r1) -> list:
     """CappedSimplex.nearest on plain numbers: clamp z into the box of x and
     y, then move the coordinates in index order toward x (the clamped
-    offsets exceed r1) or toward y until the offsets sum to r1."""
-    w = [min(max(c, min(a, b)), max(a, b)) for c, a, b in zip(z, x, y)]
-    excess = sum(abs(c - a) for c, a in zip(w, x)) - r1
+    offsets exceed r1) or toward y until the offsets sum to r1.  The clamp
+    is min(max(c, min(a, b)), max(a, b)) with the comparisons of `min` and
+    `max` written out, so it keeps the objects they return (0.0 or -0.0)."""
+    w = []
+    for c, a, b in zip(z, x, y):
+        lo = b if b < a else a
+        hi = b if b > a else a
+        c = lo if lo > c else c
+        w.append(hi if hi < c else c)
+    excess = sum([abs(c - a) for c, a in zip(w, x)]) - r1
     goals, left = (x, excess) if excess > 0 else (y, -excess)
     for i, goal in enumerate(goals):
         if not left:
@@ -539,9 +582,9 @@ def verify_on_spheres(
             witness={"x": x, "y": y, "t": t, "reason": "no sampled members"},
         )
     max_slack = 0
-    for z in points:
-        dx = distance(space, z, x)
-        dy = distance(space, z, y)
+    # `distances` gives `distance` point by point, with x and y checked once
+    to_x, to_y = distances(space, x, points), distances(space, y, points)
+    for z, dx, dy in zip(points, to_x, to_y):
         gap = max(abs(dx - r1), abs(dy - r2))
         if gap > limit:
             return verdict(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import Scalar
 from .convexsets import (
@@ -28,7 +29,7 @@ from .convexsets import (
     Singleton,
 )
 from .errors import EmptySetError, MclabError
-from .spaces import MetricSpace, distance, distance_table, distances
+from .spaces import MetricSpace, check_point, distance, distance_table, distances
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,39 @@ def _nearest(space, a, B):
         return min(zip(distances(space, a, B.points), B.points))
     if not isinstance(B, _CLOSED_FORM):
         raise MclabError(f"no nearest-point form for a {B.kind} representation")
+    if isinstance(B, CappedSimplex) and space.p == 1:
+        value, b = B.nearest_with_distance(a)
+        check_point(space, a)
+        # a Fraction value is a sum of rational differences, so b is
+        # rational; a float space checks only the dimension.  Any other
+        # walk is measured as `distance` would measure it
+        if len(b) == space.dim and (isinstance(value, Fraction) or not space.exact):
+            return value, b
+        return distance(space, a, b), b
     b = B.nearest(a)
     return distance(space, a, b), b
+
+
+def _union_rows(space, points, B: SetUnion):
+    """The rows (a, distance from a to B, nearest point of B) over the
+    points a that can decide the directed distance to a union.  A row stops
+    at the first part that brings its running minimum strictly below the
+    largest row so far: it can then neither exceed nor tie that row, so
+    `_directed_points`, which does not depend on row order, gives the same
+    value and witness without it.  The first row takes every part."""
+    best = None
+    for a in points:
+        row = None
+        for part in B.parts:
+            near = _nearest(space, a, part)
+            if row is None or near < row:
+                row = near
+            if best is not None and row[0] < best:
+                break
+        else:
+            if best is None or row[0] > best:
+                best = row[0]
+            yield (a, *row)
 
 
 def _directed_points(rows):
@@ -102,9 +134,12 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     if isinstance(A, Box) and isinstance(B, Box) and space.p == math.inf:
         value, witness = _directed_boxes(space, A, B)
         return HausdorffResult(value, witness, exact=A.exact and B.exact)
-    value, witness = _directed_points(
-        (a, *_nearest(space, a, B)) for a in _rep_points(A)
-    )
+    points = _rep_points(A)
+    if isinstance(B, SetUnion):
+        rows = _union_rows(space, points, B)
+    else:
+        rows = ((a, *_nearest(space, a, B)) for a in points)
+    value, witness = _directed_points(rows)
     # d(., B) is convex for a convex B, so over a capped simplex its
     # supremum sits at a vertex; a finite A is all its points
     exact = (

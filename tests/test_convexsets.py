@@ -481,11 +481,11 @@ _RATIONAL = st.one_of(
 
 
 @st.composite
-def _exact_simplices(draw):
-    """(x, y, r1): an exact d_1 simplex in dimension 1-8 with some axes
-    degenerate (x_i = y_i) and r1 one of 0, d, a sum of caps, or a
+def _exact_simplices(draw, max_dim=8):
+    """(x, y, r1): an exact d_1 simplex in dimension 1 to max_dim with some
+    axes degenerate (x_i = y_i) and r1 one of 0, d, a sum of caps, or a
     fraction of d."""
-    dim = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, max_dim))
     x = tuple(draw(st.lists(_RATIONAL, min_size=dim, max_size=dim)))
     y = tuple(draw(st.one_of(st.just(a), _RATIONAL)) for a in x)
     assume(x != y)
@@ -523,6 +523,180 @@ class TestExactSimplexArithmetic:
         rep = CappedSimplex((F(0), F(0)), (F(2), F(2)), F(2))
         assert rep.nearest((0.5, 0.5)) == (1.5, 0.5)
         assert rep.contains((1.5, 0.5)) and not rep.contains((0.5, 0.5))
+
+
+# floats with signed zeros and repeated halves among them, and a few ints
+_FLOAT = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0]),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def _float_simplices(draw):
+    """(x, y, r1): a float d_1 simplex in dimension 1-10 with r1 one of 0,
+    d, a float sum of caps, a fraction of d or any float in [0, d]."""
+    dim = draw(st.integers(1, MAX_SIMPLEX_AXES))
+    x = tuple(draw(st.lists(_FLOAT, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.one_of(st.just(a), _FLOAT)) for a in x)
+    assume(x != y)
+    caps = [abs(b - a) for a, b in zip(x, y)]
+    d = sum(caps)
+    r1 = draw(
+        st.one_of(
+            st.just(0.0),
+            st.just(d),
+            st.sets(st.integers(0, dim - 1)).map(lambda s: sum(caps[i] for i in sorted(s))),
+            st.integers(0, 16).map(lambda k: d * k / 16),
+            st.floats(0, d),
+        )
+    )
+    return x, y, r1
+
+
+@st.composite
+def _mixed_simplices(draw):
+    """(x, y, r1): an int r1 over ints and Fractions with denominator 1 or
+    2, where a moved coordinate is an int unless a Fraction enters its
+    sum."""
+    dim = draw(st.integers(1, 6))
+    coord = st.one_of(st.integers(-3, 3), st.integers(-6, 6).map(lambda k: F(k, 2)))
+    x = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.one_of(st.just(a), coord)) for a in x)
+    assume(x != y)
+    d = sum(abs(a - b) for a, b in zip(x, y))
+    return x, y, draw(st.integers(0, math.ceil(d)))
+
+
+def _all_fractions(case):
+    x, y, r1 = case
+    return tuple(map(F, x)), tuple(map(F, y)), F(r1)
+
+
+@st.composite
+def _points_around(draw, x, y, rational):
+    """A point inside the coordinate box of x and y, or anywhere near it."""
+    if rational:
+        return tuple(draw(st.lists(_RATIONAL, min_size=len(x), max_size=len(x))))
+    inside = st.tuples(
+        *(st.floats(float(min(a, b)), float(max(a, b))) for a, b in zip(x, y))
+    )
+    anywhere = st.lists(_FLOAT, min_size=len(x), max_size=len(x)).map(tuple)
+    return draw(st.one_of(inside, anywhere))
+
+
+@st.composite
+def _simplex_kernel_cases(draw):
+    """(space, rep, z): an exact simplex with a rational point in the exact
+    space, an exact simplex with a float point in the float space, or a
+    float simplex with a float point, in dimension 1-10."""
+    kind = draw(st.sampled_from(["exact", "exact-float-point", "float"]))
+    if kind == "float":
+        x, y, r1 = draw(_float_simplices())
+        rep = CappedSimplex(x, y, r1, exact=False)
+    else:
+        x, y, r1 = draw(_exact_simplices(max_dim=MAX_SIMPLEX_AXES))
+        rep = CappedSimplex(x, y, r1)
+    exact = kind == "exact"
+    z = draw(_points_around(x, y, rational=exact))
+    return vector_space(len(x), 1, exact=exact), rep, z
+
+
+def _same(a, b) -> bool:
+    """Equal in value and type, floats bit for bit (signed zeros apart)."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def _same_points(ps, qs) -> bool:
+    return len(ps) == len(qs) and all(
+        len(p) == len(q) and all(map(_same, p, q)) for p, q in zip(ps, qs)
+    )
+
+
+def _combination_vertices(rep):
+    """The vertices of a CappedSimplex from every cap set that
+    `itertools.combinations` gives, each cap sum taken in full."""
+    axes = [i for i, (a, b) in enumerate(zip(rep.x, rep.y)) if a != b]
+    caps = {i: abs(rep.y[i] - rep.x[i]) for i in axes}
+    points = []
+    for k in range(len(axes) + 1):
+        for full in itertools.combinations(axes, k):
+            left = rep.r1 - sum(caps[i] for i in full)
+            if left < 0:
+                continue
+            z = list(rep.x)
+            for i in full:
+                z[i] = rep.y[i]
+            if not left:
+                points.append(tuple(z))
+                continue
+            for j in axes:
+                if j not in full and left < caps[j]:
+                    w = list(z)
+                    w[j] += left if rep.y[j] > rep.x[j] else -left
+                    points.append(tuple(w))
+    return list(dict.fromkeys(points))
+
+
+class TestSimplexKernels:
+    """The d_1 simplex kernels against the plain forms they replace, equal
+    in value and type."""
+
+    @example(
+        (
+            vector_space(2, 1),
+            CappedSimplex((0.0, -0.0), (1.0, 0.5), 0.75, exact=False),
+            (-0.0, 0.0),
+        )
+    )
+    @example((vector_space(1, 1), CappedSimplex((-0.0,), (2.0,), 0.0, exact=False), (0.0,)))
+    @given(_simplex_kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_fused_nearest_distance_equals_distance_to_the_nearest(self, case):
+        space, rep, z = case
+        value, w = rep.nearest_with_distance(z)
+        near = rep.nearest(z)
+        assert _same_points([w], [near])
+        assert _same(value, distance(space, z, near))
+
+    @given(
+        st.one_of(
+            _float_simplices(),
+            _exact_simplices(max_dim=MAX_SIMPLEX_AXES),
+            _exact_simplices(max_dim=MAX_SIMPLEX_AXES).map(_all_fractions),
+            _mixed_simplices(),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_vertices_equal_the_combinations(self, case, exact):
+        rep = CappedSimplex(*case, exact=exact)
+        assert _same_points(rep.sample_points(), _combination_vertices(rep))
+
+    @given(_float_simplices(), st.sampled_from(list(MidConvention)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_vertex_scan_equals_the_pairwise_scan(self, case, conv, data):
+        x, y, r1 = case
+        space = vector_space(len(x), 1)
+        t = data.draw(st.floats(0.01, 0.99))
+        if data.draw(st.booleans()):
+            rep = midpoint_set(space, x, y, t, conv)
+        else:
+            rep = CappedSimplex(x, y, r1, exact=False)
+        verdict = verify_on_spheres(space, x, y, t, conv, rep)
+        points = rep.sample_points()
+        if not points:
+            assert verdict.fails and verdict.samples == 0
+            return
+        outcome, samples, max_slack, point = _scan_on_spheres(
+            space, x, y, t, conv, rep
+        )
+        assert (verdict.outcome, verdict.samples) == (outcome, samples)
+        assert _same(verdict.max_slack, max_slack)
+        assert (verdict.witness or {}).get("point") == point
 
 
 @st.composite

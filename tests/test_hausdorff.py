@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from mclab import (
     Box,
+    CappedSimplex,
     FiniteSet,
+    SetUnion,
     Singleton,
     directed_hausdorff,
     distance,
@@ -257,3 +259,82 @@ class TestExactHausdorffProperties:
         assert value == brute
         assert A.contains(wa) and B.contains(wb)
         assert distance(space, wa, wb) == value
+
+
+@st.composite
+def _union_pairs(draw):
+    """(space, A, B): B a union of 1-5 capped simplices, boxes, singletons
+    and finite sets, A a finite set or such a union, under d_1 or d_inf,
+    exact or float.  Points on a half-integer lattice make ties common."""
+    p = draw(st.sampled_from([1, math.inf]))
+    dim = draw(st.integers(1, 4))
+    exact = draw(st.booleans())
+    half = (lambda k: F(k, 2)) if exact else (lambda k: k / 2)
+    coord = st.integers(-4, 4).map(half)
+    if not exact:
+        coord = st.one_of(coord, st.floats(-2, 2))
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+
+    def part():
+        kind = draw(st.sampled_from(["simplex", "box", "singleton", "finite"]))
+        if kind == "simplex":
+            x, y = draw(point), draw(point)
+            d = sum(abs(a - b) for a, b in zip(x, y))
+            r1 = d * draw(st.sampled_from([0, F(1, 4), F(1, 2), 1]))
+            return CappedSimplex(x, y, r1 if exact else float(r1), exact=exact)
+        if kind == "box":
+            lower, upper = zip(*(sorted((draw(coord), draw(coord))) for _ in range(dim)))
+            return Box(lower, upper, exact=exact)
+        return _finite_rep(draw, point, exact)
+
+    def union():
+        return SetUnion(tuple(part() for _ in range(draw(st.integers(1, 5)))))
+
+    A = union() if draw(st.booleans()) else _finite_rep(draw, point, exact)
+    return vector_space(dim, p, exact=exact), A, union()
+
+
+def _plain_directed(space, A, B):
+    """The max over A's sample points of the distance to the nearest point
+    of B, every row over every part; ties break to the smallest (a, b)."""
+
+    def nearest(a, part):
+        if isinstance(part, FiniteSet):
+            return min((distance(space, a, b), b) for b in part.points)
+        b = part.nearest(a)
+        return distance(space, a, b), b
+
+    rows = [(a, *min(nearest(a, part) for part in B.parts)) for a in A.sample_points()]
+    value = max(d for _, d, _ in rows)
+    return value, min((a, b) for a, d, b in rows if d == value)
+
+
+class TestUnionEarlyBreak:
+    """directed_hausdorff to a union stops a row once it cannot decide the
+    value; it must give the value and witness of the plain max over rows."""
+
+    @given(_union_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_plain_max_over_rows(self, case):
+        space, A, B = case
+        value, witness = _plain_directed(space, A, B)
+        result = directed_hausdorff(space, A, B)
+        assert type(result.value) is type(value)
+        if isinstance(value, float):
+            assert result.value.hex() == value.hex()
+        else:
+            assert result.value == value
+        assert result.witness == witness
+        assert [list(map(type, w)) for w in result.witness] == [
+            list(map(type, w)) for w in witness
+        ]
+
+    def test_a_tied_row_after_the_best_still_moves_the_witness(self):
+        space = vector_space(1, 1, exact=True)
+        # (2,) and (-2,) are both at distance 1 from B; the smaller witness
+        # comes from the later row
+        A = FiniteSet(((F(2),), (F(-2),)))
+        B = SetUnion((Singleton((F(3),)), Singleton((F(-1),)), Singleton((F(1),))))
+        result = directed_hausdorff(space, A, B)
+        assert result.value == 1
+        assert result.witness == ((F(-2),), (F(-1),))
