@@ -146,6 +146,13 @@ class HybridParams:
             raise MclabError("alpha must lie outside the open interval (0, 1)")
         if not (0 <= self.beta <= 1):
             raise MclabError("beta must lie in [0, 1]")
+        # verify_hybrid takes alpha, 1 - alpha, beta and 1 - beta as floats;
+        # the last two lie in [0, 1]
+        for name, w in (("alpha", self.alpha), ("1 - alpha", 1 - self.alpha)):
+            try:
+                float(w)
+            except OverflowError:
+                raise MclabError(f"{name} lies beyond the float range") from None
 
 
 def _sample_domain_point(rng, domain: Domain):

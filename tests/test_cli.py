@@ -375,6 +375,17 @@ class TestFixedpointCommand:
             text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
             json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
+    @pytest.mark.parametrize(
+        "alpha", [10**400, "1e400", -(10**400)], ids=["int", "string", "negative"]
+    )
+    def test_alpha_beyond_the_float_range_exits_two(self, alpha, tmp_path, capsys):
+        spec = write_json(tmp_path / "huge.json", dict(ROT_SPEC, alpha=alpha))
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
+        assert "bad mapping spec: alpha lies beyond the float range" in (
+            capsys.readouterr().out
+        )
+        assert not (tmp_path / "fixedpoint.json").exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["fixedpoint", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
 
