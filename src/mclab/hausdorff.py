@@ -3,15 +3,19 @@
 The directed distance from A to B is the maximum, over A's sample points, of
 the distance to B.  That distance is exact: a finite B is searched in one
 `distances` row, a singleton, box or capped simplex has a closed-form
-nearest point, and a union takes the nearest over its parts.  Boxes under
-the sup metric are compared per coordinate as interval Hausdorff
+nearest point, and a union takes the nearest over its parts.  Under d_1 a
+capped simplex gives its distance with its nearest point, from the walk's
+own coordinates.  Against a union, a row stops at the first part that brings
+its running minimum strictly below the largest row so far (the early break
+of Taha & Hanbury, IEEE TPAMI 37(11), 2015): such a row can neither exceed
+nor tie that row, so the value and the witness are those of the full scan.
+Boxes under the sup metric are compared per coordinate as interval Hausdorff
 distances.  Two finite sets share one `distance_table`, which checks each
-point once: its row minima give the distance from A to B, its column
-minima the distance from B to A.  The result is marked exact when A's
-sample points attain the supremum: A finite, or A a capped simplex (whose
-vertices are its sample points) and B convex.  Witness pairs are
-always returned; ties break to the lexicographically smallest witness so
-results are deterministic.
+point once: its row minima give the distance from A to B, its column minima
+the distance from B to A.  The result is marked exact when A's sample points
+attain the supremum: A finite, or A a capped simplex (whose vertices are its
+sample points) and B convex.  Witness pairs are always returned; ties break
+to the lexicographically smallest witness so results are deterministic.
 """
 from __future__ import annotations
 
@@ -73,17 +77,18 @@ def _nearest(space, a, B):
     return distance(space, a, b), b
 
 
-def _union_rows(space, points, B: SetUnion):
-    """The rows (a, distance from a to B, nearest point of B) over the
-    points a that can decide the directed distance to a union.  A row stops
-    at the first part that brings its running minimum strictly below the
-    largest row so far: it can then neither exceed nor tie that row, so
-    `_directed_points`, which does not depend on row order, gives the same
-    value and witness without it.  The first row takes every part."""
+def _rows(space, points, parts):
+    """The rows (a, distance from a to B, nearest point of B), for B the
+    union of `parts`, over the points a that can decide the directed
+    distance.  A row stops at the first part that brings its running
+    minimum strictly below the largest row so far: it can then neither
+    exceed nor tie that row, so `_directed_points`, which does not depend on
+    row order, gives the same value and witness without it.  The first row
+    takes every part."""
     best = None
     for a in points:
         row = None
-        for part in B.parts:
+        for part in parts:
             near = _nearest(space, a, part)
             if row is None or near < row:
                 row = near
@@ -134,12 +139,8 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     if isinstance(A, Box) and isinstance(B, Box) and space.p == math.inf:
         value, witness = _directed_boxes(space, A, B)
         return HausdorffResult(value, witness, exact=A.exact and B.exact)
-    points = _rep_points(A)
-    if isinstance(B, SetUnion):
-        rows = _union_rows(space, points, B)
-    else:
-        rows = ((a, *_nearest(space, a, B)) for a in points)
-    value, witness = _directed_points(rows)
+    parts = B.parts if isinstance(B, SetUnion) else (B,)
+    value, witness = _directed_points(_rows(space, _rep_points(A), parts))
     # d(., B) is convex for a convex B, so over a capped simplex its
     # supremum sits at a vertex; a finite A is all its points
     exact = (

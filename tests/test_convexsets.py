@@ -34,6 +34,7 @@ from mclab import (
     vector_space,
 )
 import mclab.convexsets as convexsets
+from mclab.hausdorff import _nearest as hausdorff_nearest
 from mclab.convexsets import (
     DEFAULT_TOL,
     MAX_SIMPLEX_AXES,
@@ -588,18 +589,24 @@ def _points_around(draw, x, y, rational):
 
 @st.composite
 def _simplex_kernel_cases(draw):
-    """(space, rep, z): an exact simplex with a rational point in the exact
-    space, an exact simplex with a float point in the float space, or a
-    float simplex with a float point, in dimension 1-10."""
-    kind = draw(st.sampled_from(["exact", "exact-float-point", "float"]))
+    """(space, rep, z) in dimension 1-10: an exact simplex with a rational
+    point in the exact space, an exact simplex with a float point in the
+    float space, a float simplex with a float point, or a simplex over
+    rationals not marked exact with a rational point in the exact space."""
+    kind = draw(st.sampled_from(["exact", "exact-float-point", "float", "unmarked"]))
     if kind == "float":
         x, y, r1 = draw(_float_simplices())
-        rep = CappedSimplex(x, y, r1, exact=False)
+    elif kind == "unmarked":
+        # mostly ints, whose walk has an int distance
+        x, y, r1 = draw(_mixed_simplices())
     else:
         x, y, r1 = draw(_exact_simplices(max_dim=MAX_SIMPLEX_AXES))
-        rep = CappedSimplex(x, y, r1)
-    exact = kind == "exact"
-    z = draw(_points_around(x, y, rational=exact))
+    rep = CappedSimplex(x, y, r1, exact=kind in ("exact", "exact-float-point"))
+    exact = kind in ("exact", "unmarked")
+    if kind == "unmarked":
+        z = tuple(draw(st.lists(st.integers(-4, 4), min_size=len(x), max_size=len(x))))
+    else:
+        z = draw(_points_around(x, y, rational=exact))
     return vector_space(len(x), 1, exact=exact), rep, z
 
 
@@ -659,6 +666,12 @@ class TestSimplexKernels:
         space, rep, z = case
         value, w = rep.nearest_with_distance(z)
         near = rep.nearest(z)
+        assert _same_points([w], [near])
+        # an unmarked simplex is walked in its own arithmetic, as in a float space
+        own = vector_space(space.dim, 1, exact=space.exact and rep.exact)
+        assert _same(value, distance(own, z, near))
+        # the Hausdorff kernel takes the distance of the space
+        value, w = hausdorff_nearest(space, z, rep)
         assert _same_points([w], [near])
         assert _same(value, distance(space, z, near))
 
