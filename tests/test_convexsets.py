@@ -675,6 +675,8 @@ class TestSimplexKernels:
         assert _same_points([w], [near])
         assert _same(value, distance(space, z, near))
 
+    # rounding makes two cap sets give the same float vertex
+    @example(((1e-17, -0.30000000000000004), (0.2, -0.7), 0.5999999999999999), False)
     @given(
         st.one_of(
             _float_simplices(),
