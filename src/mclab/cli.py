@@ -7,17 +7,17 @@ Subcommands:
   nested <family.json>     find a common point of a nested ball family
 
 Exit codes: 0 success or expected outcome, 1 property or solver failure,
-2 usage or configuration error.
+2 usage or configuration error.  A command raises ConfigError for a bad
+input before it writes any report; `main` alone turns that into exit 2.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .arith import parse_float, parse_vector
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_json
 from .convexsets import MAX_SIMPLEX_AXES, MidConvention
 from .errors import ConfigError, DomainEscape, MclabError, SolverFailure
 from .fixedpoint import (
@@ -57,8 +57,7 @@ def _plan_from_config(cfg: RunConfig, count=None) -> SamplePlan:
 
 def cmd_reproduce(args, cfg: RunConfig) -> int:
     if args.fixture not in FIXTURES:
-        print(f"unknown fixture {args.fixture!r}; known: {sorted(FIXTURES)}")
-        return EXIT_USAGE
+        raise ConfigError(f"unknown fixture {args.fixture!r}; known: {sorted(FIXTURES)}")
     report = FIXTURES[args.fixture]()
     payload = {"config": cfg.resolved(), "report": report.to_json()}
     lines = [f"# Fixture {report.name}", "", report.description, ""]
@@ -90,38 +89,29 @@ def _parse_expectations(text: str | None, props):
         name = name.strip()
         if name not in props:
             raise ConfigError(f"--expect names {name!r}, which --props does not run")
+        if name in out:
+            raise ConfigError(f"--expect names {name!r} twice")
         out[name] = value
     return out
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    try:
-        space = space_from_id(args.space)
-    except MclabError as exc:
-        print(f"config error: {exc}")
-        return EXIT_USAGE
+    space = space_from_id(args.space)
     if space.carrier != VECTOR:
         # the samplers draw coordinate vectors; function spaces are library-only
-        print(f"config error: check needs a vector space id (vecN-pP), not {space.id!r}")
-        return EXIT_USAGE
+        raise ConfigError(f"check needs a vector space id (vecN-pP), not {space.id!r}")
     if space.p == 1 and space.dim > MAX_SIMPLEX_AXES:
         # d_1 midpoint sets are sampled at their up to 2^dim vertices
-        print(f"config error: check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
-        return EXIT_USAGE
-    try:
-        conv = MidConvention(cfg.convention)
-    except ValueError:
-        print(
-            f"config error: convention must be one of "
-            f"{sorted(c.value for c in MidConvention)}, not {cfg.convention!r}"
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
     prop_list = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not prop_list:
+        # a suite verdict needs evidence: an empty suite would print PASS
+        raise ConfigError("--props names no property")
     for prop in prop_list:
         if prop not in CHECK_PROPS:
-            print(f"unknown property {prop!r}")
-            return EXIT_USAGE
+            raise ConfigError(f"unknown property {prop!r}")
     expectations = _parse_expectations(args.expect, prop_list)
+    conv = MidConvention(cfg.convention)
     plan = _plan_from_config(cfg)
     ok = True
     lines = [f"# Property suite on {space.id}", ""]
@@ -158,12 +148,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_fixedpoint(args, cfg: RunConfig) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read mapping spec: {exc}")
-        return EXIT_USAGE
+    data = read_json(args.spec, "mapping spec")
     try:
         if not isinstance(data, dict):
             raise MclabError("a mapping spec is a JSON object")
@@ -180,8 +165,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         x0 = parse_vector(data.get("x0", (0.0,) * space.dim), "x0", parse_float)
         check_point(space, x0)
     except (MclabError, KeyError, ValueError) as exc:
-        print(f"bad mapping spec: {exc}")
-        return EXIT_USAGE
+        raise ConfigError(f"bad mapping spec: {exc}") from exc
     plan = _plan_from_config(cfg, count=min(cfg.sample_count, 2000))
     payload = {"config": cfg.resolved(), "space": space.id}
     try:
@@ -242,18 +226,12 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
 
 
 def cmd_nested(args, cfg: RunConfig) -> int:
+    space = space_from_id(args.space)
+    data = read_json(args.family, "family")
     try:
-        space = space_from_id(args.space)
-    except MclabError as exc:
-        print(f"config error: {exc}")
-        return EXIT_USAGE
-    try:
-        with open(args.family, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         family = family_from_json(data, space)
-    except (OSError, json.JSONDecodeError, MclabError) as exc:
-        print(f"cannot read family: {exc}")
-        return EXIT_USAGE
+    except MclabError as exc:
+        raise ConfigError(f"cannot read family: {exc}") from exc
     payload = {"config": cfg.resolved(), "space": space.id}
     try:
         if args.cantor:
@@ -335,24 +313,20 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # the one input boundary: a bad flag, config value, space id, spec or
+    # family raises ConfigError before any report is written
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return EXIT_USAGE
-    try:
         if args.command == "reproduce":
             return cmd_reproduce(args, cfg)
         if args.command == "check":
             return cmd_check(args, cfg)
         if args.command == "fixedpoint":
             return cmd_fixedpoint(args, cfg)
-        if args.command == "nested":
-            return cmd_nested(args, cfg)
+        return cmd_nested(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

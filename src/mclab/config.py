@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
+from .convexsets import MidConvention
 from .errors import ConfigError
 
 ENV_PREFIX = "MCLAB_"
@@ -62,6 +63,9 @@ _MINIMUMS = {
     "fp_rmax": 0,
 }
 
+# the values `convention` accepts: the midpoint conventions
+_CONVENTIONS = sorted(c.value for c in MidConvention)
+
 
 def _coerce(key: str, value):
     if key not in _KEY_TYPES:
@@ -72,14 +76,22 @@ def _coerce(key: str, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
+def read_json(path: str, what: str):
+    """The JSON value in the file at `path`; a file that cannot be opened or
+    decoded, or that holds no JSON, raises ConfigError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer with
+        # more digits than int() converts
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        data = read_json(path, f"config {path}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg = replace(cfg, **{k: _coerce(k, v) for k, v in data.items()})
@@ -98,6 +110,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
         value = getattr(cfg, key)
         if not value >= least:
             raise ConfigError(f"{key} must be at least {least}, not {value!r}")
+    if cfg.convention not in _CONVENTIONS:
+        raise ConfigError(
+            f"convention must be one of {_CONVENTIONS}, not {cfg.convention!r}"
+        )
     if cfg.fp_window > cfg.fp_orbit_n:
         # the tail window is taken from the orbit's points
         raise ConfigError(

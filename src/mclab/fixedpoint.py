@@ -294,7 +294,7 @@ def orbit(
     x = tuple(x0)
     points = [x]
     first = {repr(x): 0}  # index of each point's first occurrence
-    radius = 0
+    radius = distance(space, x, x0)  # zero of the space's scalar type
     for k in range(1, n + 1):
         x = tuple(spec.apply(x))
         j = first.setdefault(repr(x), k)
@@ -326,10 +326,12 @@ class AsymptoticFunctional:
     not depend on which member is chosen.  The limit superior over the orbit
     is approximated by the maximum over the tail window, taken over
     `distinct_tail`, the tail's distinct points in order of first occurrence.
+    `radius` is the orbit's, when the orbit measured it.
     """
 
     points: tuple
     window: int
+    radius: Scalar | None = None
     distinct_tail: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -369,7 +371,7 @@ def make_asymptotic_functional(
             "orbit unbounded; the tail functional is undefined",
             certificate={"radius": orb.radius, "rmax": rmax},
         )
-    return AsymptoticFunctional(orb.points, window)
+    return AsymptoticFunctional(orb.points, window, orb.radius)
 
 
 def coercivity_probe(
@@ -505,12 +507,11 @@ def find_fixed_point(
         xtol=min(tol * 1e-3, 1e-9),
     )
     residual = distance(space, spec.apply(u0), u0)
-    orbit_radius = max(distances(space, x0, tuple(dict.fromkeys(F.points))))
     return FixedPointResult(
         point=u0,
         residual=residual,
         f_value=f_val,
-        orbit_radius=orbit_radius,
+        orbit_radius=F.radius,
         evaluations=evals,
         converged=residual <= tol,
     )

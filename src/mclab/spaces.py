@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .arith import Scalar, common_denominator, is_rational, rational_sqrt, scaled
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     ExactArithmeticUnsupported,
     InternalInconsistency,
@@ -110,27 +111,31 @@ def space_id(space: MetricSpace) -> str:
     return tag + ("-exact" if space.exact else "")
 
 
-_VECTOR_ID = re.compile(r"^vec(\d+)-p(inf|[0-9.]+)(-exact)?$")
+_VECTOR_ID = re.compile(r"^vec(\d+)-p(inf|\d+(?:\.\d+)?)(-exact)?$")
 _FN_ID = re.compile(r"^(l1fn|linffn)(-exact)?$")
 
 
 def space_from_id(text: str) -> MetricSpace:
+    """The space an id names; an id that names none raises ConfigError."""
     if not isinstance(text, str):
-        raise MclabError(f"a space id is a string, not {text!r}")
+        raise ConfigError(f"a space id is a string, not {text!r}")
     m = _VECTOR_ID.match(text)
     if m:
         dim = int(m.group(1))
         p = math.inf if m.group(2) == "inf" else float(m.group(2))
         if p != math.inf and p == int(p):
             p = int(p)
-        return vector_space(dim, p, exact=bool(m.group(3)))
+        try:
+            return vector_space(dim, p, exact=bool(m.group(3)))
+        except MclabError as exc:
+            raise ConfigError(str(exc)) from exc
     m = _FN_ID.match(text)
     if m:
         exact = bool(m.group(2))
         if m.group(1) == "l1fn":
             return l1_function_space(exact)
         return linf_function_space(exact)
-    raise MclabError(f"unknown space id {text!r}")
+    raise ConfigError(f"unknown space id {text!r}")
 
 
 # --------------------------------------------------------------------------

@@ -67,6 +67,146 @@ def write_json(path, obj):
     return str(path)
 
 
+FAMILY = [[{"center": [0.5, 0], "radius": 1.5}], [{"center": [0.25, 0], "radius": 1.25}]]
+NOT_UTF8 = b'{"seed": "\xff"}'
+BAD_CONVENTION = {"cfg.json": {"convention": "nope"}}
+
+# one bad input per source and command: (argv, files written under their
+# names in the run directory, MCLAB_* variables, message); a file's content
+# is JSON-encoded unless it is bytes
+INPUT_ERRORS = {
+    "argv-unknown-fixture": (["reproduce", "nosuch"], {}, {}, "unknown fixture 'nosuch'"),
+    "argv-unknown-space": (["check", "--space", "vec2-q7"], {}, {}, "unknown space id 'vec2-q7'"),
+    "argv-space-with-two-points": (
+        ["check", "--space", "vec2-p1.2.3"], {}, {}, "unknown space id 'vec2-p1.2.3'"
+    ),
+    "argv-unknown-property": (
+        ["check", "--space", "vec2-p2", "--props", "A,typo"], {}, {}, "unknown property 'typo'"
+    ),
+    "argv-props-comma": (
+        ["check", "--space", "vec2-p2", "--props", ","], {}, {}, "--props names no property"
+    ),
+    "argv-props-empty": (
+        ["check", "--space", "vec2-p2", "--props", ""], {}, {}, "--props names no property"
+    ),
+    "argv-expect-twice": (
+        ["check", "--space", "vec2-p2", "--props", "A", "--expect", "A=holds,A=fails"],
+        {},
+        {},
+        "--expect names 'A' twice",
+    ),
+    "argv-missing-spec": (["fixedpoint", "none.json"], {}, {}, "cannot read mapping spec"),
+    "argv-nested-space": (
+        ["nested", "fam.json", "--space", "vec2-q7"],
+        {"fam.json": FAMILY},
+        {},
+        "unknown space id 'vec2-q7'",
+    ),
+    "config-convention-reproduce": (
+        ["reproduce", "linf-box", "--config", "cfg.json"],
+        BAD_CONVENTION,
+        {},
+        "convention must be one of ['fromx', 'fromy'], not 'nope'",
+    ),
+    "config-convention-check": (
+        ["check", "--space", "vec2-p2", "--props", "A", "--config", "cfg.json"],
+        BAD_CONVENTION,
+        {},
+        "convention must be one of ['fromx', 'fromy'], not 'nope'",
+    ),
+    "config-convention-fixedpoint": (
+        ["fixedpoint", "spec.json", "--config", "cfg.json"],
+        {**BAD_CONVENTION, "spec.json": ROT_SPEC},
+        {},
+        "convention must be one of ['fromx', 'fromy'], not 'nope'",
+    ),
+    "config-convention-nested": (
+        ["nested", "fam.json", "--config", "cfg.json"],
+        {**BAD_CONVENTION, "fam.json": FAMILY},
+        {},
+        "convention must be one of ['fromx', 'fromy'], not 'nope'",
+    ),
+    "config-not-json": (
+        ["reproduce", "linf-box", "--config", "cfg.json"],
+        {"cfg.json": b"{not json"},
+        {},
+        "cannot read config",
+    ),
+    "config-not-utf8": (
+        ["reproduce", "linf-box", "--config", "cfg.json"],
+        {"cfg.json": NOT_UTF8},
+        {},
+        "cannot read config",
+    ),
+    "config-unknown-key": (
+        ["check", "--space", "vec2-p2", "--config", "cfg.json"],
+        {"cfg.json": {"exact": True}},
+        {},
+        "unknown config key 'exact'",
+    ),
+    "env-sample-count": (
+        ["check", "--space", "vec2-p2"],
+        {},
+        {"SAMPLE_COUNT": "0"},
+        "sample_count must be at least 1",
+    ),
+    "env-convention": (
+        ["nested", "fam.json"],
+        {"fam.json": FAMILY},
+        {"CONVENTION": "nope"},
+        "convention must be one of",
+    ),
+    "env-seed": (
+        ["fixedpoint", "spec.json"], {"spec.json": ROT_SPEC}, {"SEED": "abc"}, "bad value for seed"
+    ),
+    "spec-not-json": (
+        ["fixedpoint", "spec.json"], {"spec.json": b"[1,"}, {}, "cannot read mapping spec"
+    ),
+    "spec-not-utf8": (
+        ["fixedpoint", "spec.json"], {"spec.json": NOT_UTF8}, {}, "cannot read mapping spec"
+    ),
+    "spec-huge-integer": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": b'{"alpha": 1' + b"0" * 5000 + b"}"},
+        {},
+        "cannot read mapping spec: Exceeds the limit",
+    ),
+    "spec-unknown-space": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, space="vec2-q7")},
+        {},
+        "bad mapping spec: unknown space id 'vec2-q7'",
+    ),
+    "family-not-json": (["nested", "fam.json"], {"fam.json": b""}, {}, "cannot read family"),
+    "family-negative-radius": (
+        ["nested", "fam.json"],
+        {"fam.json": [[{"center": [0, 0], "radius": -1}]]},
+        {},
+        "cannot read family: ball radius must be at least 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files, env, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_an_input_error_exits_two_with_one_line_and_no_report(
+    argv, files, env, message, tmp_path, monkeypatch, capsys
+):
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            write_json(tmp_path / name, content)
+    for key, value in env.items():
+        monkeypatch.setenv("MCLAB_" + key, value)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert message in lines[0]
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestReproduce:
     @pytest.mark.parametrize(
         "fixture", ["l1-aij", "linf-box", "ex1-betweenness", "L1-ha", "Linf-hp"]

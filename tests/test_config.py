@@ -13,8 +13,10 @@ FIELDS = [f.name for f in fields(RunConfig)]
 
 
 def _other_value(name):
-    """A value of the field's type that differs from its default."""
+    """A valid value of the field's type that differs from its default."""
     default = getattr(RunConfig(), name)
+    if name == "convention":
+        return "fromx"  # the other midpoint convention
     if isinstance(default, str):
         return default + "-set"
     return default * 2 + 1

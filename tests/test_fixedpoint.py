@@ -193,7 +193,7 @@ def _iterated_orbit(space, spec, x0, n, rmax=1e6):
     if not spec.domain.contains(x0, DOMAIN_TOL):
         raise DomainEscape("starting point lies outside the domain")
     points = [tuple(x0)]
-    radius = 0
+    radius = distance(space, x0, x0)
     x = tuple(x0)
     for _ in range(n):
         x = spec.apply(x)
@@ -494,6 +494,19 @@ class TestFindFixedPoint:
         f_tu = asymptotic_center(SP2, F, spec.apply(result.point))
         f_u = asymptotic_center(SP2, F, result.point)
         assert f_tu <= f_u + 1e-6
+
+    @pytest.mark.parametrize("dom", ["ball", "box", "all"])
+    def test_orbit_radius_is_the_largest_distance_to_the_start(self, dom):
+        space = vector_space(3, 2)
+        for seed in range(5):
+            spec, x0 = _signed_permutation_contraction(seed, dom)
+            result = find_fixed_point(space, spec, NONEXPANSIVE, x0, budget=50)
+            want = max(distances(space, x0, _iterated_orbit(space, spec, x0, 256).points))
+            assert repr(result.orbit_radius) == repr(want)
+
+    def test_a_start_the_map_fixes_has_float_radius_zero(self):
+        result = find_fixed_point(SP2, rotation_spec(), NONEXPANSIVE, (0.0, 0.0), budget=50)
+        assert repr(result.orbit_radius) == "0.0"
 
 
 class TestCoercivity:
