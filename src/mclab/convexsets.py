@@ -21,7 +21,18 @@ over the grid, d_inf(z, x) runs from the largest per-axis minimum of
 one of four numbers.  An exact box is read in integers over twice the
 common denominator of its bounds, centres and radii, where the axis
 midpoints (lo + hi) // 2 are exact.  Only a box that fails is scanned, for
-its first point.
+its first point.  An exact d_1 simplex lies on both spheres by its offset
+invariant and is not scanned either.  A sphere-equivalence trial measures
+d(x, y) once, for the set and its check; on an exact d_inf space it reads
+the gap from the integer bounds the box is built from, doubled, and makes
+the box's Fractions only for a box that fails.
+
+A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
+way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
+built one axis at a time as the coordinatewise max of each axis's pairs;
+and it is exactly 0 on an exact d_1 simplex.  A lifted union under a
+strictly convex d_p measures its points' distances to y in one `distances`
+row.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -412,7 +423,11 @@ class Segment:
 
     `samples` holds one set representation per parameter value; every sampled
     member satisfies the betweenness identity d(x,z) + d(z,y) = d(x,y) up to
-    `max_defect`.
+    `max_defect`.  Not every member is measured for it: a d_inf box is read
+    from the pairs (d(x,z), d(z,y)) its sample grid attains, built one axis
+    at a time, and an exact d_1 simplex meets the identity exactly by its
+    offset invariant.  Singletons, float simplices and the other
+    representations are scanned point by point.
     """
 
     x: tuple
@@ -435,19 +450,38 @@ def midpoint_set(
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
     ball around y, the radii splitting d(x, y) according to the convention."""
+    d = _endpoint_distance(space, x, y, t)
+    return _midpoint_rep(space, x, y, d, *radii_for(conv, t, d), tol)
+
+
+def _endpoint_distance(space: MetricSpace, x, y, t: Scalar) -> Scalar:
+    """d(x, y) for a midpoint set of x and y at t, once the space, the
+    endpoints and t are checked."""
     if space.carrier != VECTOR:
         raise MclabError("midpoint sets are implemented for vector carriers")
     check_point(space, x)
     check_point(space, y)
     if tuple(x) == tuple(y):
         raise MclabError("midpoint set needs two distinct endpoints")
+    _check_parameter(t)
+    return distance(space, x, y)
+
+
+def _check_parameter(t: Scalar) -> None:
     if not (0 < t < 1):
         raise MclabError("parameter t must lie strictly between 0 and 1")
-    d = distance(space, x, y)
-    r1, r2 = radii_for(conv, t, d)
+
+
+def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
+    """B[x, r1] ∩ B[y, r2] for r1 + r2 = d = d(x, y)."""
     p = space.p
     if p == math.inf and space.exact and is_rational(r1) and is_rational(r2):
-        return _exact_sup_box(x, y, r1, r2)
+        den, bounds, _ = _exact_sup_bounds(x, y, r1, r2)
+        return Box(
+            tuple(Fraction(lo, den) for lo, _ in bounds),
+            tuple(Fraction(hi, den) for _, hi in bounds),
+            exact=True,
+        )
     if p == math.inf:
         lower, upper = [], []
         for xi, yi in zip(x, y):
@@ -468,26 +502,26 @@ def midpoint_set(
         return CappedSimplex(tuple(x), tuple(y), r1, exact=space.exact)
     # strictly convex case: the intersection is the single point on the
     # straight chord at distance r1 from x
-    w = r1 / d
-    return Singleton(vlerp(x, y, w), exact=space.exact)
+    return Singleton(vlerp(x, y, r1 / d), exact=space.exact)
 
 
-def _exact_sup_box(x, y, r1, r2) -> Box:
-    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii: each
-    bound max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2) in integers
-    over one common denominator, and one Fraction per bound at the end."""
+def _exact_sup_bounds(x, y, r1, r2):
+    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii, in
+    integers over one common denominator `den`: (den, the bounds (lo, hi)
+    of each axis, the spheres ((x, r1), (y, r2)) scaled by den).  Each bound
+    is max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2)."""
     den = common_denominator((*x, *y, r1, r2))
+    xs, ys = scaled(x, den), scaled(y, den)
     s1, s2 = scaled((r1, r2), den)
-    lower, upper = [], []
-    for a, b in zip(scaled(x, den), scaled(y, den)):
+    bounds = []
+    for a, b in zip(xs, ys):
         lo, hi = max(a - s1, b - s2), min(a + s1, b + s2)
         if lo > hi:
             raise InternalInconsistency(
                 "empty box intersection for a sup-metric midpoint set"
             )
-        lower.append(Fraction(lo, den))
-        upper.append(Fraction(hi, den))
-    return Box(tuple(lower), tuple(upper), exact=True)
+        bounds.append((lo, hi))
+    return den, bounds, ((xs, s1), (ys, s2))
 
 
 def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
@@ -507,8 +541,7 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
     check_point(space, y)
     if tuple(x) == tuple(y):
         raise MclabError("unique midpoint needs two distinct endpoints")
-    if not (0 < t < 1):
-        raise MclabError("parameter t must lie strictly between 0 and 1")
+    _check_parameter(t)
     return vlerp(x, y, 1 - t)
 
 
@@ -540,6 +573,15 @@ def verify_on_spheres(
     """
     d = distance(space, x, y)
     r1, r2 = radii_for(conv, t, d)
+    return _spheres_verdict(
+        space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices=True
+    )
+
+
+def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices):
+    """`verify_on_spheres` with d = d(x, y) and the radii given.  An exact
+    d_1 simplex reports its vertex count as `samples` only when
+    `count_vertices` is true, and 0 otherwise."""
     limit = space.limit(tol)
     if isinstance(rep, Box) and space.p == math.inf:
         # d_inf(z, c) over the box's sample grid runs between its per-axis
@@ -548,29 +590,13 @@ def verify_on_spheres(
         # so that it names the scan's first point
         gap, axes = _sup_box_gap(space, rep, ((x, r1), (y, r2)))
         if gap <= limit:
-            return verdict(
-                "SphereEquivalence",
-                HOLDS,
-                conv=conv,
-                samples=math.prod(len(values) for values in axes),
-                max_slack=gap if gap > 0 else 0,
-            )
-    if (
-        isinstance(rep, CappedSimplex)
-        and space.exact
-        and space.p == 1
-        and is_rational(r1)
-        and (rep.x, rep.y, rep.r1) == (tuple(x), tuple(y), r1)
-        and 0 <= r1 <= d
-    ):
-        # the caps sum to d_1(x, y) = d, and every vertex has offsets in
-        # [0, cap_i] summing to r1, so d_1(z, x) = r1 and d_1(z, y) = d - r1
-        # exactly: the scan would find every gap 0
+            return _box_holds(conv, axes, gap)
+    if _simplex_on_spheres(space, rep, x, y, d, r1):
         return verdict(
             "SphereEquivalence",
             HOLDS,
             conv=conv,
-            samples=rep.vertex_count(),
+            samples=rep.vertex_count() if count_vertices else 0,
             max_slack=0,
         )
     points = rep.sample_points()
@@ -615,23 +641,62 @@ def verify_on_spheres(
     )
 
 
+def _box_holds(conv, axes, gap) -> PropertyVerdict:
+    """The verdict of a box whose sample grid, with per-axis values `axes`,
+    lies on both spheres up to `gap`."""
+    return verdict(
+        "SphereEquivalence",
+        HOLDS,
+        conv=conv,
+        samples=math.prod(len(values) for values in axes),
+        max_slack=gap if gap > 0 else 0,
+    )
+
+
+def _simplex_on_spheres(space, rep, x, y, d, r1) -> bool:
+    """Whether `rep` is the exact d_1 simplex of x and y at offset sum r1,
+    for d = d(x, y): then every vertex lies on both spheres by construction.
+    The caps sum to d_1(x, y) = d, and every vertex has offsets in
+    [0, cap_i] summing to r1, so d_1(z, x) = r1 and d_1(z, y) = d - r1
+    exactly, and a scan would find every sphere gap and betweenness defect
+    0."""
+    return (
+        isinstance(rep, CappedSimplex)
+        and space.exact
+        and space.p == 1
+        and is_rational(r1)
+        and (rep.x, rep.y, rep.r1) == (tuple(x), tuple(y), r1)
+        and 0 <= r1 <= d
+    )
+
+
+def _box_frame(space, rep: Box, points, scalars):
+    """(den, axes, points, scalars): the per-axis values of the box's sample
+    grid next to `points` and `scalars`.  A float box keeps them as they
+    are, with den None.  An exact box gives them in integers over twice the
+    common denominator `den` of its bounds, the points and the scalars,
+    where every axis midpoint (lo + hi) // 2 is exact."""
+    if space.exact:
+        values = (*rep.lower, *rep.upper, *(c for q in points for c in q), *scalars)
+        if all(map(is_rational, values)):
+            den = 2 * common_denominator(values)
+            axes = [
+                (lo,) if lo == hi else (lo, (lo + hi) // 2, hi)
+                for lo, hi in zip(scaled(rep.lower, den), scaled(rep.upper, den))
+            ]
+            return den, axes, [scaled(q, den) for q in points], scaled(scalars, den)
+    return None, rep.axis_values(), points, scalars
+
+
 def _sup_box_gap(space, rep: Box, spheres):
     """The largest |d_inf(z, c) - r| over the points z of the box's sample
-    grid and the spheres (c, r), with the grid's per-axis values.  An exact
-    box is read in integers over twice the common denominator of its
-    bounds, centres and radii, where every axis midpoint (lo + hi) // 2 is
-    exact; one Fraction is built at the end."""
-    values = (*rep.lower, *rep.upper, *(v for c, r in spheres for v in (*c, r)))
-    if not (space.exact and all(map(is_rational, values))):
-        axes = rep.axis_values()
-        return _sphere_gap(axes, spheres), axes
-    den = 2 * common_denominator(values)
-    axes = [
-        (lo,) if lo == hi else (lo, (lo + hi) // 2, hi)
-        for lo, hi in zip(scaled(rep.lower, den), scaled(rep.upper, den))
-    ]
-    spheres = [(scaled(c, den), *scaled((r,), den)) for c, r in spheres]
-    return Fraction(_sphere_gap(axes, spheres), den), axes
+    grid and the spheres (c, r), with the grid's per-axis values, read in
+    the box's frame; an exact gap is one Fraction."""
+    den, axes, centres, radii = _box_frame(
+        space, rep, [c for c, _ in spheres], [r for _, r in spheres]
+    )
+    gap = _sphere_gap(axes, zip(centres, radii))
+    return (gap if den is None else Fraction(gap, den)), axes
 
 
 def _sphere_gap(axes, spheres):
@@ -655,8 +720,29 @@ def sphere_equivalence_check(
     conv: MidConvention = MidConvention.FROM_Y,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
-    rep = midpoint_set(space, x, y, t, conv, tol=tol)
-    return verify_on_spheres(space, x, y, t, conv, rep, tol=tol)
+    """`verify_on_spheres` of `midpoint_set`, with d(x, y) measured once."""
+    return _sphere_trial(space, x, y, t, conv, tol, count_vertices=True)
+
+
+def _sphere_trial(space, x, y, t, conv, tol, count_vertices) -> PropertyVerdict:
+    """`sphere_equivalence_check` in one frame; `count_vertices` as in
+    `_spheres_verdict`.  An exact d_inf box stays in the integers of
+    `_exact_sup_bounds`, its grid and spheres doubled so that every axis
+    midpoint is an integer (the frame of `_sup_box_gap`).  Exact identities
+    hold exactly, so the box holds when its integer gap is 0; a box of
+    Fractions is built only for the scan of a box that fails."""
+    d = _endpoint_distance(space, x, y, t)
+    r1, r2 = radii_for(conv, t, d)
+    if space.p == math.inf and space.exact and is_rational(r1) and is_rational(r2):
+        _, bounds, spheres = _exact_sup_bounds(x, y, r1, r2)
+        axes = [
+            (2 * lo,) if lo == hi else (2 * lo, lo + hi, 2 * hi) for lo, hi in bounds
+        ]
+        spheres = [([2 * c for c in centre], 2 * r) for centre, r in spheres]
+        if not _sphere_gap(axes, spheres):
+            return _box_holds(conv, axes, 0)
+    rep = _midpoint_rep(space, x, y, d, r1, r2, tol)
+    return _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices)
 
 
 # --------------------------------------------------------------------------
@@ -679,16 +765,47 @@ def segment(
     max_defect = 0
     for t in t_grid:
         rep = midpoint_set(space, x, y, t, conv, tol=tol)
-        for z in rep.sample_points():
-            defect = abs(distance(space, x, z) + distance(space, z, y) - d)
-            if defect > max_defect:
-                max_defect = defect
+        defect = _betweenness_defect(space, x, y, d, radii_for(conv, t, d)[0], rep)
+        if defect > max_defect:
+            max_defect = defect
         samples.append((t, rep))
     if max_defect > space.limit(tol):
         raise InternalInconsistency(
             f"segment sample misses the betweenness identity by {max_defect}"
         )
     return Segment(tuple(x), tuple(y), tuple(samples), max_defect)
+
+
+def _betweenness_defect(space, x, y, d, r1, rep):
+    """The largest |d(x, z) + d(z, y) - d| over the sampled members z of
+    `rep`, for d = d(x, y) and the radius r1 around x; any value not above
+    0 stands for 0.  A d_inf box is read from per-axis pairs and an exact
+    d_1 simplex from its invariant; other representations are scanned."""
+    if isinstance(rep, Box) and space.p == math.inf:
+        return _box_defect(space, rep, x, y, d)
+    if _simplex_on_spheres(space, rep, x, y, d, r1):
+        return 0
+    worst = 0
+    for z in rep.sample_points():
+        defect = abs(distance(space, x, z) + distance(space, z, y) - d)
+        if defect > worst:
+            worst = defect
+    return worst
+
+
+def _box_defect(space, rep: Box, x, y, d):
+    """The largest |d_inf(x, z) + d_inf(z, y) - d| over the box's sample
+    grid, from the pairs (d_inf(x, z), d_inf(z, y)) that the grid attains,
+    built one axis at a time: a point's pair is the coordinatewise `max` of
+    its axes' pairs (|x_i - v|, |v - y_i|), the differences and the `max`
+    that `distance` takes, so the result equals the scan's in value."""
+    den, axes, (xs, ys), (dd,) = _box_frame(space, rep, (x, y), (d,))
+    pairs = {(abs(xs[0] - v), abs(v - ys[0])) for v in axes[0]}
+    for values, xi, yi in zip(axes[1:], xs[1:], ys[1:]):
+        axis = [(abs(xi - v), abs(v - yi)) for v in values]
+        pairs = {(max(A, a), max(B, b)) for A, B in pairs for a, b in axis}
+    defect = max(abs(A + B - dd) for A, B in pairs)
+    return defect if den is None else Fraction(defect, den)
 
 
 def segment_points(seg: Segment):
@@ -718,6 +835,24 @@ def lifted_union(
     """Union of midpoint sets with y over representative points of A."""
     if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
+    if space.unique_midpoints:
+        # every part is the chord point at r1 / d(a, y) from a: one distance
+        # row measures the points a other than y, as `midpoint_set` would
+        y = tuple(y)
+        points = [tuple(a) for a in A.sample_points()]
+        others = [a for a in points if a != y]
+        row = iter(())
+        if others:
+            _check_parameter(t)
+            row = iter(distances(space, y, others))
+        chords = []
+        for a in points:
+            if a == y:
+                chords.append(y)
+            else:
+                d = next(row)
+                chords.append(vlerp(a, y, radii_for(conv, t, d)[0] / d))
+        return FiniteSet(tuple(dict.fromkeys(chords)), exact=space.exact)
     parts = []
     for a in A.sample_points():
         if tuple(a) == tuple(y):

@@ -18,6 +18,7 @@ from .convexsets import (
     FiniteSet,
     MidConvention,
     SetRep,
+    _sphere_trial,
     diameter_with_witness,
     lifted_union,
     midpoint_set,
@@ -25,7 +26,6 @@ from .convexsets import (
     segment,
     segment_points,
     space_label,
-    sphere_equivalence_check,
     unique_midpoint,
 )
 from .errors import MembershipError, MclabError, UniqueMidpointUndefined
@@ -74,7 +74,10 @@ def check_menger_convex(
         for k in range(plan.count):
             x, y = sample_distinct_pair(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            v = sphere_equivalence_check(space, x, y, t, MidConvention.FROM_X, tol=tol)
+            # the verdict's slack and witness are kept, not its vertex count
+            v = _sphere_trial(
+                space, x, y, t, MidConvention.FROM_X, tol, count_vertices=False
+            )
             yield v.max_slack, lambda: v.witness
 
     return first_failure("MengerConvex", trials(), space.limit(tol), plan, worst=0)

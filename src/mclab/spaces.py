@@ -16,6 +16,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .arith import Scalar, common_denominator, is_rational, rational_sqrt, scaled
@@ -123,6 +124,15 @@ def space_from_id(text: str) -> MetricSpace:
     if m:
         dim = int(m.group(1))
         p = math.inf if m.group(2) == "inf" else float(m.group(2))
+        # the float must be the decimal given: 1.10 reads as 1.1, but a p
+        # that overflows or rounds would name another space without a word
+        if m.group(2) != "inf" and (
+            p == math.inf or Decimal(repr(p)) != Decimal(m.group(2))
+        ):
+            raise ConfigError(
+                f"p={m.group(2)} in space id {text!r} does not round-trip "
+                f"through a float (it reads as {p!r})"
+            )
         if p != math.inf and p == int(p):
             p = int(p)
         try:

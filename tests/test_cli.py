@@ -80,6 +80,19 @@ INPUT_ERRORS = {
     "argv-space-with-two-points": (
         ["check", "--space", "vec2-p1.2.3"], {}, {}, "unknown space id 'vec2-p1.2.3'"
     ),
+    "argv-space-p-overflows": (
+        ["check", "--space", "vec2-p" + "1" * 400],
+        {},
+        {},
+        "does not round-trip through a float (it reads as inf)",
+    ),
+    "argv-space-p-rounds": (
+        ["check", "--space", "vec2-p1.0000000000000000001"],
+        {},
+        {},
+        "p=1.0000000000000000001 in space id 'vec2-p1.0000000000000000001' does not "
+        "round-trip through a float (it reads as 1.0)",
+    ),
     "argv-unknown-property": (
         ["check", "--space", "vec2-p2", "--props", "A,typo"], {}, {}, "unknown property 'typo'"
     ),

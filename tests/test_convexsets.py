@@ -21,6 +21,7 @@ from mclab import (
     SamplePlan,
     Singleton,
     UniqueMidpointUndefined,
+    check_menger_convex,
     diameter,
     directed_hausdorff,
     distance,
@@ -789,6 +790,258 @@ class TestSimplexOnSpheres:
         assert verdict.holds and verdict.max_slack == 0
         assert verdict.samples == len(rep.sample_points())
         assert len(calls) == 1  # d(x, y) for the radii
+
+
+def _scan_defect(space, x, y, d, rep):
+    """The betweenness defect of a plain scan of every sample point of
+    `rep`, kept as `segment` keeps it: the int 0 until a defect exceeds it."""
+    worst = 0
+    for z in rep.sample_points():
+        defect = abs(distance(space, x, z) + distance(space, z, y) - d)
+        if defect > worst:
+            worst = defect
+    return worst
+
+
+def _as_kept(defect):
+    return defect if defect > 0 else 0
+
+
+# float boxes whose axis midpoint rounds onto a bound ((lo + hi) / 2 is lo
+# for adjacent floats), next to a degenerate axis and an ordinary one
+_ROUNDING_BOXES = [
+    (
+        vector_space(3, math.inf),
+        (0.0, 1.0, -0.5),
+        (1.0 + 2**-52, 0.25, 0.75),
+        Box((1.0, 0.5, 0.25), (math.nextafter(1.0, 2.0), 0.5, 0.5), exact=False),
+    ),
+    (
+        vector_space(2, math.inf),
+        (-3.0, 0.1),
+        (0.3, 0.7),
+        Box((-0.0, 0.1), (5e-324, math.nextafter(0.1, 1.0)), exact=False),
+    ),
+]
+
+
+class TestBoxDefect:
+    """The betweenness defect of a d_inf box read from per-axis pairs
+    against the scan of its sample grid, equal in value and type."""
+
+    @given(_sup_boxes())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_equal_the_grid_scan(self, case):
+        space, x, y, _, _, box = case
+        d = distance(space, x, y)
+        kept = _as_kept(convexsets._box_defect(space, box, x, y, d))
+        assert _same(kept, _scan_defect(space, x, y, d, box))
+
+    @pytest.mark.parametrize("space, x, y, box", _ROUNDING_BOXES)
+    def test_a_midpoint_rounded_onto_a_bound_equals_the_scan(self, space, x, y, box):
+        assert any(len(set(v)) < len(v) for v in box.axis_values())
+        d = distance(space, x, y)
+        kept = _as_kept(convexsets._box_defect(space, box, x, y, d))
+        assert _same(kept, _scan_defect(space, x, y, d, box))
+        assert kept > 0
+
+    @given(_sup_boxes(), st.sampled_from([1, 3, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_segment_defect_equals_the_scan_of_its_samples(self, case, steps):
+        space, x, y, _, conv, _ = case
+        t_grid = [F(k, steps + 1) for k in range(1, steps + 1)]
+        if not space.exact:
+            t_grid = [float(t) for t in t_grid]
+        seg = segment(space, x, y, t_grid, conv)
+        d = distance(space, x, y)
+        worst = 0
+        for _, rep in seg.samples:
+            defect = _scan_defect(space, x, y, d, rep)
+            if defect > worst:
+                worst = defect
+        assert _same(seg.max_defect, worst)
+
+    def test_a_segment_of_exact_boxes_costs_no_per_point_distance(self, monkeypatch):
+        space = vector_space(6, math.inf, exact=True)
+        x = (F(0), F(1, 2), F(-1), F(3, 2), F(1, 4), F(-3, 4))
+        y = (F(2), F(-1, 2), F(0), F(1), F(1), F(0))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(convexsets, "distance", counting)
+        seg = segment(space, x, y, [F(k, 8) for k in range(1, 8)], FX)
+        assert seg.max_defect == 0 and type(seg.max_defect) is int
+        assert len(calls) == 8  # d(x, y), then once per midpoint_set
+
+
+class TestSimplexSegment:
+    """An exact d_1 segment reads its defect from the simplex invariant."""
+
+    @given(_exact_simplices(max_dim=6), st.sampled_from(list(MidConvention)))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_simplex_defect_is_the_int_zero_of_the_scan(self, case, conv):
+        x, y, _ = case
+        space = vector_space(len(x), 1, exact=True)
+        seg = segment(space, x, y, [F(1, 4), F(1, 2), F(5, 7)], conv)
+        d = distance(space, x, y)
+        assert all(_scan_defect(space, x, y, d, rep) == 0 for _, rep in seg.samples)
+        assert seg.max_defect == 0 and type(seg.max_defect) is int
+
+    def test_a_segment_of_exact_simplices_costs_no_per_vertex_distance(
+        self, monkeypatch
+    ):
+        space = vector_space(8, 1, exact=True)
+        x = (F(0), F(1, 2), F(-1), F(3, 2), F(1, 4), F(-3, 4), F(1), F(0))
+        y = (F(2), F(-1, 2), F(0), F(1), F(1), F(0), F(-1, 3), F(5, 7))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(convexsets, "distance", counting)
+        seg = segment(space, x, y, [F(1, 8), F(1, 2)], FX)
+        assert seg.max_defect == 0
+        assert len(calls) == 3  # d(x, y), then once per midpoint_set
+
+    def test_a_float_simplex_keeps_the_scan(self):
+        space = vector_space(3, 1)
+        x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
+        seg = segment(space, x, y, [0.125, 0.5, 0.875], FX)
+        d = distance(space, x, y)
+        worst = max(_scan_defect(space, x, y, d, rep) for _, rep in seg.samples)
+        assert _same(seg.max_defect, worst)
+
+
+def _same_verdict(a, b) -> bool:
+    """Equal reports, and equal fields in value and type, floats bit for bit."""
+    return json.dumps(a.to_json()) == json.dumps(b.to_json()) and repr(a) == repr(b)
+
+
+@st.composite
+def _sphere_trials(draw):
+    """(space, x, y, t, conv): a midpoint-set trial in dimension 1-6 on
+    exact or float d_inf, exact or float d_1, or float d_2."""
+    kind = draw(st.sampled_from(["inf-exact", "inf", "1-exact", "1", "2"]))
+    dim = draw(st.integers(1, 6))
+    exact = kind.endswith("exact")
+    coord = _RATIONAL if exact else _FLOAT
+    x = tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.one_of(st.just(a), coord)) for a in x)
+    assume(x != y)
+    t = draw(_EXACT_T) if exact else draw(st.floats(0.02, 0.98))
+    p = {"inf": math.inf, "1": 1, "2": 2}[kind.split("-")[0]]
+    conv = draw(st.sampled_from(list(MidConvention)))
+    return vector_space(dim, p, exact=exact), x, y, t, conv
+
+
+class TestOnePassSphereTrial:
+    """`sphere_equivalence_check` in one frame against `midpoint_set`
+    followed by `verify_on_spheres`."""
+
+    @given(_sphere_trials())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_set_then_check(self, case):
+        space, x, y, t, conv = case
+        rep = midpoint_set(space, x, y, t, conv)
+        two_step = verify_on_spheres(space, x, y, t, conv, rep)
+        assert _same_verdict(sphere_equivalence_check(space, x, y, t, conv), two_step)
+        trial = convexsets._sphere_trial(
+            space, x, y, t, conv, DEFAULT_TOL, count_vertices=False
+        )
+        assert trial.outcome == two_step.outcome
+        assert _same(trial.max_slack, two_step.max_slack)
+        assert trial.witness == two_step.witness
+
+    @given(_exact_simplices(max_dim=6), _EXACT_T, st.sampled_from(list(MidConvention)))
+    @settings(max_examples=100, deadline=None)
+    def test_library_check_counts_the_simplex_vertices(self, case, t, conv):
+        x, y, _ = case
+        space = vector_space(len(x), 1, exact=True)
+        verdict = sphere_equivalence_check(space, x, y, t, conv)
+        rep = midpoint_set(space, x, y, t, conv)
+        assert verdict.holds
+        assert verdict.samples == rep.vertex_count() == len(rep.sample_points())
+
+    def test_the_menger_checker_never_counts_vertices(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("vertex_count called")
+
+        space = vector_space(6, 1, exact=True)
+        plan = SamplePlan(count=40, seed=3)
+        expected = check_menger_convex(space, plan).to_json()
+        monkeypatch.setattr(CappedSimplex, "vertex_count", refuse)
+        assert check_menger_convex(space, plan).to_json() == expected
+        with pytest.raises(AssertionError):
+            sphere_equivalence_check(space, (F(0),) * 6, (F(1),) * 6, F(1, 2))
+
+    def test_an_exact_box_trial_measures_x_y_once_and_builds_no_box(self, monkeypatch):
+        space = vector_space(3, math.inf, exact=True)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(convexsets, "distance", counting)
+        monkeypatch.setattr(convexsets, "Box", None)
+        verdict = sphere_equivalence_check(
+            space, (F(0), F(1, 3), F(-1)), (F(2), F(0), F(1, 2)), F(3, 8), FX
+        )
+        assert verdict.holds and verdict.samples == 9 and verdict.max_slack == 0
+        assert len(calls) == 1
+
+
+def _lifted_by_point(space, A, y, t, conv):
+    """The lifted union as one `midpoint_set` per point of A."""
+    parts = [
+        (tuple(y),) if tuple(a) == tuple(y) else (midpoint_set(space, a, y, t, conv).point,)
+        for a in A.sample_points()
+    ]
+    return FiniteSet(tuple(dict.fromkeys(p for (p,) in parts)), exact=space.exact)
+
+
+@st.composite
+def _strictly_convex_unions(draw):
+    """(space, A, y, t, conv): a finite set of 1-8 float points in dimension
+    1-4 under d_p for p in {1.5, 2, 3}, with y among them or a repeat of a
+    point now and then."""
+    dim = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([1.5, 2, 3]))
+    point = st.lists(_FLOAT, min_size=dim, max_size=dim).map(tuple)
+    y = draw(point)
+    pts = draw(st.lists(st.one_of(point, st.just(y)), min_size=1, max_size=8))
+    t = draw(st.floats(0.02, 0.98))
+    conv = draw(st.sampled_from(list(MidConvention)))
+    return vector_space(dim, p), FiniteSet(tuple(pts), exact=False), y, t, conv
+
+
+class TestBatchedLiftedUnion:
+    """A strictly convex lifted union from one distance row against one
+    `midpoint_set` per point: the same points in the same order and types."""
+
+    @given(_strictly_convex_unions())
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_equals_the_per_point_loop(self, case):
+        space, A, y, t, conv = case
+        union = lifted_union(space, A, y, t, conv)
+        plain = _lifted_by_point(space, A, y, t, conv)
+        assert type(union) is FiniteSet and union.exact is plain.exact is False
+        assert _same_points(union.points, plain.points)
+
+    def test_a_set_of_y_alone_is_y_at_any_parameter(self):
+        space = vector_space(2, 2)
+        y = (0.5, -1.0)
+        union = lifted_union(space, FiniteSet((y, [0.5, -1.0])), y, 7.0)
+        assert union.points == (y,)
+
+    def test_a_parameter_outside_zero_one_is_refused(self):
+        space = vector_space(2, 2)
+        with pytest.raises(MclabError, match="strictly between 0 and 1"):
+            lifted_union(space, FiniteSet(((0.0, 0.0), (1.0, 1.0))), (1.0, 1.0), 1.0)
 
 
 class TestUniqueMidpoint:

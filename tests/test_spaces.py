@@ -499,6 +499,11 @@ def test_space_id_round_trip():
         assert space_from_id(sid).id == sid
 
 
+@pytest.mark.parametrize("tag, p", [("2", 2), ("1.5", 1.5), ("1.10", 1.1), ("2.0", 2)])
+def test_space_id_p_in_any_decimal_form_of_its_float(tag, p):
+    assert space_from_id(f"vec2-p{tag}").p == p
+
+
 def test_point_json_round_trip():
     from mclab.spaces import point_from_json, point_to_json
 
