@@ -47,7 +47,6 @@ from .fixedpoint import (
     Rotation,
     WholeSpace,
     asymptotic_center,
-    coercivity_probe,
     find_fixed_point,
     make_asymptotic_functional,
     midpoint_map,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isfinite, isqrt, lcm
+from math import inf, isfinite, isqrt, lcm
 from typing import Union
 
 from .errors import MclabError
@@ -56,9 +56,21 @@ def parse_float(value) -> float:
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise MclabError(f"cannot interpret {value!r} as a number") from exc
+    except OverflowError:  # an int beyond the float range
+        out = inf
     if not isfinite(out):
         raise MclabError(f"{value!r} is not a finite number")
     return out
+
+
+def in_float_range(value: Scalar, what: str) -> Scalar:
+    """`value`, with MclabError naming `what` unless its float is finite."""
+    try:
+        if isfinite(float(value)):
+            return value
+    except OverflowError:
+        pass
+    raise MclabError(f"{what} lies beyond the float range")
 
 
 def parse_vector(value, what: str, convert=parse_scalar) -> tuple:

@@ -16,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .arith import parse_float, parse_vector
+from .arith import parse_float, parse_scalar, parse_vector
 from .config import RunConfig, load_config, read_json
 from .convexsets import MAX_SIMPLEX_AXES, MidConvention
 from .errors import ConfigError, DomainEscape, MclabError, SolverFailure
@@ -160,7 +160,8 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
             )
         spec = mapping_from_json(data, space)
         params = HybridParams(
-            Fraction(str(data.get("alpha", 1))), Fraction(str(data.get("beta", 0)))
+            Fraction(str(parse_scalar(data.get("alpha", 1)))),
+            Fraction(str(parse_scalar(data.get("beta", 0)))),
         )
         x0 = parse_vector(data.get("x0", (0.0,) * space.dim), "x0", parse_float)
         check_point(space, x0)

@@ -72,7 +72,7 @@ def _coerce(key: str, value):
         raise ConfigError(f"unknown config key {key!r}")
     try:
         return _KEY_TYPES[key](value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 

@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .arith import Scalar, common_denominator, is_rational, scaled
+from .arith import Scalar, common_denominator, in_float_range, is_rational, scaled
 from .errors import (
     EmptySetError,
     InternalInconsistency,
@@ -110,7 +110,7 @@ class Singleton:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box; used only under the d_inf metric."""
+    """Axis-aligned box: a d_inf midpoint set, or a domain under any d_p."""
 
     lower: tuple
     upper: tuple
@@ -129,30 +129,25 @@ class Box:
             lo - tol <= c <= hi + tol for lo, c, hi in zip(self.lower, z, self.upper)
         )
 
-    def axis_values(self, per_axis: int = 3):
+    def axis_values(self):
         """Sample values per coordinate: the bound of a degenerate axis, else
-        both bounds and, for per_axis >= 3, their midpoint."""
+        both bounds and their midpoint."""
         axes = []
         for lo, hi in zip(self.lower, self.upper):
             if lo == hi:
                 axes.append((lo,))
-            elif per_axis <= 2:
-                axes.append((lo, hi))
             else:
                 axes.append((lo, (lo + hi) / 2, hi))
         return axes
 
-    def sample_points(self, per_axis: int = 3):
-        return list(itertools.product(*self.axis_values(per_axis)))
+    def sample_points(self):
+        return list(itertools.product(*self.axis_values()))
 
     def nearest(self, z):
         """Clamp z into the box: a nearest point in every d_p."""
         return tuple(
             min(max(c, lo), hi) for lo, c, hi in zip(self.lower, z, self.upper)
         )
-
-    def corners(self):
-        return list(itertools.product(*self.axis_values(per_axis=2)))
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,8 @@ class CappedSimplex:
         supersets: caps are at least 0, and adding one never lowers a sum,
         in floats too.  Inputs that are all Fractions are summed as
         integers over one common denominator.  Rational vertices are
-        distinct (see `vertex_count`), so only others are deduplicated."""
+        distinct, so only others are deduplicated: the offsets of a vertex
+        give back its axes at their caps and its one axis inside, if any."""
         x, y, r1 = self.x, self.y, self.r1
         den = 0
         if all(isinstance(c, Fraction) for c in (*x, *y, r1)):
@@ -282,34 +278,6 @@ class CappedSimplex:
         if all(map(is_rational, (*x, *y, r1))):
             return points
         return list(dict.fromkeys(points))
-
-    def vertex_count(self) -> int:
-        """len(sample_points()) of an exact simplex, counted by subset sums
-        of the integer caps instead of enumerated: the sets S of axes at
-        their caps with sum(S) = r1, plus the pairs of such a set and an
-        axis j outside it with sum(S) < r1 < sum(S) + cap_j.  No two of
-        these give the same point, so nothing is deduplicated."""
-        caps = [abs(self.y[i] - self.x[i]) for i in self._axes()]
-        den = common_denominator((*caps, self.r1))
-        caps = scaled(caps, den)
-        (r1,) = scaled((self.r1,), den)
-        sums = {0: 1}  # number of axis sets by cap sum, sums above r1 dropped
-        for c in caps:
-            for s, k in list(sums.items()):
-                if s + c <= r1:
-                    sums[s + c] = sums.get(s + c, 0) + k
-        count = sums.get(r1, 0)
-        for c in caps:
-            for s in sums:
-                if r1 - c < s < r1:
-                    # sets without this axis summing to s: sums[s] minus
-                    # those with it, which are the sets without it summing
-                    # to s - c; the alternating chain ends at a missing sum
-                    sign = 1
-                    while s in sums:
-                        count += sign * sums[s]
-                        sign, s = -sign, s - c
-        return count
 
 
 def _simplex_walk(z, x, y, r1) -> list:
@@ -373,6 +341,9 @@ class MetricBall:
         check_point(self.space, self.center)
         if not self.radius >= 0:
             raise MclabError(f"ball radius must be at least 0, not {self.radius!r}")
+        if self.space.carrier == VECTOR and not self.space.exact:
+            for value in (*self.center, self.radius):
+                in_float_range(value, "a ball's center or radius")
 
     def contains(self, z, tol: float = 0) -> bool:
         return distance(self.space, z, self.center) <= self.radius + tol
@@ -580,8 +551,8 @@ def verify_on_spheres(
 
 def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices):
     """`verify_on_spheres` with d = d(x, y) and the radii given.  An exact
-    d_1 simplex reports its vertex count as `samples` only when
-    `count_vertices` is true, and 0 otherwise."""
+    d_1 simplex enumerates its vertices for `samples` only when
+    `count_vertices` is true, and reports 0 otherwise."""
     limit = space.limit(tol)
     if isinstance(rep, Box) and space.p == math.inf:
         # d_inf(z, c) over the box's sample grid runs between its per-axis
@@ -596,7 +567,7 @@ def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices):
             "SphereEquivalence",
             HOLDS,
             conv=conv,
-            samples=rep.vertex_count() if count_vertices else 0,
+            samples=len(rep.sample_points()) if count_vertices else 0,
             max_slack=0,
         )
     points = rep.sample_points()
@@ -814,10 +785,6 @@ def segment_points(seg: Segment):
     for _, rep in seg.samples:
         points.extend(tuple(p) for p in rep.sample_points())
     return list(dict.fromkeys(points))
-
-
-def segment_finite_set(seg: Segment, exact: bool) -> FiniteSet:
-    return FiniteSet(tuple(segment_points(seg)), exact=exact)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Scalar, parse_float, parse_scalar, parse_vector
+from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vector
 from .convexsets import Box, MetricBall, MidConvention, unique_midpoint
 from .errors import (
     DomainEscape,
@@ -33,7 +33,7 @@ from .errors import (
     UniqueMidpointUndefined,
 )
 from .sampling import SamplePlan
-from .spaces import MetricSpace, check_point, distance, distances, vadd, vscale
+from .spaces import MetricSpace, check_point, distance, distances
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 
@@ -149,10 +149,7 @@ class HybridParams:
         # verify_hybrid takes alpha, 1 - alpha, beta and 1 - beta as floats;
         # the last two lie in [0, 1]
         for name, w in (("alpha", self.alpha), ("1 - alpha", 1 - self.alpha)):
-            try:
-                float(w)
-            except OverflowError:
-                raise MclabError(f"{name} lies beyond the float range") from None
+            in_float_range(w, name)
 
 
 def _sample_domain_point(rng, domain: Domain):
@@ -372,32 +369,6 @@ def make_asymptotic_functional(
             certificate={"radius": orb.radius, "rmax": rmax},
         )
     return AsymptoticFunctional(orb.points, window, orb.radius)
-
-
-def coercivity_probe(
-    space: MetricSpace,
-    F: AsymptoticFunctional,
-    u,
-    direction,
-    max_power: int = 10,
-):
-    """Evaluate the functional along u + k*direction for k = 1, 2, 4, ...
-
-    Returns the sampled values together with the largest functional value
-    attainable on the orbit tail itself; the probe holds when the ray values
-    are nondecreasing and eventually exceed that bound.
-    """
-    ks = [2**j for j in range(max_power + 1)]
-    values = [asymptotic_center(space, F, vadd(u, vscale(direction, k))) for k in ks]
-    orbit_bound = max(asymptotic_center(space, F, p) for p in F.distinct_tail)
-    nondecreasing = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-    holds = nondecreasing and values[-1] > orbit_bound and values[-1] > values[0]
-    return {
-        "k": ks,
-        "values": values,
-        "orbit_bound": orbit_bound,
-        "holds": holds,
-    }
 
 
 # --------------------------------------------------------------------------
@@ -620,7 +591,12 @@ def mapping_from_json(obj: dict, space: MetricSpace) -> MappingSpec:
     return MappingSpec(mapping=mapping, domain=domain)
 
 
-def _sized_vector(value, what: str, dim: int, convert=parse_scalar) -> tuple:
+def _float_scalar(value) -> Scalar:
+    """parse_scalar, refusing a value beyond the float range."""
+    return in_float_range(parse_scalar(value), f"entry {value!r}")
+
+
+def _sized_vector(value, what: str, dim: int, convert=_float_scalar) -> tuple:
     """parse_vector, with MclabError unless there are `dim` entries."""
     out = parse_vector(value, what, convert)
     if len(out) != dim:
@@ -649,7 +625,8 @@ def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
         if dim != 2:
             raise MclabError(f"a rotation needs a 2-dimensional space, not {dim}")
         if "turns" in params:
-            angle = 2 * math.pi * float(Fraction(str(params["turns"])))
+            turns = in_float_range(Fraction(str(parse_scalar(params["turns"]))), "turns")
+            angle = in_float_range(2 * math.pi * float(turns), "the angle of turns")
         else:
             angle = parse_float(params["angle"])
         center = _sized_vector(params.get("center", (0.0, 0.0)), "center", 2, parse_float)
@@ -680,8 +657,8 @@ def _domain_from_json(obj, space: MetricSpace) -> Domain:
             parse_float(obj["radius"]),
         )
     if repr_tag == "box":
-        lower = parse_vector(obj["lower"], "lower")
-        upper = parse_vector(obj["upper"], "upper")
+        lower = parse_vector(obj["lower"], "lower", _float_scalar)
+        upper = parse_vector(obj["upper"], "upper", _float_scalar)
         for bound in (lower, upper):
             check_point(space, bound)
         return Box(lower, upper, exact=space.exact)

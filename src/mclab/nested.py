@@ -158,9 +158,3 @@ def family_from_json(data, space: MetricSpace) -> NestedFamily:
         for entry in data
     )
 
-
-def family_to_json(family: NestedFamily):
-    return [
-        [{"center": list(b.center), "radius": b.radius} for b in balls]
-        for balls in family.sets
-    ]

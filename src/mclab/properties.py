@@ -461,7 +461,6 @@ def estimate_uniform_modulus(
     eps_values,
     budget: int = 100_000,
     seed: int = 20240601,
-    extra_directions: int = 2,
 ):
     """Empirical modulus of uniform convexity.
 
@@ -488,7 +487,7 @@ def estimate_uniform_modulus(
         best = 0.0
 
         frames = [_axis_frame(n)]
-        for _ in range(extra_directions):
+        for _ in range(2):
             frames.append(_random_frame(rng, n, space))
 
         s_grid = [eps]

@@ -27,7 +27,6 @@ from .errors import (
     InternalInconsistency,
     MclabError,
 )
-from .reports import to_json
 
 VECTOR = "vector"
 PW_POLY = "pwpoly"
@@ -160,7 +159,8 @@ def vscale(a, s):
 
 
 def vlerp(a, b, w):
-    """Point a + w*(b - a), exact when the inputs are exact."""
+    """Point a + w*(b - a), exact when the inputs are exact.  In floats b - a
+    overflows to inf near +-1e308, and then w = 0 gives NaN."""
     return tuple(x + w * (y - x) for x, y in zip(a, b))
 
 
@@ -225,25 +225,6 @@ def constant_fn(c: Scalar) -> PiecewisePoly:
 
 def poly_fn(c0: Scalar, c1: Scalar = 0, c2: Scalar = 0) -> PiecewisePoly:
     return PiecewisePoly((0, 1), ((c0, c1, c2),))
-
-
-def point_to_json(point):
-    """Vectors become arrays, functions {breakpoints, pieces}; rationals are
-    'num/den' strings."""
-    if isinstance(point, PiecewisePoly):
-        return to_json({"breakpoints": point.breakpoints, "pieces": point.pieces})
-    return to_json(point)
-
-
-def point_from_json(data):
-    from .arith import parse_scalar
-
-    if isinstance(data, dict):
-        return PiecewisePoly(
-            tuple(parse_scalar(b) for b in data["breakpoints"]),
-            tuple(tuple(parse_scalar(c) for c in piece) for piece in data["pieces"]),
-        )
-    return tuple(parse_scalar(c) for c in data)
 
 
 # --------------------------------------------------------------------------

@@ -151,6 +151,12 @@ INPUT_ERRORS = {
         {},
         "cannot read config",
     ),
+    "config-huge-integer": (
+        ["fixedpoint", "spec.json", "--config", "cfg.json"],
+        {"cfg.json": {"fp_tol": 10**400}, "spec.json": ROT_SPEC},
+        {},
+        "bad value for fp_tol",
+    ),
     "config-unknown-key": (
         ["check", "--space", "vec2-p2", "--config", "cfg.json"],
         {"cfg.json": {"exact": True}},
@@ -190,7 +196,91 @@ INPUT_ERRORS = {
         {},
         "bad mapping spec: unknown space id 'vec2-q7'",
     ),
+    "spec-alpha-zero-denominator": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, alpha="1/0")},
+        {},
+        "bad mapping spec: cannot interpret '1/0' as a scalar",
+    ),
+    "spec-beta-zero-denominator": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, beta="1/0")},
+        {},
+        "bad mapping spec: cannot interpret '1/0' as a scalar",
+    ),
+    "spec-turns-zero-denominator": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, parameters={"turns": "1/0"})},
+        {},
+        "bad mapping spec: cannot interpret '1/0' as a scalar",
+    ),
+    "spec-turns-overflow": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, parameters={"turns": "1e400"})},
+        {},
+        "bad mapping spec: turns lies beyond the float range",
+    ),
+    "spec-turns-angle-overflow": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, parameters={"turns": 1e308})},
+        {},
+        "bad mapping spec: the angle of turns lies beyond the float range",
+    ),
+    "spec-matrix-overflow": (
+        ["fixedpoint", "spec.json"],
+        {
+            "spec.json": dict(
+                DOUBLING_SPEC, parameters={"matrix": [["1e400", 0], [0, 2]], "offset": [0, 0]}
+            )
+        },
+        {},
+        "bad mapping spec: entry '1e400' lies beyond the float range",
+    ),
+    "spec-offset-overflow": (
+        ["fixedpoint", "spec.json"],
+        {
+            "spec.json": dict(
+                DOUBLING_SPEC, parameters={"matrix": [[2, 0], [0, 2]], "offset": ["1e400", 0]}
+            )
+        },
+        {},
+        "bad mapping spec: entry '1e400' lies beyond the float range",
+    ),
+    "spec-box-domain-overflow": (
+        ["fixedpoint", "spec.json"],
+        {
+            "spec.json": dict(
+                DOUBLING_SPEC, domain={"repr": "box", "lower": ["-1e400", 0], "upper": [1, 1]}
+            )
+        },
+        {},
+        "bad mapping spec: entry '-1e400' lies beyond the float range",
+    ),
+    "spec-x0-huge-integer": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, x0=[10**400, 0])},
+        {},
+        "is not a finite number",
+    ),
     "family-not-json": (["nested", "fam.json"], {"fam.json": b""}, {}, "cannot read family"),
+    "family-center-overflow": (
+        ["nested", "fam.json", "--space", "vec2-p2"],
+        {"fam.json": [[{"center": ["1e400", 0], "radius": 1}, {"center": [0, 0], "radius": 2}]]},
+        {},
+        "cannot read family: a ball's center or radius lies beyond the float range",
+    ),
+    "family-center-huge-integer": (
+        ["nested", "fam.json", "--space", "vec2-p2"],
+        {"fam.json": [[{"center": [10**400, 0], "radius": 1}]]},
+        {},
+        "cannot read family: a ball's center or radius lies beyond the float range",
+    ),
+    "family-radius-overflow": (
+        ["nested", "fam.json", "--space", "vec2-p2"],
+        {"fam.json": [[{"center": [0, 0], "radius": "1e400"}, {"center": [1, 0], "radius": 2}]]},
+        {},
+        "cannot read family: a ball's center or radius lies beyond the float range",
+    ),
     "family-negative-radius": (
         ["nested", "fam.json"],
         {"fam.json": [[{"center": [0, 0], "radius": -1}]]},

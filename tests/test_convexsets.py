@@ -232,8 +232,6 @@ class TestCappedSimplex:
         assert rep.contains((F(1),) * (n // 2) + (F(1, 2),) + (F(0),) * (n // 2))
         with pytest.raises(MclabError):
             rep.sample_points()
-        with pytest.raises(MclabError):
-            rep.vertex_count()
 
 
 def test_golden_bprime_certificate_re_evaluates_exactly():
@@ -473,7 +471,6 @@ class TestSupBoxOnSpheres:
             (2, F(5, 2), 3),
         ]
         assert box.sample_points() == list(itertools.product(*box.axis_values()))
-        assert box.corners() == box.sample_points(per_axis=2)
 
 
 # rationals with unlike denominators, ints among them
@@ -506,12 +503,6 @@ def _exact_simplices(draw, max_dim=8):
 class TestExactSimplexArithmetic:
     """The integer paths of an exact CappedSimplex against the Fraction
     forms they replace."""
-
-    @given(_exact_simplices())
-    @settings(max_examples=300, deadline=None)
-    def test_counted_vertices_equal_the_enumeration(self, case):
-        rep = CappedSimplex(*case)
-        assert rep.vertex_count() == len(rep.sample_points())
 
     @given(_exact_simplices(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -964,16 +955,16 @@ class TestOnePassSphereTrial:
         verdict = sphere_equivalence_check(space, x, y, t, conv)
         rep = midpoint_set(space, x, y, t, conv)
         assert verdict.holds
-        assert verdict.samples == rep.vertex_count() == len(rep.sample_points())
+        assert verdict.samples == len(rep.sample_points())
 
     def test_the_menger_checker_never_counts_vertices(self, monkeypatch):
         def refuse(self):
-            raise AssertionError("vertex_count called")
+            raise AssertionError("sample_points called")
 
         space = vector_space(6, 1, exact=True)
         plan = SamplePlan(count=40, seed=3)
         expected = check_menger_convex(space, plan).to_json()
-        monkeypatch.setattr(CappedSimplex, "vertex_count", refuse)
+        monkeypatch.setattr(CappedSimplex, "sample_points", refuse)
         assert check_menger_convex(space, plan).to_json() == expected
         with pytest.raises(AssertionError):
             sphere_equivalence_check(space, (F(0),) * 6, (F(1),) * 6, F(1, 2))
@@ -1145,7 +1136,7 @@ class TestLiftedUnion:
         union = lifted_union(space, A, y, t, FX)
         # brute-force membership over a 64 x 64 grid: a point belongs iff it
         # belongs to the midpoint box of some sampled corner point of A
-        corners = A.sample_points(per_axis=3)
+        corners = A.sample_points()
         boxes = [midpoint_set(space, c, y, t, FX) for c in corners]
         lo = [min(b.lower[i] for b in boxes) for i in range(2)]
         hi = [max(b.upper[i] for b in boxes) for i in range(2)]
@@ -1171,7 +1162,7 @@ class TestDiameter:
         )
         assert diameter(space, box) == 1
         # pairwise maximum over the corners agrees
-        corners = box.corners()
+        corners = list(itertools.product(*zip(box.lower, box.upper)))
         brute = max(
             distance(space, a, b)
             for i, a in enumerate(corners)

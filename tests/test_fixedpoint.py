@@ -26,7 +26,6 @@ from mclab import (
     UniqueMidpointUndefined,
     WholeSpace,
     asymptotic_center,
-    coercivity_probe,
     distance,
     distances,
     find_fixed_point,
@@ -391,9 +390,6 @@ class TestDistinctTail:
         F = AsymptoticFunctional(tuple(tail), len(tail))
         full = 0.5 * max(distances(space, y, F.tail))
         assert _bits(asymptotic_center(space, F, y)) == _bits(full)
-        probe = coercivity_probe(space, F, y, (1.0,) * space.dim, max_power=2)
-        bound = max(asymptotic_center(space, F, q) for q in F.tail)
-        assert _bits(probe["orbit_bound"]) == _bits(bound)
 
     def test_golden_rotation_tail_is_all_distinct(self):
         F = make_asymptotic_functional(SP2, rotation_spec(), (1.0, 0.0))
@@ -507,30 +503,6 @@ class TestFindFixedPoint:
     def test_a_start_the_map_fixes_has_float_radius_zero(self):
         result = find_fixed_point(SP2, rotation_spec(), NONEXPANSIVE, (0.0, 0.0), budget=50)
         assert repr(result.orbit_radius) == "0.0"
-
-
-class TestCoercivity:
-    def test_quarter_turn_grows_linearly_along_the_axis(self):
-        spec = MappingSpec(Rotation(math.pi / 2), MetricBall(SP2, (0.0, 0.0), 1.0))
-        F = make_asymptotic_functional(SP2, spec, (1.0, 0.0))
-        probe = coercivity_probe(SP2, F, (0.0, 0.0), (1.0, 0.0))
-        assert probe["holds"]
-        for k, v in zip(probe["k"], probe["values"]):
-            assert v == pytest.approx((k + 1) / 2, abs=1e-12)
-
-    def test_constant_mapping_growth(self):
-        c = (0.5, 0.0)
-        spec = MappingSpec(Affine(((0, 0), (0, 0)), c), WholeSpace(2, radius=4))
-        F = make_asymptotic_functional(SP2, spec, (0.0, 0.0))
-        probe = coercivity_probe(SP2, F, (0.0, 0.0), (1.0, 0.0))
-        assert probe["holds"]
-        for k, v in zip(probe["k"], probe["values"]):
-            assert v == pytest.approx(distance(SP2, c, (k, 0.0)) / 2, abs=1e-12)
-
-    def test_last_value_exceeds_first(self):
-        F = make_asymptotic_functional(SP2, rotation_spec(), (1.0, 0.0))
-        probe = coercivity_probe(SP2, F, (0.2, -0.1), (0.0, 1.0))
-        assert probe["values"][-1] > probe["values"][0]
 
 
 class TestSemigroup:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -21,8 +22,12 @@ from mclab import (
     segment,
     vector_space,
 )
-from mclab.convexsets import segment_finite_set
+from mclab.convexsets import segment_points
 from mclab.hausdorff import HausdorffResult, _directed_boxes
+
+
+def _corners(box: Box):
+    return list(itertools.product(*zip(box.lower, box.upper)))
 
 
 def _grid_of_box(box: Box, per_axis: int):
@@ -65,7 +70,7 @@ class TestBasics:
     def test_point_to_segment_samples(self):
         space = vector_space(2, 2)
         seg = segment(space, (1.0, 0.0), (1.0, 1.0), [k / 8 for k in range(1, 8)])
-        target = segment_finite_set(seg, exact=False)
+        target = FiniteSet(tuple(segment_points(seg)), exact=False)
         result = directed_hausdorff(space, Singleton((0.0, 0.0), exact=False), target)
         assert result.value == pytest.approx(1.0)
 
@@ -252,8 +257,8 @@ class TestExactHausdorffProperties:
         # the clamp of that corner is its nearest point of B
         space, A, B = case
         brute = max(
-            min(distance(space, a, b) for b in [*B.corners(), B.nearest(a)])
-            for a in A.corners()
+            min(distance(space, a, b) for b in [*_corners(B), B.nearest(a)])
+            for a in _corners(A)
         )
         value, (wa, wb) = _directed_boxes(space, A, B)
         assert value == brute
