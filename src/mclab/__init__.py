@@ -77,7 +77,6 @@ from .spaces import (
     PiecewisePoly,
     constant_fn,
     distance,
-    distance_table,
     distances,
     l1_function_space,
     linf_function_space,

@@ -8,6 +8,7 @@ fully resolved configuration.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -70,10 +71,19 @@ _CONVENTIONS = sorted(c.value for c in MidConvention)
 def _coerce(key: str, value):
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
+    kind = _KEY_TYPES[key]
     try:
-        return _KEY_TYPES[key](value)
+        out = kind(value)
+        # refused: a bool, a number int() would round, a float not finite
+        if kind is not str and (
+            isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and out != value)
+            or (kind is float and not math.isfinite(out))
+        ):
+            raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    return out
 
 
 def read_json(path: str, what: str):

@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
     UniqueMidpointUndefined,
 )
-from .sampling import SamplePlan
+from .sampling import HIGH, LOW, SamplePlan
 from .spaces import MetricSpace, check_point, distance, distances
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
@@ -554,8 +554,8 @@ def semigroup_compose(
     rng = plan.rng()
     best_ratio = 0
     for _ in range(plan.count):
-        a = tuple(rng.uniform(plan.low, plan.high) for _ in range(space.dim))
-        b = tuple(rng.uniform(plan.low, plan.high) for _ in range(space.dim))
+        a = tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
+        b = tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
         if a == b:
             continue
         num = distance(space, composed(a), composed(b))

@@ -10,8 +10,8 @@ its running minimum strictly below the largest row so far (the early break
 of Taha & Hanbury, IEEE TPAMI 37(11), 2015): such a row can neither exceed
 nor tie that row, so the value and the witness are those of the full scan.
 Boxes under the sup metric are compared per coordinate as interval Hausdorff
-distances.  Two finite sets share one `distance_table`, which checks each
-point once: its row minima give the distance from A to B, its column minima
+distances.  Two finite sets share one table of `distances` rows, one per
+point of A: its row minima give the distance from A to B, its column minima
 the distance from B to A.  The result is marked exact when A's sample points
 attain the supremum: A finite, or A a capped simplex (whose vertices are its
 sample points) and B convex.  Witness pairs are always returned; ties break
@@ -33,7 +33,7 @@ from .convexsets import (
     Singleton,
 )
 from .errors import EmptySetError, MclabError
-from .spaces import MetricSpace, check_point, distance, distance_table, distances
+from .spaces import MetricSpace, check_point, distance, distances
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,11 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
 
 
 def _finite_pair(space, A, B):
-    """Both directed distances between finite sets from one distance table:
-    row minima give A -> B, column minima B -> A (d(a, b) and d(b, a) are
-    bit-equal)."""
+    """Both directed distances between finite sets from one table, a
+    `distances` row per point of A: row minima give A -> B, column minima
+    B -> A (d(a, b) and d(b, a) are bit-equal)."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
-    table = distance_table(space, pts_a, pts_b)
+    table = [distances(space, a, pts_b) for a in pts_a]
     exact = A.exact and B.exact
     forward = _directed_points(
         (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)

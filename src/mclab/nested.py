@@ -67,20 +67,17 @@ def max_violation(space: MetricSpace, family: NestedFamily, z):
     return worst, worst_ball
 
 
-def common_point(
-    space: MetricSpace,
-    family: NestedFamily,
-    tol: float = 1e-6,
-    max_sweeps: int = 10_000,
-    start=None,
-):
+_MAX_SWEEPS = 10_000  # the sweep budget of the cyclic projection
+
+
+def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6, start=None):
     """Point satisfying every ball constraint within tol, found by cyclic
     projection.  Raises SolverFailure with the worst violation when the
     sweeps stall or the budget runs out (infeasible input)."""
     z = tuple(start) if start is not None else family.sets[0][0].center
     best_violation = None
     stalled = 0
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for ball in family.all_balls():
             z = ball.project(z)
         violation, worst_ball = max_violation(space, family, z)
@@ -107,12 +104,7 @@ def common_point(
     )
 
 
-def cantor_point(
-    space: MetricSpace,
-    family: NestedFamily,
-    tol: float = 1e-6,
-    max_sweeps: int = 10_000,
-):
+def cantor_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):
     """Common point of a family whose diameter estimates drop below tol.
 
     Two solver starts must agree within twice the final diameter estimate
@@ -128,8 +120,8 @@ def cantor_point(
     first_center = family.sets[0][0].center
     radius0 = family.sets[0][0].radius
     offset = (radius0,) + (0,) * (len(first_center) - 1)
-    z1 = common_point(space, family, tol, max_sweeps, start=first_center)
-    z2 = common_point(space, family, tol, max_sweeps, start=vadd(first_center, offset))
+    z1 = common_point(space, family, tol, start=first_center)
+    z2 = common_point(space, family, tol, start=vadd(first_center, offset))
     gap = distance(space, z1, z2)
     bound = 2 * est[-1] + tol
     if gap > bound:

@@ -130,8 +130,6 @@ def check_property(
     plan: SamplePlan | None = None,
     diam_tol: float = 1e-6,
     tol: float = DEFAULT_TOL,
-    max_set_size: int = 8,
-    t_grid=None,
 ) -> PropertyVerdict:
     if which not in PROPERTY_NAMES:
         raise MclabError(f"unknown property {which!r}")
@@ -143,8 +141,8 @@ def check_property(
     if which == "Bprime":
         return _check_bprime(space, conv, plan, tol)
     if which == "Bdoubleprime":
-        return _check_bdoubleprime(space, conv, plan, tol, max_set_size)
-    return _check_c(space, conv, plan, tol, t_grid)
+        return _check_bdoubleprime(space, conv, plan, tol)
+    return _check_c(space, conv, plan, tol)
 
 
 def _check_a(space, conv, plan, diam_tol, tol):
@@ -239,14 +237,14 @@ def _check_bprime(space, conv, plan, tol):
     return first_failure("Bprime", trials(), tol, plan, conv)
 
 
-def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
+def _check_bdoubleprime(space, conv, plan, tol):
     """Property (B''): Hausdorff contraction of the set-lifted union."""
 
     def trials():
         rng = plan.rng()
         for k in range(plan.count):
-            pts_a = sample_finite_points(rng, space, plan, max_set_size)
-            pts_b = sample_finite_points(rng, space, plan, max_set_size)
+            pts_a = sample_finite_points(rng, space, plan)
+            pts_b = sample_finite_points(rng, space, plan)
             A = FiniteSet(pts_a, exact=space.exact)
             B = FiniteSet(pts_b, exact=space.exact)
             y = sample_point(rng, space, plan)
@@ -267,15 +265,12 @@ def _check_bdoubleprime(space, conv, plan, tol, max_set_size):
     return first_failure("Bdoubleprime", trials(), tol, plan, conv)
 
 
-def _check_c(space, conv, plan, tol, t_grid):
+def _check_c(space, conv, plan, tol):
     """Property (C): midpoint sets of segment members stay on the segment.
 
     Its budget runs over the sampled members of each drawn midpoint set, and
     a holding verdict records no slack."""
-    if t_grid is None:
-        t_grid = [Fraction(j, 8) for j in range(1, 8)]
-        if not space.exact:
-            t_grid = [float(t) for t in t_grid]
+    t_grid = [Fraction(j, 8) if space.exact else j / 8 for j in range(1, 8)]
 
     def trials():
         rng = plan.rng()

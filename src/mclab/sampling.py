@@ -15,12 +15,14 @@ from .errors import MclabError
 from .spaces import MetricSpace, VECTOR
 
 
+LOW, HIGH = -2, 2  # every sampled coordinate lies in [LOW, HIGH]
+MAX_SET_SIZE = 8  # a sampled finite set has 1 to MAX_SET_SIZE points
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     count: int = 1000
     seed: int = 20240601
-    low: int = -2
-    high: int = 2
     coord_denominator: int = 16
     t_denominator: int = 16
     t_values: tuple | None = None
@@ -31,6 +33,12 @@ class SamplePlan:
         # with no samples every checker would hold on no evidence
         if self.count < 1:
             raise MclabError(f"a sample plan needs count >= 1, not {self.count}")
+        # the exact sampler draws k/coord_denominator and k/t_denominator in (0, 1)
+        if self.coord_denominator < 1 or self.t_denominator < 2:
+            raise MclabError(
+                "a sample plan needs coord_denominator >= 1 and t_denominator >= 2, "
+                f"not {self.coord_denominator} and {self.t_denominator}"
+            )
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -39,8 +47,8 @@ class SamplePlan:
         out = {
             "count": self.count,
             "seed": self.seed,
-            "low": self.low,
-            "high": self.high,
+            "low": LOW,
+            "high": HIGH,
             "coord_denominator": self.coord_denominator,
             "t_denominator": self.t_denominator,
         }
@@ -55,13 +63,12 @@ class SamplePlan:
 
 def sample_point(rng: random.Random, space: MetricSpace, plan: SamplePlan):
     assert space.carrier == VECTOR
-    lo, hi = plan.low, plan.high
     if space.exact:
         den = plan.coord_denominator
         return tuple(
-            Fraction(rng.randint(lo * den, hi * den), den) for _ in range(space.dim)
+            Fraction(rng.randint(LOW * den, HIGH * den), den) for _ in range(space.dim)
         )
-    return tuple(rng.uniform(lo, hi) for _ in range(space.dim))
+    return tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
 
 
 def sample_distinct_pair(rng: random.Random, space: MetricSpace, plan: SamplePlan):
@@ -82,10 +89,8 @@ def sample_t(rng: random.Random, space: MetricSpace, plan: SamplePlan, index: in
     return rng.uniform(0.02, 0.98)
 
 
-def sample_finite_points(
-    rng: random.Random, space: MetricSpace, plan: SamplePlan, max_size: int
-):
-    size = rng.randint(1, max_size)
+def sample_finite_points(rng: random.Random, space: MetricSpace, plan: SamplePlan):
+    size = rng.randint(1, MAX_SET_SIZE)
     points = []
     for _ in range(size):
         points.append(sample_point(rng, space, plan))

@@ -291,7 +291,8 @@ def distances(space: MetricSpace, y, points) -> list:
     Float vector spaces build the coordinate terms one axis at a time over
     all points and reduce each point's terms in coordinate order with the
     same `sum`/`max` as `distance`; exact and function spaces go pair by
-    pair.
+    pair.  It is the one batch kernel: the finite Hausdorff table, the
+    lifted union and the fixed-point objective read its rows.
     """
     if space.carrier != VECTOR or space.exact:
         return [distance(space, q, y) for q in points]
@@ -319,53 +320,6 @@ def distances(space: MetricSpace, y, points) -> list:
             for t, q in zip(totals, points)
         ]
     return [t ** root for t in totals]
-
-
-def distance_table(space: MetricSpace, rows, cols) -> list:
-    """`[[distance(space, a, b) for b in cols] for a in rows]`, equal in
-    value and type, with each point checked once.
-
-    Float vector spaces reduce each pair's differences in place with the
-    same `sum`, `max` and root as `distance`: the finite sets of a Hausdorff
-    distance have a few points each, too few for the one-to-many kernel of
-    `distances` to pay off.  Exact vector spaces scale every point once to
-    one common denominator and build one Fraction per entry; function
-    spaces go pair by pair.
-    """
-    if space.carrier != VECTOR:
-        return [[distance(space, a, b) for b in cols] for a in rows]
-    for q in (*rows, *cols):
-        check_point(space, q)
-    p = space.p
-    reduce = max if p == math.inf else sum
-    if space.exact:
-        den = common_denominator([c for q in (*rows, *cols) for c in q])
-        cols = [scaled(b, den) for b in cols]
-        return [
-            [Fraction(reduce([abs(u - v) for u, v in zip(a, b)]), den) for b in cols]
-            for a in (scaled(a, den) for a in rows)
-        ]
-    if p == math.inf or p == 1:
-        return [[reduce([abs(u - v) for u, v in zip(a, b)]) for b in cols] for a in rows]
-    root = 1.0 / p
-    try:
-        totals = [
-            [sum([float(abs(u - v)) ** p for u, v in zip(a, b)]) for b in cols]
-            for a in rows
-        ]
-    except OverflowError:
-        return [[distance(space, a, b) for b in cols] for a in rows]
-    flat = [t for row in totals for t in row]
-    if flat and (min(flat) < _DP_SUM_FLOOR or sum(flat) == math.inf):
-        # as in `distances`: the totals out of range are taken pair by pair
-        return [
-            [
-                t ** root if _DP_SUM_FLOOR <= t < math.inf else distance(space, a, b)
-                for t, b in zip(row, cols)
-            ]
-            for a, row in zip(rows, totals)
-        ]
-    return [[t ** root for t in row] for row in totals]
 
 
 def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scalar:

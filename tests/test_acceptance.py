@@ -168,7 +168,6 @@ def test_criterion_08_bdoubleprime():
         "Bdoubleprime",
         conv=FY,
         plan=SamplePlan(count=1000, seed=801),
-        max_set_size=8,
         tol=1e-9,
     )
     _report(8, "lifted-union contraction on finite sets", verdict.holds)

@@ -1,7 +1,10 @@
-"""The public names of the `mclab` package, pinned: adding or removing one
-is an edit of this list."""
+"""The public names of the `mclab` package and the options of its
+callables, pinned: adding or removing a name or an option is an edit of
+these lists."""
 from __future__ import annotations
 
+import enum
+import inspect
 import types
 
 import mclab
@@ -58,7 +61,6 @@ PUBLIC_NAMES = [
     "diameter",
     "directed_hausdorff",
     "distance",
-    "distance_table",
     "distances",
     "estimate_uniform_modulus",
     "family_of_balls",
@@ -91,3 +93,95 @@ def test_the_public_names_are_the_pinned_list():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+# every public function and class (the enum aside, whose call is the Enum
+# machinery's) with its parameters, or dataclass fields, that have defaults
+PUBLIC_OPTIONS = {
+    "Affine": [],
+    "AsymptoticFunctional": ["radius"],
+    "Box": ["exact"],
+    "BoxProjection": [],
+    "CappedSimplex": ["exact"],
+    "Composition": [],
+    "ConfigError": [],
+    "DimensionMismatch": [],
+    "DomainEscape": [],
+    "EmptySetError": [],
+    "ExactArithmeticUnsupported": [],
+    "FiniteSet": ["exact"],
+    "FixedPointResult": [],
+    "HausdorffResult": [],
+    "HybridParams": [],
+    "InternalInconsistency": [],
+    "MappingSpec": [],
+    "MclabError": [],
+    "MembershipError": [],
+    "MetricBall": [],
+    "MetricSpace": [],
+    "NestedFamily": [],
+    "NestingError": [],
+    "PiecewisePoly": [],
+    "PropertyVerdict": ["samples", "max_slack", "witness", "plan", "convention", "reason"],
+    "Rotation": ["center"],
+    "SamplePlan": ["count", "seed", "coord_denominator", "t_denominator", "t_values", "anchor_x", "anchor_y"],
+    "Segment": ["max_defect"],
+    "SetUnion": [],
+    "Singleton": ["exact"],
+    "SolverFailure": ["certificate"],
+    "UniqueMidpointUndefined": [],
+    "WholeSpace": ["radius"],
+    "asymptotic_center": [],
+    "build_shrinking_family": [],
+    "cantor_point": ["tol"],
+    "check_betweenness": ["conv", "tol"],
+    "check_diameter_strict": ["tol"],
+    "check_homogeneity": ["cap", "tol"],
+    "check_menger_convex": ["carrier_points", "tol"],
+    "check_property": ["conv", "plan", "diam_tol", "tol"],
+    "common_point": ["tol", "start"],
+    "constant_fn": [],
+    "diameter": [],
+    "directed_hausdorff": [],
+    "distance": [],
+    "distances": [],
+    "estimate_uniform_modulus": ["budget", "seed"],
+    "family_of_balls": [],
+    "find_fixed_point": ["orbit_n", "window", "tol", "budget", "rmax"],
+    "hausdorff": [],
+    "l1_function_space": ["exact"],
+    "lifted_union": ["conv", "tol"],
+    "linf_function_space": ["exact"],
+    "make_asymptotic_functional": ["n", "window", "rmax"],
+    "midpoint_map": ["conv"],
+    "midpoint_set": ["conv", "tol"],
+    "orbit": ["rmax"],
+    "pl_distance": [],
+    "poly_fn": ["c1", "c2"],
+    "segment": ["conv", "tol"],
+    "semigroup_compose": ["plan", "conv", "tol"],
+    "space_from_id": [],
+    "sphere_equivalence_check": ["conv", "tol"],
+    "unique_midpoint": [],
+    "vector_space": ["exact"],
+    "verify_hybrid": ["plan", "tol"],
+}
+
+
+def _options(value):
+    # inspect reads no signature off a builtin exception type, but it reads
+    # its __init__, which an exception class with options overrides
+    if isinstance(value, type) and issubclass(value, BaseException):
+        value = value.__init__
+    params = inspect.signature(value).parameters.values()
+    return [p.name for p in params if p.default is not p.empty]
+
+
+def test_the_options_of_the_public_callables_are_the_pinned_map():
+    values = {name: getattr(mclab, name) for name in PUBLIC_NAMES}
+    options = {
+        name: _options(value)
+        for name, value in values.items()
+        if callable(value) and not (isinstance(value, type) and issubclass(value, enum.Enum))
+    }
+    assert options == PUBLIC_OPTIONS

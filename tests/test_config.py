@@ -94,3 +94,46 @@ def test_out_of_range_value_from_the_environment_exits_two(tmp_path, monkeypatch
     monkeypatch.setenv("MCLAB_SAMPLE_COUNT", "0")
     with pytest.raises(ConfigError, match="sample_count must be at least 1"):
         load_config()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"seed": 1.5},
+        {"sample_count": 20.9},
+        {"seed": True},
+        {"tol": True},
+        {"tol": "inf"},
+        {"fp_tol": "1e400"},
+        {"diam_tol": float("inf")},
+    ],
+    ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_a_value_that_does_not_mean_what_it_says_exits_two(values, tmp_path, capsys):
+    # an int key rounded 1.5 to 1 and read true as 1, a float key read true
+    # as 1.0, and an infinite tol let every check pass
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    argv = ["check", "--space", "vec3-pinf", "--props", "C", "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    (key,) = values
+    assert f"bad value for {key}" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ["1e400", "inf"])
+def test_an_infinite_tol_from_the_environment_exits_two(raw, tmp_path, monkeypatch, capsys):
+    # MCLAB_TOL=1e400 made `check --props C` print PASS where the default
+    # tol prints FAIL, and wrote "tol": Infinity into the report
+    monkeypatch.setenv("MCLAB_TOL", raw)
+    argv = ["check", "--space", "vec3-pinf", "--props", "C", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "bad value for tol" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_whole_float_is_an_int(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sample_count": 20.0}), encoding="utf-8")
+    got = load_config(str(path)).sample_count
+    assert got == 20 and type(got) is int

@@ -158,16 +158,21 @@ def _finite_rep(draw, point, exact):
 
 @st.composite
 def _finite_pairs(draw):
-    """(space, A, B) for p in {1, 2, inf}; coarse half-integer lattices make
-    distance ties common, floats make them rare."""
-    p = draw(st.sampled_from([1, 2, math.inf]))
+    """(space, A, B) for p in {1, 1.5, 2, 3, inf}; coarse half-integer
+    lattices make distance ties common, floats make them rare, and floats
+    from the whole range and near 0 reach the overflow and underflow
+    fallbacks of `distances`."""
+    p = draw(st.sampled_from([1, 1.5, 2, 3, math.inf]))
     dim = draw(st.integers(1, 4))
-    exact = p != 2 and draw(st.booleans())
+    exact = p in (1, math.inf) and draw(st.booleans())
     if exact:
         coord = st.integers(-3, 3).map(lambda k: F(k, 2))
     else:
         coord = st.one_of(
-            st.integers(-3, 3).map(lambda k: k / 2), st.floats(-2, 2, allow_nan=False)
+            st.integers(-3, 3).map(lambda k: k / 2),
+            st.floats(-2, 2, allow_nan=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e-300, 1e-300),
         )
     point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
     space = vector_space(dim, p, exact=exact)
@@ -204,8 +209,8 @@ def _exact_box_pairs(draw):
 
 
 class TestFinitePairs:
-    """hausdorff on two finite sets reads one distance table; it must agree
-    with the two directed distances measured point by point."""
+    """hausdorff on two finite sets reads one table of `distances` rows; it
+    must agree with the two directed distances measured point by point."""
 
     @given(_finite_pairs())
     @settings(max_examples=300, deadline=None)

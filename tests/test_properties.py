@@ -124,6 +124,15 @@ class TestSamplePlan:
         with pytest.raises(MclabError):
             SamplePlan(count=count)
 
+    @pytest.mark.parametrize(
+        "denominators",
+        [{"coord_denominator": 0}, {"coord_denominator": -4}, {"t_denominator": 1}],
+    )
+    def test_a_plan_refuses_denominators_the_exact_sampler_cannot_use(self, denominators):
+        # these raised ZeroDivisionError or randrange's ValueError mid-check
+        with pytest.raises(MclabError, match="denominator"):
+            SamplePlan(count=3, **denominators)
+
 
 class TestPropertyA:
     def test_holds_on_strictly_convex_spaces(self):
@@ -222,7 +231,6 @@ class TestPropertyBDoublePrime:
             "Bdoubleprime",
             conv=FY,
             plan=SamplePlan(count=1000, seed=9),
-            max_set_size=8,
         )
         assert verdict.holds
         assert verdict.max_slack <= 1e-9

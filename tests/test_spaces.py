@@ -19,7 +19,6 @@ from mclab import (
     check_property,
     constant_fn,
     distance,
-    distance_table,
     distances,
     estimate_uniform_modulus,
     l1_function_space,
@@ -292,15 +291,6 @@ def _assert_pairwise(space, y, points):
     assert _bits(got) == _bits([distance(space, q, y) for q in points])
 
 
-@st.composite
-def _tables(draw):
-    """(space, rows, cols): the points of a float or exact fan as columns,
-    and rows drawn from them and the fan's centre, repeats included."""
-    space, y, points = draw(st.one_of(_float_fans(), _exact_fans()))
-    rows = draw(st.lists(st.sampled_from([y, *points]), min_size=1, max_size=8))
-    return space, rows, points
-
-
 class TestOneToManyDistances:
     """`distances(space, y, points)` is the per-pair list bit for bit: the
     fixed-point search compares its values, so a last-bit change moves the
@@ -316,36 +306,15 @@ class TestOneToManyDistances:
     def test_exact_and_function_spaces_equal_the_pairwise_list(self, case):
         _assert_pairwise(*case)
 
-    @pytest.mark.parametrize("sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf"])
-    def test_a_point_of_the_wrong_length_raises(self, sid):
-        space = space_from_id(sid)
-        good = (0.0, 1.0, 2)
-        for y, points in [(good, [good, (1.0, 2.0)]), ((1.0, 2.0), [good]), (good, [good * 2])]:
-            with pytest.raises(DimensionMismatch):
-                distances(space, y, points)
-
-
-class TestDistanceTable:
-    """`distance_table(space, rows, cols)` is the pairwise table bit for
-    bit: Hausdorff distances compare its entries and report them."""
-
-    @given(_tables())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_pairwise_table(self, case):
-        space, rows, cols = case
-        got = distance_table(space, rows, cols)
-        want = [[distance(space, a, b) for b in cols] for a in rows]
-        assert [_bits(row) for row in got] == [_bits(row) for row in want]
-
     @pytest.mark.parametrize(
         "sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf", "vec3-p1-exact", "vec3-pinf-exact"]
     )
     def test_a_point_of_the_wrong_length_raises(self, sid):
         space = space_from_id(sid)
         good = (0, F(1, 2), 2) if space.exact else (0.0, 1.0, 2)
-        for rows, cols in [([good], [good, (1, 2)]), ([(1, 2)], [good]), ([good], [good * 2])]:
+        for y, points in [(good, [good, (1, 2)]), ((1, 2), [good]), (good, [good * 2])]:
             with pytest.raises(DimensionMismatch):
-                distance_table(space, rows, cols)
+                distances(space, y, points)
 
 
 class TestDpRange:
@@ -367,7 +336,6 @@ class TestDpRange:
         space = space_from_id(sid)
         assert distance(space, a, b) == want
         assert distances(space, b, [a, b]) == [want, 0.0]
-        assert distance_table(space, [a, b], [b]) == [[want], [0.0]]
 
     @pytest.mark.parametrize("p", ["1.5", "2", "3"])
     def test_an_infinite_difference_is_an_infinite_distance(self, p):
@@ -375,7 +343,6 @@ class TestDpRange:
         a, b = (-1e308, 1.0), (1e308, 0.0)
         assert distance(space, a, b) == math.inf
         assert distances(space, b, [a, b]) == [math.inf, 0.0]
-        assert distance_table(space, [a, b], [b]) == [[math.inf], [0.0]]
 
 
 class TestFloatMetricAxioms:
