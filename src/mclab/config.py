@@ -74,9 +74,12 @@ def _coerce(key: str, value):
     kind = _KEY_TYPES[key]
     try:
         out = kind(value)
-        # refused: a bool, a number int() would round, a float not finite
-        if kind is not str and (
-            isinstance(value, bool)
+        # refused: a string key's other JSON value, whose str() would name
+        # a directory or convention the user did not write; a bool; a number
+        # int() would round; a float not finite
+        if (
+            (kind is str and not isinstance(value, str))
+            or (kind is not str and isinstance(value, bool))
             or (kind is int and isinstance(value, float) and out != value)
             or (kind is float and not math.isfinite(out))
         ):

@@ -11,21 +11,24 @@ A closed ball of any metric is a `MetricBall`: the fixed-point solvers use
 it as a domain and the nested-family solver as a constraint, and its
 constructor is where a center and radius are validated.
 
-An exact d_inf box is built in integers: x, y and the radii are scaled to
-one common denominator, and one Fraction is made per bound at the end.
+On an exact space the parameter t, and so the radii, must be rational, and
+a midpoint set holds only rationals.  An exact d_inf box is built in one
+integer frame: x, y and the radii over twice their common denominator,
+where every axis midpoint (lo + hi) // 2 is exact; one Fraction is made per
+bound at the end.
 
-Every member of a midpoint set lies on both bounding spheres.  The check of
-a d_inf box reads per-axis extremes instead of scanning its 3^n sample grid:
-over the grid, d_inf(z, x) runs from the largest per-axis minimum of
-|z_i - x_i| to the largest per-axis maximum, so the worst sphere gap sits at
-one of four numbers.  An exact box is read in integers over twice the
-common denominator of its bounds, centres and radii, where the axis
-midpoints (lo + hi) // 2 are exact.  Only a box that fails is scanned, for
-its first point.  An exact d_1 simplex lies on both spheres by its offset
-invariant and is not scanned either.  A sphere-equivalence trial measures
-d(x, y) once, for the set and its check; on an exact d_inf space it reads
-the gap from the integer bounds the box is built from, doubled, and makes
-the box's Fractions only for a box that fails.
+Every member of a midpoint set lies on both bounding spheres, and
+`sphere_equivalence_check` is the one route to that check, for the library
+and for the Menger checker alike.  It measures d(x, y) once, for the set
+and its check.  A d_inf box is read from per-axis extremes instead of a
+scan of its 3^n sample grid: over the grid, d_inf(z, x) runs from the
+largest per-axis minimum of |z_i - x_i| to the largest per-axis maximum, so
+the worst sphere gap sits at one of four numbers.  An exact box is read in
+the integer frame it is built from, and its Fractions are made only for a
+box that fails, which alone is scanned, for its first point.  An exact d_1
+simplex lies on both spheres by its offset invariant: it is not scanned,
+its vertices are not enumerated, and a verdict that holds this way reports
+`samples` 0.
 
 A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
 way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
@@ -53,9 +56,9 @@ from typing import Callable
 from .arith import Scalar, common_denominator, in_float_range, is_rational, scaled
 from .errors import (
     EmptySetError,
+    ExactArithmeticUnsupported,
     InternalInconsistency,
     MclabError,
-    UniqueMidpointUndefined,
 )
 from .spaces import (
     VECTOR,
@@ -341,6 +344,10 @@ class MetricBall:
         check_point(self.space, self.center)
         if not self.radius >= 0:
             raise MclabError(f"ball radius must be at least 0, not {self.radius!r}")
+        if self.space.exact and not is_rational(self.radius):
+            raise ExactArithmeticUnsupported(
+                f"exact space requires a rational radius, not {self.radius!r}"
+            )
         if self.space.carrier == VECTOR and not self.space.exact:
             for value in (*self.center, self.radius):
                 in_float_range(value, "a ball's center or radius")
@@ -434,23 +441,30 @@ def _endpoint_distance(space: MetricSpace, x, y, t: Scalar) -> Scalar:
     check_point(space, y)
     if tuple(x) == tuple(y):
         raise MclabError("midpoint set needs two distinct endpoints")
-    _check_parameter(t)
+    _check_parameter(space, t)
     return distance(space, x, y)
 
 
-def _check_parameter(t: Scalar) -> None:
+def _check_parameter(space: MetricSpace, t: Scalar) -> None:
+    """Refuse a t outside (0, 1), and a t that is not rational on an exact
+    space: there the radii, and every value built from them, are exact."""
     if not (0 < t < 1):
         raise MclabError("parameter t must lie strictly between 0 and 1")
+    if space.exact and not is_rational(t):
+        raise ExactArithmeticUnsupported(
+            f"exact space requires a rational parameter t, not {t!r}"
+        )
 
 
 def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
-    """B[x, r1] ∩ B[y, r2] for r1 + r2 = d = d(x, y)."""
+    """B[x, r1] ∩ B[y, r2] for r1 + r2 = d = d(x, y), with rational radii on
+    an exact space."""
     p = space.p
-    if p == math.inf and space.exact and is_rational(r1) and is_rational(r2):
-        den, bounds, _ = _exact_sup_bounds(x, y, r1, r2)
+    if p == math.inf and space.exact:
+        den, axes, _ = _exact_sup_bounds(x, y, r1, r2)
         return Box(
-            tuple(Fraction(lo, den) for lo, _ in bounds),
-            tuple(Fraction(hi, den) for _, hi in bounds),
+            tuple(Fraction(values[0], den) for values in axes),
+            tuple(Fraction(values[-1], den) for values in axes),
             exact=True,
         )
     if p == math.inf:
@@ -461,14 +475,14 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
             if lo > hi:
                 # r1 + r2 can round to slightly below d in float mode,
                 # collapsing the tight coordinate by a few ulps
-                if space.exact or lo - hi > tol:
+                if lo - hi > tol:
                     raise InternalInconsistency(
                         "empty box intersection for a sup-metric midpoint set"
                     )
                 lo = hi = (lo + hi) / 2
             lower.append(lo)
             upper.append(hi)
-        return Box(tuple(lower), tuple(upper), exact=space.exact)
+        return Box(tuple(lower), tuple(upper), exact=False)
     if p == 1:
         return CappedSimplex(tuple(x), tuple(y), r1, exact=space.exact)
     # strictly convex case: the intersection is the single point on the
@@ -477,11 +491,12 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
 
 
 def _exact_sup_bounds(x, y, r1, r2):
-    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii, in
-    integers over one common denominator `den`: (den, the bounds (lo, hi)
-    of each axis, the spheres ((x, r1), (y, r2)) scaled by den).  Each bound
-    is max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2)."""
-    den = common_denominator((*x, *y, r1, r2))
+    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii, in the
+    frame of `_box_frame`: (den, the per-axis values of the box's sample
+    grid, the spheres ((x, r1), (y, r2))), all in integers over twice their
+    common denominator, `den`.  Each bound is max(x_i - r1, y_i - r2) or
+    min(x_i + r1, y_i + r2)."""
+    den = 2 * common_denominator((*x, *y, r1, r2))
     xs, ys = scaled(x, den), scaled(y, den)
     s1, s2 = scaled((r1, r2), den)
     bounds = []
@@ -492,7 +507,7 @@ def _exact_sup_bounds(x, y, r1, r2):
                 "empty box intersection for a sup-metric midpoint set"
             )
         bounds.append((lo, hi))
-    return den, bounds, ((xs, s1), (ys, s2))
+    return den, _integer_axes(bounds), ((xs, s1), (ys, s2))
 
 
 def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
@@ -503,24 +518,13 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
     function-space metrics the intersection can contain distinct points, so
     the request is refused rather than silently resolved.
     """
-    if not space.unique_midpoints:
-        raise UniqueMidpointUndefined(
-            f"midpoint sets of {space_label(space)} are not singletons; "
-            "no unique midpoint exists"
-        )
+    space.require_unique_midpoints()
     check_point(space, x)
     check_point(space, y)
     if tuple(x) == tuple(y):
         raise MclabError("unique midpoint needs two distinct endpoints")
-    _check_parameter(t)
+    _check_parameter(space, t)
     return vlerp(x, y, 1 - t)
-
-
-def space_label(space: MetricSpace) -> str:
-    if space.carrier == VECTOR:
-        ptag = "inf" if space.p == math.inf else f"{space.p:g}"
-        return f"(R^{space.dim}, d_{ptag})"
-    return "the function space"
 
 
 # --------------------------------------------------------------------------
@@ -540,19 +544,17 @@ def verify_on_spheres(
 
     Members of the two-ball intersection are forced onto the spheres by the
     triangle inequality; a sampled point strictly inside one ball certifies
-    that `rep` is not the advertised intersection.
+    that `rep` is not the advertised intersection.  A d_inf box is read from
+    its per-axis extremes, and the exact d_1 simplex of x, y and the radii
+    holds by its offset invariant with `samples` 0; any other set, and a box
+    that fails, is scanned point by point.
     """
     d = distance(space, x, y)
-    r1, r2 = radii_for(conv, t, d)
-    return _spheres_verdict(
-        space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices=True
-    )
+    return _spheres_verdict(space, x, y, t, conv, rep, d, *radii_for(conv, t, d), tol)
 
 
-def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices):
-    """`verify_on_spheres` with d = d(x, y) and the radii given.  An exact
-    d_1 simplex enumerates its vertices for `samples` only when
-    `count_vertices` is true, and reports 0 otherwise."""
+def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
+    """`verify_on_spheres` with d = d(x, y) and the radii given."""
     limit = space.limit(tol)
     if isinstance(rep, Box) and space.p == math.inf:
         # d_inf(z, c) over the box's sample grid runs between its per-axis
@@ -563,13 +565,8 @@ def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices):
         if gap <= limit:
             return _box_holds(conv, axes, gap)
     if _simplex_on_spheres(space, rep, x, y, d, r1):
-        return verdict(
-            "SphereEquivalence",
-            HOLDS,
-            conv=conv,
-            samples=len(rep.sample_points()) if count_vertices else 0,
-            max_slack=0,
-        )
+        # holds by the invariant: no vertex is enumerated, so none is counted
+        return verdict("SphereEquivalence", HOLDS, conv=conv, samples=0, max_slack=0)
     points = rep.sample_points()
     if not points:
         return verdict(
@@ -651,12 +648,16 @@ def _box_frame(space, rep: Box, points, scalars):
         values = (*rep.lower, *rep.upper, *(c for q in points for c in q), *scalars)
         if all(map(is_rational, values)):
             den = 2 * common_denominator(values)
-            axes = [
-                (lo,) if lo == hi else (lo, (lo + hi) // 2, hi)
-                for lo, hi in zip(scaled(rep.lower, den), scaled(rep.upper, den))
-            ]
+            axes = _integer_axes(zip(scaled(rep.lower, den), scaled(rep.upper, den)))
             return den, axes, [scaled(q, den) for q in points], scaled(scalars, den)
     return None, rep.axis_values(), points, scalars
+
+
+def _integer_axes(bounds):
+    """The per-axis values of a box's sample grid from its integer bounds
+    (lo, hi) over a doubled denominator, where every axis midpoint
+    (lo + hi) // 2 is exact."""
+    return [(lo,) if lo == hi else (lo, (lo + hi) // 2, hi) for lo, hi in bounds]
 
 
 def _sup_box_gap(space, rep: Box, spheres):
@@ -691,29 +692,19 @@ def sphere_equivalence_check(
     conv: MidConvention = MidConvention.FROM_Y,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
-    """`verify_on_spheres` of `midpoint_set`, with d(x, y) measured once."""
-    return _sphere_trial(space, x, y, t, conv, tol, count_vertices=True)
-
-
-def _sphere_trial(space, x, y, t, conv, tol, count_vertices) -> PropertyVerdict:
-    """`sphere_equivalence_check` in one frame; `count_vertices` as in
-    `_spheres_verdict`.  An exact d_inf box stays in the integers of
-    `_exact_sup_bounds`, its grid and spheres doubled so that every axis
-    midpoint is an integer (the frame of `_sup_box_gap`).  Exact identities
-    hold exactly, so the box holds when its integer gap is 0; a box of
-    Fractions is built only for the scan of a box that fails."""
+    """`verify_on_spheres` of `midpoint_set`, with d(x, y) measured once.
+    An exact d_inf box stays in the integer frame of `_exact_sup_bounds`:
+    exact identities hold exactly, so the box holds when its integer gap is
+    0, and a box of Fractions is built only for the scan of a box that
+    fails.  The Menger checker runs each of its trials through here."""
     d = _endpoint_distance(space, x, y, t)
     r1, r2 = radii_for(conv, t, d)
-    if space.p == math.inf and space.exact and is_rational(r1) and is_rational(r2):
-        _, bounds, spheres = _exact_sup_bounds(x, y, r1, r2)
-        axes = [
-            (2 * lo,) if lo == hi else (2 * lo, lo + hi, 2 * hi) for lo, hi in bounds
-        ]
-        spheres = [([2 * c for c in centre], 2 * r) for centre, r in spheres]
+    if space.p == math.inf and space.exact:
+        _, axes, spheres = _exact_sup_bounds(x, y, r1, r2)
         if not _sphere_gap(axes, spheres):
             return _box_holds(conv, axes, 0)
     rep = _midpoint_rep(space, x, y, d, r1, r2, tol)
-    return _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol, count_vertices)
+    return _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol)
 
 
 # --------------------------------------------------------------------------
@@ -810,7 +801,7 @@ def lifted_union(
         others = [a for a in points if a != y]
         row = iter(())
         if others:
-            _check_parameter(t)
+            _check_parameter(space, t)
             row = iter(distances(space, y, others))
         chords = []
         for a in points:

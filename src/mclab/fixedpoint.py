@@ -26,12 +26,7 @@ from fractions import Fraction
 
 from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vector
 from .convexsets import Box, MetricBall, MidConvention, unique_midpoint
-from .errors import (
-    DomainEscape,
-    MclabError,
-    SolverFailure,
-    UniqueMidpointUndefined,
-)
+from .errors import DomainEscape, MclabError, SolverFailure
 from .sampling import HIGH, LOW, SamplePlan
 from .spaces import MetricSpace, check_point, distance, distances
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
@@ -501,10 +496,7 @@ def midpoint_map(
     point is fixed exactly: the two balls around y both have radius zero, so
     the map short-circuits to y when x == y.
     """
-    if not space.unique_midpoints:
-        raise UniqueMidpointUndefined(
-            "midpoint maps need unique midpoints (1 < p < inf)"
-        )
+    space.require_unique_midpoints()
     yt = tuple(y)
 
     def mapping(x):
@@ -539,10 +531,7 @@ def semigroup_compose(
     """Compose the midpoint maps for the listed parameters (first entry
     applied first) and estimate the composition's Lipschitz constant over
     sampled pairs.  Returns (composed mapping, report)."""
-    if not space.unique_midpoints:
-        raise UniqueMidpointUndefined(
-            "midpoint maps need unique midpoints (1 < p < inf)"
-        )
+    space.require_unique_midpoints()
     plan = plan or SamplePlan()
     maps = [midpoint_map(space, y, t, conv) for t in t_list]
 

@@ -18,14 +18,13 @@ from .convexsets import (
     FiniteSet,
     MidConvention,
     SetRep,
-    _sphere_trial,
     diameter_with_witness,
     lifted_union,
     midpoint_set,
     radii_for,
     segment,
     segment_points,
-    space_label,
+    sphere_equivalence_check,
     unique_midpoint,
 )
 from .errors import MembershipError, MclabError, UniqueMidpointUndefined
@@ -74,10 +73,7 @@ def check_menger_convex(
         for k in range(plan.count):
             x, y = sample_distinct_pair(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            # the verdict's slack and witness are kept, not its vertex count
-            v = _sphere_trial(
-                space, x, y, t, MidConvention.FROM_X, tol, count_vertices=False
-            )
+            v = sphere_equivalence_check(space, x, y, t, MidConvention.FROM_X, tol)
             yield v.max_slack, lambda: v.witness
 
     return first_failure("MengerConvex", trials(), space.limit(tol), plan, worst=0)
@@ -174,14 +170,10 @@ def _check_a(space, conv, plan, diam_tol, tol):
 def _check_b(space, plan, tol):
     """Property (B): the unique-midpoint map contracts with factor t in its
     first argument."""
-    if not space.unique_midpoints:
-        return verdict(
-            "B",
-            REFUSED,
-            plan=plan,
-            reason=f"midpoint sets of {space_label(space)} are not singletons; "
-            "no unique midpoint exists",
-        )
+    try:
+        space.require_unique_midpoints()
+    except UniqueMidpointUndefined as exc:
+        return verdict("B", REFUSED, plan=plan, reason=str(exc))
     equality_hit = False
 
     def trials():
@@ -466,10 +458,7 @@ def estimate_uniform_modulus(
     bisection for the feasibility boundary on the circle d(z, x) = 1 inside a
     sampled plane, and random admissible rejection samples.
     """
-    if not space.unique_midpoints:
-        raise UniqueMidpointUndefined(
-            "uniform-convexity moduli need unique midpoints (1 < p < inf)"
-        )
+    space.require_unique_midpoints()
     import random as _random
 
     rng = _random.Random(seed)

@@ -26,6 +26,7 @@ from .errors import (
     ExactArithmeticUnsupported,
     InternalInconsistency,
     MclabError,
+    UniqueMidpointUndefined,
 )
 
 VECTOR = "vector"
@@ -78,6 +79,24 @@ class MetricSpace:
         convex d_p, 1 < p < inf; d_1, d_inf and the function-space metrics
         have midpoint sets with distinct points."""
         return self.carrier == VECTOR and self.p not in (1, math.inf)
+
+    def require_unique_midpoints(self) -> None:
+        """Refuse, with UniqueMidpointUndefined, a space whose midpoint sets
+        are not single points: every operation that takes the unique
+        midpoint goes through here."""
+        if not self.unique_midpoints:
+            raise UniqueMidpointUndefined(
+                f"midpoint sets of {self.label} are not singletons; "
+                "no unique midpoint exists"
+            )
+
+    @property
+    def label(self) -> str:
+        """The space as reports name it: (R^n, d_p) or the function space."""
+        if self.carrier == VECTOR:
+            ptag = "inf" if self.p == math.inf else f"{self.p:g}"
+            return f"(R^{self.dim}, d_{ptag})"
+        return "the function space"
 
     def limit(self, tol):
         """The largest slack a sampled identity may show: 0 in exact

@@ -3,9 +3,11 @@ callables, pinned: adding or removing a name or an option is an edit of
 these lists."""
 from __future__ import annotations
 
+import ast
 import enum
 import inspect
 import types
+from pathlib import Path
 
 import mclab
 
@@ -185,3 +187,20 @@ def test_the_options_of_the_public_callables_are_the_pinned_map():
         if callable(value) and not (isinstance(value, type) and issubclass(value, enum.Enum))
     }
     assert options == PUBLIC_OPTIONS
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own: a second caller elsewhere makes it
+    # a second route to what the public name already does
+    found = []
+    for path in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "mclab"
+            ):
+                found += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert found == []

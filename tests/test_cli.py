@@ -281,6 +281,12 @@ INPUT_ERRORS = {
         {},
         "cannot read family: a ball's center or radius lies beyond the float range",
     ),
+    "family-float-radius-exact": (
+        ["nested", "fam.json", "--space", "vec2-p1-exact"],
+        {"fam.json": [[{"center": [0, 0], "radius": 1.5}], [{"center": [1, 0], "radius": 0.25}]]},
+        {},
+        "cannot read family: exact space requires a rational radius, not 1.5",
+    ),
     "family-negative-radius": (
         ["nested", "fam.json"],
         {"fam.json": [[{"center": [0, 0], "radius": -1}]]},

@@ -106,12 +106,16 @@ def test_out_of_range_value_from_the_environment_exits_two(tmp_path, monkeypatch
         {"tol": "inf"},
         {"fp_tol": "1e400"},
         {"diam_tol": float("inf")},
+        {"out_dir": False},
+        {"out_dir": ["a"]},
+        {"convention": ["fromx"]},
     ],
     ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()),
 )
 def test_a_value_that_does_not_mean_what_it_says_exits_two(values, tmp_path, capsys):
     # an int key rounded 1.5 to 1 and read true as 1, a float key read true
-    # as 1.0, and an infinite tol let every check pass
+    # as 1.0, an infinite tol let every check pass, and a string key took
+    # the str() of any JSON value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(values), encoding="utf-8")
     argv = ["check", "--space", "vec3-pinf", "--props", "C", "--config", str(path)]
@@ -137,3 +141,13 @@ def test_a_whole_float_is_an_int(tmp_path):
     path.write_text(json.dumps({"sample_count": 20.0}), encoding="utf-8")
     got = load_config(str(path)).sample_count
     assert got == 20 and type(got) is int
+
+
+def test_a_non_string_out_dir_writes_no_directory(tmp_path, monkeypatch, capsys):
+    # str(False) named a directory ./False that the run then wrote into
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": False}), encoding="utf-8")
+    argv = ["check", "--space", "vec3-p2", "--props", "A", "--config", "cfg.json"]
+    assert main(argv) == 2
+    assert "bad value for out_dir" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -407,6 +407,17 @@ class TestExactSupBox:
         assert all(type(v) is F for v in (*rep.lower, *rep.upper))
 
 
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_a_float_parameter_on_an_exact_space_is_refused(p):
+    # on d_inf the box of t = 0.25 held floats yet was marked exact, and the
+    # sphere check said it held; on d_1 the simplex had the float r1 1.5
+    space = vector_space(2, p, exact=True)
+    with pytest.raises(ExactArithmeticUnsupported, match="rational parameter t"):
+        midpoint_set(space, (0, 0), (2, 0), 0.25)
+    with pytest.raises(ExactArithmeticUnsupported, match="rational parameter t"):
+        sphere_equivalence_check(space, (0, 0), (2, 0), 0.25)
+
+
 class TestSupBoxOnSpheres:
     """The per-axis check of a d_inf box against both spheres gives the
     verdict of a plain scan over the box's sample points."""
@@ -728,15 +739,26 @@ def _simplices_to_check(draw):
     return space, x, y, t, conv, CappedSimplex(u, v, r1)
 
 
+def _refuse_sample_points(self):
+    raise AssertionError("sample_points called")
+
+
 class TestSimplexOnSpheres:
     """The closed-form check of an exact d_1 simplex against both spheres
-    gives the verdict of a plain scan over its vertices."""
+    gives the verdict of a plain scan over its vertices, without
+    enumerating them: it reports `samples` 0."""
 
     @given(_simplices_to_check())
     @settings(max_examples=300, deadline=None)
     def test_closed_form_equals_the_scan(self, case):
         space, x, y, t, conv, rep = case
-        verdict = verify_on_spheres(space, x, y, t, conv, rep)
+        d = distance(space, x, y)
+        r1 = radii_for(conv, t, d)[0]
+        on_spheres = (rep.x, rep.y, rep.r1) == (x, y, r1) and 0 <= r1 <= d
+        with pytest.MonkeyPatch.context() as mp:
+            if on_spheres:
+                mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
+            verdict = verify_on_spheres(space, x, y, t, conv, rep)
         if not rep.sample_points():
             assert verdict.fails and verdict.samples == 0
             return
@@ -744,7 +766,7 @@ class TestSimplexOnSpheres:
             space, x, y, t, conv, rep
         )
         assert verdict.outcome == outcome
-        assert verdict.samples == samples
+        assert verdict.samples == (0 if on_spheres else samples)
         assert verdict.max_slack == max_slack
         assert type(verdict.max_slack) is type(max_slack)
         assert (verdict.witness or {}).get("point") == point
@@ -761,7 +783,9 @@ class TestSimplexOnSpheres:
     def test_a_float_parameter_in_an_exact_space_is_refused_by_the_scan(self):
         space = vector_space(3, 1, exact=True)
         x, y = (F(0), F(0), F(0)), (F(2), F(1), F(-1))
-        rep = midpoint_set(space, x, y, 0.25, FX)
+        # the simplex of a float radius, which `midpoint_set` refuses to build
+        rep = CappedSimplex(x, y, radii_for(FX, 0.25, distance(space, x, y))[0])
+        assert rep.r1 == 1.0 and type(rep.r1) is float
         with pytest.raises(ExactArithmeticUnsupported):
             verify_on_spheres(space, x, y, 0.25, FX, rep)
 
@@ -777,9 +801,10 @@ class TestSimplexOnSpheres:
             return distance(*args)
 
         monkeypatch.setattr(convexsets, "distance", counting)
+        monkeypatch.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
         verdict = verify_on_spheres(space, x, y, F(3, 8), FX, rep)
         assert verdict.holds and verdict.max_slack == 0
-        assert verdict.samples == len(rep.sample_points())
+        assert verdict.samples == 0
         assert len(calls) == 1  # d(x, y) for the radii
 
 
@@ -913,7 +938,7 @@ def _same_verdict(a, b) -> bool:
 
 
 @st.composite
-def _sphere_trials(draw):
+def _sphere_checks(draw):
     """(space, x, y, t, conv): a midpoint-set trial in dimension 1-6 on
     exact or float d_inf, exact or float d_1, or float d_2."""
     kind = draw(st.sampled_from(["inf-exact", "inf", "1-exact", "1", "2"]))
@@ -933,41 +958,41 @@ class TestOnePassSphereTrial:
     """`sphere_equivalence_check` in one frame against `midpoint_set`
     followed by `verify_on_spheres`."""
 
-    @given(_sphere_trials())
+    @given(_sphere_checks())
     @settings(max_examples=300, deadline=None)
     def test_one_pass_equals_set_then_check(self, case):
         space, x, y, t, conv = case
-        rep = midpoint_set(space, x, y, t, conv)
-        two_step = verify_on_spheres(space, x, y, t, conv, rep)
-        assert _same_verdict(sphere_equivalence_check(space, x, y, t, conv), two_step)
-        trial = convexsets._sphere_trial(
-            space, x, y, t, conv, DEFAULT_TOL, count_vertices=False
-        )
-        assert trial.outcome == two_step.outcome
-        assert _same(trial.max_slack, two_step.max_slack)
-        assert trial.witness == two_step.witness
+        exact_simplex = space.exact and space.p == 1
+        with pytest.MonkeyPatch.context() as mp:
+            if exact_simplex:
+                mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
+            rep = midpoint_set(space, x, y, t, conv)
+            two_step = verify_on_spheres(space, x, y, t, conv, rep)
+            one_pass = sphere_equivalence_check(space, x, y, t, conv)
+        assert _same_verdict(one_pass, two_step)
+        if exact_simplex:
+            assert one_pass.holds and one_pass.samples == 0
 
     @given(_exact_simplices(max_dim=6), _EXACT_T, st.sampled_from(list(MidConvention)))
     @settings(max_examples=100, deadline=None)
-    def test_library_check_counts_the_simplex_vertices(self, case, t, conv):
+    def test_library_check_counts_no_simplex_vertex(self, case, t, conv):
         x, y, _ = case
         space = vector_space(len(x), 1, exact=True)
-        verdict = sphere_equivalence_check(space, x, y, t, conv)
         rep = midpoint_set(space, x, y, t, conv)
-        assert verdict.holds
-        assert verdict.samples == len(rep.sample_points())
+        assert _scan_on_spheres(space, x, y, t, conv, rep)[::2] == ("holds", 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
+            verdict = sphere_equivalence_check(space, x, y, t, conv)
+        assert verdict.holds and verdict.samples == 0 and verdict.max_slack == 0
 
     def test_the_menger_checker_never_counts_vertices(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("sample_points called")
-
         space = vector_space(6, 1, exact=True)
         plan = SamplePlan(count=40, seed=3)
         expected = check_menger_convex(space, plan).to_json()
-        monkeypatch.setattr(CappedSimplex, "sample_points", refuse)
+        monkeypatch.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
         assert check_menger_convex(space, plan).to_json() == expected
-        with pytest.raises(AssertionError):
-            sphere_equivalence_check(space, (F(0),) * 6, (F(1),) * 6, F(1, 2))
+        verdict = sphere_equivalence_check(space, (F(0),) * 6, (F(1),) * 6, F(1, 2))
+        assert verdict.holds and verdict.samples == 0
 
     def test_an_exact_box_trial_measures_x_y_once_and_builds_no_box(self, monkeypatch):
         space = vector_space(3, math.inf, exact=True)
