@@ -16,7 +16,6 @@ from .convexsets import (
     Segment,
     SetUnion,
     Singleton,
-    diameter,
     lifted_union,
     midpoint_set,
     segment,
@@ -77,6 +76,7 @@ from .spaces import (
     PiecewisePoly,
     constant_fn,
     distance,
+    distance_table,
     distances,
     l1_function_space,
     linf_function_space,

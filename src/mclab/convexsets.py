@@ -65,6 +65,7 @@ from .spaces import (
     MetricSpace,
     check_point,
     distance,
+    distance_table,
     distances,
     vlerp,
 )
@@ -189,19 +190,15 @@ class CappedSimplex:
 
     kind = "simplex"
 
-    def nearest(self, z):
-        """A nearest member in d_1: clamp z into the box, then walk the
-        coordinates in order toward x (or y) until the offsets sum to r1.
-        Every unit walked changes that sum by exactly 1, so no member is
-        nearer."""
-        return self.nearest_with_distance(z)[1]
-
     def nearest_with_distance(self, z):
-        """(d_1(z, w), w) for the nearest member w, the distance taken from
-        the walk's own coordinates.  Rational inputs of an exact simplex are
-        walked as integers over one common denominator, and the distance is
-        one Fraction of their differences; other inputs take the float sum
-        of `distance`."""
+        """(d_1(z, w), w) for a nearest member w in d_1: clamp z into the
+        box, then walk the coordinates in order toward x (or y) until the
+        offsets sum to r1.  Every unit walked changes that sum by exactly 1,
+        so no member is nearer.  The distance is taken from the walk's own
+        coordinates: rational inputs of an exact simplex are walked as
+        integers over one common denominator, and the distance is one
+        Fraction of their differences; other inputs take the float sum of
+        `distance`."""
         values = (*z, *self.x, *self.y, self.r1)
         if not (self.exact and all(map(is_rational, values))):
             w = _simplex_walk(z, self.x, self.y, self.r1)
@@ -363,11 +360,11 @@ class MetricBall:
     def upper(self):
         return tuple(c + self.radius for c in self.center)
 
-    def project(self, z):
+    def project(self, z, d):
         """z if it lies in the ball, else the point at distance `radius` on the
-        segment from the center to z.  This radial step lands in the ball
-        under every d_p but is the nearest point of the ball only for d_2."""
-        d = distance(self.space, z, self.center)
+        segment from the center to z, for d = d(z, center) as the caller
+        measured it.  This radial step lands in the ball under every d_p but
+        is the nearest point of the ball only for d_2."""
         return z if d <= self.radius else vlerp(self.center, z, self.radius / d)
 
 
@@ -531,30 +528,17 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
 # sphere equivalence
 
 
-def verify_on_spheres(
-    space: MetricSpace,
-    x,
-    y,
-    t: Scalar,
-    conv: MidConvention,
-    rep: SetRep,
-    tol: float = DEFAULT_TOL,
-) -> PropertyVerdict:
-    """Check that every sampled member of `rep` lies on both bounding spheres.
+def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
+    """Whether every sampled member of `rep` lies on the spheres around x
+    and y of radii r1 and r2, for d = d(x, y).
 
     Members of the two-ball intersection are forced onto the spheres by the
     triangle inequality; a sampled point strictly inside one ball certifies
-    that `rep` is not the advertised intersection.  A d_inf box is read from
-    its per-axis extremes, and the exact d_1 simplex of x, y and the radii
-    holds by its offset invariant with `samples` 0; any other set, and a box
-    that fails, is scanned point by point.
-    """
-    d = distance(space, x, y)
-    return _spheres_verdict(space, x, y, t, conv, rep, d, *radii_for(conv, t, d), tol)
-
-
-def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
-    """`verify_on_spheres` with d = d(x, y) and the radii given."""
+    that `rep` is not that intersection.  A d_inf box is read from its
+    per-axis extremes, and the exact d_1 simplex of x, y and r1 holds by its
+    offset invariant with `samples` 0; any other set, and a box that fails,
+    is scanned point by point, its distances to x and to y taken in one
+    two-row `distance_table`."""
     limit = space.limit(tol)
     if isinstance(rep, Box) and space.p == math.inf:
         # d_inf(z, c) over the box's sample grid runs between its per-axis
@@ -576,8 +560,8 @@ def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
             witness={"x": x, "y": y, "t": t, "reason": "no sampled members"},
         )
     max_slack = 0
-    # `distances` gives `distance` point by point, with x and y checked once
-    to_x, to_y = distances(space, x, points), distances(space, y, points)
+    # one table gives `distance` point by point, with every point checked once
+    to_x, to_y = distance_table(space, (x, y), points)
     for z, dx, dy in zip(points, to_x, to_y):
         gap = max(abs(dx - r1), abs(dy - r2))
         if gap > limit:
@@ -692,11 +676,13 @@ def sphere_equivalence_check(
     conv: MidConvention = MidConvention.FROM_Y,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
-    """`verify_on_spheres` of `midpoint_set`, with d(x, y) measured once.
-    An exact d_inf box stays in the integer frame of `_exact_sup_bounds`:
-    exact identities hold exactly, so the box holds when its integer gap is
-    0, and a box of Fractions is built only for the scan of a box that
-    fails.  The Menger checker runs each of its trials through here."""
+    """Whether every sampled member of `midpoint_set` lies on both bounding
+    spheres: t is checked as `midpoint_set` checks it, d(x, y) is measured
+    once, and the set goes to `_spheres_verdict`.  An exact d_inf box stays
+    in the integer frame of `_exact_sup_bounds`: exact identities hold
+    exactly, so the box holds when its integer gap is 0, and a box of
+    Fractions is built only for the scan of a box that fails.  The Menger
+    checker runs each of its trials through here."""
     d = _endpoint_distance(space, x, y, t)
     r1, r2 = radii_for(conv, t, d)
     if space.p == math.inf and space.exact:
@@ -851,5 +837,6 @@ def diameter_with_witness(space: MetricSpace, rep: SetRep):
     return best, pair
 
 
+# not called in src/; kept only because perfbench/tracer.py wraps it at install
 def diameter(space: MetricSpace, rep: SetRep) -> Scalar:
     return diameter_with_witness(space, rep)[0]

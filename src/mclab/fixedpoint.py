@@ -148,9 +148,11 @@ class HybridParams:
 
 
 def _sample_domain_point(rng, domain: Domain):
-    lower, upper = domain.lower, domain.upper
+    bounds = list(zip(domain.lower, domain.upper))
+    # `rng.uniform(lo, hi)` as CPython defines it, with `random` bound once
+    random = rng.random
     for _ in range(10_000):
-        z = tuple(rng.uniform(lo, hi) for lo, hi in zip(lower, upper))
+        z = tuple([lo + (hi - lo) * random() for lo, hi in bounds])
         if domain.contains(z, DOMAIN_TOL):
             return z
     raise SolverFailure("rejection sampling found no domain point")

@@ -10,12 +10,13 @@ its running minimum strictly below the largest row so far (the early break
 of Taha & Hanbury, IEEE TPAMI 37(11), 2015): such a row can neither exceed
 nor tie that row, so the value and the witness are those of the full scan.
 Boxes under the sup metric are compared per coordinate as interval Hausdorff
-distances.  Two finite sets share one table of `distances` rows, one per
-point of A: its row minima give the distance from A to B, its column minima
-the distance from B to A.  The result is marked exact when A's sample points
-attain the supremum: A finite, or A a capped simplex (whose vertices are its
-sample points) and B convex.  Witness pairs are always returned; ties break
-to the lexicographically smallest witness so results are deterministic.
+distances.  Two finite sets share one `distance_table`, which checks each
+point once and transposes each axis once: its row minima give the distance
+from A to B, its column minima the distance from B to A.  The result is
+marked exact when A's sample points attain the supremum: A finite, or A a
+capped simplex (whose vertices are its sample points) and B convex.
+Witness pairs are always returned; ties break to the lexicographically
+smallest witness so results are deterministic.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .convexsets import (
     Singleton,
 )
 from .errors import EmptySetError, MclabError
-from .spaces import MetricSpace, check_point, distance, distances
+from .spaces import MetricSpace, check_point, distance, distance_table, distances
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,18 @@ def _nearest(space, a, B):
         return min(zip(distances(space, a, B.points), B.points))
     if not isinstance(B, _CLOSED_FORM):
         raise MclabError(f"no nearest-point form for a {B.kind} representation")
-    if isinstance(B, CappedSimplex) and space.p == 1:
+    if isinstance(B, CappedSimplex):
         value, b = B.nearest_with_distance(a)
         check_point(space, a)
         # a Fraction value is a sum of rational differences, so b is
         # rational; a float space checks only the dimension.  Any other
-        # walk is measured as `distance` would measure it
-        if len(b) == space.dim and (isinstance(value, Fraction) or not space.exact):
+        # walk, and any walk outside d_1, is measured as `distance` would
+        # measure it
+        if (
+            space.p == 1
+            and len(b) == space.dim
+            and (isinstance(value, Fraction) or not space.exact)
+        ):
             return value, b
         return distance(space, a, b), b
     b = B.nearest(a)
@@ -155,11 +161,12 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
 
 
 def _finite_pair(space, A, B):
-    """Both directed distances between finite sets from one table, a
-    `distances` row per point of A: row minima give A -> B, column minima
-    B -> A (d(a, b) and d(b, a) are bit-equal)."""
+    """Both directed distances between finite sets from one
+    `distance_table` of A against B: its row minima give A -> B, its column
+    minima B -> A (d(a, b) and d(b, a) are bit-equal), each ties broken as
+    `_directed_points` breaks them."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
-    table = [distances(space, a, pts_b) for a in pts_a]
+    table = distance_table(space, pts_a, pts_b)
     exact = A.exact and B.exact
     forward = _directed_points(
         (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)

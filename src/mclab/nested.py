@@ -3,7 +3,8 @@
 Sets are stored intensionally as lists of `MetricBall`s of one space, whose
 constructor validates each center and radius, and never enumerated.
 Feasibility is established by cyclic projection over all ball constraints,
-each step being `MetricBall.project`, a radial step toward the center.  A
+each step being `MetricBall.project`, a radial step toward the center, with
+each distance from the current point to a center measured once.  A
 family whose diameter estimates vanish admits a unique common point up to
 the final diameter; this is checked by restarting the solver from a second
 start.
@@ -57,10 +58,17 @@ def build_shrinking_family(space: MetricSpace, centers, radii) -> NestedFamily:
 
 
 def max_violation(space: MetricSpace, family: NestedFamily, z):
+    balls = tuple(family.all_balls())
+    return _worst_gap(balls, [distance(space, z, ball.center) for ball in balls])
+
+
+def _worst_gap(balls, dists):
+    """(largest d(z, c) - r over the balls, the first ball attaining it), or
+    (0, None) when z lies in every ball; `dists` holds d(z, c) per ball."""
     worst = 0
     worst_ball = None
-    for ball in family.all_balls():
-        gap = distance(space, z, ball.center) - ball.radius
+    for ball, d in zip(balls, dists):
+        gap = d - ball.radius
         if gap > worst:
             worst = gap
             worst_ball = ball
@@ -72,15 +80,31 @@ _MAX_SWEEPS = 10_000  # the sweep budget of the cyclic projection
 
 def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6, start=None):
     """Point satisfying every ball constraint within tol, found by cyclic
-    projection.  Raises SolverFailure with the worst violation when the
-    sweeps stall or the budget runs out (infeasible input)."""
+    projection (Bauschke & Borwein, SIAM Review 1996).  Raises SolverFailure
+    with the worst violation when the sweeps stall or the budget runs out
+    (infeasible input).
+
+    Each d(z, c_i) is measured once per position of z: a projection that
+    leaves z where it is keeps its distance for the violation pass, and the
+    violation pass's distances serve the next sweep until z moves."""
     z = tuple(start) if start is not None else family.sets[0][0].center
+    balls = tuple(family.all_balls())
+    known = [None] * len(balls)  # d(z, c_i) at the current z, where measured
     best_violation = None
     stalled = 0
     for _ in range(_MAX_SWEEPS):
-        for ball in family.all_balls():
-            z = ball.project(z)
-        violation, worst_ball = max_violation(space, family, z)
+        for i, ball in enumerate(balls):
+            d = known[i]
+            if d is None:
+                d = known[i] = distance(space, z, ball.center)
+            if not d <= ball.radius:
+                z = ball.project(z, d)
+                known = [None] * len(balls)
+        known = [
+            distance(space, z, ball.center) if d is None else d
+            for ball, d in zip(balls, known)
+        ]
+        violation, worst_ball = _worst_gap(balls, known)
         if violation <= tol:
             return z
         if best_violation is not None and violation >= best_violation - 1e-15:

@@ -68,7 +68,9 @@ def sample_point(rng: random.Random, space: MetricSpace, plan: SamplePlan):
         return tuple(
             Fraction(rng.randint(LOW * den, HIGH * den), den) for _ in range(space.dim)
         )
-    return tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
+    # `rng.uniform(LOW, HIGH)` as CPython defines it, with `random` bound once
+    random = rng.random
+    return tuple([LOW + (HIGH - LOW) * random() for _ in range(space.dim)])
 
 
 def sample_distinct_pair(rng: random.Random, space: MetricSpace, plan: SamplePlan):

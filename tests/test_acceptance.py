@@ -22,7 +22,6 @@ from mclab import (
     check_homogeneity,
     check_property,
     common_point,
-    diameter,
     distance,
     estimate_uniform_modulus,
     find_fixed_point,
@@ -38,6 +37,7 @@ from mclab import (
     MetricBall,
     Rotation,
 )
+from mclab.convexsets import diameter_with_witness
 from mclab.nested import max_violation
 
 FX = MidConvention.FROM_X
@@ -121,7 +121,7 @@ def test_criterion_05_property_a_positive():
             continue
         t = rng.uniform(0.02, 0.98)
         rep = midpoint_set(space, x, y, t)
-        ok = ok and diameter(space, rep) <= 1e-6
+        ok = ok and diameter_with_witness(space, rep)[0] <= 1e-6
         m = unique_midpoint(space, x, y, t)
         d = distance(space, x, y)
         ok = ok and abs(distance(space, x, m) - (1 - t) * d) <= 1e-9

@@ -60,9 +60,9 @@ PUBLIC_NAMES = [
     "check_property",
     "common_point",
     "constant_fn",
-    "diameter",
     "directed_hausdorff",
     "distance",
+    "distance_table",
     "distances",
     "estimate_uniform_modulus",
     "family_of_balls",
@@ -143,9 +143,9 @@ PUBLIC_OPTIONS = {
     "check_property": ["conv", "plan", "diam_tol", "tol"],
     "common_point": ["tol", "start"],
     "constant_fn": [],
-    "diameter": [],
     "directed_hausdorff": [],
     "distance": [],
+    "distance_table": [],
     "distances": [],
     "estimate_uniform_modulus": ["budget", "seed"],
     "family_of_balls": [],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -22,7 +23,6 @@ from mclab import (
     Singleton,
     UniqueMidpointUndefined,
     check_menger_convex,
-    diameter,
     directed_hausdorff,
     distance,
     hausdorff,
@@ -39,13 +39,24 @@ from mclab.hausdorff import _nearest as hausdorff_nearest
 from mclab.convexsets import (
     DEFAULT_TOL,
     MAX_SIMPLEX_AXES,
+    diameter_with_witness,
     radii_for,
     segment_points,
-    verify_on_spheres,
 )
 
 FX = MidConvention.FROM_X
 FY = MidConvention.FROM_Y
+
+
+def _on_spheres(space, x, y, t, conv, rep, tol=DEFAULT_TOL):
+    """The sphere check of a set built here: `_spheres_verdict` with d(x, y)
+    and the radii measured as `sphere_equivalence_check` measures them, and
+    t not checked, so that a set off the midpoint set of x, y and t can be
+    tried."""
+    d = distance(space, x, y)
+    return convexsets._spheres_verdict(
+        space, x, y, t, conv, rep, d, *radii_for(conv, t, d), tol
+    )
 
 
 class TestMidpointSet:
@@ -102,16 +113,16 @@ class TestMidpointSet:
                 continue
             t = rng.uniform(0.05, 0.95)
             rep = midpoint_set(space, x, y, t)
-            assert diameter(space, rep) <= 1e-9
+            assert diameter_with_witness(space, rep)[0] <= 1e-9
 
     def test_taxicab_and_sup_sets_can_be_fat(self):
         sup_space = vector_space(3, math.inf, exact=True)
         rep = midpoint_set(sup_space, (0, 0, 0), (2, 0, 0), F(1, 4), FX)
-        assert diameter(sup_space, rep) >= 1
+        assert diameter_with_witness(sup_space, rep)[0] >= 1
 
         tax_space = vector_space(4, 1, exact=True)
         rep = midpoint_set(tax_space, (F(0),) * 4, (F(1, 2),) * 4, F(1, 2), FX)
-        assert diameter(tax_space, rep) >= 1
+        assert diameter_with_witness(tax_space, rep)[0] >= 1
 
 
 def _half(lo, hi):
@@ -192,7 +203,7 @@ class TestCappedSimplex:
                 score = lambda z: sum(a * b for a, b in zip(w, z))  # noqa: E731
                 assert max(map(score, members)) == max(map(score, vertices))
             brute = max(distance(space, a, b) for a in members for b in members)
-            assert diameter(space, rep) == brute
+            assert diameter_with_witness(space, rep)[0] == brute
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_nearest_attains_the_distance_to_the_set(self, dim):
@@ -201,7 +212,7 @@ class TestCappedSimplex:
             lattice = _around(x, y)
             members = [z for z in lattice if rep.contains(z)]
             for z in lattice:
-                near = rep.nearest(z)
+                near = rep.nearest_with_distance(z)[1]
                 assert rep.contains(near)
                 assert distance(space, z, near) == min(
                     distance(space, z, m) for m in members
@@ -283,7 +294,7 @@ class TestSphereEquivalence:
             tuple(c + 0.1 for c in rep.upper),
             exact=False,
         )
-        verdict = verify_on_spheres(space, x, y, t, FX, fat)
+        verdict = _on_spheres(space, x, y, t, FX, fat)
         assert verdict.fails
         w = verdict.witness
         # the witness re-evaluates: it sits off at least one sphere
@@ -418,6 +429,38 @@ def test_a_float_parameter_on_an_exact_space_is_refused(p):
         sphere_equivalence_check(space, (0, 0), (2, 0), 0.25)
 
 
+def test_every_public_sphere_check_checks_its_parameter():
+    # a second public route to the check, taking a set built elsewhere, once
+    # checked no t: a float t on an exact d_inf box held from a float gap,
+    # and a t outside (0, 1) was checked against a negative radius
+    space = vector_space(2, math.inf, exact=True)
+    x, y = (F(0), F(0)), (F(2), F(0))
+    given_args = {
+        "space": space,
+        "x": x,
+        "y": y,
+        "conv": FX,
+        "rep": midpoint_set(space, x, y, F(1, 4), FX),
+    }
+    checks = [
+        f
+        for name, f in vars(convexsets).items()
+        if not name.startswith("_")
+        and inspect.isfunction(f)
+        and f.__module__ == convexsets.__name__
+        and inspect.signature(f).return_annotation == "PropertyVerdict"
+    ]
+    assert sphere_equivalence_check in checks
+    for check in checks:
+        params = inspect.signature(check).parameters
+        args = {k: v for k, v in given_args.items() if k in params}
+        with pytest.raises(ExactArithmeticUnsupported, match="rational parameter t"):
+            check(**args, t=0.25)
+        for t in (F(-1, 4), F(5, 4)):
+            with pytest.raises(MclabError, match="strictly between 0 and 1"):
+                check(**args, t=t)
+
+
 class TestSupBoxOnSpheres:
     """The per-axis check of a d_inf box against both spheres gives the
     verdict of a plain scan over the box's sample points."""
@@ -426,7 +469,7 @@ class TestSupBoxOnSpheres:
     @settings(max_examples=300, deadline=None)
     def test_per_axis_check_equals_the_scan(self, case):
         space, x, y, t, conv, box = case
-        verdict = verify_on_spheres(space, x, y, t, conv, box)
+        verdict = _on_spheres(space, x, y, t, conv, box)
         outcome, samples, max_slack, point = _scan_on_spheres(
             space, x, y, t, conv, box
         )
@@ -470,7 +513,7 @@ class TestSupBoxOnSpheres:
             return distance(*args)
 
         monkeypatch.setattr(convexsets, "distance", counting)
-        verdict = verify_on_spheres(space, x, y, 0.375, FX, rep)
+        verdict = sphere_equivalence_check(space, x, y, 0.375, FX)
         assert verdict.holds and verdict.samples == len(rep.sample_points()) == 243
         assert len(calls) == 1  # d(x, y) for the radii
 
@@ -521,11 +564,11 @@ class TestExactSimplexArithmetic:
         x, y, r1 = case
         z = tuple(data.draw(st.lists(_RATIONAL, min_size=len(x), max_size=len(x))))
         walked = convexsets._simplex_walk(z, x, y, r1)
-        assert CappedSimplex(x, y, r1).nearest(z) == tuple(walked)
+        assert CappedSimplex(x, y, r1).nearest_with_distance(z)[1] == tuple(walked)
 
     def test_a_float_point_is_walked_without_the_integer_path(self):
         rep = CappedSimplex((F(0), F(0)), (F(2), F(2)), F(2))
-        assert rep.nearest((0.5, 0.5)) == (1.5, 0.5)
+        assert rep.nearest_with_distance((0.5, 0.5))[1] == (1.5, 0.5)
         assert rep.contains((1.5, 0.5)) and not rep.contains((0.5, 0.5))
 
 
@@ -667,9 +710,7 @@ class TestSimplexKernels:
     @settings(max_examples=400, deadline=None)
     def test_fused_nearest_distance_equals_distance_to_the_nearest(self, case):
         space, rep, z = case
-        value, w = rep.nearest_with_distance(z)
-        near = rep.nearest(z)
-        assert _same_points([w], [near])
+        value, near = rep.nearest_with_distance(z)
         # an unmarked simplex is walked in its own arithmetic, as in a float space
         own = vector_space(space.dim, 1, exact=space.exact and rep.exact)
         assert _same(value, distance(own, z, near))
@@ -704,7 +745,7 @@ class TestSimplexKernels:
             rep = midpoint_set(space, x, y, t, conv)
         else:
             rep = CappedSimplex(x, y, r1, exact=False)
-        verdict = verify_on_spheres(space, x, y, t, conv, rep)
+        verdict = _on_spheres(space, x, y, t, conv, rep)
         points = rep.sample_points()
         if not points:
             assert verdict.fails and verdict.samples == 0
@@ -758,7 +799,7 @@ class TestSimplexOnSpheres:
         with pytest.MonkeyPatch.context() as mp:
             if on_spheres:
                 mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
-            verdict = verify_on_spheres(space, x, y, t, conv, rep)
+            verdict = _on_spheres(space, x, y, t, conv, rep)
         if not rep.sample_points():
             assert verdict.fails and verdict.samples == 0
             return
@@ -775,7 +816,7 @@ class TestSimplexOnSpheres:
         space = vector_space(3, 1, exact=True)
         x, y = (F(0), F(0), F(0)), (F(2), F(1), F(0))
         rep = CappedSimplex(x, y, F(3, 2))  # the spheres ask for r1 = 3/4
-        verdict = verify_on_spheres(space, x, y, F(1, 4), FX, rep)
+        verdict = _on_spheres(space, x, y, F(1, 4), FX, rep)
         assert verdict.fails
         assert verdict.witness["point"] == rep.sample_points()[0]
         assert verdict.witness["distance_to_x"] == F(3, 2)
@@ -787,7 +828,7 @@ class TestSimplexOnSpheres:
         rep = CappedSimplex(x, y, radii_for(FX, 0.25, distance(space, x, y))[0])
         assert rep.r1 == 1.0 and type(rep.r1) is float
         with pytest.raises(ExactArithmeticUnsupported):
-            verify_on_spheres(space, x, y, 0.25, FX, rep)
+            _on_spheres(space, x, y, 0.25, FX, rep)
 
     def test_a_simplex_on_the_spheres_costs_no_per_vertex_distance(self, monkeypatch):
         space = vector_space(8, 1, exact=True)
@@ -802,7 +843,7 @@ class TestSimplexOnSpheres:
 
         monkeypatch.setattr(convexsets, "distance", counting)
         monkeypatch.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
-        verdict = verify_on_spheres(space, x, y, F(3, 8), FX, rep)
+        verdict = sphere_equivalence_check(space, x, y, F(3, 8), FX)
         assert verdict.holds and verdict.max_slack == 0
         assert verdict.samples == 0
         assert len(calls) == 1  # d(x, y) for the radii
@@ -956,7 +997,7 @@ def _sphere_checks(draw):
 
 class TestOnePassSphereTrial:
     """`sphere_equivalence_check` in one frame against `midpoint_set`
-    followed by `verify_on_spheres`."""
+    followed by `_spheres_verdict`."""
 
     @given(_sphere_checks())
     @settings(max_examples=300, deadline=None)
@@ -967,7 +1008,7 @@ class TestOnePassSphereTrial:
             if exact_simplex:
                 mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
             rep = midpoint_set(space, x, y, t, conv)
-            two_step = verify_on_spheres(space, x, y, t, conv, rep)
+            two_step = _on_spheres(space, x, y, t, conv, rep)
             one_pass = sphere_equivalence_check(space, x, y, t, conv)
         assert _same_verdict(one_pass, two_step)
         if exact_simplex:
@@ -1178,14 +1219,14 @@ class TestLiftedUnion:
 class TestDiameter:
     def test_singleton(self):
         space = vector_space(2, 2)
-        assert diameter(space, Singleton((1.0, 1.0), exact=False)) == 0
+        assert diameter_with_witness(space, Singleton((1.0, 1.0), exact=False))[0] == 0
 
     def test_sup_box_diameter_is_max_side(self):
         space = vector_space(3, math.inf, exact=True)
         box = Box(
             (F(1, 2), F(-1, 2), F(-1, 2)), (F(1, 2), F(1, 2), F(1, 2)), exact=True
         )
-        assert diameter(space, box) == 1
+        assert diameter_with_witness(space, box)[0] == 1
         # pairwise maximum over the corners agrees
         corners = list(itertools.product(*zip(box.lower, box.upper)))
         brute = max(
@@ -1207,4 +1248,4 @@ class TestDiameter:
         brute = max(
             distance(space, a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]
         )
-        assert diameter(space, rep) == brute == 1
+        assert diameter_with_witness(space, rep)[0] == brute == 1

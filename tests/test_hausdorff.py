@@ -18,12 +18,13 @@ from mclab import (
     Singleton,
     directed_hausdorff,
     distance,
+    distances,
     hausdorff,
     segment,
     vector_space,
 )
 from mclab.convexsets import segment_points
-from mclab.hausdorff import HausdorffResult, _directed_boxes
+from mclab.hausdorff import HausdorffResult, _directed_boxes, _finite_pair
 
 
 def _corners(box: Box):
@@ -208,9 +209,35 @@ def _exact_box_pairs(draw):
     return vector_space(dim, math.inf, exact=True), box(), box()
 
 
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _row_by_row_pair(space, A, B):
+    """Both directed distances between finite sets from a table built as one
+    `distances` row per point of A, the column minima read off its
+    transpose: the build that one `distance_table` replaced."""
+    pts_a, pts_b = A.sample_points(), B.sample_points()
+    table = [distances(space, a, pts_b) for a in pts_a]
+
+    def directed(rows):
+        best = witness = None
+        for a, d, b in rows:
+            if best is None or d > best or (d == best and (a, b) < witness):
+                best, witness = d, (a, b)
+        return best, witness
+
+    exact = A.exact and B.exact
+    forward = directed((a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table))
+    backward = directed(
+        (b, *min(zip(column, pts_a))) for b, column in zip(pts_b, zip(*table))
+    )
+    return HausdorffResult(*forward, exact), HausdorffResult(*backward, exact)
+
+
 class TestFinitePairs:
-    """hausdorff on two finite sets reads one table of `distances` rows; it
-    must agree with the two directed distances measured point by point."""
+    """hausdorff on two finite sets reads one `distance_table`; it must
+    agree with the two directed distances measured point by point."""
 
     @given(_finite_pairs())
     @settings(max_examples=300, deadline=None)
@@ -228,6 +255,17 @@ class TestFinitePairs:
         result = hausdorff(space, A, B)
         assert result == expected
         assert type(result.value) is type(expected.value)
+
+    @given(_finite_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_table_equals_the_row_by_row_build(self, case):
+        space, A, B = case
+        got = _finite_pair(space, A, B)
+        want = _row_by_row_pair(space, A, B)
+        for g, w in zip(got, want):
+            assert (g.witness, g.exact) == (w.witness, w.exact)
+            assert type(g.value) is type(w.value)
+            assert _bits(g.value) == _bits(w.value)
 
     def test_ties_break_to_the_smallest_witness(self):
         space = vector_space(1, 1, exact=True)
@@ -311,7 +349,10 @@ def _plain_directed(space, A, B):
     def nearest(a, part):
         if isinstance(part, FiniteSet):
             return min((distance(space, a, b), b) for b in part.points)
-        b = part.nearest(a)
+        if isinstance(part, CappedSimplex):
+            b = part.nearest_with_distance(a)[1]
+        else:
+            b = part.nearest(a)
         return distance(space, a, b), b
 
     rows = [(a, *min(nearest(a, part) for part in B.parts)) for a in A.sample_points()]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from mclab import (
     family_of_balls,
     vector_space,
 )
+import mclab.nested as nested
 from mclab.nested import family_from_json, max_violation
 
 SP2 = vector_space(2, 2)
@@ -74,6 +76,97 @@ class TestCommonPoint:
         with pytest.raises(SolverFailure) as err:
             common_point(SP2, family, tol=1e-6)
         assert err.value.certificate["violation"] >= 1.0
+
+
+def _feasible_families(space, count, seed):
+    """`count` families of one set of four 3-D balls, centers uniform in
+    [-2, 2]^3, each ball holding one point uniform in [-1, 1]^3 with slack
+    1e-3, so that every family has a common point."""
+    rng = random.Random(seed)
+    families = []
+    for _ in range(count):
+        q = tuple(rng.uniform(-1, 1) for _ in range(3))
+        balls = []
+        for _ in range(4):
+            c = tuple(rng.uniform(-2, 2) for _ in range(3))
+            balls.append(MetricBall(space, c, distance(space, c, q) + 1e-3))
+        families.append(family_of_balls([balls]))
+    return families
+
+
+def _measure_every_sweep(space, family, tol, measure):
+    """`common_point` from the first center as a cyclic projection that
+    measures every d(z, c_i) in every sweep, in its projections and again
+    in its violation pass, with `measure` as the distance."""
+    z = family.sets[0][0].center
+    balls = tuple(family.all_balls())
+    best_violation = None
+    stalled = 0
+    for _ in range(nested._MAX_SWEEPS):
+        for ball in balls:
+            z = ball.project(z, measure(space, z, ball.center))
+        violation, worst_ball = 0, None
+        for ball in balls:
+            gap = measure(space, z, ball.center) - ball.radius
+            if gap > violation:
+                violation, worst_ball = gap, ball
+        if violation <= tol:
+            return z
+        if best_violation is not None and violation >= best_violation - 1e-15:
+            stalled += 1
+            if stalled >= 5:
+                raise SolverFailure(
+                    "cyclic projection stalled above tolerance",
+                    certificate={
+                        "violation": violation,
+                        "ball_center": worst_ball.center,
+                        "ball_radius": worst_ball.radius,
+                    },
+                )
+        else:
+            stalled = 0
+        if best_violation is None or violation < best_violation:
+            best_violation = violation
+    raise SolverFailure(
+        "cyclic projection exhausted its sweep budget",
+        certificate={"violation": best_violation},
+    )
+
+
+def _outcome(solve):
+    try:
+        return repr(solve())
+    except SolverFailure as exc:
+        return repr((exc, exc.certificate))
+
+
+class TestDistanceReuse:
+    """`common_point` measures each d(z, c_i) once per position of z: it
+    returns what a loop measuring every distance in every sweep returns,
+    with at most 80% of that loop's `distance` calls."""
+
+    @pytest.mark.parametrize("p", [2, 1.5])
+    def test_same_results_with_at_most_four_fifths_of_the_distances(self, p, monkeypatch):
+        space = vector_space(3, p)
+        families = _feasible_families(space, 200, seed=1)
+        counts = {"oracle": 0, "solver": 0}
+
+        def counting(key):
+            def measure(*args):
+                counts[key] += 1
+                return distance(*args)
+
+            return measure
+
+        oracle = counting("oracle")
+        want = [
+            _outcome(lambda: _measure_every_sweep(space, family, 1e-6, oracle))
+            for family in families
+        ]
+        monkeypatch.setattr(nested, "distance", counting("solver"))
+        got = [_outcome(lambda: common_point(space, family, tol=1e-6)) for family in families]
+        assert got == want
+        assert 0 < counts["solver"] <= 0.8 * counts["oracle"]
 
 
 class TestCantorPoint:

@@ -19,6 +19,7 @@ from mclab import (
     check_property,
     constant_fn,
     distance,
+    distance_table,
     distances,
     estimate_uniform_modulus,
     l1_function_space,
@@ -315,6 +316,73 @@ class TestOneToManyDistances:
         for y, points in [(good, [good, (1, 2)]), ((1, 2), [good]), (good, [good * 2])]:
             with pytest.raises(DimensionMismatch):
                 distances(space, y, points)
+
+
+# the float coordinates above, and coordinates near +-1e-300 whose powers
+# fall below the sum floor of d_p
+_TABLE_COORD = st.one_of(_FLOAT_COORD, st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _tables(draw):
+    """(space, rows, cols): 0-8 rows and 0-8 columns, and 1 x 1 now and
+    then, on a float d_p id (p in {1, 1.5, 2, 3, inf}, dimension 1-6,
+    coordinates over the whole float range, near 0 and ints), on exact d_1
+    or d_inf with mixed denominators, or on either exact function space."""
+    kind = draw(st.sampled_from(["float", "float", "exact", "linffn-exact", "l1fn-exact"]))
+    if kind == "float":
+        dim = draw(st.integers(1, 6))
+        space = vector_space(dim, draw(st.sampled_from([1, 1.5, 2, 3, math.inf])))
+        coord = draw(st.sampled_from([_TABLE_COORD, st.integers(-50, 50)]))
+        point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    elif kind == "exact":
+        dim = draw(st.integers(1, 6))
+        space = vector_space(dim, draw(st.sampled_from([1, math.inf])), exact=True)
+        point = st.lists(_RATIONAL, min_size=dim, max_size=dim).map(tuple)
+    else:
+        space = space_from_id(kind)
+        point = _exact_functions(quadratic=kind == "linffn-exact")
+    one = draw(st.booleans()) and draw(st.booleans())
+    rows = draw(st.lists(point, min_size=int(one), max_size=1 if one else 8))
+    cols = draw(st.lists(point, min_size=int(one), max_size=1 if one else 8))
+    if rows and cols and draw(st.booleans()):
+        # a point on both sides puts a 0 on the diagonal
+        cols[draw(st.integers(0, len(cols) - 1))] = rows[0]
+    return space, rows, cols
+
+
+class TestDistanceTable:
+    """`distance_table` and `distances` are the pairwise lists bit for bit:
+    the Hausdorff witnesses and the fixed-point search compare their
+    values, so a last-bit change would move a witness or a search path."""
+
+    @given(_tables())
+    @settings(max_examples=500, deadline=None)
+    def test_the_table_and_its_rows_equal_the_pairwise_lists(self, case):
+        space, rows, cols = case
+        table = distance_table(space, rows, cols)
+        want = [[distance(space, a, b) for b in cols] for a in rows]
+        assert type(table) is list and all(type(row) is list for row in table)
+        assert [_bits(row) for row in table] == [_bits(row) for row in want]
+        for y in rows:
+            _assert_pairwise(space, y, cols)
+
+    @pytest.mark.parametrize(
+        "sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf", "vec3-p1-exact", "vec3-pinf-exact"]
+    )
+    def test_a_point_of_the_wrong_length_raises(self, sid):
+        space = space_from_id(sid)
+        good = (0, F(1, 2), 2) if space.exact else (0.0, 1.0, 2)
+        for bad in [(1, 2), good * 2]:
+            for rows, cols in [
+                ([good, bad], [good, good]),
+                ([good], [good, bad]),
+                ([bad], [good]),
+                ([bad], []),
+                ([], [bad]),
+            ]:
+                with pytest.raises(DimensionMismatch):
+                    distance_table(space, rows, cols)
 
 
 class TestDpRange:
