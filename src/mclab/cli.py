@@ -184,7 +184,6 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         result = find_fixed_point(
             space,
             spec,
-            params,
             x0,
             orbit_n=cfg.fp_orbit_n,
             window=cfg.fp_window,

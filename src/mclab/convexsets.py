@@ -93,17 +93,20 @@ def radii_for(conv: MidConvention, t: Scalar, d: Scalar):
 # set representations
 
 
+def _near(z, point, tol) -> bool:
+    """Whether z has the dimension of `point` and lies within `tol` of it
+    in every coordinate."""
+    return len(z) == len(point) and all(abs(a - b) <= tol for a, b in zip(z, point))
+
+
 @dataclass(frozen=True)
 class Singleton:
     point: tuple
-    exact: bool = True
 
     kind = "singleton"
 
-    def contains(self, z, tol: float = DEFAULT_TOL) -> bool:
-        if self.exact:
-            return tuple(z) == tuple(self.point)
-        return all(abs(a - b) <= tol for a, b in zip(z, self.point))
+    def contains(self, z, tol: float = 0) -> bool:
+        return _near(z, self.point, tol)
 
     def sample_points(self):
         return [self.point]
@@ -118,7 +121,6 @@ class Box:
 
     lower: tuple
     upper: tuple
-    exact: bool = True
 
     kind = "box"
 
@@ -157,7 +159,6 @@ class Box:
 @dataclass(frozen=True)
 class FiniteSet:
     points: tuple
-    exact: bool = True
 
     kind = "finite"
 
@@ -165,10 +166,8 @@ class FiniteSet:
         if not self.points:
             raise EmptySetError("finite set representation must be nonempty")
 
-    def contains(self, z, tol: float = DEFAULT_TOL) -> bool:
-        if self.exact:
-            return tuple(z) in {tuple(p) for p in self.points}
-        return any(all(abs(a - b) <= tol for a, b in zip(z, p)) for p in self.points)
+    def contains(self, z, tol: float = 0) -> bool:
+        return any(_near(z, p, tol) for p in self.points)
 
     def sample_points(self):
         return list(self.points)
@@ -186,7 +185,6 @@ class CappedSimplex:
     x: tuple
     y: tuple
     r1: Scalar
-    exact: bool = True
 
     kind = "simplex"
 
@@ -195,12 +193,11 @@ class CappedSimplex:
         box, then walk the coordinates in order toward x (or y) until the
         offsets sum to r1.  Every unit walked changes that sum by exactly 1,
         so no member is nearer.  The distance is taken from the walk's own
-        coordinates: rational inputs of an exact simplex are walked as
-        integers over one common denominator, and the distance is one
-        Fraction of their differences; other inputs take the float sum of
-        `distance`."""
+        coordinates: rational inputs are walked as integers over one common
+        denominator, and the distance is one Fraction of their differences;
+        other inputs take the float sum of `distance`."""
         values = (*z, *self.x, *self.y, self.r1)
-        if not (self.exact and all(map(is_rational, values))):
+        if not all(map(is_rational, values)):
             w = _simplex_walk(z, self.x, self.y, self.r1)
             return sum([abs(u - v) for u, v in zip(z, w)]), tuple(w)
         den = common_denominator(values)
@@ -315,10 +312,6 @@ class SetUnion:
 
     kind = "union"
 
-    @property
-    def exact(self) -> bool:
-        return all(p.exact for p in self.parts)
-
     def contains(self, z, tol: float = 0) -> bool:
         return any(p.contains(z, tol) for p in self.parts)
 
@@ -378,7 +371,6 @@ class SampledOracle:
     lower: tuple
     upper: tuple
     seeds: tuple = ()
-    exact: bool = False
 
     kind = "oracle"
 
@@ -462,7 +454,6 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
         return Box(
             tuple(Fraction(values[0], den) for values in axes),
             tuple(Fraction(values[-1], den) for values in axes),
-            exact=True,
         )
     if p == math.inf:
         lower, upper = [], []
@@ -479,12 +470,12 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
                 lo = hi = (lo + hi) / 2
             lower.append(lo)
             upper.append(hi)
-        return Box(tuple(lower), tuple(upper), exact=False)
+        return Box(tuple(lower), tuple(upper))
     if p == 1:
-        return CappedSimplex(tuple(x), tuple(y), r1, exact=space.exact)
+        return CappedSimplex(tuple(x), tuple(y), r1)
     # strictly convex case: the intersection is the single point on the
     # straight chord at distance r1 from x
-    return Singleton(vlerp(x, y, r1 / d), exact=space.exact)
+    return Singleton(vlerp(x, y, r1 / d))
 
 
 def _exact_sup_bounds(x, y, r1, r2):
@@ -796,16 +787,16 @@ def lifted_union(
             else:
                 d = next(row)
                 chords.append(vlerp(a, y, radii_for(conv, t, d)[0] / d))
-        return FiniteSet(tuple(dict.fromkeys(chords)), exact=space.exact)
+        return FiniteSet(tuple(dict.fromkeys(chords)))
     parts = []
     for a in A.sample_points():
         if tuple(a) == tuple(y):
-            parts.append(Singleton(tuple(y), exact=space.exact))
+            parts.append(Singleton(tuple(y)))
         else:
             parts.append(midpoint_set(space, a, y, t, conv, tol=tol))
     if all(isinstance(p, Singleton) for p in parts):
         points = tuple(dict.fromkeys(tuple(p.point) for p in parts))
-        return FiniteSet(points, exact=space.exact)
+        return FiniteSet(points)
     return SetUnion(tuple(parts))
 
 

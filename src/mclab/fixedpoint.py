@@ -446,7 +446,6 @@ class FixedPointResult:
 def find_fixed_point(
     space: MetricSpace,
     spec: MappingSpec,
-    params: HybridParams,
     x0,
     orbit_n: int = 256,
     window: int = 32,
@@ -652,7 +651,7 @@ def _domain_from_json(obj, space: MetricSpace) -> Domain:
         upper = parse_vector(obj["upper"], "upper", _float_scalar)
         for bound in (lower, upper):
             check_point(space, bound)
-        return Box(lower, upper, exact=space.exact)
+        return Box(lower, upper)
     if repr_tag == "all":
         return WholeSpace(space.dim, parse_float(obj.get("radius", 8.0)))
     raise MclabError(f"unknown domain representation {repr_tag!r}")

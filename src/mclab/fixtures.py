@@ -78,7 +78,6 @@ def fixture_linf_box() -> FixtureReport:
     expected = Box(
         (F(1, 2), F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2)),
         (F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2)),
-        exact=True,
     )
     claims = [
         _claim("midpoint set is the expected box (lower bounds)", rep.lower, expected.lower),

@@ -2,21 +2,23 @@
 
 The directed distance from A to B is the maximum, over A's sample points, of
 the distance to B.  That distance is exact: a finite B is searched in one
-`distances` row, a singleton, box or capped simplex has a closed-form
-nearest point, and a union takes the nearest over its parts.  Under d_1 a
-capped simplex gives its distance with its nearest point, from the walk's
-own coordinates.  Against a union, a row stops at the first part that brings
-its running minimum strictly below the largest row so far (the early break
-of Taha & Hanbury, IEEE TPAMI 37(11), 2015): such a row can neither exceed
-nor tie that row, so the value and the witness are those of the full scan.
-Boxes under the sup metric are compared per coordinate as interval Hausdorff
-distances.  Two finite sets share one `distance_table`, which checks each
-point once and transposes each axis once: its row minima give the distance
-from A to B, its column minima the distance from B to A.  The result is
-marked exact when A's sample points attain the supremum: A finite, or A a
-capped simplex (whose vertices are its sample points) and B convex.
-Witness pairs are always returned; ties break to the lexicographically
-smallest witness so results are deterministic.
+`distances` row, a singleton or box has a closed-form nearest point, and a
+union takes the nearest over its parts.  A capped simplex has one under d_1
+only, where it gives its distance with its nearest point, from the walk's
+own coordinates; under any other metric it is refused.  Against a union, a
+row stops at the first part that brings its running minimum strictly below
+the largest row so far (the early break of Taha & Hanbury, IEEE TPAMI
+37(11), 2015): such a row can neither exceed nor tie that row, so the value
+and the witness are those of the full scan.  Boxes under the sup metric are
+compared per coordinate as interval Hausdorff distances.  Two finite sets
+share one `distance_table`, which checks each point once and transposes
+each axis once: its row minima give the distance from A to B, its column
+minima the distance from B to A.  Exactness comes from the space: a result
+is marked exact on an exact space when A's sample points attain the
+supremum, that is A finite, or A a capped simplex (whose vertices are its
+sample points) and B convex.  Witness pairs are always returned; ties
+break to the lexicographically smallest witness so results are
+deterministic.
 """
 from __future__ import annotations
 
@@ -51,7 +53,8 @@ def _rep_points(rep: SetRep):
     return pts
 
 
-# convex representations whose nearest point has a closed form
+# convex representations whose nearest point has a closed form, a capped
+# simplex under d_1 only
 _CLOSED_FORM = (Singleton, Box, CappedSimplex)
 _FINITE = (Singleton, FiniteSet)
 
@@ -63,20 +66,19 @@ def _nearest(space, a, B):
         return min(_nearest(space, a, part) for part in B.parts)
     if isinstance(B, FiniteSet):
         return min(zip(distances(space, a, B.points), B.points))
-    if not isinstance(B, _CLOSED_FORM):
+    # the walk of a capped simplex finds its d_1-nearest member, which under
+    # another metric can be farther than the nearest one
+    if not isinstance(B, _CLOSED_FORM) or (
+        isinstance(B, CappedSimplex) and space.p != 1
+    ):
         raise MclabError(f"no nearest-point form for a {B.kind} representation")
     if isinstance(B, CappedSimplex):
         value, b = B.nearest_with_distance(a)
         check_point(space, a)
         # a Fraction value is a sum of rational differences, so b is
         # rational; a float space checks only the dimension.  Any other
-        # walk, and any walk outside d_1, is measured as `distance` would
-        # measure it
-        if (
-            space.p == 1
-            and len(b) == space.dim
-            and (isinstance(value, Fraction) or not space.exact)
-        ):
+        # walk is measured as `distance` would measure it
+        if len(b) == space.dim and (isinstance(value, Fraction) or not space.exact):
             return value, b
         return distance(space, a, b), b
     b = B.nearest(a)
@@ -122,7 +124,7 @@ def _directed_points(rows):
     return best, witness
 
 
-def _directed_boxes(space, A: Box, B: Box):
+def _directed_boxes(A: Box, B: Box):
     """Directed Hausdorff between boxes under the sup metric: the largest
     distance from an end of one of A's intervals to B's interval on the same
     axis; ties keep the first axis and the lower end.  The witness in A takes
@@ -143,19 +145,15 @@ def _directed_boxes(space, A: Box, B: Box):
 def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
     """sup over A of the distance to B."""
     if isinstance(A, Box) and isinstance(B, Box) and space.p == math.inf:
-        value, witness = _directed_boxes(space, A, B)
-        return HausdorffResult(value, witness, exact=A.exact and B.exact)
+        value, witness = _directed_boxes(A, B)
+        return HausdorffResult(value, witness, exact=space.exact)
     parts = B.parts if isinstance(B, SetUnion) else (B,)
     value, witness = _directed_points(_rows(space, _rep_points(A), parts))
     # d(., B) is convex for a convex B, so over a capped simplex its
     # supremum sits at a vertex; a finite A is all its points
-    exact = (
-        A.exact
-        and B.exact
-        and (
-            isinstance(A, _FINITE)
-            or (isinstance(A, CappedSimplex) and isinstance(B, _CLOSED_FORM))
-        )
+    exact = space.exact and (
+        isinstance(A, _FINITE)
+        or (isinstance(A, CappedSimplex) and isinstance(B, _CLOSED_FORM))
     )
     return HausdorffResult(value, witness, exact=exact)
 
@@ -167,14 +165,16 @@ def _finite_pair(space, A, B):
     `_directed_points` breaks them."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
     table = distance_table(space, pts_a, pts_b)
-    exact = A.exact and B.exact
     forward = _directed_points(
         (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)
     )
     backward = _directed_points(
         (b, *min(zip(column, pts_a))) for b, column in zip(pts_b, zip(*table))
     )
-    return HausdorffResult(*forward, exact), HausdorffResult(*backward, exact)
+    return (
+        HausdorffResult(*forward, space.exact),
+        HausdorffResult(*backward, space.exact),
+    )
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:

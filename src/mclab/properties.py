@@ -21,7 +21,6 @@ from .convexsets import (
     diameter_with_witness,
     lifted_union,
     midpoint_set,
-    radii_for,
     segment,
     segment_points,
     sphere_equivalence_check,
@@ -55,18 +54,12 @@ def _sample_xy(rng, space, plan):
 def check_menger_convex(
     space: MetricSpace,
     plan: SamplePlan,
-    carrier_points=None,
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
     """Between any two sampled points, at the sampled split, some third point
-    realises both sphere equalities.
-
-    With `carrier_points` the search is restricted to that finite carrier
-    (sub-spaces such as the integer lattice); otherwise the midpoint set is
-    constructed and its sampled members are verified on both spheres.
-    """
-    if carrier_points is not None:
-        return _check_menger_on_carrier(space, plan, list(carrier_points), tol)
+    realises both sphere equalities: the midpoint set is constructed and its
+    sampled members are checked on both spheres by
+    `sphere_equivalence_check`."""
 
     def trials():
         rng = plan.rng()
@@ -77,42 +70,6 @@ def check_menger_convex(
             yield v.max_slack, lambda: v.witness
 
     return first_failure("MengerConvex", trials(), space.limit(tol), plan, worst=0)
-
-
-def _check_menger_on_carrier(space, plan, pool, tol):
-    """Menger convexity inside a finite carrier: for each sampled pair of
-    carrier points some other carrier point lies on both spheres."""
-    if len({tuple(z) for z in pool}) < 2:
-        raise MclabError("a Menger carrier needs at least two distinct points")
-    limit = space.limit(tol)
-
-    def trials():
-        rng = plan.rng()
-        for k in range(plan.count):
-            x = pool[rng.randrange(len(pool))]
-            y = pool[rng.randrange(len(pool))]
-            while y == x:
-                y = pool[rng.randrange(len(pool))]
-            t = sample_t(rng, space, plan, k)
-            r1, r2 = radii_for(MidConvention.FROM_X, t, distance(space, x, y))
-            found = any(
-                z != x
-                and z != y
-                and abs(distance(space, z, x) - r1) <= limit
-                and abs(distance(space, z, y) - r2) <= limit
-                for z in pool
-            )
-            yield 0 if found else None, lambda: {
-                "x": x,
-                "y": y,
-                "t": t,
-                "radius_x": r1,
-                "radius_y": r2,
-                "carrier_size": len(pool),
-                "reason": "no carrier point on both spheres",
-            }
-
-    return first_failure("MengerConvex", trials(), limit, plan, worst=0)
 
 
 # --------------------------------------------------------------------------
@@ -237,8 +194,8 @@ def _check_bdoubleprime(space, conv, plan, tol):
         for k in range(plan.count):
             pts_a = sample_finite_points(rng, space, plan)
             pts_b = sample_finite_points(rng, space, plan)
-            A = FiniteSet(pts_a, exact=space.exact)
-            B = FiniteSet(pts_b, exact=space.exact)
+            A = FiniteSet(pts_a)
+            B = FiniteSet(pts_b)
             y = sample_point(rng, space, plan)
             t = sample_t(rng, space, plan, k)
             CA = lifted_union(space, A, y, t, conv, tol=tol)
@@ -425,7 +382,7 @@ def check_diameter_strict(
     # the interior of a box has the same diameter as its closure
     delta_int = distance(space, A.lower, A.upper)
     k_hat = delta_c / delta_int if delta_c else delta_c
-    threshold = 1 if space.exact and A.exact and C.exact else 1 - tol
+    threshold = 1 if space.exact else 1 - tol
     return verdict(
         "DiameterStrict",
         HOLDS if k_hat < threshold else FAILS,

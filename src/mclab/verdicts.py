@@ -77,10 +77,10 @@ def first_failure(name, trials, limit, plan=None, conv=None, worst=None):
 
     The first slack above `limit` fails, with the certificate that
     `witness()` builds; a slack of None is a trial that failed without
-    measuring one (a sphere check of a set with no sampled members, a
-    carrier with no point on both spheres).  Otherwise the verdict holds
-    with the worst slack, starting from `worst`.  `witness` is called before
-    the next trial is drawn, so it may read the trial's loop variables."""
+    measuring one (a sphere check of a set with no sampled members).
+    Otherwise the verdict holds with the worst slack, starting from
+    `worst`.  `witness` is called before the next trial is drawn, so it may
+    read the trial's loop variables."""
     samples = 0
     for samples, (slack, witness) in enumerate(trials, 1):
         if slack is None or slack > limit:

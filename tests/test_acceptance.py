@@ -186,9 +186,8 @@ def test_criterion_10_rotation_fixed_point():
     start = time.perf_counter()
     space = vector_space(2, 2)
     spec = MappingSpec(Rotation(2 * math.pi / 7), MetricBall(space, (0.0, 0.0), 1.0))
-    params = HybridParams(1, 0)
-    hybrid = verify_hybrid(space, spec, params, SamplePlan(count=1000, seed=1001))
-    result = find_fixed_point(space, spec, params, (1.0, 0.0))
+    hybrid = verify_hybrid(space, spec, HybridParams(1, 0), SamplePlan(count=1000, seed=1001))
+    result = find_fixed_point(space, spec, (1.0, 0.0))
     # grid oracle for the functional value at the minimiser
     Ffn = make_asymptotic_functional(space, spec, (1.0, 0.0))
     grid_best = min(

@@ -102,16 +102,16 @@ def test_the_public_names_are_the_pinned_list():
 PUBLIC_OPTIONS = {
     "Affine": [],
     "AsymptoticFunctional": ["radius"],
-    "Box": ["exact"],
+    "Box": [],
     "BoxProjection": [],
-    "CappedSimplex": ["exact"],
+    "CappedSimplex": [],
     "Composition": [],
     "ConfigError": [],
     "DimensionMismatch": [],
     "DomainEscape": [],
     "EmptySetError": [],
     "ExactArithmeticUnsupported": [],
-    "FiniteSet": ["exact"],
+    "FiniteSet": [],
     "FixedPointResult": [],
     "HausdorffResult": [],
     "HybridParams": [],
@@ -129,7 +129,7 @@ PUBLIC_OPTIONS = {
     "SamplePlan": ["count", "seed", "coord_denominator", "t_denominator", "t_values", "anchor_x", "anchor_y"],
     "Segment": ["max_defect"],
     "SetUnion": [],
-    "Singleton": ["exact"],
+    "Singleton": [],
     "SolverFailure": ["certificate"],
     "UniqueMidpointUndefined": [],
     "WholeSpace": ["radius"],
@@ -139,7 +139,7 @@ PUBLIC_OPTIONS = {
     "check_betweenness": ["conv", "tol"],
     "check_diameter_strict": ["tol"],
     "check_homogeneity": ["cap", "tol"],
-    "check_menger_convex": ["carrier_points", "tol"],
+    "check_menger_convex": ["tol"],
     "check_property": ["conv", "plan", "diam_tol", "tol"],
     "common_point": ["tol", "start"],
     "constant_fn": [],

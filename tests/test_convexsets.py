@@ -20,6 +20,7 @@ from mclab import (
     MclabError,
     MidConvention,
     SamplePlan,
+    SetUnion,
     Singleton,
     UniqueMidpointUndefined,
     check_menger_convex,
@@ -30,11 +31,13 @@ from mclab import (
     lifted_union,
     midpoint_set,
     segment,
+    space_from_id,
     sphere_equivalence_check,
     unique_midpoint,
     vector_space,
 )
 import mclab.convexsets as convexsets
+from mclab.arith import is_rational
 from mclab.hausdorff import _nearest as hausdorff_nearest
 from mclab.convexsets import (
     DEFAULT_TOL,
@@ -292,7 +295,6 @@ class TestSphereEquivalence:
         fat = Box(
             tuple(c - 0.1 for c in rep.lower),
             tuple(c + 0.1 for c in rep.upper),
-            exact=False,
         )
         verdict = _on_spheres(space, x, y, t, FX, fat)
         assert verdict.fails
@@ -399,7 +401,7 @@ def _sup_boxes(draw, exact=None):
             lo, hi = sorted(F(draw(coord)) if exact else draw(coord) for _ in "lh")
         lower.append(lo)
         upper.append(hi)
-    return space, x, y, t, conv, Box(tuple(lower), tuple(upper), exact=exact)
+    return space, x, y, t, conv, Box(tuple(lower), tuple(upper))
 
 
 class TestExactSupBox:
@@ -635,25 +637,23 @@ def _points_around(draw, x, y, rational):
 
 @st.composite
 def _simplex_kernel_cases(draw):
-    """(space, rep, z) in dimension 1-10: an exact simplex with a rational
-    point in the exact space, an exact simplex with a float point in the
-    float space, a float simplex with a float point, or a simplex over
-    rationals not marked exact with a rational point in the exact space."""
-    kind = draw(st.sampled_from(["exact", "exact-float-point", "float", "unmarked"]))
+    """(space, rep, z) in dimension 1-10: a rational simplex with a
+    rational point in the exact space, a rational simplex with a float
+    point in the float space, a float simplex with a float point, or a
+    simplex of ints and Fractions with an int point in the float space."""
+    kind = draw(st.sampled_from(["exact", "exact-float-point", "float", "rational"]))
     if kind == "float":
         x, y, r1 = draw(_float_simplices())
-    elif kind == "unmarked":
-        # mostly ints, whose walk has an int distance
+    elif kind == "rational":
+        # mostly ints, walked in rationals although the space is a float one
         x, y, r1 = draw(_mixed_simplices())
     else:
         x, y, r1 = draw(_exact_simplices(max_dim=MAX_SIMPLEX_AXES))
-    rep = CappedSimplex(x, y, r1, exact=kind in ("exact", "exact-float-point"))
-    exact = kind in ("exact", "unmarked")
-    if kind == "unmarked":
+    if kind == "rational":
         z = tuple(draw(st.lists(st.integers(-4, 4), min_size=len(x), max_size=len(x))))
     else:
-        z = draw(_points_around(x, y, rational=exact))
-    return vector_space(len(x), 1, exact=exact), rep, z
+        z = draw(_points_around(x, y, rational=kind == "exact"))
+    return vector_space(len(x), 1, exact=kind == "exact"), CappedSimplex(x, y, r1), z
 
 
 def _same(a, b) -> bool:
@@ -701,18 +701,20 @@ class TestSimplexKernels:
     @example(
         (
             vector_space(2, 1),
-            CappedSimplex((0.0, -0.0), (1.0, 0.5), 0.75, exact=False),
+            CappedSimplex((0.0, -0.0), (1.0, 0.5), 0.75),
             (-0.0, 0.0),
         )
     )
-    @example((vector_space(1, 1), CappedSimplex((-0.0,), (2.0,), 0.0, exact=False), (0.0,)))
+    @example((vector_space(1, 1), CappedSimplex((-0.0,), (2.0,), 0.0), (0.0,)))
     @given(_simplex_kernel_cases())
     @settings(max_examples=400, deadline=None)
     def test_fused_nearest_distance_equals_distance_to_the_nearest(self, case):
         space, rep, z = case
         value, near = rep.nearest_with_distance(z)
-        # an unmarked simplex is walked in its own arithmetic, as in a float space
-        own = vector_space(space.dim, 1, exact=space.exact and rep.exact)
+        # rational inputs are walked in rationals in any space, others in floats
+        rational = all(map(is_rational, (*z, *rep.x, *rep.y, rep.r1)))
+        assert isinstance(value, F) is rational
+        own = vector_space(space.dim, 1, exact=rational)
         assert _same(value, distance(own, z, near))
         # the Hausdorff kernel takes the distance of the space
         value, w = hausdorff_nearest(space, z, rep)
@@ -720,19 +722,18 @@ class TestSimplexKernels:
         assert _same(value, distance(space, z, near))
 
     # rounding makes two cap sets give the same float vertex
-    @example(((1e-17, -0.30000000000000004), (0.2, -0.7), 0.5999999999999999), False)
+    @example(((1e-17, -0.30000000000000004), (0.2, -0.7), 0.5999999999999999))
     @given(
         st.one_of(
             _float_simplices(),
             _exact_simplices(max_dim=MAX_SIMPLEX_AXES),
             _exact_simplices(max_dim=MAX_SIMPLEX_AXES).map(_all_fractions),
             _mixed_simplices(),
-        ),
-        st.booleans(),
+        )
     )
     @settings(max_examples=300, deadline=None)
-    def test_pruned_vertices_equal_the_combinations(self, case, exact):
-        rep = CappedSimplex(*case, exact=exact)
+    def test_pruned_vertices_equal_the_combinations(self, case):
+        rep = CappedSimplex(*case)
         assert _same_points(rep.sample_points(), _combination_vertices(rep))
 
     @given(_float_simplices(), st.sampled_from(list(MidConvention)), st.data())
@@ -744,7 +745,7 @@ class TestSimplexKernels:
         if data.draw(st.booleans()):
             rep = midpoint_set(space, x, y, t, conv)
         else:
-            rep = CappedSimplex(x, y, r1, exact=False)
+            rep = CappedSimplex(x, y, r1)
         verdict = _on_spheres(space, x, y, t, conv, rep)
         points = rep.sample_points()
         if not points:
@@ -871,13 +872,13 @@ _ROUNDING_BOXES = [
         vector_space(3, math.inf),
         (0.0, 1.0, -0.5),
         (1.0 + 2**-52, 0.25, 0.75),
-        Box((1.0, 0.5, 0.25), (math.nextafter(1.0, 2.0), 0.5, 0.5), exact=False),
+        Box((1.0, 0.5, 0.25), (math.nextafter(1.0, 2.0), 0.5, 0.5)),
     ),
     (
         vector_space(2, math.inf),
         (-3.0, 0.1),
         (0.3, 0.7),
-        Box((-0.0, 0.1), (5e-324, math.nextafter(0.1, 1.0)), exact=False),
+        Box((-0.0, 0.1), (5e-324, math.nextafter(0.1, 1.0))),
     ),
 ]
 
@@ -1058,7 +1059,7 @@ def _lifted_by_point(space, A, y, t, conv):
         (tuple(y),) if tuple(a) == tuple(y) else (midpoint_set(space, a, y, t, conv).point,)
         for a in A.sample_points()
     ]
-    return FiniteSet(tuple(dict.fromkeys(p for (p,) in parts)), exact=space.exact)
+    return FiniteSet(tuple(dict.fromkeys(p for (p,) in parts)))
 
 
 @st.composite
@@ -1073,7 +1074,7 @@ def _strictly_convex_unions(draw):
     pts = draw(st.lists(st.one_of(point, st.just(y)), min_size=1, max_size=8))
     t = draw(st.floats(0.02, 0.98))
     conv = draw(st.sampled_from(list(MidConvention)))
-    return vector_space(dim, p), FiniteSet(tuple(pts), exact=False), y, t, conv
+    return vector_space(dim, p), FiniteSet(tuple(pts)), y, t, conv
 
 
 class TestBatchedLiftedUnion:
@@ -1086,7 +1087,7 @@ class TestBatchedLiftedUnion:
         space, A, y, t, conv = case
         union = lifted_union(space, A, y, t, conv)
         plain = _lifted_by_point(space, A, y, t, conv)
-        assert type(union) is FiniteSet and union.exact is plain.exact is False
+        assert type(union) is FiniteSet
         assert _same_points(union.points, plain.points)
 
     def test_a_set_of_y_alone_is_y_at_any_parameter(self):
@@ -1177,10 +1178,40 @@ class TestSegment:
         assert any(p not in chord for p in interior)
 
 
+class TestMembershipWithoutSlack:
+    """Every set representation's `contains(z)` is exact equality by
+    default, whatever the space; a caller grants slack with `tol`, as
+    `space.limit(tol)` does on a float space only."""
+
+    @pytest.mark.parametrize("space_id", ["vec2-p1", "vec2-p1-exact"])
+    def test_the_default_tol_admits_no_slack(self, space_id):
+        space = space_from_id(space_id)
+        one = F(1) if space.exact else 1.0
+        eps = F(1, 2**40) if space.exact else 2.0**-40
+        zero, half = 0 * one, one / 2
+        member, off = (one, half), (one + eps, half)
+        reps = [
+            Singleton(member),
+            FiniteSet(((zero, zero), member)),
+            Box((half, zero), (one, half)),
+            # offsets from (0, 0) summing to 3/2 within the box of (0, 0), (1, 1)
+            CappedSimplex((zero, zero), (one, one), 3 * half),
+            SetUnion((Singleton((zero, zero)), Box((half, zero), member))),
+        ]
+        for rep in reps:
+            assert rep.contains(member) and not rep.contains(off)
+            assert rep.contains(off, 2 * eps)
+            assert rep.contains(off, space.limit(DEFAULT_TOL)) is not space.exact
+
+    def test_a_point_of_another_dimension_is_no_member(self):
+        assert not Singleton((1, 2)).contains((1,))
+        assert not FiniteSet(((0, 0), (1, 2))).contains((1,), 1)
+
+
 class TestLiftedUnion:
     def test_single_element_union_is_the_midpoint_set(self):
         space = vector_space(2, 2)
-        A = Singleton((0.0, 0.0), exact=False)
+        A = Singleton((0.0, 0.0))
         y, t = (2.0, 2.0), 0.5
         union = lifted_union(space, A, y, t)
         direct = midpoint_set(space, (0.0, 0.0), y, t)
@@ -1188,7 +1219,7 @@ class TestLiftedUnion:
 
     def test_euclidean_pair_gives_two_midpoints(self):
         space = vector_space(2, 2)
-        A = FiniteSet(((0.0, 0.0), (2.0, 0.0)), exact=False)
+        A = FiniteSet(((0.0, 0.0), (2.0, 0.0)))
         union = lifted_union(space, A, (0.0, 2.0), 0.5)
         assert sorted(union.points) == [
             pytest.approx((0.0, 1.0)),
@@ -1197,7 +1228,7 @@ class TestLiftedUnion:
 
     def test_sup_box_union_covers_per_corner_boxes(self):
         space = vector_space(2, math.inf)
-        A = Box((0.0, 0.0), (1.0, 1.0), exact=False)
+        A = Box((0.0, 0.0), (1.0, 1.0))
         y, t = (3.0, 0.0), 0.5
         union = lifted_union(space, A, y, t, FX)
         # brute-force membership over a 64 x 64 grid: a point belongs iff it
@@ -1219,13 +1250,11 @@ class TestLiftedUnion:
 class TestDiameter:
     def test_singleton(self):
         space = vector_space(2, 2)
-        assert diameter_with_witness(space, Singleton((1.0, 1.0), exact=False))[0] == 0
+        assert diameter_with_witness(space, Singleton((1.0, 1.0)))[0] == 0
 
     def test_sup_box_diameter_is_max_side(self):
         space = vector_space(3, math.inf, exact=True)
-        box = Box(
-            (F(1, 2), F(-1, 2), F(-1, 2)), (F(1, 2), F(1, 2), F(1, 2)), exact=True
-        )
+        box = Box((F(1, 2), F(-1, 2), F(-1, 2)), (F(1, 2), F(1, 2), F(1, 2)))
         assert diameter_with_witness(space, box)[0] == 1
         # pairwise maximum over the corners agrees
         corners = list(itertools.product(*zip(box.lower, box.upper)))
@@ -1243,7 +1272,7 @@ class TestDiameter:
             coords = [F(1, 4)] * 4
             coords[i], coords[j] = F(0), F(1, 2)
             pts.append(tuple(coords))
-        rep = FiniteSet(tuple(pts), exact=True)
+        rep = FiniteSet(tuple(pts))
         # brute force over all 66 unordered pairs
         brute = max(
             distance(space, a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]

@@ -90,7 +90,7 @@ class TestVerifyHybrid:
     def test_box_projection_is_metrically_nonspreading(self):
         spec = MappingSpec(
             BoxProjection((0.0, 0.0), (1.0, 1.0)),
-            Box((-3.0, -3.0), (3.0, 3.0), exact=False),
+            Box((-3.0, -3.0), (3.0, 3.0)),
         )
         verdict = verify_hybrid(SP2, spec, NONSPREADING, SamplePlan(count=10_000))
         assert verdict.holds
@@ -107,7 +107,7 @@ class TestVerifyHybrid:
     def test_non_self_map_detected(self):
         spec = MappingSpec(
             Affine(((1, 0), (0, 1)), (10.0, 0.0)),
-            Box((-1.0, -1.0), (1.0, 1.0), exact=False),
+            Box((-1.0, -1.0), (1.0, 1.0)),
         )
         with pytest.raises(DomainEscape):
             verify_hybrid(SP2, spec, NONEXPANSIVE, SamplePlan(count=10))
@@ -140,7 +140,7 @@ class TestVerifyHybrid:
         # only the worst
         space = vector_space(2, p)
         spec = MappingSpec(
-            BoxProjection((0, 0), (5, 5)), Box((-20.0, -20.0), (20.0, 20.0), exact=False)
+            BoxProjection((0, 0), (5, 5)), Box((-20.0, -20.0), (20.0, 20.0))
         )
         a, b = params.alpha, params.beta
         for seed in range(60):
@@ -235,7 +235,7 @@ def _signed_permutation_contraction(seed: int, dom: str):
     center = tuple(x + shift * rng.uniform(-1, 1) for x in xstar)
     domain = {
         "ball": MetricBall(vector_space(3, 2), center, 2.0),
-        "box": Box(tuple(c - 2 for c in center), tuple(c + 2 for c in center), exact=False),
+        "box": Box(tuple(c - 2 for c in center), tuple(c + 2 for c in center)),
         "all": WholeSpace(3),
     }[dom]
     spec = MappingSpec(Affine(tuple(map(tuple, A)), tuple(b)), domain)
@@ -271,7 +271,7 @@ class TestOrbitStopsAtItsFirstRepeat:
 
     def test_box_projection_is_fixed_after_one_step(self):
         spec = MappingSpec(
-            BoxProjection((0, 0), (1, 1)), Box((-3.0, -3.0), (3.0, 3.0), exact=False)
+            BoxProjection((0, 0), (1, 1)), Box((-3.0, -3.0), (3.0, 3.0))
         )
         got = self.assert_same_orbit(SP2, spec, (2.5, -1.5))
         assert set(got.points[1:]) == {(1, 0)}
@@ -297,7 +297,7 @@ class TestOrbitStopsAtItsFirstRepeat:
 
     def test_orbit_that_leaves_the_domain(self):
         spec = MappingSpec(
-            Affine(((1, 0), (0, 1)), (1.0, 0.0)), Box((-5.0, -5.0), (5.0, 5.0), exact=False)
+            Affine(((1, 0), (0, 1)), (1.0, 0.0)), Box((-5.0, -5.0), (5.0, 5.0))
         )
         with pytest.raises(DomainEscape) as got:
             orbit(SP2, spec, (0.0, 0.0), 20)
@@ -406,7 +406,7 @@ class TestDistinctTail:
 
 class TestFindFixedPoint:
     def test_seventh_turn_rotation_finds_the_origin(self):
-        result = find_fixed_point(SP2, rotation_spec(), NONEXPANSIVE, (1.0, 0.0))
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0))
         assert distance(SP2, result.point, (0.0, 0.0)) <= 1e-3
         assert result.residual <= 1e-6
         assert result.converged
@@ -425,7 +425,7 @@ class TestFindFixedPoint:
 
     def test_shifted_center_not_on_the_grid(self):
         spec = rotation_spec(center=(0.3, 0.2))
-        result = find_fixed_point(SP2, spec, NONEXPANSIVE, (0.9, 0.1))
+        result = find_fixed_point(SP2, spec, (0.9, 0.1))
         assert distance(SP2, result.point, (0.3, 0.2)) <= 1e-3
         assert result.residual <= 1e-6
 
@@ -433,16 +433,16 @@ class TestFindFixedPoint:
         spec = MappingSpec(
             Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2, radius=4)
         )
-        result = find_fixed_point(SP2, spec, NONEXPANSIVE, (-2.0, 3.0))
+        result = find_fixed_point(SP2, spec, (-2.0, 3.0))
         assert result.point == pytest.approx((1.0, 1.0), abs=1e-6)
         assert result.residual <= 1e-6
 
     def test_projection_returns_a_fixed_box_point(self):
         spec = MappingSpec(
             BoxProjection((0.0, 0.0), (1.0, 1.0)),
-            Box((-3.0, -3.0), (3.0, 3.0), exact=False),
+            Box((-3.0, -3.0), (3.0, 3.0)),
         )
-        result = find_fixed_point(SP2, spec, NONSPREADING, (2.5, -1.5))
+        result = find_fixed_point(SP2, spec, (2.5, -1.5))
         assert result.residual <= 1e-6
         tail_limit = (1.0, 0.0)  # clamp of the start; the orbit is constant there
         assert result.point == pytest.approx(tail_limit, abs=1e-6)
@@ -460,12 +460,10 @@ class TestFindFixedPoint:
             Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )
         with pytest.raises(SolverFailure):
-            find_fixed_point(SP2, spec, NONEXPANSIVE, (0.0, 0.0), rmax=50.0)
+            find_fixed_point(SP2, spec, (0.0, 0.0), rmax=50.0)
 
     def test_exhausted_budget_reported_not_hidden(self):
-        result = find_fixed_point(
-            SP2, rotation_spec(), NONEXPANSIVE, (1.0, 0.0), budget=30
-        )
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0), budget=30)
         assert result.evaluations <= 30
         if result.residual > 1e-6:
             assert not result.converged
@@ -473,7 +471,7 @@ class TestFindFixedPoint:
     def test_minimum_is_empirically_unique(self):
         import random
 
-        result = find_fixed_point(SP2, rotation_spec(), NONEXPANSIVE, (1.0, 0.0))
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0))
         F = make_asymptotic_functional(SP2, rotation_spec(), (1.0, 0.0))
         f0 = asymptotic_center(SP2, F, result.point)
         rng = random.Random(17)
@@ -484,7 +482,7 @@ class TestFindFixedPoint:
 
     def test_residual_implies_functional_descent(self):
         spec = rotation_spec()
-        result = find_fixed_point(SP2, spec, NONEXPANSIVE, (1.0, 0.0))
+        result = find_fixed_point(SP2, spec, (1.0, 0.0))
         assert result.residual <= 1e-6
         F = make_asymptotic_functional(SP2, spec, (1.0, 0.0))
         f_tu = asymptotic_center(SP2, F, spec.apply(result.point))
@@ -496,12 +494,12 @@ class TestFindFixedPoint:
         space = vector_space(3, 2)
         for seed in range(5):
             spec, x0 = _signed_permutation_contraction(seed, dom)
-            result = find_fixed_point(space, spec, NONEXPANSIVE, x0, budget=50)
+            result = find_fixed_point(space, spec, x0, budget=50)
             want = max(distances(space, x0, _iterated_orbit(space, spec, x0, 256).points))
             assert repr(result.orbit_radius) == repr(want)
 
     def test_a_start_the_map_fixes_has_float_radius_zero(self):
-        result = find_fixed_point(SP2, rotation_spec(), NONEXPANSIVE, (0.0, 0.0), budget=50)
+        result = find_fixed_point(SP2, rotation_spec(), (0.0, 0.0), budget=50)
         assert repr(result.orbit_radius) == "0.0"
 
 

@@ -14,6 +14,7 @@ from mclab import (
     Box,
     CappedSimplex,
     FiniteSet,
+    MclabError,
     SetUnion,
     Singleton,
     directed_hausdorff,
@@ -21,6 +22,7 @@ from mclab import (
     distances,
     hausdorff,
     segment,
+    space_from_id,
     vector_space,
 )
 from mclab.convexsets import segment_points
@@ -51,7 +53,7 @@ def _brute_hausdorff_sup(A: Box, B: Box, per_axis: int = 33):
 class TestBasics:
     def test_singletons_reduce_to_the_distance(self):
         space = vector_space(2, 2)
-        A, B = Singleton((0.0, 0.0), exact=False), Singleton((3.0, 4.0), exact=False)
+        A, B = Singleton((0.0, 0.0)), Singleton((3.0, 4.0))
         result = hausdorff(space, A, B)
         assert result.value == pytest.approx(5.0)
         assert result.witness == ((0.0, 0.0), (3.0, 4.0))
@@ -63,17 +65,59 @@ class TestBasics:
 
     def test_subset_has_zero_directed_distance(self):
         space = vector_space(2, 2)
-        A = FiniteSet(((0.0, 0.0), (1.0, 0.0)), exact=False)
-        B = FiniteSet(((0.0, 0.0), (1.0, 0.0), (0.5, 2.0)), exact=False)
+        A = FiniteSet(((0.0, 0.0), (1.0, 0.0)))
+        B = FiniteSet(((0.0, 0.0), (1.0, 0.0), (0.5, 2.0)))
         assert directed_hausdorff(space, A, B).value == 0
         assert directed_hausdorff(space, B, A).value > 0
 
     def test_point_to_segment_samples(self):
         space = vector_space(2, 2)
         seg = segment(space, (1.0, 0.0), (1.0, 1.0), [k / 8 for k in range(1, 8)])
-        target = FiniteSet(tuple(segment_points(seg)), exact=False)
-        result = directed_hausdorff(space, Singleton((0.0, 0.0), exact=False), target)
+        target = FiniteSet(tuple(segment_points(seg)))
+        result = directed_hausdorff(space, Singleton((0.0, 0.0)), target)
         assert result.value == pytest.approx(1.0)
+
+
+# (p, A, B): pairs of rational representations whose Hausdorff distance
+# the sample points attain, measured on a float space and on an exact one
+_FLAG_CASES = [
+    *(
+        (p, A, B)
+        for p in ("1", "inf")
+        for A, B in [
+            (Singleton((F(1, 10), F(1, 5))), Singleton((F(3, 10), F(2, 5)))),
+            (FiniteSet(((0, 0), (1, 0))), FiniteSet(((F(1, 2), 2),))),
+        ]
+    ),
+    ("inf", Box((F(0), F(0)), (F(1), F(1))), Box((F(1, 2), F(0)), (F(2), F(1)))),
+    ("1", CappedSimplex((0, 0), (2, 2), 2), Singleton((3, 0))),
+]
+
+
+class TestExactnessComesFromTheSpace:
+    """A result is exact only on an exact space: no set representation
+    carries a mode of its own."""
+
+    def test_float_singletons_give_a_float_result(self):
+        space = space_from_id("vec2-p2")
+        result = hausdorff(space, Singleton((0.1, 0.2)), Singleton((0.3, 0.4)))
+        assert result.exact is False
+
+    @pytest.mark.parametrize("p, A, B", _FLAG_CASES)
+    def test_the_flag_is_the_space_mode(self, p, A, B):
+        for suffix, exact in (("", False), ("-exact", True)):
+            space = space_from_id(f"vec2-p{p}{suffix}")
+            assert hausdorff(space, A, B).exact is exact
+            assert directed_hausdorff(space, A, B).exact is exact
+
+    def test_a_simplex_outside_d1_has_no_nearest_point_form(self):
+        # the d_1 walk lands on (2, 0) at d_inf 2, while (1, 1) is a member
+        # at d_inf 1
+        space = space_from_id("vec2-pinf-exact")
+        with pytest.raises(MclabError, match="no nearest-point form"):
+            directed_hausdorff(
+                space, Singleton((2, 2)), CappedSimplex((0, 0), (2, 2), 2)
+            )
 
 
 class TestBoxPairs:
@@ -98,8 +142,8 @@ class TestBoxPairs:
             hi1 = [lo + rng.uniform(0.1, 2) for lo in lo1]
             lo2 = [rng.uniform(-2, 0) for _ in range(2)]
             hi2 = [lo + rng.uniform(0.1, 2) for lo in lo2]
-            A = Box(tuple(lo1), tuple(hi1), exact=False)
-            B = Box(tuple(lo2), tuple(hi2), exact=False)
+            A = Box(tuple(lo1), tuple(hi1))
+            B = Box(tuple(lo2), tuple(hi2))
             result = hausdorff(space, A, B)
             spacing = max(
                 max(h - l for l, h in zip(A.lower, A.upper)),
@@ -128,7 +172,6 @@ class TestMetricAxioms:
                 tuple(
                     (rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(size)
                 ),
-                exact=False,
             )
 
         for _ in range(1000):
@@ -142,19 +185,19 @@ class TestMetricAxioms:
 
     def test_witness_re_evaluation_on_finite_sets(self):
         space = vector_space(2, 2)
-        A = FiniteSet(((0.0, 0.0), (1.0, 1.0)), exact=False)
-        B = FiniteSet(((2.0, 0.0), (0.0, 2.0)), exact=False)
+        A = FiniteSet(((0.0, 0.0), (1.0, 1.0)))
+        B = FiniteSet(((2.0, 0.0), (0.0, 2.0)))
         result = hausdorff(space, A, B)
         wa, wb = result.witness
         assert distance(space, wa, wb) == pytest.approx(result.value, abs=1e-12)
 
 
-def _finite_rep(draw, point, exact):
+def _finite_rep(draw, point):
     """A FiniteSet of 1-6 points, possibly repeated, or a Singleton."""
     points = draw(st.lists(point, min_size=1, max_size=6))
     if len(points) == 1 and draw(st.booleans()):
-        return Singleton(points[0], exact=exact)
-    return FiniteSet(tuple(points), exact=exact)
+        return Singleton(points[0])
+    return FiniteSet(tuple(points))
 
 
 @st.composite
@@ -177,7 +220,7 @@ def _finite_pairs(draw):
         )
     point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
     space = vector_space(dim, p, exact=exact)
-    return space, _finite_rep(draw, point, exact), _finite_rep(draw, point, exact)
+    return space, _finite_rep(draw, point), _finite_rep(draw, point)
 
 
 @st.composite
@@ -187,7 +230,7 @@ def _exact_finite_triples(draw):
     coord = st.integers(-8, 8).map(lambda k: F(k, 4))
     point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
     space = vector_space(dim, p, exact=True)
-    return space, *(_finite_rep(draw, point, True) for _ in range(3))
+    return space, *(_finite_rep(draw, point) for _ in range(3))
 
 
 @st.composite
@@ -227,7 +270,7 @@ def _row_by_row_pair(space, A, B):
                 best, witness = d, (a, b)
         return best, witness
 
-    exact = A.exact and B.exact
+    exact = space.exact
     forward = directed((a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table))
     backward = directed(
         (b, *min(zip(column, pts_a))) for b, column in zip(pts_b, zip(*table))
@@ -303,7 +346,7 @@ class TestExactHausdorffProperties:
             min(distance(space, a, b) for b in [*_corners(B), B.nearest(a)])
             for a in _corners(A)
         )
-        value, (wa, wb) = _directed_boxes(space, A, B)
+        value, (wa, wb) = _directed_boxes(A, B)
         assert value == brute
         assert A.contains(wa) and B.contains(wb)
         assert distance(space, wa, wb) == value
@@ -311,9 +354,10 @@ class TestExactHausdorffProperties:
 
 @st.composite
 def _union_pairs(draw):
-    """(space, A, B): B a union of 1-5 capped simplices, boxes, singletons
-    and finite sets, A a finite set or such a union, under d_1 or d_inf,
-    exact or float.  Points on a half-integer lattice make ties common."""
+    """(space, A, B): B a union of 1-5 boxes, singletons, finite sets and,
+    under d_1, capped simplices, A a finite set or such a union, under d_1
+    or d_inf, exact or float.  Points on a half-integer lattice make ties
+    common."""
     p = draw(st.sampled_from([1, math.inf]))
     dim = draw(st.integers(1, 4))
     exact = draw(st.booleans())
@@ -324,21 +368,22 @@ def _union_pairs(draw):
     point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
 
     def part():
-        kind = draw(st.sampled_from(["simplex", "box", "singleton", "finite"]))
+        kinds = ["box", "singleton", "finite"] + (["simplex"] if p == 1 else [])
+        kind = draw(st.sampled_from(kinds))
         if kind == "simplex":
             x, y = draw(point), draw(point)
             d = sum(abs(a - b) for a, b in zip(x, y))
             r1 = d * draw(st.sampled_from([0, F(1, 4), F(1, 2), 1]))
-            return CappedSimplex(x, y, r1 if exact else float(r1), exact=exact)
+            return CappedSimplex(x, y, r1 if exact else float(r1))
         if kind == "box":
             lower, upper = zip(*(sorted((draw(coord), draw(coord))) for _ in range(dim)))
-            return Box(lower, upper, exact=exact)
-        return _finite_rep(draw, point, exact)
+            return Box(lower, upper)
+        return _finite_rep(draw, point)
 
     def union():
         return SetUnion(tuple(part() for _ in range(draw(st.integers(1, 5)))))
 
-    A = union() if draw(st.booleans()) else _finite_rep(draw, point, exact)
+    A = union() if draw(st.booleans()) else _finite_rep(draw, point)
     return vector_space(dim, p, exact=exact), A, union()
 
 

@@ -43,79 +43,6 @@ class TestMengerConvexity:
         verdict = check_menger_convex(space, SamplePlan(count=300, seed=4))
         assert verdict.holds
 
-    def test_integer_carrier_fails_with_witness(self):
-        space = vector_space(1, 1, exact=True)
-        carrier = [(k,) for k in range(-3, 4)]
-        verdict = check_menger_convex(
-            space, SamplePlan(count=100, seed=5), carrier_points=carrier
-        )
-        assert verdict.fails
-        w = verdict.witness
-        # the witness really has no carrier point on both spheres
-        r1, r2 = w["radius_x"], w["radius_y"]
-        for z in carrier:
-            if z in (w["x"], w["y"]):
-                continue
-            on_both = (
-                distance(space, z, w["x"]) == r1 and distance(space, z, w["y"]) == r2
-            )
-            assert not on_both
-
-    def test_carrier_verdict_bytes(self):
-        # no golden report covers a carrier verdict: pin both outcomes
-        space = vector_space(1, 1, exact=True)
-        carrier = [(0,), (1,), (2,)]
-        plan = {
-            "low": -2,
-            "high": 2,
-            "coord_denominator": 16,
-            "t_denominator": 16,
-            "t_values": ["1/2"],
-        }
-        # seed 1 draws the pair {0, 2}; (1,) lies on both spheres
-        holds = check_menger_convex(
-            space,
-            SamplePlan(count=1, seed=1, t_values=(F(1, 2),)),
-            carrier_points=carrier,
-        )
-        assert holds.to_json() == {
-            "property": "MengerConvex",
-            "outcome": "holds",
-            "samples": 1,
-            "maxSlack": 0,
-            "plan": {"count": 1, "seed": 1, **plan},
-        }
-        # seed 15 first draws a pair of neighbours at its fifth sample
-        fails = check_menger_convex(
-            space,
-            SamplePlan(count=10, seed=15, t_values=(F(1, 2),)),
-            carrier_points=carrier,
-        )
-        assert fails.to_json() == {
-            "property": "MengerConvex",
-            "outcome": "fails",
-            "samples": 5,
-            "witness": {
-                "x": [1],
-                "y": [0],
-                "t": "1/2",
-                "radius_x": "1/2",
-                "radius_y": "1/2",
-                "carrier_size": 3,
-                "reason": "no carrier point on both spheres",
-            },
-            "plan": {"count": 10, "seed": 15, **plan},
-        }
-
-    def test_carrier_needs_two_distinct_points(self):
-        # one point, or one point twice, left no second point to draw
-        space = vector_space(1, 1, exact=True)
-        for carrier in ([], [(0,)], [(0,), (0,)]):
-            with pytest.raises(MclabError):
-                check_menger_convex(
-                    space, SamplePlan(count=5, seed=1), carrier_points=carrier
-                )
-
 
 class TestSamplePlan:
     @pytest.mark.parametrize("count", [0, -3])

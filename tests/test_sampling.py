@@ -49,8 +49,8 @@ def test_a_float_sample_point_is_a_tuple_of_uniforms(seed, dim, p):
 def _domains(dim):
     space = vector_space(dim, 2)
     yield WholeSpace(dim, 8.0)
-    yield Box(tuple(-1.5 + i for i in range(dim)), tuple(2.25 + i for i in range(dim)), exact=False)
-    yield Box((F(-1, 3),) * dim, (F(5, 7),) * dim, exact=False)
+    yield Box(tuple(-1.5 + i for i in range(dim)), tuple(2.25 + i for i in range(dim)))
+    yield Box((F(-1, 3),) * dim, (F(5, 7),) * dim)
     # rejection sampling: the ball fills a part of its box
     yield MetricBall(space, tuple(0.5 * i for i in range(dim)), 1.25)
 
