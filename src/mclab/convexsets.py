@@ -131,6 +131,8 @@ class Box:
             raise MclabError("box lower bound exceeds upper bound")
 
     def contains(self, z, tol: float = 0) -> bool:
+        if len(z) != len(self.lower):
+            return False
         return all(
             lo - tol <= c <= hi + tol for lo, c, hi in zip(self.lower, z, self.upper)
         )

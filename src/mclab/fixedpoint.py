@@ -16,6 +16,14 @@ orbit that has reached a float fixed point or cycle repeats a few points
 many times, and equal points give equal distances, so the maximum over the
 distinct points in order of first occurrence is the maximum over the whole
 tail, bit for bit.
+
+The search only asks whether a candidate beats the best value so far by a
+margin, so it hands that threshold to the functional, which abandons a
+candidate early: it measures the first tail point, and when half that
+distance already reaches the threshold it returns it, since the maximum
+over the tail can only be larger.  Such a candidate is rejected as it was
+with the full value, so the point, value and evaluation count of a search
+are those of a search that measures every tail point.
 """
 from __future__ import annotations
 
@@ -343,11 +351,24 @@ def asymptotic_center(space: MetricSpace, F: AsymptoticFunctional, y) -> Scalar:
 
     A tail that has settled on one point, as most contractions' do, costs
     one `distance`: `distances` gives that value, and the maximum of one
-    value is itself."""
+    value is itself.  `find_fixed_point` evaluates the same value through
+    `_tail_value` with its search's acceptance threshold, which stops after
+    the first tail point once that point alone reaches the threshold."""
+    return _tail_value(space, F, y, None)
+
+
+def _tail_value(space: MetricSpace, F: AsymptoticFunctional, y, threshold) -> Scalar:
+    """The functional at y, or a value at least `threshold` that is at most
+    it.  Half the distance to the first tail point is measured first; when
+    it reaches `threshold` (None is never reached) it is returned, since the
+    maximum over the tail is no smaller.  Otherwise the whole row is
+    measured, the first point again, so the maximum is taken over the same
+    values in the same order as without a threshold."""
     half = Fraction(1, 2) if space.exact else 0.5
     tail = F.distinct_tail
-    if len(tail) == 1:
-        return half * distance(space, tail[0], y)
+    first = half * distance(space, tail[0], y)
+    if len(tail) == 1 or (threshold is not None and first >= threshold):
+        return first
     return half * max(distances(space, y, tail))
 
 
@@ -385,6 +406,12 @@ def pattern_search(
     Starts from the best feasible point of a grid of 5 values per axis, then
     repeatedly tries +/- step moves along each axis, halving the step
     whenever no move improves.  Returns (point, value, evaluations).
+
+    `f(z, threshold)` is called with the value a candidate must fall below
+    to be accepted (None while there is no best point): the best value on
+    the grid, the best value less 1e-18 in the compass phase.  A value at or
+    above the threshold is only compared with it, so f may return any such
+    value in place of f(z) without changing the search.
     """
     n = len(lower)
     axes = []
@@ -401,7 +428,7 @@ def pattern_search(
             break
         if not feasible(cand):
             continue
-        v = f(cand)
+        v = f(cand, best_val)
         evals += 1
         if best_val is None or v < best_val:
             best, best_val = tuple(cand), v
@@ -418,9 +445,10 @@ def pattern_search(
                 cand = tuple(cand)
                 if cand == best or not feasible(cand):
                     continue
-                v = f(cand)
+                threshold = best_val - 1e-18
+                v = f(cand, threshold)
                 evals += 1
-                if v < best_val - 1e-18:
+                if v < threshold:
                     best, best_val = cand, v
                     improved = True
                     break
@@ -462,11 +490,8 @@ def find_fixed_point(
     """
     F = make_asymptotic_functional(space, spec, x0, orbit_n, window, rmax)
 
-    def objective(z):
-        return asymptotic_center(space, F, z)
-
     u0, f_val, evals = pattern_search(
-        objective,
+        lambda z, threshold: _tail_value(space, F, z, threshold),
         spec.domain.lower,
         spec.domain.upper,
         feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),

@@ -180,7 +180,7 @@ def vscale(a, s):
 def vlerp(a, b, w):
     """Point a + w*(b - a), exact when the inputs are exact.  In floats b - a
     overflows to inf near +-1e308, and then w = 0 gives NaN."""
-    return tuple(x + w * (y - x) for x, y in zip(a, b))
+    return tuple([x + w * (y - x) for x, y in zip(a, b)])
 
 
 def check_point(space: MetricSpace, point) -> None:
@@ -257,9 +257,12 @@ def distance(space: MetricSpace, a, b) -> Scalar:
 
 
 def _vector_distance(space: MetricSpace, a, b) -> Scalar:
-    check_point(space, a)
-    check_point(space, b)
-    p = space.p
+    # a float point is checked for its length only, as `_flat_table` checks
+    # it: `check_point` runs on an exact space, or to raise
+    p, dim = space.p, space.dim
+    if space.exact or len(a) != dim or len(b) != dim:
+        check_point(space, a)
+        check_point(space, b)
     if space.exact:
         if p not in _EXACT_P_VALUES:
             raise ExactArithmeticUnsupported(

@@ -1207,6 +1207,13 @@ class TestMembershipWithoutSlack:
         assert not Singleton((1, 2)).contains((1,))
         assert not FiniteSet(((0, 0), (1, 2))).contains((1,), 1)
 
+    def test_a_box_refuses_a_point_of_another_dimension(self):
+        # zipping z against the bounds judged only the shared coordinates
+        box = Box((0, 0), (1, 1))
+        assert box.contains((1, 1)) and box.contains((1.5, 0), 1)
+        for z in [(1,), (0.5, 0.5, 0.5), ()]:
+            assert not box.contains(z) and not box.contains(z, 1)
+
 
 class TestLiftedUnion:
     def test_single_element_union_is_the_midpoint_set(self):

@@ -36,12 +36,15 @@ from mclab import (
     vector_space,
     verify_hybrid,
 )
+import mclab.fixedpoint as fixedpoint
 from mclab.fixedpoint import (
     DOMAIN_TOL,
     AsymptoticFunctional,
     OrbitResult,
     _sample_domain_point,
+    _tail_value,
     mapping_from_json,
+    pattern_search,
 )
 
 SP2 = vector_space(2, 2)
@@ -402,6 +405,97 @@ class TestDistinctTail:
         spec = MappingSpec(Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2))
         F = make_asymptotic_functional(SP2, spec, (-3.0, 3.0))
         assert len(F.tail) == 32 and F.distinct_tail == ((1.0, 1.0),)
+
+
+def _unsettled_contraction():
+    """A 0.9-contraction of R^3 whose 32-point tail has not settled."""
+    matrix = ((0.9, 0, 0), (0, -0.9, 0), (0, 0, 0.9))
+    return MappingSpec(Affine(matrix, (0.1, 0.2, -0.3)), WholeSpace(3))
+
+
+_SEARCHES = [
+    pytest.param(SP2, rotation_spec(), (1.0, 0.0), id="golden-rotation"),
+    pytest.param(
+        vector_space(3, 2), _unsettled_contraction(), (3.0, -2.0, 1.0), id="contraction"
+    ),
+]
+
+
+class TestEarlyAbandoning:
+    """The search hands its acceptance threshold to the functional, which
+    stops after the first tail point once that point reaches it; the
+    search's point, value and evaluation count are those of a search that
+    measures every tail point."""
+
+    @pytest.mark.parametrize("space, spec, x0", _SEARCHES)
+    def test_the_search_equals_one_that_ignores_the_threshold(self, space, spec, x0):
+        F = make_asymptotic_functional(space, spec, x0)
+        assert len(F.distinct_tail) == 32
+        full = pattern_search(
+            lambda z, threshold: asymptotic_center(space, F, z),
+            spec.domain.lower,
+            spec.domain.upper,
+            feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
+            xtol=1e-9,
+        )
+        result = find_fixed_point(space, spec, x0)
+        got = (result.point, result.f_value, result.evaluations)
+        assert repr(got) == repr(full)
+
+    @given(_tails(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_below_the_threshold_is_the_functional(self, case, data):
+        space, y, tail = case
+        F = AsymptoticFunctional(tuple(tail), len(tail))
+        value = asymptotic_center(space, F, y)
+        halves = [0.5 * d for d in distances(space, y, F.distinct_tail)]
+        threshold = data.draw(
+            st.one_of(st.none(), st.sampled_from(halves), st.floats(0, 20))
+        )
+        got = _tail_value(space, F, y, threshold)
+        if threshold is None or value < threshold:
+            assert _bits(got) == _bits(value)
+        else:
+            assert threshold <= got <= value
+
+    def test_a_rejected_candidate_measures_one_entry(self, monkeypatch):
+        entries = [0]
+        calls = []  # (point, threshold, value, entries measured) per candidate
+
+        def counted_distance(space, a, b):
+            entries[0] += 1
+            return distance(space, a, b)
+
+        def counted_distances(space, y, points):
+            entries[0] += len(points)
+            return distances(space, y, points)
+
+        def counted_tail_value(space, F, y, threshold):
+            before = entries[0]
+            value = _tail_value(space, F, y, threshold)
+            calls.append((y, threshold, value, entries[0] - before))
+            return value
+
+        monkeypatch.setattr(fixedpoint, "distance", counted_distance)
+        monkeypatch.setattr(fixedpoint, "distances", counted_distances)
+        monkeypatch.setattr(fixedpoint, "_tail_value", counted_tail_value)
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0))
+        monkeypatch.undo()
+        F = make_asymptotic_functional(SP2, rotation_spec(), (1.0, 0.0))
+        assert len(calls) == result.evaluations == 129
+        early = 0
+        for y, threshold, value, measured in calls:
+            first = 0.5 * distance(SP2, F.tail[0], y)
+            if threshold is not None and first >= threshold:
+                early += 1
+                assert (measured, value) == (1, first)
+            else:
+                assert (measured, value) == (33, asymptotic_center(SP2, F, y))
+        assert early == 60
+        # 257 orbit distances and the residual around the candidates; a
+        # search that measures every tail point takes 257 + 32 * 129 + 1
+        assert entries[0] == 257 + 33 * len(calls) - 32 * early + 1 == 2595
+        assert entries[0] < 4386
 
 
 class TestFindFixedPoint:

@@ -75,6 +75,27 @@ class TestVectorDistance:
         with pytest.raises(ExactArithmeticUnsupported):
             distance(space, (0.5, 0.5), (F(1, 2), F(1, 2)))
 
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    def test_float_distance_checks_the_length_of_either_point(self, p):
+        # a float point is checked for its length only; a wrong one raises
+        # what `check_point` raises, first for the first argument
+        space = vector_space(3, p)
+        good = (0.0, 1.0, 2.0)
+        for bad in [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]:
+            message = f"point of length {len(bad)} in a 3-dimensional space"
+            for a, b in [(bad, good), (good, bad), (bad, bad[:1])]:
+                with pytest.raises(DimensionMismatch) as got:
+                    distance(space, a, b)
+                assert str(got.value) == message
+
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_exact_distance_refuses_a_float_in_either_point(self, p):
+        space = vector_space(2, p, exact=True)
+        good = (F(1, 2), 1)
+        for a, b in [((0.5, 1), good), (good, (F(1, 2), 1.0))]:
+            with pytest.raises(ExactArithmeticUnsupported):
+                distance(space, a, b)
+
 
 SPACES_FOR_AXIOMS = [
     vector_space(3, 1),
