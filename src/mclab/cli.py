@@ -13,12 +13,13 @@ input before it writes any report; `main` alone turns that into exit 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
 from .arith import parse_float, parse_scalar, parse_vector
 from .config import RunConfig, load_config, read_json
-from .convexsets import MAX_SIMPLEX_AXES, MidConvention
+from .convexsets import MAX_BOX_AXES, MAX_SIMPLEX_AXES, MidConvention
 from .errors import ConfigError, DomainEscape, MclabError, SolverFailure
 from .fixedpoint import (
     HybridParams,
@@ -55,6 +56,14 @@ def _plan_from_config(cfg: RunConfig, count=None) -> SamplePlan:
     )
 
 
+def _finish(cfg: RunConfig, name: str, payload, md: str, line: str, ok: bool) -> int:
+    """Write the JSON and Markdown reports `name`, print the summary line and
+    return the exit code of a command that succeeded if `ok`."""
+    write_reports(cfg.out_dir, name, payload, md)
+    print(line)
+    return EXIT_OK if ok else EXIT_FAIL
+
+
 def cmd_reproduce(args, cfg: RunConfig) -> int:
     if args.fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {args.fixture!r}; known: {sorted(FIXTURES)}")
@@ -66,9 +75,9 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
         lines.append(f"- [{mark}] {c.label}: {fmt_value(c.lhs)} vs {fmt_value(c.rhs)}")
     lines.append("")
     lines.append(f"Overall: {'PASS' if report.ok else 'FAIL'}")
-    write_reports(cfg.out_dir, f"reproduce-{report.name}", payload, "\n".join(lines) + "\n")
-    print(f"{report.name}: {'PASS' if report.ok else 'FAIL'}")
-    return EXIT_OK if report.ok else EXIT_FAIL
+    md = "\n".join(lines) + "\n"
+    line = f"{report.name}: {'PASS' if report.ok else 'FAIL'}"
+    return _finish(cfg, f"reproduce-{report.name}", payload, md, line, report.ok)
 
 
 def _parse_expectations(text: str | None, props):
@@ -103,6 +112,9 @@ def cmd_check(args, cfg: RunConfig) -> int:
     if space.p == 1 and space.dim > MAX_SIMPLEX_AXES:
         # d_1 midpoint sets are sampled at their up to 2^dim vertices
         raise ConfigError(f"check supports d_1 up to dimension {MAX_SIMPLEX_AXES}")
+    if space.p == math.inf and space.dim > MAX_BOX_AXES:
+        # d_inf midpoint boxes are sampled at their up to 3^dim grid points
+        raise ConfigError(f"check supports d_inf up to dimension {MAX_BOX_AXES}")
     prop_list = [p.strip() for p in args.props.split(",") if p.strip()]
     if not prop_list:
         # a suite verdict needs evidence: an empty suite would print PASS
@@ -142,9 +154,9 @@ def cmd_check(args, cfg: RunConfig) -> int:
     payload = {"config": cfg.resolved(), "space": space.id, "reports": entries}
     lines.append("")
     lines.append(f"Overall: {'PASS' if ok else 'FAIL'}")
-    write_reports(cfg.out_dir, f"check-{space.id}", payload, "\n".join(lines) + "\n")
-    print(f"check {space.id}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_FAIL
+    md = "\n".join(lines) + "\n"
+    line = f"check {space.id}: {'PASS' if ok else 'FAIL'}"
+    return _finish(cfg, f"check-{space.id}", payload, md, line, ok)
 
 
 def cmd_fixedpoint(args, cfg: RunConfig) -> int:
@@ -173,14 +185,9 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         verdict = verify_hybrid(space, spec, params, plan, tol=cfg.tol)
         payload["hybrid"] = verdict.to_json()
         if not verdict.holds:
-            write_reports(
-                cfg.out_dir,
-                "fixedpoint",
-                payload,
-                f"# Fixed point\n\nHybrid inequality fails; witness recorded.\n",
-            )
-            print("fixedpoint: hybrid inequality FAILS")
-            return EXIT_FAIL
+            md = "# Fixed point\n\nHybrid inequality fails; witness recorded.\n"
+            line = "fixedpoint: hybrid inequality FAILS"
+            return _finish(cfg, "fixedpoint", payload, md, line, False)
         result = find_fixed_point(
             space,
             spec,
@@ -193,14 +200,8 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         )
     except (SolverFailure, DomainEscape) as exc:
         payload["error"] = str(exc)
-        write_reports(
-            cfg.out_dir,
-            "fixedpoint",
-            payload,
-            f"# Fixed point\n\nSolver failed: {exc}\n",
-        )
-        print(f"fixedpoint: {exc}")
-        return EXIT_FAIL
+        md = f"# Fixed point\n\nSolver failed: {exc}\n"
+        return _finish(cfg, "fixedpoint", payload, md, f"fixedpoint: {exc}", False)
     payload["result"] = {
         "point": list(result.point),
         "residual": result.residual,
@@ -217,12 +218,11 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         f"- orbit radius: {fmt_value(result.orbit_radius)}\n"
         f"- converged: {result.converged}\n"
     )
-    write_reports(cfg.out_dir, "fixedpoint", payload, md)
-    print(
+    line = (
         f"fixedpoint: residual={result.residual:.3g} "
         f"{'OK' if result.converged else 'NOT CONVERGED'}"
     )
-    return EXIT_OK if result.converged else EXIT_FAIL
+    return _finish(cfg, "fixedpoint", payload, md, line, result.converged)
 
 
 def cmd_nested(args, cfg: RunConfig) -> int:
@@ -243,11 +243,8 @@ def cmd_nested(args, cfg: RunConfig) -> int:
         cert = getattr(exc, "certificate", None)
         if cert:
             payload["certificate"] = cert
-        write_reports(
-            cfg.out_dir, "nested", payload, f"# Nested family\n\nFailed: {exc}\n"
-        )
-        print(f"nested: {exc}")
-        return EXIT_FAIL
+        md = f"# Nested family\n\nFailed: {exc}\n"
+        return _finish(cfg, "nested", payload, md, f"nested: {exc}", False)
     violation, _ = max_violation(space, family, point)
     payload["result"] = {"point": list(point), "max_violation": violation}
     md = (
@@ -255,9 +252,8 @@ def cmd_nested(args, cfg: RunConfig) -> int:
         f"- common point: {fmt_value(point)}\n"
         f"- max constraint violation: {fmt_value(violation)}\n"
     )
-    write_reports(cfg.out_dir, "nested", payload, md)
-    print(f"nested: common point found, violation={violation:.3g}")
-    return EXIT_OK
+    line = f"nested: common point found, violation={violation:.3g}"
+    return _finish(cfg, "nested", payload, md, line, True)
 
 
 def build_parser() -> argparse.ArgumentParser:

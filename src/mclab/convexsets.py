@@ -12,23 +12,23 @@ it as a domain and the nested-family solver as a constraint, and its
 constructor is where a center and radius are validated.
 
 On an exact space the parameter t, and so the radii, must be rational, and
-a midpoint set holds only rationals.  An exact d_inf box is built in one
-integer frame: x, y and the radii over twice their common denominator,
-where every axis midpoint (lo + hi) // 2 is exact; one Fraction is made per
-bound at the end.
+a midpoint set holds only rationals.  A d_inf box is built in one frame, in
+both arithmetic modes: on an exact space x, y and the radii are integers
+over twice their common denominator, where every axis midpoint
+(lo + hi) // 2 is exact, and one Fraction is made per bound at the end; on
+a float space they are the floats themselves.
 
 Every member of a midpoint set lies on both bounding spheres, and
 `sphere_equivalence_check` is the one route to that check, for the library
 and for the Menger checker alike.  It measures d(x, y) once, for the set
-and its check.  A d_inf box is read from per-axis extremes instead of a
-scan of its 3^n sample grid: over the grid, d_inf(z, x) runs from the
-largest per-axis minimum of |z_i - x_i| to the largest per-axis maximum, so
-the worst sphere gap sits at one of four numbers.  An exact box is read in
-the integer frame it is built from, and its Fractions are made only for a
-box that fails, which alone is scanned, for its first point.  An exact d_1
-simplex lies on both spheres by its offset invariant: it is not scanned,
-its vertices are not enumerated, and a verdict that holds this way reports
-`samples` 0.
+and its check, and branches once on the space.  A d_inf box is read in its
+frame from per-axis extremes instead of a scan of its 3^n sample grid: over
+the grid, d_inf(z, x) runs from the largest per-axis minimum of |z_i - x_i|
+to the largest per-axis maximum, so the worst sphere gap sits at one of
+four numbers, and only a box that fails is built, and scanned for its
+first point.  An exact d_1 simplex lies on both spheres by its offset
+invariant: it is not scanned, its vertices are not enumerated, and its
+verdict reports `samples` 0.  Every other set is scanned.
 
 A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
 way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
@@ -75,6 +75,9 @@ DEFAULT_TOL = 1e-9
 
 # a d_1 midpoint set has up to 2^m vertices for m differing coordinates
 MAX_SIMPLEX_AXES = 10
+
+# a d_inf midpoint box in dimension m has a sample grid of up to 3^m points
+MAX_BOX_AXES = 8
 
 
 class MidConvention(Enum):
@@ -140,13 +143,7 @@ class Box:
     def axis_values(self):
         """Sample values per coordinate: the bound of a degenerate axis, else
         both bounds and their midpoint."""
-        axes = []
-        for lo, hi in zip(self.lower, self.upper):
-            if lo == hi:
-                axes.append((lo,))
-            else:
-                axes.append((lo, (lo + hi) / 2, hi))
-        return axes
+        return _grid_axes(zip(self.lower, self.upper))
 
     def sample_points(self):
         return list(itertools.product(*self.axis_values()))
@@ -156,6 +153,17 @@ class Box:
         return tuple(
             min(max(c, lo), hi) for lo, c, hi in zip(self.lower, z, self.upper)
         )
+
+
+def _grid_axes(bounds, integer=False):
+    """The per-axis values of a box's sample grid from its bounds (lo, hi):
+    the bound of a degenerate axis, else both bounds and their midpoint,
+    taken with `//` on `integer` bounds over a doubled denominator, where it
+    is exact."""
+    return [
+        (lo,) if lo == hi else (lo, (lo + hi) // 2 if integer else (lo + hi) / 2, hi)
+        for lo, hi in bounds
+    ]
 
 
 @dataclass(frozen=True)
@@ -451,28 +459,12 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
     """B[x, r1] ∩ B[y, r2] for r1 + r2 = d = d(x, y), with rational radii on
     an exact space."""
     p = space.p
-    if p == math.inf and space.exact:
-        den, axes, _ = _exact_sup_bounds(x, y, r1, r2)
-        return Box(
-            tuple(Fraction(values[0], den) for values in axes),
-            tuple(Fraction(values[-1], den) for values in axes),
-        )
     if p == math.inf:
-        lower, upper = [], []
-        for xi, yi in zip(x, y):
-            lo = max(xi - r1, yi - r2)
-            hi = min(xi + r1, yi + r2)
-            if lo > hi:
-                # r1 + r2 can round to slightly below d in float mode,
-                # collapsing the tight coordinate by a few ulps
-                if lo - hi > tol:
-                    raise InternalInconsistency(
-                        "empty box intersection for a sup-metric midpoint set"
-                    )
-                lo = hi = (lo + hi) / 2
-            lower.append(lo)
-            upper.append(hi)
-        return Box(tuple(lower), tuple(upper))
+        den, bounds, _ = _sup_frame(space, x, y, r1, r2, tol)
+        if den is not None:
+            bounds = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]
+        lower, upper = zip(*bounds)
+        return Box(lower, upper)
     if p == 1:
         return CappedSimplex(tuple(x), tuple(y), r1)
     # strictly convex case: the intersection is the single point on the
@@ -480,24 +472,31 @@ def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
     return Singleton(vlerp(x, y, r1 / d))
 
 
-def _exact_sup_bounds(x, y, r1, r2):
-    """B[x, r1] ∩ B[y, r2] under d_inf for rational x, y and radii, in the
-    frame of `_box_frame`: (den, the per-axis values of the box's sample
-    grid, the spheres ((x, r1), (y, r2))), all in integers over twice their
-    common denominator, `den`.  Each bound is max(x_i - r1, y_i - r2) or
-    min(x_i + r1, y_i + r2)."""
-    den = 2 * common_denominator((*x, *y, r1, r2))
-    xs, ys = scaled(x, den), scaled(y, den)
-    s1, s2 = scaled((r1, r2), den)
+def _sup_frame(space: MetricSpace, x, y, r1, r2, tol):
+    """B[x, r1] ∩ B[y, r2] under d_inf for r1 + r2 = d(x, y), as (den, the
+    per-axis bounds (lo, hi), the spheres ((x, r1), (y, r2))).  Each bound
+    is max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2).  On an exact
+    space all are integers over twice their common denominator `den`,
+    where every axis midpoint (lo + hi) // 2 is exact; on a float space
+    they are the values themselves, and `den` is None."""
+    den = None
+    if space.exact:
+        den = 2 * common_denominator((*x, *y, r1, r2))
+        x, y = scaled(x, den), scaled(y, den)
+        r1, r2 = scaled((r1, r2), den)
     bounds = []
-    for a, b in zip(xs, ys):
-        lo, hi = max(a - s1, b - s2), min(a + s1, b + s2)
+    for a, b in zip(x, y):
+        lo, hi = max(a - r1, b - r2), min(a + r1, b + r2)
         if lo > hi:
-            raise InternalInconsistency(
-                "empty box intersection for a sup-metric midpoint set"
-            )
+            # r1 + r2 can round to slightly below d in float mode,
+            # collapsing the tight coordinate by a few ulps
+            if den is not None or lo - hi > tol:
+                raise InternalInconsistency(
+                    "empty box intersection for a sup-metric midpoint set"
+                )
+            lo = hi = (lo + hi) / 2
         bounds.append((lo, hi))
-    return den, _integer_axes(bounds), ((xs, s1), (ys, s2))
+    return den, bounds, ((x, r1), (y, r2))
 
 
 def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
@@ -521,29 +520,14 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
 # sphere equivalence
 
 
-def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
+def _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol):
     """Whether every sampled member of `rep` lies on the spheres around x
-    and y of radii r1 and r2, for d = d(x, y).
+    and y of radii r1 and r2, by a scan of its sample points, their
+    distances to x and to y taken in one two-row `distance_table`.
 
     Members of the two-ball intersection are forced onto the spheres by the
     triangle inequality; a sampled point strictly inside one ball certifies
-    that `rep` is not that intersection.  A d_inf box is read from its
-    per-axis extremes, and the exact d_1 simplex of x, y and r1 holds by its
-    offset invariant with `samples` 0; any other set, and a box that fails,
-    is scanned point by point, its distances to x and to y taken in one
-    two-row `distance_table`."""
-    limit = space.limit(tol)
-    if isinstance(rep, Box) and space.p == math.inf:
-        # d_inf(z, c) over the box's sample grid runs between its per-axis
-        # extremes, and |d - r| is largest at an end of that range (also in
-        # float: rounding is monotone); a failure falls through to the scan
-        # so that it names the scan's first point
-        gap, axes = _sup_box_gap(space, rep, ((x, r1), (y, r2)))
-        if gap <= limit:
-            return _box_holds(conv, axes, gap)
-    if _simplex_on_spheres(space, rep, x, y, d, r1):
-        # holds by the invariant: no vertex is enumerated, so none is counted
-        return verdict("SphereEquivalence", HOLDS, conv=conv, samples=0, max_slack=0)
+    that `rep` is not that intersection."""
     points = rep.sample_points()
     if not points:
         return verdict(
@@ -552,6 +536,7 @@ def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
             conv=conv,
             witness={"x": x, "y": y, "t": t, "reason": "no sampled members"},
         )
+    limit = space.limit(tol)
     max_slack = 0
     # one table gives `distance` point by point, with every point checked once
     to_x, to_y = distance_table(space, (x, y), points)
@@ -586,68 +571,6 @@ def _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol):
     )
 
 
-def _box_holds(conv, axes, gap) -> PropertyVerdict:
-    """The verdict of a box whose sample grid, with per-axis values `axes`,
-    lies on both spheres up to `gap`."""
-    return verdict(
-        "SphereEquivalence",
-        HOLDS,
-        conv=conv,
-        samples=math.prod(len(values) for values in axes),
-        max_slack=gap if gap > 0 else 0,
-    )
-
-
-def _simplex_on_spheres(space, rep, x, y, d, r1) -> bool:
-    """Whether `rep` is the exact d_1 simplex of x and y at offset sum r1,
-    for d = d(x, y): then every vertex lies on both spheres by construction.
-    The caps sum to d_1(x, y) = d, and every vertex has offsets in
-    [0, cap_i] summing to r1, so d_1(z, x) = r1 and d_1(z, y) = d - r1
-    exactly, and a scan would find every sphere gap and betweenness defect
-    0."""
-    return (
-        isinstance(rep, CappedSimplex)
-        and space.exact
-        and space.p == 1
-        and is_rational(r1)
-        and (rep.x, rep.y, rep.r1) == (tuple(x), tuple(y), r1)
-        and 0 <= r1 <= d
-    )
-
-
-def _box_frame(space, rep: Box, points, scalars):
-    """(den, axes, points, scalars): the per-axis values of the box's sample
-    grid next to `points` and `scalars`.  A float box keeps them as they
-    are, with den None.  An exact box gives them in integers over twice the
-    common denominator `den` of its bounds, the points and the scalars,
-    where every axis midpoint (lo + hi) // 2 is exact."""
-    if space.exact:
-        values = (*rep.lower, *rep.upper, *(c for q in points for c in q), *scalars)
-        if all(map(is_rational, values)):
-            den = 2 * common_denominator(values)
-            axes = _integer_axes(zip(scaled(rep.lower, den), scaled(rep.upper, den)))
-            return den, axes, [scaled(q, den) for q in points], scaled(scalars, den)
-    return None, rep.axis_values(), points, scalars
-
-
-def _integer_axes(bounds):
-    """The per-axis values of a box's sample grid from its integer bounds
-    (lo, hi) over a doubled denominator, where every axis midpoint
-    (lo + hi) // 2 is exact."""
-    return [(lo,) if lo == hi else (lo, (lo + hi) // 2, hi) for lo, hi in bounds]
-
-
-def _sup_box_gap(space, rep: Box, spheres):
-    """The largest |d_inf(z, c) - r| over the points z of the box's sample
-    grid and the spheres (c, r), with the grid's per-axis values, read in
-    the box's frame; an exact gap is one Fraction."""
-    den, axes, centres, radii = _box_frame(
-        space, rep, [c for c, _ in spheres], [r for _, r in spheres]
-    )
-    gap = _sphere_gap(axes, zip(centres, radii))
-    return (gap if den is None else Fraction(gap, den)), axes
-
-
 def _sphere_gap(axes, spheres):
     """The largest |d_inf(z, c) - r| over the points z of the product of
     the per-axis value lists `axes` and the spheres (c, r).  d_inf(z, c)
@@ -670,20 +593,35 @@ def sphere_equivalence_check(
     tol: float = DEFAULT_TOL,
 ) -> PropertyVerdict:
     """Whether every sampled member of `midpoint_set` lies on both bounding
-    spheres: t is checked as `midpoint_set` checks it, d(x, y) is measured
-    once, and the set goes to `_spheres_verdict`.  An exact d_inf box stays
-    in the integer frame of `_exact_sup_bounds`: exact identities hold
-    exactly, so the box holds when its integer gap is 0, and a box of
-    Fractions is built only for the scan of a box that fails.  The Menger
-    checker runs each of its trials through here."""
+    spheres: t is checked as `midpoint_set` checks it, and d(x, y) is
+    measured once.  A d_inf box is read in the frame of `_sup_frame`: over
+    its sample grid, |d_inf(z, c) - r| is largest at an end of the per-axis
+    range of d_inf(z, c) (also in float, where rounding is monotone), and
+    an exact gap is an integer, compared with 0 before any Fraction is
+    made.  An exact d_1 simplex holds by its offset invariant: every vertex
+    has offsets in [0, cap_i] summing to r1, so it lies on both spheres,
+    and no vertex is enumerated or counted.  Any other set, and a box that
+    fails, is built and scanned by `_spheres_verdict`, which names its
+    first off-sphere point.  The Menger checker runs each of its trials
+    through here."""
     d = _endpoint_distance(space, x, y, t)
     r1, r2 = radii_for(conv, t, d)
-    if space.p == math.inf and space.exact:
-        _, axes, spheres = _exact_sup_bounds(x, y, r1, r2)
-        if not _sphere_gap(axes, spheres):
-            return _box_holds(conv, axes, 0)
+    if space.p == math.inf:
+        den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
+        axes = _grid_axes(bounds, den is not None)
+        gap = _sphere_gap(axes, spheres)
+        if gap <= space.limit(tol):
+            return verdict(
+                "SphereEquivalence",
+                HOLDS,
+                conv=conv,
+                samples=math.prod(len(values) for values in axes),
+                max_slack=gap if gap > 0 else 0,
+            )
+    elif space.exact and space.p == 1:
+        return verdict("SphereEquivalence", HOLDS, conv=conv, samples=0, max_slack=0)
     rep = _midpoint_rep(space, x, y, d, r1, r2, tol)
-    return _spheres_verdict(space, x, y, t, conv, rep, d, r1, r2, tol)
+    return _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol)
 
 
 # --------------------------------------------------------------------------
@@ -706,7 +644,7 @@ def segment(
     max_defect = 0
     for t in t_grid:
         rep = midpoint_set(space, x, y, t, conv, tol=tol)
-        defect = _betweenness_defect(space, x, y, d, radii_for(conv, t, d)[0], rep)
+        defect = _betweenness_defect(space, x, y, d, rep)
         if defect > max_defect:
             max_defect = defect
         samples.append((t, rep))
@@ -717,14 +655,15 @@ def segment(
     return Segment(tuple(x), tuple(y), tuple(samples), max_defect)
 
 
-def _betweenness_defect(space, x, y, d, r1, rep):
+def _betweenness_defect(space, x, y, d, rep):
     """The largest |d(x, z) + d(z, y) - d| over the sampled members z of
-    `rep`, for d = d(x, y) and the radius r1 around x; any value not above
-    0 stands for 0.  A d_inf box is read from per-axis pairs and an exact
-    d_1 simplex from its invariant; other representations are scanned."""
-    if isinstance(rep, Box) and space.p == math.inf:
+    the midpoint set `rep` of x and y, for d = d(x, y); any value not above
+    0 stands for 0.  A d_inf box is read from per-axis pairs, and an exact
+    d_1 simplex lies on both spheres by its offset invariant, so its defect
+    is 0; other sets are scanned."""
+    if space.p == math.inf:
         return _box_defect(space, rep, x, y, d)
-    if _simplex_on_spheres(space, rep, x, y, d, r1):
+    if space.exact and space.p == 1:
         return 0
     worst = 0
     for z in rep.sample_points():
@@ -739,13 +678,21 @@ def _box_defect(space, rep: Box, x, y, d):
     grid, from the pairs (d_inf(x, z), d_inf(z, y)) that the grid attains,
     built one axis at a time: a point's pair is the coordinatewise `max` of
     its axes' pairs (|x_i - v|, |v - y_i|), the differences and the `max`
-    that `distance` takes, so the result equals the scan's in value."""
-    den, axes, (xs, ys), (dd,) = _box_frame(space, rep, (x, y), (d,))
-    pairs = {(abs(xs[0] - v), abs(v - ys[0])) for v in axes[0]}
-    for values, xi, yi in zip(axes[1:], xs[1:], ys[1:]):
+    that `distance` takes, so the result equals the scan's in value.  On
+    an exact space all values are integers over twice their common
+    denominator, and the defect is one Fraction."""
+    den = None
+    bounds = zip(rep.lower, rep.upper)
+    if space.exact:
+        den = 2 * common_denominator((*rep.lower, *rep.upper, *x, *y, d))
+        bounds = zip(scaled(rep.lower, den), scaled(rep.upper, den))
+        x, y, (d,) = scaled(x, den), scaled(y, den), scaled((d,), den)
+    axes = _grid_axes(bounds, den is not None)
+    pairs = {(abs(x[0] - v), abs(v - y[0])) for v in axes[0]}
+    for values, xi, yi in zip(axes[1:], x[1:], y[1:]):
         axis = [(abs(xi - v), abs(v - yi)) for v in values]
         pairs = {(max(A, a), max(B, b)) for A, B in pairs for a, b in axis}
-    defect = max(abs(A + B - dd) for A, B in pairs)
+    defect = max(abs(A + B - d) for A, B in pairs)
     return defect if den is None else Fraction(defect, den)
 
 
@@ -770,6 +717,7 @@ def lifted_union(
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Union of midpoint sets with y over representative points of A."""
+    _check_parameter(space, t)
     if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
     if space.unique_midpoints:
@@ -780,7 +728,6 @@ def lifted_union(
         others = [a for a in points if a != y]
         row = iter(())
         if others:
-            _check_parameter(space, t)
             row = iter(distances(space, y, others))
         chords = []
         for a in points:

@@ -7,6 +7,7 @@ import ast
 import enum
 import inspect
 import types
+from collections import Counter
 from pathlib import Path
 
 import mclab
@@ -204,3 +205,32 @@ def test_no_module_imports_another_modules_private_name():
                     if alias.name.startswith("_") and not alias.name.startswith("__")
                 ]
     assert found == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a module-private function or class that only tests reach is a second
+    # route left behind by a merge: each must be named in mclab outside its
+    # own definition
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(mclab.__file__).parent.glob("*.py"))
+    ]
+    defs = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+    def names(root):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(root)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum(map(names, trees), Counter())
+    unused = [n.name for n in defs if everywhere[n.name] == names(n)[n.name]]
+    assert defs and unused == []

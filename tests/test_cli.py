@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mclab.cli import main
+from mclab.convexsets import MAX_BOX_AXES
 
 ROT_SPEC = {
     "space": "vec2-p2",
@@ -421,6 +422,18 @@ class TestCheck:
         assert main(argv) == 2
         assert "up to dimension 10" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("exact", ["", "-exact"])
+    def test_sup_metric_above_the_grid_bound_exits_two(self, exact, tmp_path, capsys):
+        # a box in dimension 20 has a 3^20-point sample grid, which property
+        # C and B'' enumerate; the per-axis Menger check alone would run
+        space = f"vec{MAX_BOX_AXES + 1}-pinf{exact}"
+        argv = ["check", "--space", space, "--props", "menger", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"d_inf up to dimension {MAX_BOX_AXES}" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+        argv[2] = f"vec{MAX_BOX_AXES}-pinf{exact}"
+        assert main(argv) == 0
 
     def test_unknown_convention_in_a_config_file_exits_two(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"convention": "nope"})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -37,7 +38,7 @@ from mclab import (
     vector_space,
 )
 import mclab.convexsets as convexsets
-from mclab.arith import is_rational
+from mclab.arith import common_denominator, is_rational, scaled
 from mclab.hausdorff import _nearest as hausdorff_nearest
 from mclab.convexsets import (
     DEFAULT_TOL,
@@ -52,14 +53,12 @@ FY = MidConvention.FROM_Y
 
 
 def _on_spheres(space, x, y, t, conv, rep, tol=DEFAULT_TOL):
-    """The sphere check of a set built here: `_spheres_verdict` with d(x, y)
-    and the radii measured as `sphere_equivalence_check` measures them, and
-    t not checked, so that a set off the midpoint set of x, y and t can be
+    """The sphere scan of a set built here: `_spheres_verdict` with the
+    radii measured as `sphere_equivalence_check` measures them, and t not
+    checked, so that a set off the midpoint set of x, y and t can be
     tried."""
-    d = distance(space, x, y)
-    return convexsets._spheres_verdict(
-        space, x, y, t, conv, rep, d, *radii_for(conv, t, d), tol
-    )
+    radii = radii_for(conv, t, distance(space, x, y))
+    return convexsets._spheres_verdict(space, x, y, t, conv, rep, *radii, tol)
 
 
 class TestMidpointSet:
@@ -463,6 +462,19 @@ def test_every_public_sphere_check_checks_its_parameter():
                 check(**args, t=t)
 
 
+def _integer_gap(box, spheres):
+    """`_sphere_gap` of an exact box in the integer frame of
+    `sphere_equivalence_check`: bounds, centres and radii over twice their
+    common denominator, and one Fraction at the end."""
+    values = (*box.lower, *box.upper, *(v for c, r in spheres for v in (*c, r)))
+    den = 2 * common_denominator(values)
+    axes = convexsets._grid_axes(
+        zip(scaled(box.lower, den), scaled(box.upper, den)), integer=True
+    )
+    framed = [(scaled(c, den), scaled((r,), den)[0]) for c, r in spheres]
+    return F(convexsets._sphere_gap(axes, framed), den)
+
+
 class TestSupBoxOnSpheres:
     """The per-axis check of a d_inf box against both spheres gives the
     verdict of a plain scan over the box's sample points."""
@@ -480,6 +492,13 @@ class TestSupBoxOnSpheres:
         assert verdict.max_slack == max_slack
         assert type(verdict.max_slack) is type(max_slack)
         assert (verdict.witness or {}).get("point") == point
+        # the per-axis gap over both spheres decides as the scan does, and
+        # is the slack of a box that holds
+        spheres = tuple(zip((x, y), radii_for(conv, t, distance(space, x, y))))
+        gap = convexsets._sphere_gap(box.axis_values(), spheres)
+        assert (gap <= space.limit(DEFAULT_TOL)) == (outcome == "holds")
+        if outcome == "holds":
+            assert _same(gap if gap > 0 else 0, max_slack)
 
     @given(_sup_boxes())
     # an axis midpoint, 5/14, off the lattice of the box and the centre
@@ -498,11 +517,14 @@ class TestSupBoxOnSpheres:
     def test_gap_is_the_largest_gap_of_the_scan(self, case):
         space, x, y, t, conv, box = case
         points = box.sample_points()
+        axes = box.axis_values()
+        assert math.prod(map(len, axes)) == len(points)
         for sphere in zip((x, y), radii_for(conv, t, distance(space, x, y))):
-            gap, axes = convexsets._sup_box_gap(space, box, (sphere,))
             c, r = sphere
-            assert gap == max(abs(distance(space, z, c) - r) for z in points)
-            assert math.prod(map(len, axes)) == len(points)
+            scan = max(abs(distance(space, z, c) - r) for z in points)
+            assert _same(convexsets._sphere_gap(axes, (sphere,)), scan)
+            if space.exact:
+                assert _same(_integer_gap(box, (sphere,)), scan)
 
     def test_a_box_on_the_spheres_costs_no_per_point_distance(self, monkeypatch):
         space = vector_space(6, math.inf)
@@ -794,13 +816,15 @@ class TestSimplexOnSpheres:
     @settings(max_examples=300, deadline=None)
     def test_closed_form_equals_the_scan(self, case):
         space, x, y, t, conv, rep = case
-        d = distance(space, x, y)
-        r1 = radii_for(conv, t, d)[0]
-        on_spheres = (rep.x, rep.y, rep.r1) == (x, y, r1) and 0 <= r1 <= d
+        # the set `sphere_equivalence_check` builds takes the closed form;
+        # any other set, and a t it refuses, takes the scan
+        built = 0 < t < 1 and rep == midpoint_set(space, x, y, t, conv)
         with pytest.MonkeyPatch.context() as mp:
-            if on_spheres:
+            if built:
                 mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
-            verdict = _on_spheres(space, x, y, t, conv, rep)
+                verdict = sphere_equivalence_check(space, x, y, t, conv)
+            else:
+                verdict = _on_spheres(space, x, y, t, conv, rep)
         if not rep.sample_points():
             assert verdict.fails and verdict.samples == 0
             return
@@ -808,7 +832,7 @@ class TestSimplexOnSpheres:
             space, x, y, t, conv, rep
         )
         assert verdict.outcome == outcome
-        assert verdict.samples == (0 if on_spheres else samples)
+        assert verdict.samples == (0 if built else samples)
         assert verdict.max_slack == max_slack
         assert type(verdict.max_slack) is type(max_slack)
         assert (verdict.witness or {}).get("point") == point
@@ -998,22 +1022,24 @@ def _sphere_checks(draw):
 
 class TestOnePassSphereTrial:
     """`sphere_equivalence_check` in one frame against `midpoint_set`
-    followed by `_spheres_verdict`."""
+    followed by the scan of `_spheres_verdict`."""
 
     @given(_sphere_checks())
     @settings(max_examples=300, deadline=None)
     def test_one_pass_equals_set_then_check(self, case):
         space, x, y, t, conv = case
-        exact_simplex = space.exact and space.p == 1
-        with pytest.MonkeyPatch.context() as mp:
-            if exact_simplex:
+        rep = midpoint_set(space, x, y, t, conv)
+        two_step = _on_spheres(space, x, y, t, conv, rep)
+        if space.exact and space.p == 1:
+            # the closed form counts no vertex: it is the scan with samples 0
+            with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
-            rep = midpoint_set(space, x, y, t, conv)
-            two_step = _on_spheres(space, x, y, t, conv, rep)
+                one_pass = sphere_equivalence_check(space, x, y, t, conv)
+            assert one_pass.holds and one_pass.samples == 0
+            two_step = dataclasses.replace(two_step, samples=0)
+        else:
             one_pass = sphere_equivalence_check(space, x, y, t, conv)
         assert _same_verdict(one_pass, two_step)
-        if exact_simplex:
-            assert one_pass.holds and one_pass.samples == 0
 
     @given(_exact_simplices(max_dim=6), _EXACT_T, st.sampled_from(list(MidConvention)))
     @settings(max_examples=100, deadline=None)
@@ -1036,8 +1062,14 @@ class TestOnePassSphereTrial:
         verdict = sphere_equivalence_check(space, (F(0),) * 6, (F(1),) * 6, F(1, 2))
         assert verdict.holds and verdict.samples == 0
 
-    def test_an_exact_box_trial_measures_x_y_once_and_builds_no_box(self, monkeypatch):
-        space = vector_space(3, math.inf, exact=True)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_an_exact_box_trial_measures_x_y_once_and_builds_no_box(
+        self, exact, monkeypatch
+    ):
+        space = vector_space(3, math.inf, exact=exact)
+        x, y, t = (F(0), F(1, 3), F(-1)), (F(2), F(0), F(1, 2)), F(3, 8)
+        if not exact:
+            x, y, t = tuple(map(float, x)), tuple(map(float, y)), float(t)
         calls = []
 
         def counting(*args):
@@ -1046,9 +1078,7 @@ class TestOnePassSphereTrial:
 
         monkeypatch.setattr(convexsets, "distance", counting)
         monkeypatch.setattr(convexsets, "Box", None)
-        verdict = sphere_equivalence_check(
-            space, (F(0), F(1, 3), F(-1)), (F(2), F(0), F(1, 2)), F(3, 8), FX
-        )
+        verdict = sphere_equivalence_check(space, x, y, t, FX)
         assert verdict.holds and verdict.samples == 9 and verdict.max_slack == 0
         assert len(calls) == 1
 
@@ -1090,16 +1120,28 @@ class TestBatchedLiftedUnion:
         assert type(union) is FiniteSet
         assert _same_points(union.points, plain.points)
 
-    def test_a_set_of_y_alone_is_y_at_any_parameter(self):
+    def test_a_set_of_y_alone_is_y(self):
         space = vector_space(2, 2)
         y = (0.5, -1.0)
-        union = lifted_union(space, FiniteSet((y, [0.5, -1.0])), y, 7.0)
+        union = lifted_union(space, FiniteSet((y, [0.5, -1.0])), y, 0.75)
         assert union.points == (y,)
 
     def test_a_parameter_outside_zero_one_is_refused(self):
         space = vector_space(2, 2)
         with pytest.raises(MclabError, match="strictly between 0 and 1"):
             lifted_union(space, FiniteSet(((0.0, 0.0), (1.0, 1.0))), (1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("space_id", ["vec2-p2", "vec2-p1", "vec2-pinf-exact"])
+    def test_a_set_of_y_alone_checks_the_parameter(self, space_id):
+        # with every point of A equal to y no part was built, so no t was
+        # checked: t = 5 gave {y}, and so did a float t on an exact space
+        space = space_from_id(space_id)
+        y = (F(1, 2), F(1, 2)) if space.exact else (0.5, 0.5)
+        with pytest.raises(MclabError, match="strictly between 0 and 1"):
+            lifted_union(space, Singleton(y), y, 5)
+        if space.exact:
+            with pytest.raises(ExactArithmeticUnsupported, match="rational parameter t"):
+                lifted_union(space, Singleton(y), y, 0.25)
 
 
 class TestUniqueMidpoint:
