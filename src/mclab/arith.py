@@ -37,7 +37,10 @@ def rational_sqrt(v: Fraction) -> Fraction | None:
 
 
 def parse_scalar(value) -> Scalar:
-    """Accept ints, finite floats, Fractions, or 'num/den' strings."""
+    """Accept ints, finite floats, Fractions, or 'num/den' strings; a bool
+    (JSON true or false) is no number."""
+    if isinstance(value, bool):
+        raise MclabError(f"cannot interpret {value!r} as a scalar")
     if isinstance(value, float):
         return parse_float(value)
     if isinstance(value, (int, Fraction)):
@@ -51,7 +54,10 @@ def parse_scalar(value) -> Scalar:
 
 
 def parse_float(value) -> float:
-    """float(value), with MclabError for a value that is not a finite number."""
+    """float(value), with MclabError for a value that is not a finite
+    number; a bool (JSON true or false) is none."""
+    if isinstance(value, bool):
+        raise MclabError(f"cannot interpret {value!r} as a number")
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:

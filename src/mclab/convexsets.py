@@ -427,20 +427,21 @@ def midpoint_set(
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
     ball around y, the radii splitting d(x, y) according to the convention."""
-    d = _endpoint_distance(space, x, y, t)
+    d = _endpoint_distance(space, x, y, (t,))
     return _midpoint_rep(space, x, y, d, *radii_for(conv, t, d), tol)
 
 
-def _endpoint_distance(space: MetricSpace, x, y, t: Scalar) -> Scalar:
-    """d(x, y) for a midpoint set of x and y at t, once the space, the
-    endpoints and t are checked."""
+def _endpoint_distance(space: MetricSpace, x, y, ts) -> Scalar:
+    """d(x, y) for the midpoint sets of x and y at each t in `ts`, once the
+    space, the endpoints and every t are checked."""
     if space.carrier != VECTOR:
         raise MclabError("midpoint sets are implemented for vector carriers")
     check_point(space, x)
     check_point(space, y)
     if tuple(x) == tuple(y):
         raise MclabError("midpoint set needs two distinct endpoints")
-    _check_parameter(space, t)
+    for t in ts:
+        _check_parameter(space, t)
     return distance(space, x, y)
 
 
@@ -604,7 +605,7 @@ def sphere_equivalence_check(
     fails, is built and scanned by `_spheres_verdict`, which names its
     first off-sphere point.  The Menger checker runs each of its trials
     through here."""
-    d = _endpoint_distance(space, x, y, t)
+    d = _endpoint_distance(space, x, y, (t,))
     r1, r2 = radii_for(conv, t, d)
     if space.p == math.inf:
         den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
@@ -636,14 +637,14 @@ def segment(
     conv: MidConvention = MidConvention.FROM_X,
     tol: float = DEFAULT_TOL,
 ) -> Segment:
-    """Sampled segment: one midpoint set per parameter in `t_grid`."""
-    if tuple(x) == tuple(y):
-        raise MclabError("segment needs two distinct endpoints")
-    d = distance(space, x, y)
+    """Sampled segment: one midpoint set per parameter in `t_grid`, each
+    refused as `midpoint_set` refuses it and built from one d(x, y)."""
+    t_grid = tuple(t_grid)
+    d = _endpoint_distance(space, x, y, t_grid)
     samples = []
     max_defect = 0
     for t in t_grid:
-        rep = midpoint_set(space, x, y, t, conv, tol=tol)
+        rep = _midpoint_rep(space, x, y, d, *radii_for(conv, t, d), tol)
         defect = _betweenness_defect(space, x, y, d, rep)
         if defect > max_defect:
             max_defect = defect
@@ -722,20 +723,22 @@ def lifted_union(
         raise MclabError("lifted unions need a finite or box representation")
     if space.unique_midpoints:
         # every part is the chord point at r1 / d(a, y) from a: one distance
-        # row measures the points a other than y, as `midpoint_set` would
+        # row measures the points a other than y, as `midpoint_set` would,
+        # and each chord is `vlerp(a, y, radii_for(conv, t, d)[0] / d)`
+        # written out, with the same float operations
         y = tuple(y)
         points = [tuple(a) for a in A.sample_points()]
         others = [a for a in points if a != y]
-        row = iter(())
-        if others:
-            row = iter(distances(space, y, others))
+        row = iter(distances(space, y, others) if others else ())
+        share = t if conv is MidConvention.FROM_X else 1 - t
         chords = []
         for a in points:
             if a == y:
                 chords.append(y)
             else:
                 d = next(row)
-                chords.append(vlerp(a, y, radii_for(conv, t, d)[0] / d))
+                w = share * d / d
+                chords.append(tuple([c + w * (v - c) for c, v in zip(a, y)]))
         return FiniteSet(tuple(dict.fromkeys(chords)))
     parts = []
     for a in A.sample_points():

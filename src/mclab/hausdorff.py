@@ -9,11 +9,20 @@ own coordinates; under any other metric it is refused.  Against a union, a
 row stops at the first part that brings its running minimum strictly below
 the largest row so far (the early break of Taha & Hanbury, IEEE TPAMI
 37(11), 2015): such a row can neither exceed nor tie that row, so the value
-and the witness are those of the full scan.  Boxes under the sup metric are
-compared per coordinate as interval Hausdorff distances.  Two finite sets
-share one `distance_table`, which checks each point once and transposes
-each axis once: its row minima give the distance from A to B, its column
-minima the distance from B to A.  Exactness comes from the space: a result
+and the witness are those of the full scan.  The parts are tried in
+move-to-front order, the part that gave the previous row its nearest point
+first, so a row meets a near part early and breaks sooner; order cannot
+change the result, since a complete row is the least (distance, point)
+over every part and a row that can attain or tie the maximum never breaks.
+Boxes under the sup metric are compared per coordinate as interval
+Hausdorff distances.  Two finite sets share one `distance_table`, which
+checks each point once and transposes each axis once: its row minima,
+taken with the builtin `min`, give the distance from A to B, its column
+minima the distance from B to A (distances are never -0.0, so these have
+the bits of a `min` over (distance, point) pairs).  The witness search
+runs only in a direction that decides the result, and only over its rows
+whose minimum is the deciding value, since no other row can attain or tie
+it.  Exactness comes from the space: a result
 is marked exact on an exact space when A's sample points attain the
 supremum, that is A finite, or A a capped simplex (whose vertices are its
 sample points) and B convex.  Witness pairs are always returned; ties
@@ -92,20 +101,25 @@ def _rows(space, points, parts):
     minimum strictly below the largest row so far: it can then neither
     exceed nor tie that row, so `_directed_points`, which does not depend on
     row order, gives the same value and witness without it.  The first row
-    takes every part."""
+    takes every part.  Parts are tried in move-to-front order, the part
+    that gave the previous row its nearest point first: a complete row is
+    the least (distance, point) over every part, whatever their order."""
     best = None
+    order = list(parts)
     for a in points:
         row = None
-        for part in parts:
+        for i, part in enumerate(order):
             near = _nearest(space, a, part)
             if row is None or near < row:
-                row = near
+                row, front = near, i
             if best is not None and row[0] < best:
                 break
         else:
             if best is None or row[0] > best:
                 best = row[0]
             yield (a, *row)
+        if front:
+            order.insert(0, order.pop(front))
 
 
 def _directed_points(rows):
@@ -158,32 +172,47 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     return HausdorffResult(value, witness, exact=exact)
 
 
+def _deciding(points, lines, minima, top, others):
+    """`_directed_points` over the rows (a, nearest distance, nearest point
+    of `others`), `lines` holding each a's distances, that can decide:
+    those whose minimum is `top`, the largest of `minima`, since no other
+    row can attain or tie it.  A NaN `top` comes only from a NaN first
+    line, which no line beats, and equals no minimum: then every row is
+    searched."""
+    keep = [i for i, m in enumerate(minima) if m == top] or range(len(minima))
+    return _directed_points((points[i], *min(zip(lines[i], others))) for i in keep)
+
+
 def _finite_pair(space, A, B):
-    """Both directed distances between finite sets from one
-    `distance_table` of A against B: its row minima give A -> B, its column
-    minima B -> A (d(a, b) and d(b, a) are bit-equal), each ties broken as
-    `_directed_points` breaks them."""
+    """hausdorff for two finite sets, from one `distance_table` of A
+    against B: its row minima give A -> B, its column minima B -> A
+    (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min` and
+    `max` (distances are never -0.0, so a `min` over numbers returns the
+    bits of a `min` over (distance, point) pairs).  Only a direction that
+    decides the result searches for its witness, ties broken as
+    `hausdorff` breaks them."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
-    table = distance_table(space, pts_a, pts_b)
-    forward = _directed_points(
-        (a, *min(zip(row, pts_b))) for a, row in zip(pts_a, table)
-    )
-    backward = _directed_points(
-        (b, *min(zip(column, pts_a))) for b, column in zip(pts_b, zip(*table))
-    )
-    return (
-        HausdorffResult(*forward, space.exact),
-        HausdorffResult(*backward, space.exact),
-    )
+    rows = distance_table(space, pts_a, pts_b)
+    columns = list(zip(*rows))
+    row_minima, column_minima = list(map(min, rows)), list(map(min, columns))
+    forward, backward = max(row_minima), max(column_minima)
+    if forward > backward:
+        chosen = _deciding(pts_a, rows, row_minima, forward, pts_b)
+    elif backward > forward:
+        chosen = _deciding(pts_b, columns, column_minima, backward, pts_a)
+    else:
+        there = _deciding(pts_a, rows, row_minima, forward, pts_b)
+        back = _deciding(pts_b, columns, column_minima, backward, pts_a)
+        chosen = there if there[1] <= back[1] else back
+    return HausdorffResult(*chosen, exact=space.exact)
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
     """max of the two directed distances; witness from the deciding direction."""
     if isinstance(A, _FINITE) and isinstance(B, _FINITE):
-        forward, backward = _finite_pair(space, A, B)
-    else:
-        forward = directed_hausdorff(space, A, B)
-        backward = directed_hausdorff(space, B, A)
+        return _finite_pair(space, A, B)
+    forward = directed_hausdorff(space, A, B)
+    backward = directed_hausdorff(space, B, A)
     if forward.value > backward.value:
         chosen = forward
     elif backward.value > forward.value:

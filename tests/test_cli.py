@@ -263,6 +263,48 @@ INPUT_ERRORS = {
         {},
         "is not a finite number",
     ),
+    # a JSON boolean is no number, in a spec as in a config file
+    "spec-matrix-boolean": (
+        ["fixedpoint", "spec.json"],
+        {
+            "spec.json": dict(
+                DOUBLING_SPEC,
+                parameters={"matrix": [[True, 0], [0, False]], "offset": [0, 0]},
+            )
+        },
+        {},
+        "bad mapping spec: cannot interpret True as a scalar",
+    ),
+    "spec-x0-boolean": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, x0=[True, 0])},
+        {},
+        "bad mapping spec: cannot interpret True as a number",
+    ),
+    "spec-ball-radius-boolean": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0], "radius": True})},
+        {},
+        "bad mapping spec: cannot interpret True as a number",
+    ),
+    "spec-alpha-boolean": (
+        ["fixedpoint", "spec.json"],
+        {"spec.json": dict(ROT_SPEC, alpha=True)},
+        {},
+        "bad mapping spec: cannot interpret True as a scalar",
+    ),
+    "family-center-boolean": (
+        ["nested", "fam.json", "--space", "vec2-p2"],
+        {"fam.json": [[{"center": [True, False], "radius": 1}]]},
+        {},
+        "cannot read family: cannot interpret True as a scalar",
+    ),
+    "family-radius-boolean": (
+        ["nested", "fam.json", "--space", "vec2-p2"],
+        {"fam.json": [[{"center": [0, 0], "radius": True}]]},
+        {},
+        "cannot read family: cannot interpret True as a scalar",
+    ),
     "family-not-json": (["nested", "fam.json"], {"fam.json": b""}, {}, "cannot read family"),
     "family-center-overflow": (
         ["nested", "fam.json", "--space", "vec2-p2"],

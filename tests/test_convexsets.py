@@ -25,6 +25,7 @@ from mclab import (
     Singleton,
     UniqueMidpointUndefined,
     check_menger_convex,
+    constant_fn,
     directed_hausdorff,
     distance,
     hausdorff,
@@ -956,7 +957,7 @@ class TestBoxDefect:
         monkeypatch.setattr(convexsets, "distance", counting)
         seg = segment(space, x, y, [F(k, 8) for k in range(1, 8)], FX)
         assert seg.max_defect == 0 and type(seg.max_defect) is int
-        assert len(calls) == 8  # d(x, y), then once per midpoint_set
+        assert len(calls) == 1  # d(x, y), shared by every midpoint set
 
 
 class TestSimplexSegment:
@@ -987,7 +988,7 @@ class TestSimplexSegment:
         monkeypatch.setattr(convexsets, "distance", counting)
         seg = segment(space, x, y, [F(1, 8), F(1, 2)], FX)
         assert seg.max_defect == 0
-        assert len(calls) == 3  # d(x, y), then once per midpoint_set
+        assert len(calls) == 1  # d(x, y), shared by every midpoint set
 
     def test_a_float_simplex_keeps_the_scan(self):
         space = vector_space(3, 1)
@@ -1208,6 +1209,40 @@ class TestSegment:
         assert rep.lower == (F(1, 2), F(-1, 2), F(-1, 2))
         assert rep.upper == (F(1, 2), F(1, 2), F(1, 2))
         assert seg.max_defect == 0
+
+    @pytest.mark.parametrize(
+        "space, x, y, t_grid, error, message",
+        [
+            (vector_space(2, math.inf, exact=True), (0, 0), (2, 0), [F(1, 2), 0.25],
+             ExactArithmeticUnsupported, "rational parameter t"),
+            (vector_space(2, 1, exact=True), (0, 0), (2, 0), [F(1, 2), 0.25],
+             ExactArithmeticUnsupported, "rational parameter t"),
+            (vector_space(2, 2), (0.0, 0.0), (2.0, 0.0), [0.5, 1.0],
+             MclabError, "strictly between 0 and 1"),
+            (vector_space(2, 2), (0.0, 0.0), (2.0, 0.0), iter([0.0]),
+             MclabError, "strictly between 0 and 1"),
+            (vector_space(2, 2), (0.0, 0.0), (2.0, 0.0, 1.0), [0.5],
+             MclabError, "point of length 3"),
+            (vector_space(2, 1, exact=True), (0, 0), (F(1, 2), 0.5), [F(1, 2)],
+             ExactArithmeticUnsupported, "rational coordinates"),
+            (vector_space(2, 2), (1.0, 1.0), (1.0, 1.0), [0.5],
+             MclabError, "distinct endpoints"),
+        ],
+        ids=["dinf-float-t", "d1-float-t", "t-one", "t-zero-iterator", "dimension",
+             "float-coordinate", "equal-endpoints"],
+    )
+    def test_every_midpoint_set_refusal_holds_for_a_segment(
+        self, space, x, y, t_grid, error, message
+    ):
+        # a segment checks its endpoints and every t once, then builds each
+        # midpoint set from its one d(x, y)
+        with pytest.raises(error, match=message):
+            segment(space, x, y, t_grid, FX)
+
+    def test_a_function_space_segment_is_refused(self):
+        space = l1_function_space()
+        with pytest.raises(MclabError, match="vector carriers"):
+            segment(space, constant_fn(0), constant_fn(1), [F(1, 2)], FX)
 
     def test_taxicab_segment_contains_non_collinear_points(self):
         space = vector_space(4, 1, exact=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
@@ -15,8 +16,10 @@ from mclab import (
     CappedSimplex,
     FiniteSet,
     MclabError,
+    SamplePlan,
     SetUnion,
     Singleton,
+    check_property,
     directed_hausdorff,
     distance,
     distances,
@@ -278,6 +281,39 @@ def _row_by_row_pair(space, A, B):
     return HausdorffResult(*forward, exact), HausdorffResult(*backward, exact)
 
 
+def _row_by_row_result(space, A, B):
+    """hausdorff from `_row_by_row_pair`: the larger direction, the smaller
+    witness on a tie."""
+    forward, backward = _row_by_row_pair(space, A, B)
+    if forward.value > backward.value:
+        return forward
+    if backward.value > forward.value:
+        return backward
+    return forward if forward.witness <= backward.witness else backward
+
+
+def _assert_same_result(got, want):
+    assert (got.witness, got.exact) == (want.witness, want.exact)
+    assert type(got.value) is type(want.value)
+    assert _bits(got.value) == _bits(want.value)
+
+
+@st.composite
+def _exact_lattice_pairs(draw):
+    """(space, A, B) on the integer lattice {-2, ..., 2}^dim under exact d_1
+    or d_inf, where many pairs tie; B is often A mirrored through 0, whose
+    forward and backward values are equal."""
+    p = draw(st.sampled_from([1, math.inf]))
+    dim = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2).map(F), min_size=dim, max_size=dim).map(tuple)
+    A = _finite_rep(draw, point)
+    if draw(st.booleans()):
+        B = FiniteSet(tuple(tuple(-c for c in a) for a in A.sample_points()))
+    else:
+        B = _finite_rep(draw, point)
+    return vector_space(dim, p, exact=True), A, B
+
+
 class TestFinitePairs:
     """hausdorff on two finite sets reads one `distance_table`; it must
     agree with the two directed distances measured point by point."""
@@ -303,12 +339,22 @@ class TestFinitePairs:
     @settings(max_examples=300, deadline=None)
     def test_one_table_equals_the_row_by_row_build(self, case):
         space, A, B = case
-        got = _finite_pair(space, A, B)
-        want = _row_by_row_pair(space, A, B)
-        for g, w in zip(got, want):
-            assert (g.witness, g.exact) == (w.witness, w.exact)
-            assert type(g.value) is type(w.value)
-            assert _bits(g.value) == _bits(w.value)
+        _assert_same_result(_finite_pair(space, A, B), _row_by_row_result(space, A, B))
+
+    @given(_exact_lattice_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_deciding_rows_give_the_row_by_row_witness_on_ties(self, case):
+        space, A, B = case
+        _assert_same_result(hausdorff(space, A, B), _row_by_row_result(space, A, B))
+
+    def test_a_nan_first_row_searches_every_row(self):
+        # inf - inf is NaN: the NaN first row decides, as in the full scan
+        space = vector_space(1, math.inf)
+        A = FiniteSet(((math.inf,), (0.0,)))
+        B = FiniteSet(((math.inf,),))
+        result = hausdorff(space, A, B)
+        assert math.isnan(result.value)
+        assert result.witness == ((math.inf,), (math.inf,))
 
     def test_ties_break_to_the_smallest_witness(self):
         space = vector_space(1, 1, exact=True)
@@ -425,6 +471,17 @@ class TestUnionEarlyBreak:
             list(map(type, w)) for w in witness
         ]
 
+    @given(_union_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_order_of_the_parts_gives_the_same_value_and_witness(self, case):
+        space, A, B = case
+        want = directed_hausdorff(space, A, B)
+        for parts in itertools.permutations(B.parts):
+            got = directed_hausdorff(space, A, SetUnion(parts))
+            assert type(got.value) is type(want.value)
+            assert _bits(got.value) == _bits(want.value)
+            assert got.witness == want.witness
+
     def test_a_tied_row_after_the_best_still_moves_the_witness(self):
         space = vector_space(1, 1, exact=True)
         # (2,) and (-2,) are both at distance 1 from B; the smaller witness
@@ -434,3 +491,23 @@ class TestUnionEarlyBreak:
         result = directed_hausdorff(space, A, B)
         assert result.value == 1
         assert result.witness == ((F(-2),), (F(-1),))
+
+
+class TestWorkCounts:
+    """The nearest-point searches that (B'') spends are deterministic; a
+    change that brings back wasted walks fails here."""
+
+    @pytest.mark.parametrize("seed, calls", [(1, 547), (2, 1207), (3, 69)])
+    def test_nearest_calls_of_a_float_d1_bdoubleprime_check(self, seed, calls, monkeypatch):
+        module = importlib.import_module("mclab.hausdorff")
+        nearest, count = module._nearest, []
+
+        def counting(*args):
+            count.append(None)
+            return nearest(*args)
+
+        monkeypatch.setattr(module, "_nearest", counting)
+        check_property(
+            space_from_id("vec6-p1"), "Bdoubleprime", plan=SamplePlan(count=40, seed=seed)
+        )
+        assert len(count) == calls

@@ -11,7 +11,7 @@ import pytest
 
 from mclab import Box, MetricBall, SamplePlan, WholeSpace, vector_space
 from mclab.fixedpoint import DOMAIN_TOL, _sample_domain_point
-from mclab.sampling import HIGH, LOW, sample_point
+from mclab.sampling import HIGH, LOW, MAX_SET_SIZE, sample_finite_points, sample_point
 
 SEEDS = [1, 2, 7, 20240601]
 
@@ -64,3 +64,16 @@ def test_a_domain_point_is_drawn_as_uniforms_until_one_lies_inside(seed, dim):
             lambda rng: _uniform_domain_point(rng, domain),
             seed,
         )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_float_finite_points_are_sample_points_drawn_one_by_one(seed, dim):
+    space, plan = vector_space(dim, 2), SamplePlan()
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(25):
+        got = sample_finite_points(rng, space, plan)
+        size = ref.randint(1, MAX_SET_SIZE)
+        want = tuple(dict.fromkeys(sample_point(ref, space, plan) for _ in range(size)))
+        assert [[c.hex() for c in q] for q in got] == [[c.hex() for c in q] for q in want]
+    assert rng.getstate() == ref.getstate()
