@@ -723,22 +723,21 @@ def lifted_union(
         raise MclabError("lifted unions need a finite or box representation")
     if space.unique_midpoints:
         # every part is the chord point at r1 / d(a, y) from a: one distance
-        # row measures the points a other than y, as `midpoint_set` would,
-        # and each chord is `vlerp(a, y, radii_for(conv, t, d)[0] / d)`
-        # written out, with the same float operations
+        # row measures the points a other than y, as `midpoint_set` would.
+        # The radii at d = 1 are exactly the shares of d that they take, so
+        # share * d is the r1 that `radii_for` forms
         y = tuple(y)
         points = [tuple(a) for a in A.sample_points()]
         others = [a for a in points if a != y]
         row = iter(distances(space, y, others) if others else ())
-        share = t if conv is MidConvention.FROM_X else 1 - t
+        share = radii_for(conv, t, 1)[0]
         chords = []
         for a in points:
             if a == y:
                 chords.append(y)
             else:
                 d = next(row)
-                w = share * d / d
-                chords.append(tuple([c + w * (v - c) for c, v in zip(a, y)]))
+                chords.append(vlerp(a, y, share * d / d))
         return FiniteSet(tuple(dict.fromkeys(chords)))
     parts = []
     for a in A.sample_points():

@@ -13,7 +13,8 @@ and the witness are those of the full scan.  The parts are tried in
 move-to-front order, the part that gave the previous row its nearest point
 first, so a row meets a near part early and breaks sooner; order cannot
 change the result, since a complete row is the least (distance, point)
-over every part and a row that can attain or tie the maximum never breaks.
+over every part, equal pairs going to the part listed first, and a row
+that can attain or tie the maximum never breaks.
 Boxes under the sup metric are compared per coordinate as interval
 Hausdorff distances.  Two finite sets share one `distance_table`, which
 checks each point once and transposes each axis once: its row minima,
@@ -103,15 +104,17 @@ def _rows(space, points, parts):
     row order, gives the same value and witness without it.  The first row
     takes every part.  Parts are tried in move-to-front order, the part
     that gave the previous row its nearest point first: a complete row is
-    the least (distance, point) over every part, whatever their order."""
+    the least (distance, point) over every part, equal ones, which can
+    differ in type or in the sign of a zero, going to the part first in
+    `parts`, whatever the order they were tried in."""
     best = None
-    order = list(parts)
+    order = list(enumerate(parts))
     for a in points:
         row = None
-        for i, part in enumerate(order):
+        for i, (index, part) in enumerate(order):
             near = _nearest(space, a, part)
-            if row is None or near < row:
-                row, front = near, i
+            if row is None or near < row or (near == row and index < first):
+                row, first, front = near, index, i
             if best is not None and row[0] < best:
                 break
         else:
@@ -183,28 +186,40 @@ def _deciding(points, lines, minima, top, others):
     return _directed_points((points[i], *min(zip(lines[i], others))) for i in keep)
 
 
+def _decide(forward, backward, forward_result, backward_result):
+    """The result of the direction whose value, `forward` or `backward`, is
+    larger, from its thunk; on a tie both thunks run and the smaller
+    witness wins."""
+    if forward > backward:
+        return forward_result()
+    if backward > forward:
+        return backward_result()
+    there, back = forward_result(), backward_result()
+    return there if there.witness <= back.witness else back
+
+
 def _finite_pair(space, A, B):
     """hausdorff for two finite sets, from one `distance_table` of A
     against B: its row minima give A -> B, its column minima B -> A
     (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min` and
     `max` (distances are never -0.0, so a `min` over numbers returns the
     bits of a `min` over (distance, point) pairs).  Only a direction that
-    decides the result searches for its witness, ties broken as
-    `hausdorff` breaks them."""
+    decides the result searches for its witness."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
     rows = distance_table(space, pts_a, pts_b)
     columns = list(zip(*rows))
     row_minima, column_minima = list(map(min, rows)), list(map(min, columns))
     forward, backward = max(row_minima), max(column_minima)
-    if forward > backward:
-        chosen = _deciding(pts_a, rows, row_minima, forward, pts_b)
-    elif backward > forward:
-        chosen = _deciding(pts_b, columns, column_minima, backward, pts_a)
-    else:
-        there = _deciding(pts_a, rows, row_minima, forward, pts_b)
-        back = _deciding(pts_b, columns, column_minima, backward, pts_a)
-        chosen = there if there[1] <= back[1] else back
-    return HausdorffResult(*chosen, exact=space.exact)
+    return _decide(
+        forward,
+        backward,
+        lambda: HausdorffResult(
+            *_deciding(pts_a, rows, row_minima, forward, pts_b), space.exact
+        ),
+        lambda: HausdorffResult(
+            *_deciding(pts_b, columns, column_minima, backward, pts_a), space.exact
+        ),
+    )
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
@@ -213,12 +228,7 @@ def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
         return _finite_pair(space, A, B)
     forward = directed_hausdorff(space, A, B)
     backward = directed_hausdorff(space, B, A)
-    if forward.value > backward.value:
-        chosen = forward
-    elif backward.value > forward.value:
-        chosen = backward
-    else:
-        chosen = forward if forward.witness <= backward.witness else backward
+    chosen = _decide(forward.value, backward.value, lambda: forward, lambda: backward)
     return HausdorffResult(
         chosen.value, chosen.witness, exact=forward.exact and backward.exact
     )

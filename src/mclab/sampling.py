@@ -92,16 +92,8 @@ def sample_t(rng: random.Random, space: MetricSpace, plan: SamplePlan, index: in
 
 
 def sample_finite_points(rng: random.Random, space: MetricSpace, plan: SamplePlan):
-    """1 to MAX_SET_SIZE distinct points; float points are drawn in one
-    comprehension, from the stream that `sample_point` reads point by point."""
+    """1 to MAX_SET_SIZE distinct points, each drawn by `sample_point`."""
     size = rng.randint(1, MAX_SET_SIZE)
-    if space.exact:
-        points = [sample_point(rng, space, plan) for _ in range(size)]
-    else:
-        assert space.carrier == VECTOR
-        random, axes = rng.random, range(space.dim)
-        points = [
-            tuple([LOW + (HIGH - LOW) * random() for _ in axes]) for _ in range(size)
-        ]
+    points = [sample_point(rng, space, plan) for _ in range(size)]
     # duplicates are harmless for sets; drop them for cleanliness
     return tuple(dict.fromkeys(points))

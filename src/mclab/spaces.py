@@ -361,11 +361,14 @@ def _flat_table(space: MetricSpace, rows, cols) -> list:
             terms = [[abs(v - c) for v in ra for c in ca] for ra, ca in axes]
         flat = list(map(max if p == math.inf else sum, zip(*terms)))
         return [Fraction(t, den) for t in flat] if exact else flat
+    # with a float exponent, x ** p converts an int or Fraction x as
+    # float(x) does, so each term is the `float(d) ** p` of `distance`
+    p = float(p)
     try:
         if one:
-            terms = [[float(abs(v - c)) ** p for c in ca] for v, ca in axes]
+            terms = [[abs(v - c) ** p for c in ca] for v, ca in axes]
         else:
-            terms = [[float(abs(v - c)) ** p for v in ra for c in ca] for ra, ca in axes]
+            terms = [[abs(v - c) ** p for v in ra for c in ca] for ra, ca in axes]
     except OverflowError:
         return [distance(space, a, b) for a in rows for b in cols]
     root = 1.0 / p

@@ -259,6 +259,10 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def _witness_bits(witness):
+    return [[(type(c), _bits(c)) for c in point] for point in witness]
+
+
 def _row_by_row_pair(space, A, B):
     """Both directed distances between finite sets from a table built as one
     `distances` row per point of A, the column minima read off its
@@ -477,10 +481,39 @@ class TestUnionEarlyBreak:
         space, A, B = case
         want = directed_hausdorff(space, A, B)
         for parts in itertools.permutations(B.parts):
-            got = directed_hausdorff(space, A, SetUnion(parts))
+            union = SetUnion(parts)
+            got = directed_hausdorff(space, A, union)
             assert type(got.value) is type(want.value)
             assert _bits(got.value) == _bits(want.value)
             assert got.witness == want.witness
+            # equal pairs that differ in type or in the sign of a zero go to
+            # the part listed first, as in the plain scan
+            assert _witness_bits(got.witness) == _witness_bits(
+                _plain_directed(space, A, union)[1]
+            )
+
+    @pytest.mark.parametrize(
+        "space, A, B, nearest",
+        [
+            (
+                vector_space(1, 1, exact=True),
+                FiniteSet(((F(-3),), (F(2),))),
+                SetUnion((Singleton((F(1),)), Box((-3,), (1,)))),
+                (F(1),),
+            ),
+            (
+                vector_space(1, 1),
+                FiniteSet(((-3.0,), (2.0,))),
+                SetUnion((Singleton((0.0,)), Box((-3.0,), (-0.0,)))),
+                (0.0,),
+            ),
+        ],
+    )
+    def test_equal_pairs_go_to_the_part_listed_first(self, space, A, B, nearest):
+        # the first row moves the box to the front; the second row ties the
+        # box's nearest point with the singleton, which is listed first
+        result = directed_hausdorff(space, A, B)
+        assert _witness_bits(result.witness) == _witness_bits((A.points[1], nearest))
 
     def test_a_tied_row_after_the_best_still_moves_the_witness(self):
         space = vector_space(1, 1, exact=True)

@@ -388,6 +388,21 @@ class TestDistanceTable:
         for y in rows:
             _assert_pairwise(space, y, cols)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_int_and_fraction_coordinates_take_float_powers(self, p):
+        # under an int p an int or Fraction difference keeps an exact power
+        # unless it is raised as a float, as `distance` raises it
+        space = vector_space(2, p)
+        points = [
+            (0, 0),
+            (11039399448020941, F(49, 27)),
+            (-72666893601578375, F(80, 33)),
+            (0.5, 1),
+        ]
+        table = distance_table(space, points, points)
+        want = [[distance(space, a, b) for b in points] for a in points]
+        assert [_bits(row) for row in table] == [_bits(row) for row in want]
+
     @pytest.mark.parametrize(
         "sid", ["vec3-p1", "vec3-p1.5", "vec3-p2", "vec3-pinf", "vec3-p1-exact", "vec3-pinf-exact"]
     )
