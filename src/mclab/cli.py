@@ -119,9 +119,11 @@ def cmd_check(args, cfg: RunConfig) -> int:
     if not prop_list:
         # a suite verdict needs evidence: an empty suite would print PASS
         raise ConfigError("--props names no property")
-    for prop in prop_list:
+    for i, prop in enumerate(prop_list):
         if prop not in CHECK_PROPS:
             raise ConfigError(f"unknown property {prop!r}")
+        if prop in prop_list[:i]:
+            raise ConfigError(f"--props names {prop!r} twice")
     expectations = _parse_expectations(args.expect, prop_list)
     conv = MidConvention(cfg.convention)
     plan = _plan_from_config(cfg)

@@ -34,8 +34,8 @@ A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
 way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
 built one axis at a time as the coordinatewise max of each axis's pairs;
 and it is exactly 0 on an exact d_1 simplex.  A lifted union under a
-strictly convex d_p measures its points' distances to y in one `distances`
-row.
+strictly convex d_p is the deduplicated `chord_points`, which measures its
+points' distances to y in one `distances` row.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -709,6 +709,30 @@ def segment_points(seg: Segment):
 # set-lifted unions
 
 
+def chord_points(space: MetricSpace, points, y, t: Scalar, conv: MidConvention) -> list:
+    """The unique midpoint of each point a of `points` with y at t, in
+    order: y itself for a == y, else the chord point at r1 / d(a, y) from
+    a.  One `distances` row measures the points other than y, as
+    `midpoint_set` would measure each.  The radii at d = 1 are exactly the
+    shares of d that they take, so share * d is the r1 that `radii_for`
+    forms."""
+    space.require_unique_midpoints()
+    _check_parameter(space, t)
+    y = tuple(y)
+    points = [tuple(a) for a in points]
+    others = [a for a in points if a != y]
+    row = iter(distances(space, y, others) if others else ())
+    share = radii_for(conv, t, 1)[0]
+    chords = []
+    for a in points:
+        if a == y:
+            chords.append(y)
+        else:
+            d = next(row)
+            chords.append(vlerp(a, y, share * d / d))
+    return chords
+
+
 def lifted_union(
     space: MetricSpace,
     A: SetRep,
@@ -718,27 +742,12 @@ def lifted_union(
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Union of midpoint sets with y over representative points of A."""
-    _check_parameter(space, t)
     if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
     if space.unique_midpoints:
-        # every part is the chord point at r1 / d(a, y) from a: one distance
-        # row measures the points a other than y, as `midpoint_set` would.
-        # The radii at d = 1 are exactly the shares of d that they take, so
-        # share * d is the r1 that `radii_for` forms
-        y = tuple(y)
-        points = [tuple(a) for a in A.sample_points()]
-        others = [a for a in points if a != y]
-        row = iter(distances(space, y, others) if others else ())
-        share = radii_for(conv, t, 1)[0]
-        chords = []
-        for a in points:
-            if a == y:
-                chords.append(y)
-            else:
-                d = next(row)
-                chords.append(vlerp(a, y, share * d / d))
-        return FiniteSet(tuple(dict.fromkeys(chords)))
+        points = chord_points(space, A.sample_points(), y, t, conv)
+        return FiniteSet(tuple(dict.fromkeys(points)))
+    _check_parameter(space, t)
     parts = []
     for a in A.sample_points():
         if tuple(a) == tuple(y):

@@ -20,10 +20,13 @@ Hausdorff distances.  Two finite sets share one `distance_table`, which
 checks each point once and transposes each axis once: its row minima,
 taken with the builtin `min`, give the distance from A to B, its column
 minima the distance from B to A (distances are never -0.0, so these have
-the bits of a `min` over (distance, point) pairs).  The witness search
-runs only in a direction that decides the result, and only over its rows
-whose minimum is the deciding value, since no other row can attain or tie
-it.  Exactness comes from the space: a result
+the bits of a `min` over (distance, point) pairs).  Their result's witness
+is built when it is first read, so a caller that reads only the value pays
+for no search; a table that mixes number types, or a NaN value, builds it
+at once, since there the search picks the value's type.  The witness
+search runs only in a direction that decides the result, and only over its
+rows whose minimum is the deciding value, since no other row can attain or
+tie it.  Exactness comes from the space: a result
 is marked exact on an exact space when A's sample points attain the
 supremum, that is A finite, or A a capped simplex (whose vertices are its
 sample points) and B convex.  Witness pairs are always returned; ties
@@ -46,7 +49,7 @@ from .convexsets import (
     Singleton,
 )
 from .errors import EmptySetError, MclabError
-from .spaces import MetricSpace, check_point, distance, distance_table, distances
+from .spaces import VECTOR, MetricSpace, check_point, distance, distance_table, distances
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,29 @@ class HausdorffResult:
     value: Scalar
     witness: tuple  # (point in A, nearest point of B)
     exact: bool
+
+    def __reduce__(self):
+        # a pickle or copy carries the witness, not the search that builds it
+        return HausdorffResult, (self.value, self.witness, self.exact)
+
+    @classmethod
+    def _deferred(cls, value, build, exact):
+        """A result whose witness `build()` makes when it is first read."""
+        result = object.__new__(cls)
+        vars(result).update(value=value, exact=exact, _build=build)
+        return result
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks: a deferred witness is
+        # built once and kept, as if it had been given
+        build = vars(self).get("_build") if name == "witness" else None
+        if build is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, "witness", build())
+        del vars(self)["_build"]
+        return self.witness
 
 
 def _rep_points(rep: SetRep):
@@ -187,15 +213,15 @@ def _deciding(points, lines, minima, top, others):
 
 
 def _decide(forward, backward, forward_result, backward_result):
-    """The result of the direction whose value, `forward` or `backward`, is
-    larger, from its thunk; on a tie both thunks run and the smaller
-    witness wins."""
+    """The (value, witness) of the direction whose value, `forward` or
+    `backward`, is larger, from its thunk; on a tie both thunks run and the
+    smaller witness wins."""
     if forward > backward:
         return forward_result()
     if backward > forward:
         return backward_result()
     there, back = forward_result(), backward_result()
-    return there if there.witness <= back.witness else back
+    return there if there[1] <= back[1] else back
 
 
 def _finite_pair(space, A, B):
@@ -203,23 +229,34 @@ def _finite_pair(space, A, B):
     against B: its row minima give A -> B, its column minima B -> A
     (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min` and
     `max` (distances are never -0.0, so a `min` over numbers returns the
-    bits of a `min` over (distance, point) pairs).  Only a direction that
-    decides the result searches for its witness."""
+    bits of a `min` over (distance, point) pairs).  The value is the larger
+    of the two, and the witness is searched for when first read, in the
+    direction that decides, or on a tie in both, the smaller witness
+    winning.  That needs a table of one number type, as on an exact vector
+    space (Fractions) or under a strictly convex d_p (floats), where equal
+    distances have equal bits.  Where int, Fraction and float coordinates
+    mix, or a NaN compares to neither value, the search picks the value's
+    type or the value itself, so it runs at once."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
     rows = distance_table(space, pts_a, pts_b)
-    columns = list(zip(*rows))
-    row_minima, column_minima = list(map(min, rows)), list(map(min, columns))
+    row_minima, column_minima = list(map(min, rows)), list(map(min, zip(*rows)))
     forward, backward = max(row_minima), max(column_minima)
-    return _decide(
-        forward,
-        backward,
-        lambda: HausdorffResult(
-            *_deciding(pts_a, rows, row_minima, forward, pts_b), space.exact
-        ),
-        lambda: HausdorffResult(
-            *_deciding(pts_b, columns, column_minima, backward, pts_a), space.exact
-        ),
-    )
+
+    def there():
+        return _deciding(pts_a, rows, row_minima, forward, pts_b)
+
+    def back():
+        return _deciding(pts_b, list(zip(*rows)), column_minima, backward, pts_a)
+
+    # a NaN compares to neither value
+    comparable = forward >= backward or backward > forward
+    if comparable and (space.unique_midpoints or (space.exact and space.carrier == VECTOR)):
+        return HausdorffResult._deferred(
+            backward if backward > forward else forward,
+            lambda: _decide(forward, backward, there, back)[1],
+            space.exact,
+        )
+    return HausdorffResult(*_decide(forward, backward, there, back), space.exact)
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
@@ -228,7 +265,10 @@ def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
         return _finite_pair(space, A, B)
     forward = directed_hausdorff(space, A, B)
     backward = directed_hausdorff(space, B, A)
-    chosen = _decide(forward.value, backward.value, lambda: forward, lambda: backward)
-    return HausdorffResult(
-        chosen.value, chosen.witness, exact=forward.exact and backward.exact
+    value, witness = _decide(
+        forward.value,
+        backward.value,
+        lambda: (forward.value, forward.witness),
+        lambda: (backward.value, backward.witness),
     )
+    return HausdorffResult(value, witness, exact=forward.exact and backward.exact)

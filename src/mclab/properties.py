@@ -18,6 +18,7 @@ from .convexsets import (
     FiniteSet,
     MidConvention,
     SetRep,
+    chord_points,
     diameter_with_witness,
     lifted_union,
     midpoint_set,
@@ -198,8 +199,15 @@ def _check_bdoubleprime(space, conv, plan, tol):
             B = FiniteSet(pts_b)
             y = sample_point(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            CA = lifted_union(space, A, y, t, conv, tol=tol)
-            CB = lifted_union(space, B, y, t, conv, tol=tol)
+            if space.unique_midpoints:
+                # one chord row for both sets; a repeated point cannot
+                # change a Hausdorff value
+                chords = chord_points(space, (*pts_a, *pts_b), y, t, conv)
+                CA = FiniteSet(tuple(chords[: len(pts_a)]))
+                CB = FiniteSet(tuple(chords[len(pts_a) :]))
+            else:
+                CA = lifted_union(space, A, y, t, conv, tol=tol)
+                CB = lifted_union(space, B, y, t, conv, tol=tol)
             lhs = hausdorff(space, CA, CB).value
             rhs = t * hausdorff(space, A, B).value
             yield lhs - rhs, lambda: {

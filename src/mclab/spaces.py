@@ -94,8 +94,7 @@ class MetricSpace:
     def label(self) -> str:
         """The space as reports name it: (R^n, d_p) or the function space."""
         if self.carrier == VECTOR:
-            ptag = "inf" if self.p == math.inf else f"{self.p:g}"
-            return f"(R^{self.dim}, d_{ptag})"
+            return f"(R^{self.dim}, d_{_p_tag(self.p)})"
         return "the function space"
 
     def limit(self, tol):
@@ -116,16 +115,19 @@ def linf_function_space(exact: bool = True) -> MetricSpace:
     return MetricSpace(PW_POLY, None, METRIC_LINF_FN, None, exact)
 
 
+def _p_tag(p) -> str:
+    """p as an id and a label write it: `inf`, an integer, or the repr of
+    a float, its shortest decimal that reads back as the same float, so
+    that no two spaces share an id."""
+    if p == math.inf:
+        return "inf"
+    return str(int(p)) if p == int(p) else repr(p)
+
+
 def space_id(space: MetricSpace) -> str:
     if space.carrier == VECTOR:
-        if space.p == math.inf:
-            ptag = "pinf"
-        elif space.p == int(space.p):
-            ptag = f"p{int(space.p)}"
-        else:
-            ptag = f"p{space.p:g}"
         suffix = "-exact" if space.exact else ""
-        return f"vec{space.dim}-{ptag}{suffix}"
+        return f"vec{space.dim}-p{_p_tag(space.p)}{suffix}"
     tag = "l1fn" if space.metric == METRIC_L1_FN else "linffn"
     return tag + ("-exact" if space.exact else "")
 
@@ -142,10 +144,11 @@ def space_from_id(text: str) -> MetricSpace:
     if m:
         dim = int(m.group(1))
         p = math.inf if m.group(2) == "inf" else float(m.group(2))
-        # the float must be the decimal given: 1.10 reads as 1.1, but a p
-        # that overflows or rounds would name another space without a word
+        # the float must be the decimal given, as its shortest decimal (1.10
+        # reads as 1.1) or its own value (an integer p, as `space_id` writes
+        # it); a p that overflows or rounds would name another space
         if m.group(2) != "inf" and (
-            p == math.inf or Decimal(repr(p)) != Decimal(m.group(2))
+            p == math.inf or Decimal(m.group(2)) not in (Decimal(repr(p)), Decimal(p))
         ):
             raise ConfigError(
                 f"p={m.group(2)} in space id {text!r} does not round-trip "

@@ -103,6 +103,9 @@ INPUT_ERRORS = {
     "argv-props-empty": (
         ["check", "--space", "vec2-p2", "--props", ""], {}, {}, "--props names no property"
     ),
+    "argv-props-twice": (
+        ["check", "--space", "vec2-p2", "--props", "A,B,A"], {}, {}, "--props names 'A' twice"
+    ),
     "argv-expect-twice": (
         ["check", "--space", "vec2-p2", "--props", "A", "--expect", "A=holds,A=fails"],
         {},
@@ -410,6 +413,15 @@ class TestCheck:
         fails = {r["property"]: r for r in report["reports"]}
         assert fails["A"]["witness"] is not None
         assert fails["C"]["witness"] is not None
+
+    def test_a_p_near_one_writes_its_own_report(self, tmp_path):
+        # the id was written with 6 significant digits: this run overwrote
+        # check-vec3-p1.json and named d_1, where A fails
+        argv = ["check", "--space", "vec3-p1.0000000001", "--props", "A"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert [f.name for f in tmp_path.glob("*.json")] == ["check-vec3-p1.0000000001.json"]
+        report = json.loads((tmp_path / "check-vec3-p1.0000000001.json").read_text())
+        assert report["space"] == "vec3-p1.0000000001"
 
     def test_wrong_expectation_exits_one(self, tmp_path):
         code = main(

@@ -44,6 +44,7 @@ from mclab.hausdorff import _nearest as hausdorff_nearest
 from mclab.convexsets import (
     DEFAULT_TOL,
     MAX_SIMPLEX_AXES,
+    chord_points,
     diameter_with_witness,
     radii_for,
     segment_points,
@@ -1120,6 +1121,32 @@ class TestBatchedLiftedUnion:
         plain = _lifted_by_point(space, A, y, t, conv)
         assert type(union) is FiniteSet
         assert _same_points(union.points, plain.points)
+
+    @given(_strictly_convex_unions())
+    @settings(max_examples=200, deadline=None)
+    def test_the_union_is_the_deduplicated_chord_points(self, case):
+        space, A, y, t, conv = case
+        chords = chord_points(space, A.sample_points(), y, t, conv)
+        assert len(chords) == len(A.sample_points())
+        union = lifted_union(space, A, y, t, conv)
+        assert _same_points(union.points, tuple(dict.fromkeys(chords)))
+
+    def test_chord_points_keep_order_and_repeats(self):
+        space = vector_space(2, 2)
+        y = (0.0, 2.0)
+        points = [(2.0, 2.0), [0.0, 2.0], (2.0, 2.0)]
+        assert chord_points(space, points, y, 0.5, FY) == [(1.0, 2.0), y, (1.0, 2.0)]
+        assert chord_points(space, points, y, 0.25, FX) == [(1.5, 2.0), y, (1.5, 2.0)]
+
+    @pytest.mark.parametrize("space_id", ["vec2-p1", "vec2-pinf-exact", "l1fn-exact"])
+    def test_chord_points_refuse_a_space_without_unique_midpoints(self, space_id):
+        with pytest.raises(UniqueMidpointUndefined):
+            chord_points(space_from_id(space_id), [(0, 0)], (1, 1), 0.5, FY)
+
+    def test_chord_points_check_the_parameter_with_no_chord_to_take(self):
+        space = vector_space(2, 2)
+        with pytest.raises(MclabError, match="strictly between 0 and 1"):
+            chord_points(space, [], (1.0, 1.0), 0, FY)
 
     def test_a_set_of_y_alone_is_y(self):
         space = vector_space(2, 2)

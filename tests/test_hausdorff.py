@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import importlib
 import itertools
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -351,6 +355,41 @@ class TestFinitePairs:
         space, A, B = case
         _assert_same_result(hausdorff(space, A, B), _row_by_row_result(space, A, B))
 
+    @given(st.one_of(_finite_pairs(), _exact_lattice_pairs()))
+    @settings(max_examples=300, deadline=None)
+    def test_a_witness_read_late_is_the_eager_one(self, case):
+        space, A, B = case
+        want = _row_by_row_result(space, A, B)
+        got = hausdorff(space, A, B)
+        assert type(got.value) is type(want.value) and got.exact == want.exact
+        assert _bits(got.value) == _bits(want.value)
+        hausdorff(space, B, A)  # another table between the call and the read
+        assert _witness_bits(got.witness) == _witness_bits(want.witness)
+        assert got.witness is got.witness
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+
+    def test_mixed_number_types_take_the_searched_value(self):
+        # the distances 1.0 and 1 tie, and the smallest witness, ((-1,),
+        # (0,)) from B to A, picks the int; the table alone gives 1.0
+        space = vector_space(1, 1)
+        A, B = FiniteSet(((0,),)), FiniteSet(((1.0,), (-1,)))
+        result = hausdorff(space, A, B)
+        _assert_same_result(result, _row_by_row_result(space, A, B))
+        assert type(result.value) is int and result.witness == ((-1,), (0,))
+
+    def test_a_deferred_result_is_a_frozen_value(self):
+        space = vector_space(2, 2)
+        A, B = FiniteSet(((0.0, 0.0), (4.0, 0.0))), FiniteSet(((0.0, 1.0),))
+        result = hausdorff(space, A, B)
+        assert "witness" not in vars(result)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.witness = ()
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert copy.deepcopy(result) == result
+        assert result == HausdorffResult(math.hypot(4, 1), ((4.0, 0.0), (0.0, 1.0)), False)
+        with pytest.raises(AttributeError, match="no attribute 'witnes'"):
+            result.witnes
+
     def test_a_nan_first_row_searches_every_row(self):
         # inf - inf is NaN: the NaN first row decides, as in the full scan
         space = vector_space(1, math.inf)
@@ -544,3 +583,30 @@ class TestWorkCounts:
             space_from_id("vec6-p1"), "Bdoubleprime", plan=SamplePlan(count=40, seed=seed)
         )
         assert len(count) == calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_float_d2_bdoubleprime_trial_measures_one_chord_row(self, seed, monkeypatch):
+        # (B'') reads only Hausdorff values, and both sets' chords share one
+        # row; two rows per trial and 80-84 witness searches over these
+        # seeds would mean that work is back
+        module = importlib.import_module("mclab.hausdorff")
+        distances, deciding = importlib.import_module("mclab.spaces").distances, module._deciding
+        rows, searches = [], []
+
+        def counting(*args):
+            rows.append(None)
+            return distances(*args)
+
+        def searching(*args):
+            searches.append(None)
+            return deciding(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "mclab" and vars(mod).get("distances") is distances:
+                monkeypatch.setattr(mod, "distances", counting)
+        monkeypatch.setattr(module, "_deciding", searching)
+        verdict = check_property(
+            space_from_id("vec3-p2"), "Bdoubleprime", plan=SamplePlan(count=40, seed=seed)
+        )
+        assert verdict.samples == 40
+        assert (len(rows), len(searches)) == (40, 0)

@@ -8,6 +8,7 @@ import pytest
 from mclab import (
     Box,
     ExactArithmeticUnsupported,
+    FiniteSet,
     MclabError,
     MembershipError,
     MidConvention,
@@ -22,9 +23,13 @@ from mclab import (
     distance,
     estimate_uniform_modulus,
     hausdorff,
+    lifted_union,
     midpoint_set,
+    space_from_id,
     vector_space,
 )
+from mclab.sampling import sample_finite_points, sample_point, sample_t
+from mclab.verdicts import first_failure
 
 FX = MidConvention.FROM_X
 FY = MidConvention.FROM_Y
@@ -161,6 +166,33 @@ class TestPropertyBDoublePrime:
         )
         assert verdict.holds
         assert verdict.max_slack <= 1e-9
+
+    @pytest.mark.parametrize("space_id", ["vec2-p1.5", "vec3-p2", "vec6-p2"])
+    @pytest.mark.parametrize("conv", [FX, FY])
+    def test_one_chord_row_gives_the_verdict_of_two_lifted_unions(self, space_id, conv):
+        # the loop as it read before both sets' chords shared one row
+        space, tol = space_from_id(space_id), 1e-9
+
+        def trials(plan):
+            rng = plan.rng()
+            for k in range(plan.count):
+                pts_a = sample_finite_points(rng, space, plan)
+                pts_b = sample_finite_points(rng, space, plan)
+                A, B = FiniteSet(pts_a), FiniteSet(pts_b)
+                y = sample_point(rng, space, plan)
+                t = sample_t(rng, space, plan, k)
+                CA = lifted_union(space, A, y, t, conv, tol=tol)
+                CB = lifted_union(space, B, y, t, conv, tol=tol)
+                lhs = hausdorff(space, CA, CB).value
+                rhs = t * hausdorff(space, A, B).value
+                yield lhs - rhs, lambda: {"lhs": lhs, "rhs": rhs}
+
+        for seed in range(1, 51):
+            plan = SamplePlan(count=60, seed=seed)
+            got = check_property(space, "Bdoubleprime", conv, plan, tol=tol)
+            want = first_failure("Bdoubleprime", trials(plan), tol, plan, conv)
+            assert (got.outcome, got.samples) == (want.outcome, want.samples)
+            assert got.max_slack.hex() == want.max_slack.hex()
 
 
 class TestPropertyC:

@@ -7,10 +7,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mclab import (
+    ConfigError,
     DimensionMismatch,
     ExactArithmeticUnsupported,
     PiecewisePoly,
@@ -566,6 +567,30 @@ def test_integral_metric_agrees_with_midpoint_rule():
 def test_space_id_round_trip():
     for sid in ["vec3-p2", "vec5-pinf-exact", "vec4-p1-exact", "vec2-p1.5", "l1fn-exact", "linffn"]:
         assert space_from_id(sid).id == sid
+
+
+_P_TEXT = st.one_of(
+    st.integers(1, 10**20).map(str),
+    st.decimals(1, 10**6, places=12).map(str),
+    st.floats(1, 1e15).map(repr),
+    st.just("inf"),
+)
+
+
+@given(st.integers(1, 9), _P_TEXT, st.booleans())
+@example(1, "56741487426496510", False)
+@settings(max_examples=500, deadline=None)
+def test_every_accepted_space_id_names_its_own_space(dim, p_text, exact):
+    # p written with 6 significant digits named another space: vec3-p1 for
+    # vec3-p1.0000000001, vec2-p1.23457 for vec2-p1.2345678; and the id of
+    # a p the float's shortest decimal gives as 5.674148742649651e+16 was
+    # refused
+    try:
+        space = space_from_id(f"vec{dim}-p{p_text}" + ("-exact" if exact else ""))
+    except ConfigError:
+        return
+    assert space_from_id(space.id) == space
+    assert space_from_id(space.id).label == space.label
 
 
 @pytest.mark.parametrize("tag, p", [("2", 2), ("1.5", 1.5), ("1.10", 1.1), ("2.0", 2)])
