@@ -6,7 +6,11 @@ intersection.  Its shape depends on the metric, and each shape has a closed
 form: a single point for the strictly convex d_p (1 < p < inf), an
 axis-aligned box for d_inf, and a capped simplex for d_1 (the points of the
 coordinate box of x and y whose offsets from x sum to the first radius),
-sampled at its vertices.  A lifted union is kept as the union of its parts.
+sampled at its vertices.  The single point is the chord point
+x + s(y - x), with s the share radii_for(conv, t, 1)[0] of d(x, y): it is
+built from t alone, by one helper, for `midpoint_set`, `unique_midpoint`
+and `chord_points`, so none of them measures a distance.  A lifted union is
+kept as the union of its parts.
 A closed ball of any metric is a `MetricBall`: the fixed-point solvers use
 it as a domain and the nested-family solver as a constraint, and its
 constructor is where a center and radius are validated.
@@ -20,22 +24,23 @@ a float space they are the floats themselves.
 
 Every member of a midpoint set lies on both bounding spheres, and
 `sphere_equivalence_check` is the one route to that check, for the library
-and for the Menger checker alike.  It measures d(x, y) once, for the set
-and its check, and branches once on the space.  A d_inf box is read in its
-frame from per-axis extremes instead of a scan of its 3^n sample grid: over
-the grid, d_inf(z, x) runs from the largest per-axis minimum of |z_i - x_i|
-to the largest per-axis maximum, so the worst sphere gap sits at one of
-four numbers, and only a box that fails is built, and scanned for its
-first point.  An exact d_1 simplex lies on both spheres by its offset
-invariant: it is not scanned, its vertices are not enumerated, and its
-verdict reports `samples` 0.  Every other set is scanned.
+and for the Menger checker alike.  It measures d(x, y) once, since the
+check reads the radii and d, and branches once on the space.  A d_inf box
+is read in its frame from per-axis extremes instead of a scan of its 3^n
+sample grid: over the grid, d_inf(z, x) runs from the largest per-axis
+minimum of |z_i - x_i| to the largest per-axis maximum, so the worst
+sphere gap sits at one of four numbers, and only a box that fails is
+built, and scanned for its first point.  An exact d_1 simplex lies on both
+spheres by its offset invariant: it is not scanned, its vertices are not
+enumerated, and its verdict reports `samples` 0.  Every other set is
+scanned.
 
 A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
 way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
 built one axis at a time as the coordinatewise max of each axis's pairs;
-and it is exactly 0 on an exact d_1 simplex.  A lifted union under a
-strictly convex d_p is the deduplicated `chord_points`, which measures its
-points' distances to y in one `distances` row.
+and it is exactly 0 on an exact d_1 simplex; the defect reads d(x, y), so
+a segment measures it once, chord points included.  A lifted union under a
+strictly convex d_p is the deduplicated `chord_points`.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -66,7 +71,6 @@ from .spaces import (
     check_point,
     distance,
     distance_table,
-    distances,
     vlerp,
 )
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
@@ -426,14 +430,18 @@ def midpoint_set(
     tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
-    ball around y, the radii splitting d(x, y) according to the convention."""
-    d = _endpoint_distance(space, x, y, (t,))
-    return _midpoint_rep(space, x, y, d, *radii_for(conv, t, d), tol)
+    ball around y, the radii splitting d(x, y) according to the convention.
+    Under a strictly convex d_p it is the chord point, and no distance is
+    measured."""
+    _check_endpoints(space, x, y, (t,))
+    d = None if space.unique_midpoints else distance(space, x, y)
+    return _midpoint_rep(space, x, y, t, conv, d, tol)
 
 
-def _endpoint_distance(space: MetricSpace, x, y, ts) -> Scalar:
-    """d(x, y) for the midpoint sets of x and y at each t in `ts`, once the
-    space, the endpoints and every t are checked."""
+def _check_endpoints(space: MetricSpace, x, y, ts) -> None:
+    """Refuse the midpoint sets of x and y at each t in `ts` unless the
+    space has a vector carrier, both endpoints are its points, they are
+    distinct, and every t is a valid parameter."""
     if space.carrier != VECTOR:
         raise MclabError("midpoint sets are implemented for vector carriers")
     check_point(space, x)
@@ -442,7 +450,6 @@ def _endpoint_distance(space: MetricSpace, x, y, ts) -> Scalar:
         raise MclabError("midpoint set needs two distinct endpoints")
     for t in ts:
         _check_parameter(space, t)
-    return distance(space, x, y)
 
 
 def _check_parameter(space: MetricSpace, t: Scalar) -> None:
@@ -456,21 +463,30 @@ def _check_parameter(space: MetricSpace, t: Scalar) -> None:
         )
 
 
-def _midpoint_rep(space: MetricSpace, x, y, d, r1, r2, tol) -> SetRep:
-    """B[x, r1] ∩ B[y, r2] for r1 + r2 = d = d(x, y), with rational radii on
-    an exact space."""
+def _midpoint_rep(space: MetricSpace, x, y, t, conv, d, tol) -> SetRep:
+    """B[x, r1] ∩ B[y, r2] for (r1, r2) = radii_for(conv, t, d) and
+    d = d(x, y), with rational radii on an exact space.  A strictly convex
+    d_p reads no d: its set is the chord point."""
     p = space.p
     if p == math.inf:
-        den, bounds, _ = _sup_frame(space, x, y, r1, r2, tol)
+        den, bounds, _ = _sup_frame(space, x, y, *radii_for(conv, t, d), tol)
         if den is not None:
             bounds = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]
         lower, upper = zip(*bounds)
         return Box(lower, upper)
     if p == 1:
-        return CappedSimplex(tuple(x), tuple(y), r1)
-    # strictly convex case: the intersection is the single point on the
-    # straight chord at distance r1 from x
-    return Singleton(vlerp(x, y, r1 / d))
+        return CappedSimplex(tuple(x), tuple(y), radii_for(conv, t, d)[0])
+    return Singleton(_chord_point(x, y, t, conv))
+
+
+def _chord_point(x, y, t: Scalar, conv: MidConvention):
+    """The one member of a strictly convex midpoint set: the point on the
+    straight chord from x to y at the share of d(x, y) that the first
+    radius takes, radii_for(conv, t, 1)[0], so no distance is read.  The
+    share is written out, t or exactly 1 - t, since `chord_points` calls
+    this once per point.  Every route to a unique midpoint takes it from
+    here."""
+    return vlerp(x, y, t if conv is MidConvention.FROM_X else 1 - t)
 
 
 def _sup_frame(space: MetricSpace, x, y, r1, r2, tol):
@@ -509,12 +525,8 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
     the request is refused rather than silently resolved.
     """
     space.require_unique_midpoints()
-    check_point(space, x)
-    check_point(space, y)
-    if tuple(x) == tuple(y):
-        raise MclabError("unique midpoint needs two distinct endpoints")
-    _check_parameter(space, t)
-    return vlerp(x, y, 1 - t)
+    _check_endpoints(space, x, y, (t,))
+    return _chord_point(x, y, t, MidConvention.FROM_Y)
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +617,9 @@ def sphere_equivalence_check(
     fails, is built and scanned by `_spheres_verdict`, which names its
     first off-sphere point.  The Menger checker runs each of its trials
     through here."""
-    d = _endpoint_distance(space, x, y, (t,))
+    _check_endpoints(space, x, y, (t,))
+    # the check reads r1, r2 and d, so d is measured even for a chord point
+    d = distance(space, x, y)
     r1, r2 = radii_for(conv, t, d)
     if space.p == math.inf:
         den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
@@ -621,7 +635,7 @@ def sphere_equivalence_check(
             )
     elif space.exact and space.p == 1:
         return verdict("SphereEquivalence", HOLDS, conv=conv, samples=0, max_slack=0)
-    rep = _midpoint_rep(space, x, y, d, r1, r2, tol)
+    rep = _midpoint_rep(space, x, y, t, conv, d, tol)
     return _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol)
 
 
@@ -640,11 +654,13 @@ def segment(
     """Sampled segment: one midpoint set per parameter in `t_grid`, each
     refused as `midpoint_set` refuses it and built from one d(x, y)."""
     t_grid = tuple(t_grid)
-    d = _endpoint_distance(space, x, y, t_grid)
+    _check_endpoints(space, x, y, t_grid)
+    # the betweenness defect reads d, so d is measured even for chord points
+    d = distance(space, x, y)
     samples = []
     max_defect = 0
     for t in t_grid:
-        rep = _midpoint_rep(space, x, y, d, *radii_for(conv, t, d), tol)
+        rep = _midpoint_rep(space, x, y, t, conv, d, tol)
         defect = _betweenness_defect(space, x, y, d, rep)
         if defect > max_defect:
             max_defect = defect
@@ -711,26 +727,13 @@ def segment_points(seg: Segment):
 
 def chord_points(space: MetricSpace, points, y, t: Scalar, conv: MidConvention) -> list:
     """The unique midpoint of each point a of `points` with y at t, in
-    order: y itself for a == y, else the chord point at r1 / d(a, y) from
-    a.  One `distances` row measures the points other than y, as
-    `midpoint_set` would measure each.  The radii at d = 1 are exactly the
-    shares of d that they take, so share * d is the r1 that `radii_for`
-    forms."""
+    order: y itself for a == y, which keeps y's bits (a -0.0 coordinate
+    included), else `_chord_point(a, y, t, conv)`, as `midpoint_set` builds
+    it.  No distance is measured."""
     space.require_unique_midpoints()
     _check_parameter(space, t)
     y = tuple(y)
-    points = [tuple(a) for a in points]
-    others = [a for a in points if a != y]
-    row = iter(distances(space, y, others) if others else ())
-    share = radii_for(conv, t, 1)[0]
-    chords = []
-    for a in points:
-        if a == y:
-            chords.append(y)
-        else:
-            d = next(row)
-            chords.append(vlerp(a, y, share * d / d))
-    return chords
+    return [y if a == y else _chord_point(a, y, t, conv) for a in map(tuple, points)]
 
 
 def lifted_union(

@@ -200,8 +200,8 @@ def _check_bdoubleprime(space, conv, plan, tol):
             y = sample_point(rng, space, plan)
             t = sample_t(rng, space, plan, k)
             if space.unique_midpoints:
-                # one chord row for both sets; a repeated point cannot
-                # change a Hausdorff value
+                # one call for both sets' chord points; a repeated point
+                # cannot change a Hausdorff value
                 chords = chord_points(space, (*pts_a, *pts_b), y, t, conv)
                 CA = FiniteSet(tuple(chords[: len(pts_a)]))
                 CB = FiniteSet(tuple(chords[len(pts_a) :]))

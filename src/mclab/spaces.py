@@ -144,11 +144,15 @@ def space_from_id(text: str) -> MetricSpace:
     if m:
         dim = int(m.group(1))
         p = math.inf if m.group(2) == "inf" else float(m.group(2))
-        # the float must be the decimal given, as its shortest decimal (1.10
-        # reads as 1.1) or its own value (an integer p, as `space_id` writes
-        # it); a p that overflows or rounds would name another space
+        # the float must be the decimal given: an integer float its own
+        # value, which `space_id` writes (56741487426496510 reads as
+        # 56741487426496512 and would name a report after that), any other
+        # its shortest decimal (1.10 reads as 1.1) or its own value; a p
+        # that overflows or rounds would name another space
         if m.group(2) != "inf" and (
-            p == math.inf or Decimal(m.group(2)) not in (Decimal(repr(p)), Decimal(p))
+            p == math.inf
+            or Decimal(m.group(2))
+            not in ((Decimal(p),) if p == int(p) else (Decimal(repr(p)), Decimal(p)))
         ):
             raise ConfigError(
                 f"p={m.group(2)} in space id {text!r} does not round-trip "

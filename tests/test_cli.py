@@ -94,6 +94,13 @@ INPUT_ERRORS = {
         "p=1.0000000000000000001 in space id 'vec2-p1.0000000000000000001' does not "
         "round-trip through a float (it reads as 1.0)",
     ),
+    "argv-space-p-integer-rounds": (
+        ["check", "--space", "vec1-p56741487426496510"],
+        {},
+        {},
+        "p=56741487426496510 in space id 'vec1-p56741487426496510' does not round-trip "
+        "through a float",
+    ),
     "argv-unknown-property": (
         ["check", "--space", "vec2-p2", "--props", "A,typo"], {}, {}, "unknown property 'typo'"
     ),

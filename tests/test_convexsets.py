@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from mclab import (
     Box,
     CappedSimplex,
+    DimensionMismatch,
     ExactArithmeticUnsupported,
     FiniteSet,
     MclabError,
@@ -25,6 +27,7 @@ from mclab import (
     Singleton,
     UniqueMidpointUndefined,
     check_menger_convex,
+    check_property,
     constant_fn,
     directed_hausdorff,
     distance,
@@ -41,6 +44,7 @@ from mclab import (
 import mclab.convexsets as convexsets
 from mclab.arith import common_denominator, is_rational, scaled
 from mclab.hausdorff import _nearest as hausdorff_nearest
+from mclab.spaces import vlerp
 from mclab.convexsets import (
     DEFAULT_TOL,
     MAX_SIMPLEX_AXES,
@@ -1110,7 +1114,7 @@ def _strictly_convex_unions(draw):
 
 
 class TestBatchedLiftedUnion:
-    """A strictly convex lifted union from one distance row against one
+    """A strictly convex lifted union from `chord_points` against one
     `midpoint_set` per point: the same points in the same order and types."""
 
     @given(_strictly_convex_unions())
@@ -1170,6 +1174,112 @@ class TestBatchedLiftedUnion:
         if space.exact:
             with pytest.raises(ExactArithmeticUnsupported, match="rational parameter t"):
                 lifted_union(space, Singleton(y), y, 0.25)
+
+
+@st.composite
+def _chord_cases(draw):
+    """(space, x, y, t, conv): two distinct points of dimension 1-4 under
+    d_p for p in {1.5, 2, 3}."""
+    dim = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([1.5, 2, 3]))
+    point = st.lists(_FLOAT, min_size=dim, max_size=dim).map(tuple)
+    x, y = draw(point), draw(point)
+    assume(x != y)
+    t = draw(st.floats(0.02, 0.98))
+    conv = draw(st.sampled_from(list(MidConvention)))
+    return vector_space(dim, p), x, y, t, conv
+
+
+class TestOneChordPoint:
+    """A strictly convex midpoint is one formula: every route to it builds
+    the same bits, and none measures a distance to build it."""
+
+    @given(_chord_cases())
+    # `midpoint_set` took r1 / d and `unique_midpoint` 1 - t: the last bits
+    # differed here, and on 1,835 of 20,000 random d_2 draws
+    @example((vector_space(2, 2), (1.5, 1.75), (1.0, -0.5), 0.1, FY))
+    @settings(max_examples=400, deadline=None)
+    def test_every_route_builds_the_same_point(self, case):
+        space, x, y, t, conv = case
+        point = midpoint_set(space, x, y, t, conv).point
+        checked = []
+        scan = convexsets._spheres_verdict
+
+        def keeping(space, x, y, t, conv, rep, *rest):
+            checked.append(rep.point)
+            return scan(space, x, y, t, conv, rep, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convexsets, "_spheres_verdict", keeping)
+            sphere_equivalence_check(space, x, y, t, conv)
+        routes = [
+            vlerp(x, y, radii_for(conv, t, 1)[0]),
+            *checked,
+            *chord_points(space, [x], y, t, conv),
+            *lifted_union(space, Singleton(x), y, t, conv).points,
+        ]
+        if conv is FY:
+            routes.append(unique_midpoint(space, x, y, t))
+        assert len(routes) == (5 if conv is FY else 4)
+        assert _same_points([point] * len(routes), routes)
+
+    @pytest.mark.parametrize("space_id", ["vec3-p2", "vec2-p1.5"])
+    def test_midpoint_set_measures_no_distance(self, space_id, monkeypatch):
+        space = space_from_id(space_id)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            raise AssertionError("a chord point measures no distance")
+
+        for name in ("distance", "distance_table"):
+            monkeypatch.setattr(convexsets, name, counting)
+        x = tuple(float(i) for i in range(space.dim))
+        y = tuple(c + 1.5 for c in x)
+        for conv in MidConvention:
+            assert type(midpoint_set(space, x, y, 0.25, conv)) is Singleton
+        unique_midpoint(space, x, y, 0.25)
+        assert calls == []
+
+    @pytest.mark.parametrize("space_id", ["vec3-p2", "vec2-p1.5"])
+    @pytest.mark.parametrize(
+        "x, y, t, error, message",
+        [
+            ("x", "x", 0.5, MclabError, "distinct endpoints"),
+            ("x", "y", 0, MclabError, "strictly between 0 and 1"),
+            ("x", "y", 1.0, MclabError, "strictly between 0 and 1"),
+            ("x", "y", -0.5, MclabError, "strictly between 0 and 1"),
+            ("x", (0.0,) * 9, 0.5, DimensionMismatch, "length 9"),
+        ],
+        ids=["equal-endpoints", "t-zero", "t-one", "t-negative", "dimension"],
+    )
+    def test_midpoint_set_keeps_its_refusals(self, space_id, x, y, t, error, message):
+        space = space_from_id(space_id)
+        points = {"x": (0.5,) * space.dim, "y": (1.5,) * space.dim}
+        with pytest.raises(error, match=message):
+            midpoint_set(space, points.get(x, x), points.get(y, y), t)
+
+    def test_a_function_space_midpoint_set_is_refused(self):
+        space = l1_function_space()
+        with pytest.raises(MclabError, match="vector carriers"):
+            midpoint_set(space, constant_fn(0), constant_fn(1), F(1, 2))
+
+    @pytest.mark.parametrize("space_id", ["vec3-p2", "vec2-p1.5"])
+    @pytest.mark.parametrize("prop, calls", [("A", 0), ("Bprime", 80), ("C", 96)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_checker_distance_calls(self, space_id, prop, calls, seed, monkeypatch):
+        # measuring d(x, y) for every chord point made (A) 40, (B') 160 and
+        # (C) 136 calls at count 40; what is left is the checkers' own
+        # distances, which their verdicts read
+        count = []
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "mclab" and vars(mod).get("distance") is distance:
+                monkeypatch.setattr(mod, "distance", lambda *a: count.append(a) or distance(*a))
+        verdict = check_property(
+            space_from_id(space_id), prop, plan=SamplePlan(count=40, seed=seed)
+        )
+        assert verdict.holds and verdict.samples == 40
+        assert len(count) == calls
 
 
 class TestUniqueMidpoint:

@@ -585,10 +585,10 @@ class TestWorkCounts:
         assert len(count) == calls
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_a_float_d2_bdoubleprime_trial_measures_one_chord_row(self, seed, monkeypatch):
-        # (B'') reads only Hausdorff values, and both sets' chords share one
-        # row; two rows per trial and 80-84 witness searches over these
-        # seeds would mean that work is back
+    def test_a_float_d2_bdoubleprime_trial_measures_no_chord_row(self, seed, monkeypatch):
+        # (B'') reads only Hausdorff values, and a chord point is built from
+        # t alone; a chord row per trial (40 here) or 80-84 witness
+        # searches over these seeds would mean that work is back
         module = importlib.import_module("mclab.hausdorff")
         distances, deciding = importlib.import_module("mclab.spaces").distances, module._deciding
         rows, searches = [], []
@@ -609,4 +609,4 @@ class TestWorkCounts:
             space_from_id("vec3-p2"), "Bdoubleprime", plan=SamplePlan(count=40, seed=seed)
         )
         assert verdict.samples == 40
-        assert (len(rows), len(searches)) == (40, 0)
+        assert (len(rows), len(searches)) == (0, 0)

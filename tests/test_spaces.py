@@ -582,15 +582,25 @@ _P_TEXT = st.one_of(
 @settings(max_examples=500, deadline=None)
 def test_every_accepted_space_id_names_its_own_space(dim, p_text, exact):
     # p written with 6 significant digits named another space: vec3-p1 for
-    # vec3-p1.0000000001, vec2-p1.23457 for vec2-p1.2345678; and the id of
-    # a p the float's shortest decimal gives as 5.674148742649651e+16 was
-    # refused
+    # vec3-p1.0000000001, vec2-p1.23457 for vec2-p1.2345678; the id of a p
+    # the float's shortest decimal gives as 5.674148742649651e+16 was
+    # refused; and vec1-p56741487426496510 was accepted as the space whose
+    # id is vec1-p56741487426496512
+    sid = f"vec{dim}-p{p_text}" + ("-exact" if exact else "")
     try:
-        space = space_from_id(f"vec{dim}-p{p_text}" + ("-exact" if exact else ""))
+        space = space_from_id(sid)
     except ConfigError:
         return
     assert space_from_id(space.id) == space
     assert space_from_id(space.id).label == space.label
+    if p_text.isdigit():
+        assert space.id == sid
+
+
+@pytest.mark.parametrize("p_text", ["56741487426496510", "56741487426496510.0"])
+def test_an_integer_p_that_is_not_its_floats_value_is_refused(p_text):
+    with pytest.raises(ConfigError, match="does not round-trip through a float"):
+        space_from_id(f"vec1-p{p_text}")
 
 
 @pytest.mark.parametrize("tag, p", [("2", 2), ("1.5", 1.5), ("1.10", 1.1), ("2.0", 2)])
