@@ -368,11 +368,52 @@ class MetricBall:
         return tuple(c + self.radius for c in self.center)
 
     def project(self, z, d):
-        """z if it lies in the ball, else the point at distance `radius` on the
-        segment from the center to z, for d = d(z, center) as the caller
-        measured it.  This radial step lands in the ball under every d_p but
-        is the nearest point of the ball only for d_2."""
-        return z if d <= self.radius else vlerp(self.center, z, self.radius / d)
+        """z if it lies in the ball, else one Euclidean projection step from
+        z, for d = d(z, center) as the caller measured it.
+
+        Under d_2 the step is radial, to distance `radius` on the segment
+        from the center to z; under d_inf it clamps z into the box [lower,
+        upper]; under d_1 it is the sort-and-threshold projection onto the
+        l1 ball (Duchi et al., ICML 2008).  Each is the nearest point of the
+        ball in the Euclidean norm, and lands in it.  For any other p the
+        step goes to the nearest point of the half-space
+        {w : <g, w - center> <= radius}, with g the gradient of d(., center)
+        at z, which supports the ball where the segment from the center to
+        z crosses its sphere: the half-space contains the ball, but the step
+        lands on its boundary plane, not in the ball.  With u = z - center,
+        g_i = sign(u_i) (|u_i| / d)^(p - 1), the ratio taken first so that
+        it lies in [0, 1] and cannot overflow, and the step is
+        z - ((d - radius) / sum(g_i^2)) g; at p = 2 it is the radial step."""
+        r = self.radius
+        if d <= r:
+            return z
+        c, p = self.center, self.space.p
+        if p == 2:
+            return vlerp(c, z, r / d)
+        if p == math.inf:
+            return tuple([min(max(a, b - r), b + r) for a, b in zip(z, c)])
+        u = [a - b for a, b in zip(z, c)]
+        if p == 1:
+            return tuple([b + v for b, v in zip(c, _l1_shrink(u, r))])
+        g = [math.copysign((abs(v) / d) ** (p - 1), v) for v in u]
+        step = (d - r) / sum([v * v for v in g])
+        return tuple([a - step * v for a, v in zip(z, g)])
+
+
+def _l1_shrink(u, r):
+    """The nearest point to u, in the Euclidean norm, of the l1 ball of
+    radius r around 0, for sum |u_i| > r: every |u_i| shrunk by one
+    threshold theta and clipped at 0, theta taken from the largest
+    magnitudes (Duchi et al., ICML 2008).  Exact on rationals."""
+    mags = sorted([abs(v) for v in u], reverse=True)
+    total = mags[0]
+    theta = total - r
+    for j, m in enumerate(mags[1:], 2):
+        total += m
+        if m * j <= total - r:
+            break
+        theta = (total - r) / j
+    return [v - theta if v > theta else v + theta if v < -theta else 0 for v in u]
 
 
 # not a set representation; kept only because perfbench/tracer.py wraps it at install

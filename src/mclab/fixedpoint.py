@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vector
-from .convexsets import Box, MetricBall, MidConvention, unique_midpoint
+from .convexsets import Box, MetricBall, MidConvention, midpoint_set
 from .errors import DomainEscape, MclabError, SolverFailure
 from .sampling import HIGH, LOW, SamplePlan
 from .spaces import MetricSpace, check_point, distance, distances
@@ -516,7 +516,8 @@ def find_fixed_point(
 def midpoint_map(
     space: MetricSpace, y, t: Scalar, conv: MidConvention = MidConvention.FROM_Y
 ):
-    """Single-valued midpoint map x -> m(x, y, t); requires 1 < p < inf.
+    """Single-valued midpoint map x -> m(x, y, t), the one point of
+    `midpoint_set(space, x, y, t, conv)`; requires 1 < p < inf.
 
     Under the FROM_Y convention the map contracts with factor t.  The common
     point is fixed exactly: the two balls around y both have radius zero, so
@@ -528,9 +529,7 @@ def midpoint_map(
     def mapping(x):
         if tuple(x) == yt:
             return yt
-        return unique_midpoint(space, x, yt, t) if conv is MidConvention.FROM_Y else (
-            unique_midpoint(space, x, yt, 1 - t)
-        )
+        return midpoint_set(space, x, yt, t, conv).point
 
     return mapping
 

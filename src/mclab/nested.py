@@ -2,21 +2,27 @@
 
 Sets are stored intensionally as lists of `MetricBall`s of one space, whose
 constructor validates each center and radius, and never enumerated.
-Feasibility is established by cyclic projection over all ball constraints,
-each step being `MetricBall.project`, a radial step toward the center, with
-each distance from the current point to a center measured once.  A
-family whose diameter estimates vanish admits a unique common point up to
-the final diameter; this is checked by restarting the solver from a second
-start.
+Feasibility is established by cyclic projection over all ball constraints.
+Each step is `MetricBall.project`, one Euclidean projection step per
+metric: onto the ball itself under d_1, d_2 and d_inf, onto a supporting
+half-space of it for any other p.  Every d_p ball is a convex subset of
+R^n, so the cyclic steps converge, also when over-relaxed by a factor in
+(0, 2) (Bauschke & Borwein, SIAM Review 1996; Censor & Lent, Math.
+Programming 1982); from the second sweep on each step is over-relaxed.
+Each distance from the current point to a center is measured once per
+position of the point.  A family whose diameter estimates vanish admits a
+unique common point up to the final diameter; this is checked by
+restarting the solver from a second start.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import parse_scalar, parse_vector
 from .convexsets import MetricBall
 from .errors import NestingError, SolverFailure
-from .spaces import MetricSpace, distance, vadd
+from .spaces import MetricSpace, distance, vadd, vlerp
 
 
 @dataclass(frozen=True)
@@ -77,28 +83,48 @@ def _worst_gap(balls, dists):
 
 _MAX_SWEEPS = 10_000  # the sweep budget of the cyclic projection
 
+# Every step from the second sweep on is over-relaxed by this factor, which
+# cyclic projections onto convex sets tolerate anywhere in (0, 2); a float
+# space takes it as a float.
+_RELAX = Fraction(9, 5)
+
+# Sweeps without a new best violation before the search is declared stalled.
+# An over-relaxed search can go a few dozen sweeps without a new best on a
+# thin feasible intersection before it improves again, so a shorter
+# patience declares feasible random families stalled.
+_PATIENCE = 50
+
 
 def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6, start=None):
     """Point satisfying every ball constraint within tol, found by cyclic
-    projection (Bauschke & Borwein, SIAM Review 1996).  Raises SolverFailure
-    with the worst violation when the sweeps stall or the budget runs out
-    (infeasible input).
+    projection (Bauschke & Borwein, SIAM Review 1996), one
+    `MetricBall.project` step per violated ball.  The first sweep takes
+    each step as it is, so a family that one sweep solves gets the plain
+    projection; from the second sweep on each step is over-relaxed by
+    `_RELAX`, z <- z + _RELAX (w - z).  Every returned point meets tol by
+    its measured distances.  Raises SolverFailure when `_PATIENCE` sweeps
+    pass without a new best violation or the `_MAX_SWEEPS` budget runs out
+    (infeasible input, or a search that failed); its certificate holds
+    the sweeps run and the point of the smallest violation seen, with that
+    violation.
 
     Each d(z, c_i) is measured once per position of z: a projection that
     leaves z where it is keeps its distance for the violation pass, and the
     violation pass's distances serve the next sweep until z moves."""
     z = tuple(start) if start is not None else family.sets[0][0].center
     balls = tuple(family.all_balls())
+    relax = _RELAX if space.exact else float(_RELAX)
     known = [None] * len(balls)  # d(z, c_i) at the current z, where measured
-    best_violation = None
+    best = None  # (violation, point, first ball attaining it), smallest yet
     stalled = 0
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         for i, ball in enumerate(balls):
             d = known[i]
             if d is None:
                 d = known[i] = distance(space, z, ball.center)
             if not d <= ball.radius:
-                z = ball.project(z, d)
+                w = ball.project(z, d)
+                z = w if sweep == 1 else vlerp(z, w, relax)
                 known = [None] * len(balls)
         known = [
             distance(space, z, ball.center) if d is None else d
@@ -107,25 +133,34 @@ def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6, st
         violation, worst_ball = _worst_gap(balls, known)
         if violation <= tol:
             return z
-        if best_violation is not None and violation >= best_violation - 1e-15:
+        if best is not None and violation >= best[0] - 1e-15:
             stalled += 1
-            if stalled >= 5:
+            if stalled >= _PATIENCE:
                 raise SolverFailure(
                     "cyclic projection stalled above tolerance",
-                    certificate={
-                        "violation": violation,
-                        "ball_center": worst_ball.center,
-                        "ball_radius": worst_ball.radius,
-                    },
+                    certificate=_failure_certificate(best, sweep),
                 )
         else:
             stalled = 0
-        if best_violation is None or violation < best_violation:
-            best_violation = violation
+        if best is None or violation < best[0]:
+            best = (violation, z, worst_ball)
     raise SolverFailure(
         "cyclic projection exhausted its sweep budget",
-        certificate={"violation": best_violation},
+        certificate=_failure_certificate(best, _MAX_SWEEPS),
     )
+
+
+def _failure_certificate(best, sweeps):
+    """What a failed search did: its sweeps, and the point of the smallest
+    violation it saw, with that violation and the first ball attaining it."""
+    violation, point, ball = best
+    return {
+        "violation": violation,
+        "ball_center": ball.center,
+        "ball_radius": ball.radius,
+        "sweeps": sweeps,
+        "point": point,
+    }
 
 
 def cantor_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):

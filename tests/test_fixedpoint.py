@@ -31,6 +31,7 @@ from mclab import (
     find_fixed_point,
     make_asymptotic_functional,
     midpoint_map,
+    midpoint_set,
     orbit,
     semigroup_compose,
     vector_space,
@@ -643,6 +644,22 @@ class TestSemigroup:
             conv=MidConvention.FROM_X,
         )
         assert abs(report.lipschitz_estimate - 0.75) <= 1e-9
+
+    @given(
+        st.sampled_from([1.5, 2, 3]),
+        st.sampled_from(list(MidConvention)),
+        st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+        st.floats(0.02, 0.98),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_map_is_the_midpoint_set_point_bit_for_bit(self, p, conv, coords, t):
+        space = vector_space(3, p)
+        x, y = tuple(coords[:3]), tuple(coords[3:])
+        if x == y:
+            return
+        got = midpoint_map(space, y, t, conv)(x)
+        want = midpoint_set(space, x, y, t, conv).point
+        assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 class TestMappingJson:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -18,7 +19,9 @@ from mclab import (
     vector_space,
 )
 import mclab.nested as nested
+from mclab.cli import main
 from mclab.nested import family_from_json, max_violation
+from mclab.spaces import vlerp
 
 SP2 = vector_space(2, 2)
 
@@ -75,7 +78,11 @@ class TestCommonPoint:
         )
         with pytest.raises(SolverFailure) as err:
             common_point(SP2, family, tol=1e-6)
-        assert err.value.certificate["violation"] >= 1.0
+        cert = err.value.certificate
+        assert cert["violation"] >= 1.0
+        assert 0 < cert["sweeps"] <= nested._MAX_SWEEPS
+        # the point is the best one seen, and its violation the one reported
+        assert max_violation(SP2, family, cert["point"])[0] == cert["violation"]
 
 
 def _feasible_families(space, count, seed):
@@ -97,14 +104,34 @@ def _feasible_families(space, count, seed):
 def _measure_every_sweep(space, family, tol, measure):
     """`common_point` from the first center as a cyclic projection that
     measures every d(z, c_i) in every sweep, in its projections and again
-    in its violation pass, with `measure` as the distance."""
+    in its violation pass, with `measure` as the distance; its steps are
+    `ball.project`, over-relaxed and judged stalled by the solver's own
+    constants."""
     z = family.sets[0][0].center
     balls = tuple(family.all_balls())
-    best_violation = None
+    relax = nested._RELAX if space.exact else float(nested._RELAX)
+    best = None
     stalled = 0
-    for _ in range(nested._MAX_SWEEPS):
+
+    def failure(message, sweeps):
+        violation, point, ball = best
+        return SolverFailure(
+            message,
+            certificate={
+                "violation": violation,
+                "ball_center": ball.center,
+                "ball_radius": ball.radius,
+                "sweeps": sweeps,
+                "point": point,
+            },
+        )
+
+    for sweep in range(1, nested._MAX_SWEEPS + 1):
         for ball in balls:
-            z = ball.project(z, measure(space, z, ball.center))
+            d = measure(space, z, ball.center)
+            if d > ball.radius:
+                w = ball.project(z, d)
+                z = w if sweep == 1 else vlerp(z, w, relax)
         violation, worst_ball = 0, None
         for ball in balls:
             gap = measure(space, z, ball.center) - ball.radius
@@ -112,25 +139,79 @@ def _measure_every_sweep(space, family, tol, measure):
                 violation, worst_ball = gap, ball
         if violation <= tol:
             return z
-        if best_violation is not None and violation >= best_violation - 1e-15:
+        if best is not None and violation >= best[0] - 1e-15:
             stalled += 1
-            if stalled >= 5:
-                raise SolverFailure(
-                    "cyclic projection stalled above tolerance",
-                    certificate={
-                        "violation": violation,
-                        "ball_center": worst_ball.center,
-                        "ball_radius": worst_ball.radius,
-                    },
-                )
+            if stalled >= nested._PATIENCE:
+                raise failure("cyclic projection stalled above tolerance", sweep)
         else:
             stalled = 0
-        if best_violation is None or violation < best_violation:
-            best_violation = violation
-    raise SolverFailure(
-        "cyclic projection exhausted its sweep budget",
-        certificate={"violation": best_violation},
+        if best is None or violation < best[0]:
+            best = (violation, z, worst_ball)
+    raise failure("cyclic projection exhausted its sweep budget", nested._MAX_SWEEPS)
+
+
+class TestFeasibleFamiliesAreSolved:
+    """Every feasible family of the random recipe gets a common point: each
+    step is a Euclidean projection onto a ball (d_1, d_2, d_inf) or onto a
+    supporting half-space of it, never a stall on a feasible family."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    def test_two_hundred_random_families(self, p, seed):
+        space = vector_space(3, p)
+        for family in _feasible_families(space, 200, seed):
+            pt = common_point(space, family, tol=1e-6)
+            violation, _ = max_violation(space, family, pt)
+            assert violation <= 1e-6
+
+    # the d_1.5 family that spent a whole 10,000-sweep budget on radial steps
+    THIN_FAMILY = [[
+        {"center": [-1.2660596413697824, -0.3585260118633782, -0.9488562337575086],
+         "radius": 2.003810228736702},
+        {"center": [0.2860088011530064, 0.9058390317256313, -0.9754508233297807],
+         "radius": 0.6280385341697331},
+        {"center": [1.831324690987358, -1.1379813624399029, 0.8522822547558495],
+         "radius": 3.1932181437647733},
+        {"center": [-0.9392378598623328, 0.13065096977542234, -1.6920504383053259],
+         "radius": 1.8476518483512294},
+    ]]
+
+    # rational families on which radial steps stall
+    @pytest.mark.parametrize(
+        "p, balls",
+        [
+            (1, [
+                ((F(-1, 4), F(-1), F(13, 8)), F(719, 250)),
+                ((F(5, 4), F(-3, 8), F(-3, 8)), F(2001, 1000)),
+                ((F(-7, 8), F(9, 8), F(-3, 4)), F(2251, 1000)),
+                ((F(-1), F(-1, 2), F(-1, 2)), F(501, 1000)),
+            ]),
+            (math.inf, [
+                ((F(9, 8), F(7, 4), F(-7, 8)), F(813, 500)),
+                ((F(-11, 8), F(-3, 2), F(-15, 8)), F(813, 500)),
+                ((F(9, 8), F(1, 4), F(-13, 8)), F(1251, 1000)),
+                ((F(-1, 4), F(7, 8), F(1, 8)), F(751, 1000)),
+            ]),
+        ],
+        ids=["vec3-p1-exact", "vec3-pinf-exact"],
     )
+    def test_exact_family_stays_rational(self, p, balls):
+        space = vector_space(3, p, exact=True)
+        family = family_of_balls([[MetricBall(space, c, r) for c, r in balls]])
+        pt = common_point(space, family, tol=1e-6)
+        assert all(isinstance(c, F) for c in pt)
+        violation, _ = max_violation(space, family, pt)
+        assert violation <= 1e-6
+        if p == math.inf:
+            assert violation == 0
+
+    def test_thin_family_from_the_command_line(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(self.THIN_FAMILY))
+        argv = ["nested", str(path), "--space", "vec3-p1.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "nested.json").read_text())
+        assert report["result"]["max_violation"] <= 1e-6
 
 
 def _outcome(solve):
