@@ -211,6 +211,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         "orbit_radius": result.orbit_radius,
         "evaluations": result.evaluations,
         "converged": result.converged,
+        "method": result.method,
     }
     md = (
         "# Fixed point\n\n"
@@ -218,6 +219,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         f"- residual: {fmt_value(result.residual)}\n"
         f"- functional value: {fmt_value(result.f_value)}\n"
         f"- orbit radius: {fmt_value(result.orbit_radius)}\n"
+        f"- method: {result.method}\n"
         f"- converged: {result.converged}\n"
     )
     line = (

@@ -8,14 +8,19 @@ A mapping T on a subset U is (alpha, beta)-generalized hybrid when
 for all x, y in U, with alpha outside (0, 1) and beta in [0, 1].  The class
 contains nonexpansive mappings at (1, 0) and metrically nonspreading
 mappings at (2, 1).  When some orbit is bounded, the tail of the orbit
-defines a functional whose minimiser is a fixed point; the functional is
-minimised here by a deterministic derivative-free pattern search.  The orbit
-stops iterating at its first exact repeat, whose cycle gives every later
-point.  The functional is evaluated over the distinct tail points only: an
-orbit that has reached a float fixed point or cycle repeats a few points
-many times, and equal points give equal distances, so the maximum over the
-distinct points in order of first occurrence is the maximum over the whole
-tail, bit for bit.
+defines a functional whose minimiser, the asymptotic center, is a fixed
+point.  The orbit stops iterating at its first exact repeat, whose cycle
+gives every later point.  The functional is evaluated over the distinct tail
+points only: an orbit that has reached a float fixed point or cycle repeats
+a few points many times, and equal points give equal distances, so the
+maximum over the distinct points in order of first occurrence is the
+maximum over the whole tail, bit for bit.
+
+The minimiser is taken in closed form where one exists: the point itself
+for a one-point tail, the midpoint for a two-point tail under any p, and
+the midpoint of the tail's bounding box under d_inf.  Otherwise (d_1 or
+1 < p < inf, with three or more distinct tail points) a deterministic
+derivative-free compass search minimises the functional.
 
 The search only asks whether a candidate beats the best value so far by a
 margin, so it hands that threshold to the functional, which abandons a
@@ -36,7 +41,7 @@ from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vect
 from .convexsets import Box, MetricBall, MidConvention, midpoint_set
 from .errors import DomainEscape, MclabError, SolverFailure
 from .sampling import HIGH, LOW, SamplePlan
-from .spaces import MetricSpace, check_point, distance, distances
+from .spaces import MetricSpace, check_point, distance, distances, vlerp
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 
@@ -469,6 +474,39 @@ class FixedPointResult:
     orbit_radius: Scalar
     evaluations: int
     converged: bool
+    method: str  # one of the METHOD_* names: how the minimiser was found
+
+
+METHOD_SINGLE = "single-point"
+METHOD_TWO_POINT = "two-point-midpoint"
+METHOD_BOX = "box-midpoint"
+METHOD_SEARCH = "compass-search"
+
+
+def closed_form_center(space: MetricSpace, F: AsymptoticFunctional, domain: Domain):
+    """(point, method) minimising the tail functional where it has a closed
+    form and the point lies in `domain`, else None.
+
+    One distinct tail point z: z, with value 0.  Two points a, b, any p:
+    the midpoint, since no point is nearer than d(a, b)/2 to both.  Under
+    d_inf, any tail: the midpoint of the tail's bounding box, since on each
+    axis no point is nearer than half the box's width to both ends.  On a
+    float space the point has float coordinates, also where a tail point
+    carries an int bound of a box projection."""
+    tail = F.distinct_tail
+    half = Fraction(1, 2) if space.exact else 0.5
+    if len(tail) == 1:
+        point, method = tail[0], METHOD_SINGLE
+    elif len(tail) == 2:
+        point, method = vlerp(tail[0], tail[1], half), METHOD_TWO_POINT
+    elif space.p == math.inf:
+        axes = list(zip(*tail))
+        point, method = vlerp(map(min, axes), map(max, axes), half), METHOD_BOX
+    else:
+        return None
+    if not space.exact:
+        point = tuple(map(float, point))
+    return (point, method) if domain.contains(point, DOMAIN_TOL) else None
 
 
 def find_fixed_point(
@@ -484,20 +522,33 @@ def find_fixed_point(
     """Minimise the orbit-tail functional over the domain and report the
     minimiser with its residual d(T u, u).
 
+    The minimiser is taken in closed form (`closed_form_center`) when the
+    tail has one or two distinct points, or the metric is d_inf, and the
+    point lies in the domain; it then costs no evaluations.  Otherwise
+    (1 < p < inf or d_1, with three or more distinct tail points) a compass
+    search minimises the functional.  `method` says which was taken.
+
     Callers are expected to have verified the hybrid inequality first.  A
     result with residual above `tol` is returned with converged=False rather
-    than silently accepted.
+    than silently accepted: a one-point tail is a fixed point only when the
+    orbit has settled on it.
     """
     F = make_asymptotic_functional(space, spec, x0, orbit_n, window, rmax)
 
-    u0, f_val, evals = pattern_search(
-        lambda z, threshold: _tail_value(space, F, z, threshold),
-        spec.domain.lower,
-        spec.domain.upper,
-        feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
-        budget=budget,
-        xtol=min(tol * 1e-3, 1e-9),
-    )
+    closed = closed_form_center(space, F, spec.domain)
+    if closed is not None:
+        u0, method = closed
+        f_val, evals = _tail_value(space, F, u0, None), 0
+    else:
+        method = METHOD_SEARCH
+        u0, f_val, evals = pattern_search(
+            lambda z, threshold: _tail_value(space, F, z, threshold),
+            spec.domain.lower,
+            spec.domain.upper,
+            feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
+            budget=budget,
+            xtol=min(tol * 1e-3, 1e-9),
+        )
     residual = distance(space, spec.apply(u0), u0)
     return FixedPointResult(
         point=u0,
@@ -506,6 +557,7 @@ def find_fixed_point(
         orbit_radius=F.radius,
         evaluations=evals,
         converged=residual <= tol,
+        method=method,
     )
 
 

@@ -219,11 +219,12 @@ class Negation:
         return tuple(-c for c in x)
 
 
-def _signed_permutation_contraction(seed: int, dom: str):
+def _signed_permutation_contraction(seed: int, dom: str, space=vector_space(3, 2)):
     """(spec, x0): x -> A x + b on R^3 with A a signed permutation times a
     diagonal with entries in (0.1, 0.9), fixed point in [-3, 3]^3, on a
-    ball, a box or the whole space; float orbits of these maps often end in
-    a cycle of points that differ in the last place."""
+    ball of `space`, a box or the whole space, as the perfbench `solvers`
+    maps are drawn; float orbits of these maps often end in a cycle of
+    points that differ in the last place."""
     rng = random.Random(seed)
     perm = list(range(3))
     rng.shuffle(perm)
@@ -238,7 +239,7 @@ def _signed_permutation_contraction(seed: int, dom: str):
     shift = (1 - max(diag)) * rng.random() / 3
     center = tuple(x + shift * rng.uniform(-1, 1) for x in xstar)
     domain = {
-        "ball": MetricBall(vector_space(3, 2), center, 2.0),
+        "ball": MetricBall(space, center, 2.0),
         "box": Box(tuple(c - 2 for c in center), tuple(c + 2 for c in center)),
         "all": WholeSpace(3),
     }[dom]
@@ -596,6 +597,143 @@ class TestFindFixedPoint:
     def test_a_start_the_map_fixes_has_float_radius_zero(self):
         result = find_fixed_point(SP2, rotation_spec(), (0.0, 0.0), budget=50)
         assert repr(result.orbit_radius) == "0.0"
+
+
+# the golden `fixedpoint-cycle2` map, whose float orbit ends in a 2-cycle
+_CYCLE2 = (
+    Affine(((-0.59, 0, 0), (0, 0, -0.46), (0, 0.83, 0)), (-2.86, 2.01, -3.47)),
+    (-1.76, 2.51, -1.29),
+)
+
+
+def _search(space, spec, F, tol=1e-6):
+    """(point, value, evaluations) of the compass search that
+    `find_fixed_point` runs when no closed form applies."""
+    return pattern_search(
+        lambda z, threshold: _tail_value(space, F, z, threshold),
+        spec.domain.lower,
+        spec.domain.upper,
+        feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
+        xtol=min(tol * 1e-3, 1e-9),
+    )
+
+
+@dataclass(frozen=True)
+class PuncturedSquare:
+    """[-1, 1]^dim without the open cube of half-width 0.1 about the origin."""
+
+    dim: int
+
+    def contains(self, z, tol: float = 0) -> bool:
+        return max(map(abs, z)) <= 1 + tol and max(map(abs, z)) >= 0.1 - tol
+
+    @property
+    def lower(self):
+        return (-1.0,) * self.dim
+
+    @property
+    def upper(self):
+        return (1.0,) * self.dim
+
+
+class TestClosedFormCenter:
+    """One- and two-point tails, and d_inf tails, take the asymptotic center
+    in closed form with no search."""
+
+    def test_halving_map_gives_its_fixed_point(self):
+        spec = MappingSpec(Affine(((0.5, 0), (0, 0.5)), (0.5, 0.5)), WholeSpace(2))
+        result = find_fixed_point(SP2, spec, (-3.0, 3.0))
+        assert result.point == (1.0, 1.0)
+        assert (result.evaluations, result.residual, result.f_value) == (0, 0.0, 0.0)
+        assert result.method == "single-point" and result.converged
+
+    def test_one_point_tail_of_an_unsettled_orbit_is_not_a_fixed_point(self):
+        space = vector_space(3, 2)
+        spec = _unsettled_contraction()
+        orb = orbit(space, spec, (3.0, -2.0, 1.0), 64)
+        result = find_fixed_point(space, spec, (3.0, -2.0, 1.0), orbit_n=64, window=1)
+        last = orb.points[-1]
+        assert result.point == last and result.method == "single-point"
+        assert result.residual == distance(space, spec.apply(last), last) > 1e-6
+        assert not result.converged
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    def test_two_point_cycle_takes_the_midpoint(self, p):
+        space = vector_space(3, p)
+        mapping, center = _CYCLE2
+        spec = MappingSpec(mapping, MetricBall(space, center, 2.0))
+        F = make_asymptotic_functional(space, spec, center)
+        assert len(F.distinct_tail) == 2
+        result = find_fixed_point(space, spec, center)
+        a, b = F.distinct_tail
+        assert result.point == tuple(x + 0.5 * (y - x) for x, y in zip(a, b))
+        assert (result.method, result.evaluations) == ("two-point-midpoint", 0)
+        assert result.f_value == asymptotic_center(space, F, result.point)
+        assert result.f_value <= _search(space, spec, F)[1]
+        assert result.converged
+
+    def test_seventh_turn_rotation_under_d_inf_takes_the_box_midpoint(self):
+        space = vector_space(2, math.inf)
+        spec = MappingSpec(Rotation(2 * math.pi / 7), MetricBall(space, (0.0, 0.0), 1.0))
+        F = make_asymptotic_functional(space, spec, (1.0, 0.0))
+        assert len(F.distinct_tail) == 32
+        result = find_fixed_point(space, spec, (1.0, 0.0))
+        axes = list(zip(*F.distinct_tail))
+        assert result.point == tuple(
+            lo + 0.5 * (hi - lo) for lo, hi in zip(map(min, axes), map(max, axes))
+        )
+        assert (result.method, result.evaluations) == ("box-midpoint", 0)
+        assert result.f_value <= _search(space, spec, F)[1]
+
+    def test_float_space_reports_float_coordinates(self):
+        # the clamp of the start carries the box projection's int bounds
+        spec = MappingSpec(BoxProjection((0, 0), (1, 1)), Box((-3.0, -3.0), (3.0, 3.0)))
+        F = make_asymptotic_functional(SP2, spec, (2.5, -1.5))
+        assert F.distinct_tail == ((1, 0),) and type(F.distinct_tail[0][0]) is int
+        result = find_fixed_point(SP2, spec, (2.5, -1.5))
+        assert [_bits(c) for c in result.point] == [_bits(1.0), _bits(0.0)]
+        assert result.residual == 0.0 and result.method == "single-point"
+
+    def test_exact_space_takes_the_exact_midpoint(self):
+        space = vector_space(1, 1, exact=True)
+        spec = MappingSpec(Negation(), WholeSpace(1))
+        result = find_fixed_point(space, spec, (Fraction(3, 4),))
+        assert result.point == (Fraction(0),) and type(result.point[0]) is Fraction
+        assert result.method == "two-point-midpoint"
+        assert result.f_value == Fraction(3, 8) and result.residual == 0
+
+    def test_midpoint_outside_the_domain_goes_to_the_search(self):
+        spec = MappingSpec(Negation(), PuncturedSquare(2))
+        result = find_fixed_point(SP2, spec, (0.5, -0.25))
+        assert result.method == "compass-search" and result.evaluations > 0
+        assert spec.domain.contains(result.point, DOMAIN_TOL)
+        assert not result.converged
+
+    def test_search_runs_where_no_closed_form_exists(self):
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0))
+        assert (result.method, result.evaluations) == ("compass-search", 129)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    @pytest.mark.parametrize("dom", ["ball", "box", "all"])
+    def test_closed_form_never_changes_an_outcome_or_loses_value(self, p, dom):
+        space = vector_space(3, p)
+        methods = set()
+        for seed in range(40):
+            spec, x0 = _signed_permutation_contraction(seed, dom, space)
+            F = make_asymptotic_functional(space, spec, x0)
+            result = find_fixed_point(space, spec, x0)
+            point, value, evaluations = _search(space, spec, F)
+            methods.add(result.method)
+            if result.method == "compass-search":
+                assert (result.point, result.f_value) == (point, value)
+                assert result.evaluations == evaluations
+                continue
+            residual = distance(space, spec.apply(point), point)
+            assert result.converged == (residual <= 1e-6)
+            assert result.f_value <= value
+            assert result.evaluations == 0
+        closed = {"single-point", "two-point-midpoint"}
+        assert closed | {"box-midpoint" if p == math.inf else "compass-search"} == methods
 
 
 class TestSemigroup:
