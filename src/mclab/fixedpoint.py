@@ -395,7 +395,7 @@ def make_asymptotic_functional(
 
 
 # --------------------------------------------------------------------------
-# pattern search minimisation
+# minimising the tail functional: closed forms, else a compass search
 
 
 def pattern_search(

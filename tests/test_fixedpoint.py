@@ -625,7 +625,7 @@ class PuncturedSquare:
     dim: int
 
     def contains(self, z, tol: float = 0) -> bool:
-        return max(map(abs, z)) <= 1 + tol and max(map(abs, z)) >= 0.1 - tol
+        return 0.1 - tol <= max(map(abs, z)) <= 1 + tol
 
     @property
     def lower(self):
