@@ -64,6 +64,16 @@ def _finish(cfg: RunConfig, name: str, payload, md: str, line: str, ok: bool) ->
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _fail(cfg: RunConfig, name: str, payload: dict, exc: MclabError, md: str) -> int:
+    """Write the reports `name` of a run that failed with `exc`: its message
+    as `error`, and its `certificate` when it has one."""
+    payload["error"] = str(exc)
+    cert = getattr(exc, "certificate", None)
+    if cert:
+        payload["certificate"] = cert
+    return _finish(cfg, name, payload, md, f"{name}: {exc}", False)
+
+
 def cmd_reproduce(args, cfg: RunConfig) -> int:
     if args.fixture not in FIXTURES:
         raise ConfigError(f"unknown fixture {args.fixture!r}; known: {sorted(FIXTURES)}")
@@ -201,18 +211,9 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
             rmax=cfg.fp_rmax,
         )
     except (SolverFailure, DomainEscape) as exc:
-        payload["error"] = str(exc)
         md = f"# Fixed point\n\nSolver failed: {exc}\n"
-        return _finish(cfg, "fixedpoint", payload, md, f"fixedpoint: {exc}", False)
-    payload["result"] = {
-        "point": list(result.point),
-        "residual": result.residual,
-        "f_value": result.f_value,
-        "orbit_radius": result.orbit_radius,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-        "method": result.method,
-    }
+        return _fail(cfg, "fixedpoint", payload, exc, md)
+    payload["result"] = vars(result)
     md = (
         "# Fixed point\n\n"
         f"- point: {fmt_value(result.point)}\n"
@@ -242,13 +243,9 @@ def cmd_nested(args, cfg: RunConfig) -> int:
             point = cantor_point(space, family, tol=cfg.fp_tol)
         else:
             point = common_point(space, family, tol=cfg.fp_tol)
-    except (SolverFailure, MclabError) as exc:
-        payload["error"] = str(exc)
-        cert = getattr(exc, "certificate", None)
-        if cert:
-            payload["certificate"] = cert
+    except MclabError as exc:
         md = f"# Nested family\n\nFailed: {exc}\n"
-        return _finish(cfg, "nested", payload, md, f"nested: {exc}", False)
+        return _fail(cfg, "nested", payload, exc, md)
     violation, _ = max_violation(space, family, point)
     payload["result"] = {"point": list(point), "max_violation": violation}
     md = (

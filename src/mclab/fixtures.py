@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .convexsets import Box, MidConvention, midpoint_set
 from .properties import check_betweenness, check_property
-from .reports import to_json
 from .sampling import SamplePlan
 from .spaces import (
     PiecewisePoly,
@@ -48,20 +47,12 @@ class FixtureReport:
         return all(c.ok for c in self.claims)
 
     def to_json(self) -> dict:
-        return to_json({
+        return {
             "fixture": self.name,
             "description": self.description,
             "ok": self.ok,
-            "claims": [
-                {
-                    "label": c.label,
-                    "ok": c.ok,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                }
-                for c in self.claims
-            ],
-        })
+            "claims": [vars(c) for c in self.claims],
+        }
 
 
 def _claim(label, lhs, rhs) -> Claim:

@@ -1,7 +1,6 @@
 """Deterministic report emission: stable JSON bytes plus a Markdown summary."""
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -9,48 +8,15 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 
-def to_json(value):
-    """JSON form of a report value: tuples become lists, integral rationals
-    ints and other rationals 'num/den' strings, floats are rounded to 12
-    significant digits; anything else is returned unchanged."""
-    if isinstance(value, dict):
-        return {k: to_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json(v) for v in value]
-    if isinstance(value, Fraction):
-        return _rational_json(value)
-    if isinstance(value, float):
-        return _round12(value)
-    return value
-
-
-def _rational_json(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
-class _NotEncoded(Exception):
-    """A value the one-pass encoder leaves to `json`."""
-
-
 def stable_json_dumps(obj) -> str:
-    """`json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"`, byte for
-    byte, built in one recursive pass over `obj` without the copy that
-    `to_json` makes or the pure-Python path that `json` takes for `indent`.
+    """The bytes of a JSON report: keys sorted, two-space indentation, a
+    trailing newline; floats at 12 significant digits, rationals as ints or
+    'num/den' strings, tuples as lists.  This is the package's one encoder.
 
-    Values other than dicts with str keys, lists, tuples, str, bool, None,
-    int, Fraction and float are left to `json`, which encodes or rejects
-    them as that expression does."""
+    A value with no JSON form, or a dict key that is not a str, raises
+    TypeError."""
     out = []
-    try:
-        _encode(obj, "\n", out)
-    except _NotEncoded:
-        return json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n"
+    _encode(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 
@@ -61,13 +27,14 @@ def _encode(value, newline: str, out: list) -> None:
     if isinstance(value, str):
         out.append(_quote(value))
     elif isinstance(value, float):
-        out.append(_float_text(_round12(value)))
+        out.append(_float_text(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
-        if not all(isinstance(key, str) for key in value):
-            raise _NotEncoded
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"a report key must be a str, not {key!r}")
         inner = newline + "  "
         opener = "{"
         for key in sorted(value):
@@ -95,16 +62,19 @@ def _encode(value, newline: str, out: list) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, Fraction):
-        _encode(_rational_json(value), newline, out)
+        if value.denominator == 1:
+            out.append(int.__repr__(value.numerator))
+        else:
+            out.append(f'"{value.numerator}/{value.denominator}"')
     else:
-        raise _NotEncoded
+        raise TypeError(f"{type(value).__name__} has no JSON form: {value!r}")
 
 
 def _float_text(value: float) -> str:
-    """How `json` writes a float: `float.__repr__`, or its names for NaN and
-    the infinities."""
+    """A float rounded to 12 significant digits, written as `json` writes
+    it: `float.__repr__`, or its names for NaN and the infinities."""
     if math.isfinite(value):
-        return float.__repr__(value)
+        return float.__repr__(float(f"{value:.12g}"))
     if value != value:
         return "NaN"
     return "Infinity" if value > 0 else "-Infinity"

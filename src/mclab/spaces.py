@@ -271,10 +271,6 @@ def _vector_distance(space: MetricSpace, a, b) -> Scalar:
         check_point(space, a)
         check_point(space, b)
     if space.exact:
-        if p not in _EXACT_P_VALUES:
-            raise ExactArithmeticUnsupported(
-                f"exact arithmetic supports p in {{1, inf}}, not p={p}"
-            )
         # integer differences over one common denominator: one Fraction is
         # built at the end instead of one per coordinate step
         den = common_denominator((*a, *b))

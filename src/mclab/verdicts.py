@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Scalar
-from .reports import to_json
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -58,7 +57,7 @@ class PropertyVerdict:
             "reason": self.reason,
         }
         out.update((key, value) for key, value in optional.items() if value is not None)
-        return to_json(out)
+        return out
 
 def verdict(name, outcome, plan=None, conv=None, **kw) -> PropertyVerdict:
     """A verdict on property `name`, recording the sample plan's description

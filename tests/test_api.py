@@ -234,3 +234,32 @@ def test_every_private_helper_has_a_caller_in_the_package():
     everywhere = sum(map(names, trees), Counter())
     unused = [n.name for n in defs if everywhere[n.name] == names(n)[n.name]]
     assert defs and unused == []
+
+
+def test_reports_have_one_encoder():
+    # `reports.stable_json_dumps` writes every report: no module calls
+    # `json.dump` or `json.dumps`, and none defines a module-level `to_json`
+    found = []
+    for path in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}: json.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ]
+        found += [
+            f"{path.name}: from json import {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "json"
+            for alias in node.names
+            if alias.name in ("dump", "dumps")
+        ]
+        found += [
+            f"{path.name}: def {node.name}"
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json"
+        ]
+    assert found == []

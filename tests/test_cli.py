@@ -625,6 +625,7 @@ class TestFixedpointCommand:
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "fixedpoint.json").read_text())
         assert "unbounded" in report["error"]
+        assert report["certificate"] == {"radius": 101.0, "rmax": 100.0}
 
     def test_window_whose_distances_overflow_exits_without_traceback(self, tmp_path):
         spec = write_json(tmp_path / "halve.json", HALVING_P3_SPEC)

@@ -44,6 +44,7 @@ from mclab import (
 import mclab.convexsets as convexsets
 from mclab.arith import common_denominator, is_rational, scaled
 from mclab.hausdorff import _nearest as hausdorff_nearest
+from mclab.reports import stable_json_dumps
 from mclab.spaces import vlerp
 from mclab.convexsets import (
     DEFAULT_TOL,
@@ -1006,7 +1007,8 @@ class TestSimplexSegment:
 
 def _same_verdict(a, b) -> bool:
     """Equal reports, and equal fields in value and type, floats bit for bit."""
-    return json.dumps(a.to_json()) == json.dumps(b.to_json()) and repr(a) == repr(b)
+    same_bytes = stable_json_dumps(a.to_json()) == stable_json_dumps(b.to_json())
+    return same_bytes and repr(a) == repr(b)
 
 
 @st.composite
