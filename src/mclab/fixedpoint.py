@@ -387,9 +387,16 @@ def make_asymptotic_functional(
 ) -> AsymptoticFunctional:
     orb = orbit(space, spec, x0, n, rmax)
     if not orb.bounded:
+        if _finite(orb.radius):
+            raise SolverFailure(
+                "orbit unbounded; the tail functional is undefined",
+                certificate={"radius": orb.radius, "rmax": rmax},
+            )
+        # an inf radius has no JSON number, so the certificate omits it
         raise SolverFailure(
-            "orbit unbounded; the tail functional is undefined",
-            certificate={"radius": orb.radius, "rmax": rmax},
+            "orbit unbounded: its distance from the start left the float range;"
+            " the tail functional is undefined",
+            certificate={"rmax": rmax},
         )
     return AsymptoticFunctional(orb.points, window, orb.radius)
 

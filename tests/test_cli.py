@@ -51,6 +51,18 @@ HALVING_P3_SPEC = {
     "x0": [1, 0],
 }
 
+# the first image's second coordinate, 1e10 * 1e300 + 1e154, is inf, so the
+# orbit's radius overflows
+RADIUS_OVERFLOW_SPEC = {
+    "space": "vec2-p1",
+    "kind": "affine",
+    "parameters": {"matrix": [[0, 0], [0, 1e10]], "offset": [0, 1e154]},
+    "domain": {"repr": "all", "radius": 8},
+    "alpha": 0,
+    "beta": 1,
+    "x0": [0, 1e300],
+}
+
 # squared distances between images near 1e301 leave the float range
 HUGE_AFFINE_SPEC = {
     "space": "vec2-p2",
@@ -627,6 +639,15 @@ class TestFixedpointCommand:
         assert "unbounded" in report["error"]
         assert report["certificate"] == {"radius": 101.0, "rmax": 100.0}
 
+    def test_orbit_radius_beyond_the_float_range_leaves_it_out(self, tmp_path):
+        spec = write_json(tmp_path / "overflow.json", RADIUS_OVERFLOW_SPEC)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 1
+        text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert "float range" in report["error"]
+        assert report["certificate"] == {"rmax": 1e6}
+        assert "Infinity" not in text
+
     def test_window_whose_distances_overflow_exits_without_traceback(self, tmp_path):
         spec = write_json(tmp_path / "halve.json", HALVING_P3_SPEC)
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) in (0, 1, 2)
@@ -683,6 +704,7 @@ class TestFixedpointCommand:
 
     @given(spec=_huge_affine_specs())
     @example(spec=SLACK_OVERFLOW_SPEC)
+    @example(spec=RADIUS_OVERFLOW_SPEC)
     @settings(
         max_examples=100,
         deadline=None,
