@@ -22,25 +22,20 @@ over twice their common denominator, where every axis midpoint
 (lo + hi) // 2 is exact, and one Fraction is made per bound at the end; on
 a float space they are the floats themselves.
 
-Every member of a midpoint set lies on both bounding spheres, and
-`sphere_equivalence_check` is the one route to that check, for the library
-and for the Menger checker alike.  It measures d(x, y) once, since the
-check reads the radii and d, and branches once on the space.  A d_inf box
-is read in its frame from per-axis extremes instead of a scan of its 3^n
-sample grid: over the grid, d_inf(z, x) runs from the largest per-axis
-minimum of |z_i - x_i| to the largest per-axis maximum, so the worst
-sphere gap sits at one of four numbers, and only a box that fails is
-built, and scanned for its first point.  An exact d_1 simplex lies on both
-spheres by its offset invariant: it is not scanned, its vertices are not
-enumerated, and its verdict reports `samples` 0.  Every other set is
-scanned.
-
-A segment's betweenness defect d(x, z) + d(z, y) - d(x, y) is read the same
-way: over a d_inf box's grid, from the pairs (d(x, z), d(z, y)) it attains,
-built one axis at a time as the coordinatewise max of each axis's pairs;
-and it is exactly 0 on an exact d_1 simplex; the defect reads d(x, y), so
-a segment measures it once, chord points included.  A lifted union under a
-strictly convex d_p is the deduplicated `chord_points`.
+Every member of a midpoint set lies on both bounding spheres, and one
+check tests it: `sphere_equivalence_check` runs it for the library and the
+Menger checker, and `segment` on every midpoint set it stores.  It
+measures d(x, y) once, since the check reads the radii and d (a segment
+once for all its parameters, chord points included), and branches once on
+the space.  A d_inf box is read in its frame from per-axis extremes
+instead of a scan of its 3^n sample grid: over the grid, d_inf(z, x) runs
+from the largest per-axis minimum of |z_i - x_i| to the largest per-axis
+maximum, so the worst sphere gap sits at one of four numbers, and only a
+box that fails is built, and scanned for its first point.  An exact d_1
+simplex lies on both spheres by its offset invariant: it is not scanned,
+its vertices are not enumerated, and its verdict reports `samples` 0.
+Every other set is scanned.  A lifted union under a strictly convex d_p is
+the deduplicated `chord_points`.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -110,8 +105,6 @@ def _near(z, point, tol) -> bool:
 class Singleton:
     point: tuple
 
-    kind = "singleton"
-
     def contains(self, z, tol: float = 0) -> bool:
         return _near(z, self.point, tol)
 
@@ -128,8 +121,6 @@ class Box:
 
     lower: tuple
     upper: tuple
-
-    kind = "box"
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -174,8 +165,6 @@ def _grid_axes(bounds, integer=False):
 class FiniteSet:
     points: tuple
 
-    kind = "finite"
-
     def __post_init__(self):
         if not self.points:
             raise EmptySetError("finite set representation must be nonempty")
@@ -199,8 +188,6 @@ class CappedSimplex:
     x: tuple
     y: tuple
     r1: Scalar
-
-    kind = "simplex"
 
     def nearest_with_distance(self, z):
         """(d_1(z, w), w) for a nearest member w in d_1: clamp z into the
@@ -324,8 +311,6 @@ class SetUnion:
 
     parts: tuple
 
-    kind = "union"
-
     def contains(self, z, tol: float = 0) -> bool:
         return any(p.contains(z, tol) for p in self.parts)
 
@@ -427,8 +412,6 @@ class SampledOracle:
     upper: tuple
     seeds: tuple = ()
 
-    kind = "oracle"
-
     def contains(self, z, tol: float = 0) -> bool:
         return self.member(tuple(z))
 
@@ -443,19 +426,15 @@ SetRep = Singleton | Box | FiniteSet | CappedSimplex | SetUnion
 class Segment:
     """Sampled metric segment between two points.
 
-    `samples` holds one set representation per parameter value; every sampled
-    member satisfies the betweenness identity d(x,z) + d(z,y) = d(x,y) up to
-    `max_defect`.  Not every member is measured for it: a d_inf box is read
-    from the pairs (d(x,z), d(z,y)) its sample grid attains, built one axis
-    at a time, and an exact d_1 simplex meets the identity exactly by its
-    offset invariant.  Singletons, float simplices and the other
-    representations are scanned point by point.
+    `samples` holds one set representation per parameter value t, each
+    passed by the sphere check: every sampled member lies on the spheres
+    around x and y whose radii split d(x, y) at t, and so satisfies the
+    betweenness identity d(x,z) + d(z,y) = d(x,y).
     """
 
     x: tuple
     y: tuple
     samples: tuple  # of (t, SetRep)
-    max_defect: Scalar = 0
 
 
 # --------------------------------------------------------------------------
@@ -660,7 +639,12 @@ def sphere_equivalence_check(
     through here."""
     _check_endpoints(space, x, y, (t,))
     # the check reads r1, r2 and d, so d is measured even for a chord point
-    d = distance(space, x, y)
+    return _sphere_check(space, x, y, t, conv, distance(space, x, y), tol)
+
+
+def _sphere_check(space, x, y, t, conv, d, tol) -> PropertyVerdict:
+    """`sphere_equivalence_check` for checked endpoints and t and for
+    d = d(x, y), as `segment` runs it once per parameter."""
     r1, r2 = radii_for(conv, t, d)
     if space.p == math.inf:
         den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
@@ -693,65 +677,21 @@ def segment(
     tol: float = DEFAULT_TOL,
 ) -> Segment:
     """Sampled segment: one midpoint set per parameter in `t_grid`, each
-    refused as `midpoint_set` refuses it and built from one d(x, y)."""
+    refused as `midpoint_set` refuses it, built from one d(x, y) and
+    checked by the sphere check."""
     t_grid = tuple(t_grid)
     _check_endpoints(space, x, y, t_grid)
-    # the betweenness defect reads d, so d is measured even for chord points
+    # the sphere check reads d, so d is measured even for chord points
     d = distance(space, x, y)
     samples = []
-    max_defect = 0
     for t in t_grid:
-        rep = _midpoint_rep(space, x, y, t, conv, d, tol)
-        defect = _betweenness_defect(space, x, y, d, rep)
-        if defect > max_defect:
-            max_defect = defect
-        samples.append((t, rep))
-    if max_defect > space.limit(tol):
-        raise InternalInconsistency(
-            f"segment sample misses the betweenness identity by {max_defect}"
-        )
-    return Segment(tuple(x), tuple(y), tuple(samples), max_defect)
-
-
-def _betweenness_defect(space, x, y, d, rep):
-    """The largest |d(x, z) + d(z, y) - d| over the sampled members z of
-    the midpoint set `rep` of x and y, for d = d(x, y); any value not above
-    0 stands for 0.  A d_inf box is read from per-axis pairs, and an exact
-    d_1 simplex lies on both spheres by its offset invariant, so its defect
-    is 0; other sets are scanned."""
-    if space.p == math.inf:
-        return _box_defect(space, rep, x, y, d)
-    if space.exact and space.p == 1:
-        return 0
-    worst = 0
-    for z in rep.sample_points():
-        defect = abs(distance(space, x, z) + distance(space, z, y) - d)
-        if defect > worst:
-            worst = defect
-    return worst
-
-
-def _box_defect(space, rep: Box, x, y, d):
-    """The largest |d_inf(x, z) + d_inf(z, y) - d| over the box's sample
-    grid, from the pairs (d_inf(x, z), d_inf(z, y)) that the grid attains,
-    built one axis at a time: a point's pair is the coordinatewise `max` of
-    its axes' pairs (|x_i - v|, |v - y_i|), the differences and the `max`
-    that `distance` takes, so the result equals the scan's in value.  On
-    an exact space all values are integers over twice their common
-    denominator, and the defect is one Fraction."""
-    den = None
-    bounds = zip(rep.lower, rep.upper)
-    if space.exact:
-        den = 2 * common_denominator((*rep.lower, *rep.upper, *x, *y, d))
-        bounds = zip(scaled(rep.lower, den), scaled(rep.upper, den))
-        x, y, (d,) = scaled(x, den), scaled(y, den), scaled((d,), den)
-    axes = _grid_axes(bounds, den is not None)
-    pairs = {(abs(x[0] - v), abs(v - y[0])) for v in axes[0]}
-    for values, xi, yi in zip(axes[1:], x[1:], y[1:]):
-        axis = [(abs(xi - v), abs(v - yi)) for v in values]
-        pairs = {(max(A, a), max(B, b)) for A, B in pairs for a, b in axis}
-    defect = max(abs(A + B - d) for A, B in pairs)
-    return defect if den is None else Fraction(defect, den)
+        check = _sphere_check(space, x, y, t, conv, d, tol)
+        if not check.holds:
+            raise InternalInconsistency(
+                f"segment sample at t={t} misses its spheres by {check.max_slack}"
+            )
+        samples.append((t, _midpoint_rep(space, x, y, t, conv, d, tol)))
+    return Segment(tuple(x), tuple(y), tuple(samples))
 
 
 def segment_points(seg: Segment):

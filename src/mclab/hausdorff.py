@@ -107,7 +107,8 @@ def _nearest(space, a, B):
     if not isinstance(B, _CLOSED_FORM) or (
         isinstance(B, CappedSimplex) and space.p != 1
     ):
-        raise MclabError(f"no nearest-point form for a {B.kind} representation")
+        name = type(B).__name__
+        raise MclabError(f"no nearest-point form for a {name} representation")
     if isinstance(B, CappedSimplex):
         value, b = B.nearest_with_distance(a)
         check_point(space, a)

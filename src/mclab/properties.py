@@ -381,7 +381,8 @@ def check_diameter_strict(
     interior it sits in; holds when the ratio is strictly below 1."""
     if not isinstance(A, Box):
         raise MclabError("the enclosing set must be a box")
-    for z in C.sample_points():
+    points = C.sample_points()
+    for z in points:
         if not all(lo < c < hi for lo, c, hi in zip(A.lower, z, A.upper)):
             raise MembershipError(
                 f"sampled point {z} of C is not strictly inside the box"
@@ -394,7 +395,7 @@ def check_diameter_strict(
     return verdict(
         "DiameterStrict",
         HOLDS if k_hat < threshold else FAILS,
-        samples=len(C.sample_points()),
+        samples=len(points),
         witness={
             "diameter_inner": delta_c,
             "diameter_interior": delta_int,

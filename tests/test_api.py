@@ -128,7 +128,7 @@ PUBLIC_OPTIONS = {
     "PropertyVerdict": ["samples", "max_slack", "witness", "plan", "convention", "reason"],
     "Rotation": ["center"],
     "SamplePlan": ["count", "seed", "coord_denominator", "t_denominator", "t_values", "anchor_x", "anchor_y"],
-    "Segment": ["max_defect"],
+    "Segment": [],
     "SetUnion": [],
     "Singleton": [],
     "SolverFailure": ["certificate"],

@@ -20,6 +20,7 @@ from mclab import (
     DimensionMismatch,
     ExactArithmeticUnsupported,
     FiniteSet,
+    InternalInconsistency,
     MclabError,
     MidConvention,
     SamplePlan,
@@ -881,74 +882,8 @@ class TestSimplexOnSpheres:
         assert len(calls) == 1  # d(x, y) for the radii
 
 
-def _scan_defect(space, x, y, d, rep):
-    """The betweenness defect of a plain scan of every sample point of
-    `rep`, kept as `segment` keeps it: the int 0 until a defect exceeds it."""
-    worst = 0
-    for z in rep.sample_points():
-        defect = abs(distance(space, x, z) + distance(space, z, y) - d)
-        if defect > worst:
-            worst = defect
-    return worst
-
-
-def _as_kept(defect):
-    return defect if defect > 0 else 0
-
-
-# float boxes whose axis midpoint rounds onto a bound ((lo + hi) / 2 is lo
-# for adjacent floats), next to a degenerate axis and an ordinary one
-_ROUNDING_BOXES = [
-    (
-        vector_space(3, math.inf),
-        (0.0, 1.0, -0.5),
-        (1.0 + 2**-52, 0.25, 0.75),
-        Box((1.0, 0.5, 0.25), (math.nextafter(1.0, 2.0), 0.5, 0.5)),
-    ),
-    (
-        vector_space(2, math.inf),
-        (-3.0, 0.1),
-        (0.3, 0.7),
-        Box((-0.0, 0.1), (5e-324, math.nextafter(0.1, 1.0))),
-    ),
-]
-
-
-class TestBoxDefect:
-    """The betweenness defect of a d_inf box read from per-axis pairs
-    against the scan of its sample grid, equal in value and type."""
-
-    @given(_sup_boxes())
-    @settings(max_examples=300, deadline=None)
-    def test_pairs_equal_the_grid_scan(self, case):
-        space, x, y, _, _, box = case
-        d = distance(space, x, y)
-        kept = _as_kept(convexsets._box_defect(space, box, x, y, d))
-        assert _same(kept, _scan_defect(space, x, y, d, box))
-
-    @pytest.mark.parametrize("space, x, y, box", _ROUNDING_BOXES)
-    def test_a_midpoint_rounded_onto_a_bound_equals_the_scan(self, space, x, y, box):
-        assert any(len(set(v)) < len(v) for v in box.axis_values())
-        d = distance(space, x, y)
-        kept = _as_kept(convexsets._box_defect(space, box, x, y, d))
-        assert _same(kept, _scan_defect(space, x, y, d, box))
-        assert kept > 0
-
-    @given(_sup_boxes(), st.sampled_from([1, 3, 7]))
-    @settings(max_examples=100, deadline=None)
-    def test_segment_defect_equals_the_scan_of_its_samples(self, case, steps):
-        space, x, y, _, conv, _ = case
-        t_grid = [F(k, steps + 1) for k in range(1, steps + 1)]
-        if not space.exact:
-            t_grid = [float(t) for t in t_grid]
-        seg = segment(space, x, y, t_grid, conv)
-        d = distance(space, x, y)
-        worst = 0
-        for _, rep in seg.samples:
-            defect = _scan_defect(space, x, y, d, rep)
-            if defect > worst:
-                worst = defect
-        assert _same(seg.max_defect, worst)
+class TestBoxSegment:
+    """A d_inf segment checks its boxes in the frame they are built from."""
 
     def test_a_segment_of_exact_boxes_costs_no_per_point_distance(self, monkeypatch):
         space = vector_space(6, math.inf, exact=True)
@@ -961,23 +896,12 @@ class TestBoxDefect:
             return distance(*args)
 
         monkeypatch.setattr(convexsets, "distance", counting)
-        seg = segment(space, x, y, [F(k, 8) for k in range(1, 8)], FX)
-        assert seg.max_defect == 0 and type(seg.max_defect) is int
+        segment(space, x, y, [F(k, 8) for k in range(1, 8)], FX)
         assert len(calls) == 1  # d(x, y), shared by every midpoint set
 
 
 class TestSimplexSegment:
-    """An exact d_1 segment reads its defect from the simplex invariant."""
-
-    @given(_exact_simplices(max_dim=6), st.sampled_from(list(MidConvention)))
-    @settings(max_examples=100, deadline=None)
-    def test_exact_simplex_defect_is_the_int_zero_of_the_scan(self, case, conv):
-        x, y, _ = case
-        space = vector_space(len(x), 1, exact=True)
-        seg = segment(space, x, y, [F(1, 4), F(1, 2), F(5, 7)], conv)
-        d = distance(space, x, y)
-        assert all(_scan_defect(space, x, y, d, rep) == 0 for _, rep in seg.samples)
-        assert seg.max_defect == 0 and type(seg.max_defect) is int
+    """An exact d_1 segment checks its simplices by their offset invariant."""
 
     def test_a_segment_of_exact_simplices_costs_no_per_vertex_distance(
         self, monkeypatch
@@ -992,17 +916,8 @@ class TestSimplexSegment:
             return distance(*args)
 
         monkeypatch.setattr(convexsets, "distance", counting)
-        seg = segment(space, x, y, [F(1, 8), F(1, 2)], FX)
-        assert seg.max_defect == 0
+        segment(space, x, y, [F(1, 8), F(1, 2)], FX)
         assert len(calls) == 1  # d(x, y), shared by every midpoint set
-
-    def test_a_float_simplex_keeps_the_scan(self):
-        space = vector_space(3, 1)
-        x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
-        seg = segment(space, x, y, [0.125, 0.5, 0.875], FX)
-        d = distance(space, x, y)
-        worst = max(_scan_defect(space, x, y, d, rep) for _, rep in seg.samples)
-        assert _same(seg.max_defect, worst)
 
 
 def _same_verdict(a, b) -> bool:
@@ -1267,12 +1182,14 @@ class TestOneChordPoint:
             midpoint_set(space, constant_fn(0), constant_fn(1), F(1, 2))
 
     @pytest.mark.parametrize("space_id", ["vec3-p2", "vec2-p1.5"])
-    @pytest.mark.parametrize("prop, calls", [("A", 0), ("Bprime", 80), ("C", 96)])
+    @pytest.mark.parametrize("prop, calls", [("A", 0), ("Bprime", 80), ("C", 82)])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_checker_distance_calls(self, space_id, prop, calls, seed, monkeypatch):
         # measuring d(x, y) for every chord point made (A) 40, (B') 160 and
         # (C) 136 calls at count 40; what is left is the checkers' own
-        # distances, which their verdicts read
+        # distances, which their verdicts read.  A segment's sphere check
+        # takes its chord points' distances from one `distance_table`, which
+        # is not counted here
         count = []
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "mclab" and vars(mod).get("distance") is distance:
@@ -1335,10 +1252,10 @@ class TestSegment:
         space = vector_space(2, 2)
         x, y = (0.0, 0.0), (4.0, 2.0)
         seg = segment(space, x, y, [k / 8 for k in range(1, 8)])
-        assert seg.max_defect <= 1e-9
         for t, rep in seg.samples:
             (px, py) = rep.point
             assert py * 4.0 == pytest.approx(px * 2.0, abs=1e-9)
+            assert sphere_equivalence_check(space, x, y, t, FX).holds
 
     def test_sup_segment_carries_the_quarter_box(self):
         space = vector_space(3, math.inf, exact=True)
@@ -1347,7 +1264,31 @@ class TestSegment:
         assert t == F(1, 4)
         assert rep.lower == (F(1, 2), F(-1, 2), F(-1, 2))
         assert rep.upper == (F(1, 2), F(1, 2), F(1, 2))
-        assert seg.max_defect == 0
+        for t, _ in seg.samples:
+            check = sphere_equivalence_check(space, (0, 0, 0), (2, 0, 0), t, FX)
+            assert check.holds and check.max_slack == 0
+
+    def test_a_chord_point_of_the_other_convention_is_refused(self, monkeypatch):
+        # each point of such a segment lies between x and y, but off its spheres
+        chord = convexsets._chord_point
+
+        def flipped(x, y, t, conv):
+            return chord(x, y, t, FY if conv is FX else FX)
+
+        monkeypatch.setattr(convexsets, "_chord_point", flipped)
+        with pytest.raises(InternalInconsistency, match="t=0.25"):
+            segment(space_from_id("vec2-p2"), (0.0, 0.0), (4.0, 2.0), [0.25], FX)
+
+    def test_a_simplex_built_at_half_its_t_is_refused(self, monkeypatch):
+        build = convexsets._midpoint_rep
+
+        def halved(space, x, y, t, *rest):
+            return build(space, x, y, t / 2, *rest)
+
+        monkeypatch.setattr(convexsets, "_midpoint_rep", halved)
+        x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
+        with pytest.raises(InternalInconsistency, match="t=0.25"):
+            segment(space_from_id("vec3-p1"), x, y, [0.25], FX)
 
     @pytest.mark.parametrize(
         "space, x, y, t_grid, error, message",
