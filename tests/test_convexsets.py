@@ -483,6 +483,24 @@ def _integer_gap(box, spheres):
     return F(convexsets._sphere_gap(axes, framed), den)
 
 
+# float boxes whose axis midpoint rounds onto a bound ((lo + hi) / 2 is lo
+# for adjacent floats), next to a degenerate axis and an ordinary one
+_ROUNDING_BOXES = [
+    (
+        vector_space(3, math.inf),
+        (0.0, 1.0, -0.5),
+        (1.0 + 2**-52, 0.25, 0.75),
+        Box((1.0, 0.5, 0.25), (math.nextafter(1.0, 2.0), 0.5, 0.5)),
+    ),
+    (
+        vector_space(2, math.inf),
+        (-3.0, 0.1),
+        (0.3, 0.7),
+        Box((-0.0, 0.1), (5e-324, math.nextafter(0.1, 1.0))),
+    ),
+]
+
+
 class TestSupBoxOnSpheres:
     """The per-axis check of a d_inf box against both spheres gives the
     verdict of a plain scan over the box's sample points."""
@@ -533,6 +551,19 @@ class TestSupBoxOnSpheres:
             assert _same(convexsets._sphere_gap(axes, (sphere,)), scan)
             if space.exact:
                 assert _same(_integer_gap(box, (sphere,)), scan)
+
+    @pytest.mark.parametrize("space, x, y, box", _ROUNDING_BOXES)
+    def test_a_midpoint_rounded_onto_a_bound_equals_the_scan(self, space, x, y, box):
+        axes = box.axis_values()
+        assert any(len(set(v)) < len(v) for v in axes)
+        points = box.sample_points()
+        gaps = []
+        for sphere in zip((x, y), radii_for(FX, 0.25, distance(space, x, y))):
+            c, r = sphere
+            scan = max(abs(distance(space, z, c) - r) for z in points)
+            assert _same(convexsets._sphere_gap(axes, (sphere,)), scan)
+            gaps.append(scan)
+        assert max(gaps) > 0
 
     def test_a_box_on_the_spheres_costs_no_per_point_distance(self, monkeypatch):
         space = vector_space(6, math.inf)
@@ -899,6 +930,36 @@ class TestBoxSegment:
         segment(space, x, y, [F(k, 8) for k in range(1, 8)], FX)
         assert len(calls) == 1  # d(x, y), shared by every midpoint set
 
+    @given(_sup_boxes(), st.sampled_from([1, 3, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_stored_box_passes_the_scan_of_its_samples(self, case, steps):
+        space, x, y, _, conv, _ = case
+        t_grid = [F(k, steps + 1) for k in range(1, steps + 1)]
+        if not space.exact:
+            t_grid = [float(t) for t in t_grid]
+        seg = segment(space, x, y, t_grid, conv)
+        assert [t for t, _ in seg.samples] == t_grid
+        for t, rep in seg.samples:
+            assert rep == midpoint_set(space, x, y, t, conv)
+            assert _scan_on_spheres(space, x, y, t, conv, rep)[0] == "holds"
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_box_grown_off_its_spheres_is_refused(self, exact, monkeypatch):
+        # every grown box reaches off both spheres, where the frame's gap
+        # and the scan of the box built from it both see it
+        frame = convexsets._sup_frame
+
+        def grown(*args):
+            den, bounds, spheres = frame(*args)
+            step = 1 if exact else 0.125  # exact bounds are integers over den
+            return den, [(lo - step, hi + step) for lo, hi in bounds], spheres
+
+        monkeypatch.setattr(convexsets, "_sup_frame", grown)
+        space = vector_space(3, math.inf, exact=exact)
+        t = F(1, 4) if exact else 0.25
+        with pytest.raises(InternalInconsistency, match=f"t={t}"):
+            segment(space, (0, 0, 0), (2, 0, 0), [t], FX)
+
 
 class TestSimplexSegment:
     """An exact d_1 segment checks its simplices by their offset invariant."""
@@ -918,6 +979,37 @@ class TestSimplexSegment:
         monkeypatch.setattr(convexsets, "distance", counting)
         segment(space, x, y, [F(1, 8), F(1, 2)], FX)
         assert len(calls) == 1  # d(x, y), shared by every midpoint set
+
+    @given(_exact_simplices(max_dim=6), st.sampled_from(list(MidConvention)))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_simplices_pass_the_scan_uncounted(self, case, conv):
+        x, y, _ = case
+        space = vector_space(len(x), 1, exact=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CappedSimplex, "sample_points", _refuse_sample_points)
+            seg = segment(space, x, y, [F(1, 4), F(1, 2), F(5, 7)], conv)
+        for t, rep in seg.samples:
+            outcome, _, max_slack, _ = _scan_on_spheres(space, x, y, t, conv, rep)
+            assert outcome == "holds" and max_slack == 0 and type(max_slack) is int
+
+    def test_a_float_simplex_keeps_the_scan(self, monkeypatch):
+        space = vector_space(3, 1)
+        x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
+        scan = convexsets._spheres_verdict
+        scanned = []
+
+        def recording(*args):
+            verdict = scan(*args)
+            scanned.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(convexsets, "_spheres_verdict", recording)
+        seg = segment(space, x, y, [0.125, 0.5, 0.875], FX)
+        assert len(scanned) == len(seg.samples) == 3
+        for (t, rep), verdict in zip(seg.samples, scanned):
+            outcome, samples, max_slack, _ = _scan_on_spheres(space, x, y, t, FX, rep)
+            assert (verdict.outcome, verdict.samples) == (outcome, samples)
+            assert _same(verdict.max_slack, max_slack)
 
 
 def _same_verdict(a, b) -> bool:
