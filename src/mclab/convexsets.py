@@ -33,9 +33,12 @@ from the largest per-axis minimum of |z_i - x_i| to the largest per-axis
 maximum, so the worst sphere gap sits at one of four numbers, and only a
 box that fails is built, and scanned for its first point.  An exact d_1
 simplex lies on both spheres by its offset invariant: it is not scanned,
-its vertices are not enumerated, and its verdict reports `samples` 0.
-Every other set is scanned.  A lifted union under a strictly convex d_p is
-the deduplicated `chord_points`.
+its vertices are not enumerated, and its verdict reports `samples` 0.  A
+float d_1 simplex is checked in one walk over its vertices, each carried
+as its two rows of per-axis distance terms, and is scanned only where the
+walk cannot decide.  Every other set is scanned.  `segment` stores the set
+its check built.  A lifted union under a strictly convex d_p is the
+deduplicated `chord_points`.
 
 Two parameter conventions are in use for the same object.  FROM_X places the
 set at distance t*d(x, y) from x; FROM_Y places it at distance (1-t)*d(x, y)
@@ -233,49 +236,61 @@ class CappedSimplex:
         d(., B) is convex for a convex B, so maxima over the set, such as
         its diameter, are attained here.
 
-        The sets of axes at their caps are taken level by level in the
-        order of `itertools.combinations`, each cap sum one addition on its
-        prefix's.  A set whose caps exceed r1 is dropped with all its
-        supersets: caps are at least 0, and adding one never lowers a sum,
-        in floats too.  Inputs that are all Fractions are summed as
-        integers over one common denominator.  Rational vertices are
-        distinct, so only others are deduplicated: the offsets of a vertex
-        give back its axes at their caps and its one axis inside, if any."""
+        The cap sets come from `_cap_sets`.  Inputs that are all Fractions
+        are summed as integers over one common denominator.  Rational
+        vertices are distinct, so only others are deduplicated: the offsets
+        of a vertex give back its axes at their caps and its one axis
+        inside, if any."""
         x, y, r1 = self.x, self.y, self.r1
         den = 0
-        if all(isinstance(c, Fraction) for c in (*x, *y, r1)):
+        # r1 first: a float r1 skips the scan of the coordinates
+        if isinstance(r1, Fraction) and all(isinstance(c, Fraction) for c in (*x, *y)):
             den = common_denominator((*x, *y, r1))
             xs, ys, (top,) = scaled(x, den), scaled(y, den), scaled((r1,), den)
         else:
             xs, ys, top = x, y, r1
         moves = [(j, abs(ys[j] - xs[j]), ys[j] > xs[j]) for j in self._axes()]
+
+        def grow(z, j):
+            z = z.copy()
+            z[j] = y[j]
+            return z
+
         points = []
-        # (axes at their caps, cap sum, vertex, next position in moves)
-        level = [((), 0, list(x), 0)] if not top < 0 else []
-        while level:
-            grown = []
-            for full, total, z, start in level:
-                left = top - total
-                if not left:
+        for full, total, z, _ in _cap_sets(moves, top, list(x), grow):
+            left = top - total
+            if not left:
+                points.append(tuple(z))
+                continue
+            for j, cap, up in moves:
+                if left < cap and j not in full:
+                    c = xs[j] + left if up else xs[j] - left
+                    z[j] = Fraction(c, den) if den else c
                     points.append(tuple(z))
-                else:
-                    for j, cap, up in moves:
-                        if left < cap and j not in full:
-                            c = xs[j] + left if up else xs[j] - left
-                            w = z.copy()
-                            w[j] = Fraction(c, den) if den else c
-                            points.append(tuple(w))
-                for k in range(start, len(moves)):
-                    j, cap, _ = moves[k]
-                    t = total + cap
-                    if not top - t < 0:
-                        v = z.copy()
-                        v[j] = y[j]
-                        grown.append((full + (j,), t, v, k + 1))
-            level = grown
-        if all(map(is_rational, (*x, *y, r1))):
+                    z[j] = x[j]
+        if is_rational(r1) and all(map(is_rational, (*x, *y))):
             return points
         return list(dict.fromkeys(points))
+
+
+def _cap_sets(moves, top, row, grow) -> list:
+    """The sets of axes at their caps, over the (axis, cap, direction) of
+    each differing coordinate in `moves`, whose cap sum is at most `top`:
+    (axes, cap sum, row, next position in `moves`), level by level in the
+    order of `itertools.combinations`, each cap sum one addition on its
+    prefix's.  `row` belongs to the empty set, and `grow(row, j)` gives the
+    row of a set from its prefix's row and its last axis j.  A set whose
+    caps exceed `top` is dropped with all its supersets: caps are at least
+    0, and adding one never lowers a sum, in floats too."""
+    sets = [((), 0, row, 0)] if not top < 0 else []
+    # a list grows while it is iterated, so the sets come level by level
+    for full, total, row, start in sets:
+        for k in range(start, len(moves)):
+            j, cap, _ = moves[k]
+            t = total + cap
+            if not top - t < 0:
+                sets.append((full + (j,), t, grow(row, j), k + 1))
+    return sets
 
 
 def _simplex_walk(z, x, y, r1) -> list:
@@ -617,6 +632,46 @@ def _sphere_gap(axes, spheres):
     return max(gaps)
 
 
+def _simplex_gap(rep: CappedSimplex, r1, r2, limit):
+    """(vertex count, largest sphere gap) of a float d_1 simplex `rep` on
+    the spheres around its x and y of radii r1 and r2, as `_spheres_verdict`
+    reports them, or None where the scan must decide: no vertex, a gap above
+    `limit`, or an inside coordinate that rounds onto x_j or y_j, where its
+    vertex may repeat another.  The vertices come in the order of
+    `sample_points`, each as its rows of terms |x_i - z_i| and |y_i - z_i|,
+    the differences `distance_table` takes, so each distance is the table's
+    own index-order sum, in value and type."""
+    x, y, top = rep.x, rep.y, rep.r1
+    moves = [(j, abs(y[j] - x[j]), y[j] > x[j]) for j in rep._axes()]
+    at_cap = [(abs(a - b), abs(b - b)) for a, b in zip(x, y)]
+
+    def grow(rows, j):
+        to_x, to_y = rows[0].copy(), rows[1].copy()
+        to_x[j], to_y[j] = at_cap[j]
+        return to_x, to_y
+
+    rows = [abs(a - a) for a in x], [abs(b - a) for a, b in zip(x, y)]
+    gaps = []
+    for full, total, (to_x, to_y), _ in _cap_sets(moves, top, rows, grow):
+        left = top - total
+        if not left:
+            gaps.append(max(abs(sum(to_x) - r1), abs(sum(to_y) - r2)))
+            continue
+        for j, cap, up in moves:
+            if left < cap and j not in full:
+                a, b = x[j], y[j]
+                c = a + left if up else a - left
+                if c == a or c == b:
+                    return None
+                kept = to_x[j], to_y[j]
+                to_x[j], to_y[j] = abs(a - c), abs(b - c)
+                gaps.append(max(abs(sum(to_x) - r1), abs(sum(to_y) - r2)))
+                to_x[j], to_y[j] = kept
+    # the scan's running maximum from an int 0, which a NaN gap never enters
+    worst = max([0, *gaps])
+    return (len(gaps), worst) if gaps and not worst > limit else None
+
+
 def sphere_equivalence_check(
     space: MetricSpace,
     x,
@@ -633,35 +688,43 @@ def sphere_equivalence_check(
     an exact gap is an integer, compared with 0 before any Fraction is
     made.  An exact d_1 simplex holds by its offset invariant: every vertex
     has offsets in [0, cap_i] summing to r1, so it lies on both spheres,
-    and no vertex is enumerated or counted.  Any other set, and a box that
-    fails, is built and scanned by `_spheres_verdict`, which names its
-    first off-sphere point.  The Menger checker runs each of its trials
-    through here."""
+    and no vertex is enumerated or counted.  A float d_1 simplex is built
+    and walked by `_simplex_gap`, which reports the scan's vertex count and
+    largest gap without listing a point or a distance table.  Any other set
+    and a box that fails are built and scanned by `_spheres_verdict`, as is
+    a simplex the walk hands back; the scan names its first off-sphere
+    point.  The Menger checker runs each of its trials through here."""
     _check_endpoints(space, x, y, (t,))
     # the check reads r1, r2 and d, so d is measured even for a chord point
-    return _sphere_check(space, x, y, t, conv, distance(space, x, y), tol)
+    return _sphere_check(space, x, y, t, conv, distance(space, x, y), tol)[0]
 
 
-def _sphere_check(space, x, y, t, conv, d, tol) -> PropertyVerdict:
+def _sphere_check(space, x, y, t, conv, d, tol):
     """`sphere_equivalence_check` for checked endpoints and t and for
-    d = d(x, y), as `segment` runs it once per parameter."""
+    d = d(x, y), as `segment` runs it once per parameter: (the verdict, the
+    midpoint set it built, or None where it built none)."""
     r1, r2 = radii_for(conv, t, d)
+    rep = held = None  # held: (samples, max_slack) of a check that holds
     if space.p == math.inf:
         den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
         axes = _grid_axes(bounds, den is not None)
         gap = _sphere_gap(axes, spheres)
         if gap <= space.limit(tol):
-            return verdict(
-                "SphereEquivalence",
-                HOLDS,
-                conv=conv,
-                samples=math.prod(len(values) for values in axes),
-                max_slack=gap if gap > 0 else 0,
-            )
+            held = math.prod(len(values) for values in axes), gap if gap > 0 else 0
     elif space.exact and space.p == 1:
-        return verdict("SphereEquivalence", HOLDS, conv=conv, samples=0, max_slack=0)
-    rep = _midpoint_rep(space, x, y, t, conv, d, tol)
-    return _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol)
+        held = 0, 0
+    else:
+        rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+        if space.p == 1:
+            held = _simplex_gap(rep, r1, r2, space.limit(tol))
+    if held is None:
+        if rep is None:
+            rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+        return _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol), rep
+    samples, max_slack = held
+    return verdict(
+        "SphereEquivalence", HOLDS, conv=conv, samples=samples, max_slack=max_slack
+    ), rep
 
 
 # --------------------------------------------------------------------------
@@ -685,12 +748,14 @@ def segment(
     d = distance(space, x, y)
     samples = []
     for t in t_grid:
-        check = _sphere_check(space, x, y, t, conv, d, tol)
+        check, rep = _sphere_check(space, x, y, t, conv, d, tol)
         if not check.holds:
             raise InternalInconsistency(
                 f"segment sample at t={t} misses its spheres by {check.max_slack}"
             )
-        samples.append((t, _midpoint_rep(space, x, y, t, conv, d, tol)))
+        if rep is None:
+            rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+        samples.append((t, rep))
     return Segment(tuple(x), tuple(y), tuple(samples))
 
 

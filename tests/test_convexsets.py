@@ -253,6 +253,10 @@ class TestCappedSimplex:
         assert rep.contains((F(1),) * (n // 2) + (F(1, 2),) + (F(0),) * (n // 2))
         with pytest.raises(MclabError):
             rep.sample_points()
+        # the float check walks the vertices without listing them, and
+        # refuses the same set
+        with pytest.raises(MclabError, match="too many vertices"):
+            sphere_equivalence_check(vector_space(n, 1), (0.0,) * n, (1.0,) * n, 0.5)
 
 
 def test_golden_bprime_certificate_re_evaluates_exactly():
@@ -992,24 +996,53 @@ class TestSimplexSegment:
             outcome, _, max_slack, _ = _scan_on_spheres(space, x, y, t, conv, rep)
             assert outcome == "holds" and max_slack == 0 and type(max_slack) is int
 
-    def test_a_float_simplex_keeps_the_scan(self, monkeypatch):
+    def test_a_passing_float_simplex_is_walked_without_the_scan(self, monkeypatch):
         space = vector_space(3, 1)
         x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
-        scan = convexsets._spheres_verdict
-        scanned = []
+        t_grid = [0.125, 0.5, 0.875]
+        scans = [
+            _on_spheres(space, x, y, t, FX, midpoint_set(space, x, y, t, FX))
+            for t in t_grid
+        ]
 
-        def recording(*args):
-            verdict = scan(*args)
-            scanned.append(verdict)
-            return verdict
+        def refused(*args):
+            raise AssertionError("the vertices were scanned")
 
-        monkeypatch.setattr(convexsets, "_spheres_verdict", recording)
-        seg = segment(space, x, y, [0.125, 0.5, 0.875], FX)
-        assert len(scanned) == len(seg.samples) == 3
-        for (t, rep), verdict in zip(seg.samples, scanned):
-            outcome, samples, max_slack, _ = _scan_on_spheres(space, x, y, t, FX, rep)
-            assert (verdict.outcome, verdict.samples) == (outcome, samples)
-            assert _same(verdict.max_slack, max_slack)
+        monkeypatch.setattr(convexsets, "distance_table", refused)
+        monkeypatch.setattr(convexsets, "_spheres_verdict", refused)
+        seg = segment(space, x, y, t_grid, FX)
+        for (t, rep), scan in zip(seg.samples, scans):
+            assert rep == midpoint_set(space, x, y, t, FX)
+            assert _same_verdict(sphere_equivalence_check(space, x, y, t, FX), scan)
+
+    def test_an_inside_coordinate_on_an_endpoint_takes_the_scan(self):
+        # at t = 1e-18 the inside coordinate 1.0 + 2e-18 of axis 0 rounds
+        # onto x_0, where a vertex may repeat another, so the walk declines
+        space = vector_space(2, 1)
+        x, y, t = (1.0, 0.0), (2.0, 1.0), 1e-18
+        rep = midpoint_set(space, x, y, t, FX)
+        radii = radii_for(FX, t, distance(space, x, y))
+        assert convexsets._simplex_gap(rep, *radii, DEFAULT_TOL) is None
+        verdict = sphere_equivalence_check(space, x, y, t, FX)
+        assert _same_verdict(verdict, _on_spheres(space, x, y, t, FX, rep))
+        assert verdict.holds and verdict.samples == 2 and verdict.max_slack == 2e-18
+
+    @pytest.mark.parametrize("space_id, builds", [("vec3-p1", 22), ("vec3-p2", 47)])
+    def test_a_segment_builds_each_midpoint_set_once(
+        self, space_id, builds, monkeypatch
+    ):
+        build = convexsets._midpoint_rep
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(convexsets, "_midpoint_rep", counting)
+        check_property(space_from_id(space_id), "C", plan=SamplePlan(count=40, seed=1))
+        # the segment's 7 sets, each built once by its sphere check, and the
+        # sets of the (C) trials
+        assert len(calls) == builds
 
 
 def _same_verdict(a, b) -> bool:
@@ -1033,6 +1066,45 @@ def _sphere_checks(draw):
     p = {"inf": math.inf, "1": 1, "2": 2}[kind.split("-")[0]]
     conv = draw(st.sampled_from(list(MidConvention)))
     return vector_space(dim, p, exact=exact), x, y, t, conv
+
+
+@st.composite
+def _float_simplex_checks(draw):
+    """(space, x, y, t, conv): a float d_1 trial in dimension 1 to
+    MAX_SIMPLEX_AXES, with t anywhere in (0, 1) or near either end."""
+    dim = draw(st.integers(1, MAX_SIMPLEX_AXES))
+    x = tuple(draw(st.lists(_FLOAT, min_size=dim, max_size=dim)))
+    y = tuple(draw(st.one_of(st.just(a), _FLOAT)) for a in x)
+    assume(x != y)
+    t = draw(
+        st.one_of(
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            st.sampled_from([1e-18, 1e-9, 0.02, 0.98, 1 - 1e-9, 1 - 2**-53]),
+        )
+    )
+    conv = draw(st.sampled_from(list(MidConvention)))
+    return vector_space(dim, 1), x, y, t, conv
+
+
+class TestFloatSimplexWalk:
+    """The walk over a float d_1 simplex's vertices against the scan of its
+    listed vertices in one distance table."""
+
+    @example((vector_space(2, 1), (1.0, 0.0), (2.0, 1.0), 1e-18, FX))
+    @example((vector_space(2, 1), (1, 0), (2, 1), 0.5, FX))
+    @example((vector_space(3, 1), (0, 1, -3), (2, 1.0, 3), 0.25, FY))
+    @given(_float_simplex_checks())
+    @settings(max_examples=300, deadline=None)
+    def test_the_walk_equals_the_scan(self, case):
+        space, x, y, t, conv = case
+        rep = midpoint_set(space, x, y, t, conv)
+        scan = _on_spheres(space, x, y, t, conv, rep)
+        assert _same_verdict(sphere_equivalence_check(space, x, y, t, conv), scan)
+        radii = radii_for(conv, t, distance(space, x, y))
+        walked = convexsets._simplex_gap(rep, *radii, DEFAULT_TOL)
+        if walked is not None:
+            assert scan.holds
+            assert walked[0] == scan.samples and _same(walked[1], scan.max_slack)
 
 
 class TestOnePassSphereTrial:
