@@ -36,7 +36,7 @@ from .sampling import (
     sample_point,
     sample_t,
 )
-from .spaces import VECTOR, MetricSpace, distance, vscale
+from .spaces import VECTOR, MetricSpace, distance, vadd, vscale
 from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict, first_failure, verdict
 
 PROPERTY_NAMES = ("A", "B", "Bprime", "Bdoubleprime", "C")
@@ -408,129 +408,56 @@ def check_diameter_strict(
 # --------------------------------------------------------------------------
 # uniform convexity modulus
 
+# directions of y - x, from e1 to the diagonal of the (e1, e2) plane
+_MODULUS_DIRECTIONS = 33
+# bisection steps on each side of the unit sphere around x
+_MODULUS_BISECTIONS = 60
 
-def estimate_uniform_modulus(
-    space: MetricSpace,
-    eps_values,
-    budget: int = 100_000,
-    seed: int = 20240601,
-):
-    """Empirical modulus of uniform convexity.
 
-    For each eps, maximises d(z, m(x, y, 1/2)) over admissible configurations
-    d(z, x) <= 1, d(z, y) <= 1, d(x, y) >= eps (radius normalised to 1 by
-    scale invariance) and reports 1 minus the maximum ratio.  The search
-    combines a separation grid that includes the extreme separation eps, a
-    bisection for the feasibility boundary on the circle d(z, x) = 1 inside a
-    sampled plane, and random admissible rejection samples.
+def estimate_uniform_modulus(space: MetricSpace, eps_values):
+    """Modulus of uniform convexity of (R^n, d_p), 1 < p < inf, as pairs
+    (eps, 1 - max d(z, m)) over d(z, x) <= 1, d(z, y) <= 1, d(x, y) = eps,
+    with m the midpoint of x and y; eps must lie in [0, 2].
+
+    One deterministic sweep over the configurations that attain the modulus.
+    y - x runs over directions of the (e1, e2) plane from e1 to the diagonal:
+    the axis swaps and sign flips of a d_p ball carry that eighth of the
+    circle onto the whole circle, and d_p attains its modulus in that plane,
+    on an axis for p >= 2 (Clarkson) and on the diagonal for 1 < p < 2
+    (Hanner).  With x = -y, m is the origin, and z runs over the unit sphere
+    around x in that plane from the point towards y, inside the ball around
+    y, to the point away from it, outside; bisection keeps the last z inside
+    on each side.  Every z kept passes d(z, y) <= 1, so the estimate is
+    below the modulus only where that test rounds (for large p near
+    eps = 2).  In dimension 1 the plane folds onto e1 and the estimate is
+    eps/2.
     """
     space.require_unique_midpoints()
-    import random as _random
-
-    rng = _random.Random(seed)
-    n = space.dim
-    out = []
     eps_list = list(eps_values)
-    per_eps = max(1, budget // max(1, len(eps_list)))
     for eps in eps_list:
-        evals = 0
+        if not 0 <= eps <= 2:
+            raise MclabError(f"eps must lie in [0, 2], not {eps!r}")
+    origin = (0.0,) * space.dim
+
+    def unit(theta):
+        u = ((math.cos(theta), math.sin(theta)) + origin[2:])[: space.dim]
+        return vscale(u, 1 / distance(space, u, origin))
+
+    out = []
+    for eps in eps_list:
         best = 0.0
-
-        frames = [_axis_frame(n)]
-        for _ in range(2):
-            frames.append(_random_frame(rng, n, space))
-
-        s_grid = [eps]
-        s = eps
-        while s < 2.0 - 1e-12 and len(s_grid) < 12:
-            s = min(2.0, s * 1.25 + 1e-3)
-            s_grid.append(s)
-
-        for w, v in frames:
-            for s in s_grid:
-                if evals >= per_eps:
-                    break
-                x = vscale(w, -s / 2)
-                y = vscale(w, s / 2)
-                mid = tuple((a + b) / 2 for a, b in zip(x, y))
-
-                def on_circle(theta):
-                    direction = tuple(
-                        math.cos(theta) * wi + math.sin(theta) * vi
-                        for wi, vi in zip(w, v)
-                    )
-                    norm = distance(space, direction, (0,) * n)
-                    return tuple(xi + di / norm for xi, di in zip(x, direction))
-
-                def feasible(z):
-                    return distance(space, z, y) <= 1
-
-                # theta = 0 points at y and is always feasible for s <= 2
-                lo_t, hi_t = 0.0, math.pi
-                zc = on_circle(lo_t)
-                evals += 1
-                if feasible(zc):
-                    best = max(best, distance(space, zc, mid))
-                # coarse scan for the last feasible angle
-                K = 32
-                last_good = lo_t
-                first_bad = None
-                for i in range(1, K + 1):
-                    theta = lo_t + (hi_t - lo_t) * i / K
-                    z = on_circle(theta)
-                    evals += 1
-                    if feasible(z):
-                        last_good = theta
-                        best = max(best, distance(space, z, mid))
+        for k in range(_MODULUS_DIRECTIONS):
+            phi = math.pi / 4 * k / (_MODULUS_DIRECTIONS - 1)
+            y = vscale(unit(phi), eps / 2)
+            x = vscale(y, -1)
+            for side in (math.pi, -math.pi):
+                inside, outside = phi, phi + side
+                for _ in range(_MODULUS_BISECTIONS):
+                    theta = (inside + outside) / 2
+                    if distance(space, vadd(x, unit(theta)), y) <= 1:
+                        inside = theta
                     else:
-                        first_bad = theta
-                        break
-                if first_bad is not None:
-                    a, b = last_good, first_bad
-                    for _ in range(60):
-                        m = (a + b) / 2
-                        z = on_circle(m)
-                        evals += 1
-                        if feasible(z):
-                            a = m
-                            best = max(best, distance(space, z, mid))
-                        else:
-                            b = m
-        # random admissible rejection samples with the remaining budget
-        while evals < per_eps:
-            s = rng.uniform(eps, 2.0)
-            w, v = _random_frame(rng, n, space)
-            x = vscale(w, -s / 2)
-            y = vscale(w, s / 2)
-            mid = tuple((a + b) / 2 for a, b in zip(x, y))
-            z = tuple(rng.uniform(-1.5, 1.5) for _ in range(n))
-            evals += 1
-            if distance(space, z, x) <= 1 and distance(space, z, y) <= 1:
-                best = max(best, distance(space, z, mid))
+                        outside = theta
+                best = max(best, distance(space, vadd(x, unit(inside)), origin))
         out.append((eps, 1.0 - best))
     return out
-
-
-def _axis_frame(n):
-    w = (1,) + (0,) * (n - 1)
-    v = (0, 1) + (0,) * (n - 2) if n >= 2 else (1,)
-    return w, v
-
-
-def _random_frame(rng, n, space):
-    """A unit direction in the space's norm plus an independent partner."""
-    while True:
-        raw = tuple(rng.gauss(0, 1) for _ in range(n))
-        norm = distance(space, raw, (0,) * n)
-        if norm > 1e-9:
-            break
-    w = tuple(c / norm for c in raw)
-    if n == 1:
-        return w, w
-    while True:
-        raw2 = tuple(rng.gauss(0, 1) for _ in range(n))
-        dot = sum(a * b for a, b in zip(raw2, w))
-        perp = tuple(a - dot * b for a, b in zip(raw2, w))
-        norm2 = distance(space, perp, (0,) * n)
-        if norm2 > 1e-9:
-            return w, tuple(c / norm2 for c in perp)

@@ -175,7 +175,7 @@ def test_criterion_08_bdoubleprime():
 
 def test_criterion_09_uniform_modulus():
     space = vector_space(2, 2)
-    got = estimate_uniform_modulus(space, [0.5, 1.0, 1.5], budget=100_000, seed=901)
+    got = estimate_uniform_modulus(space, [0.5, 1.0, 1.5])
     ok = all(
         abs(delta - (1 - math.sqrt(1 - eps * eps / 4))) <= 1e-3 for eps, delta in got
     )

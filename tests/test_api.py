@@ -148,7 +148,7 @@ PUBLIC_OPTIONS = {
     "distance": [],
     "distance_table": [],
     "distances": [],
-    "estimate_uniform_modulus": ["budget", "seed"],
+    "estimate_uniform_modulus": [],
     "family_of_balls": [],
     "find_fixed_point": ["orbit_n", "window", "tol", "budget", "rmax"],
     "hausdorff": [],

@@ -1593,6 +1593,16 @@ class TestDiameter:
         )
         assert brute == 1
 
+    @pytest.mark.parametrize(
+        "p, expected", [(1, 7), (1.5, 5.5843), (2, 5), (3, 4.4979)]
+    )
+    def test_box_diameter_is_exact_under_every_p(self, p, expected):
+        space, box = vector_space(2, p), Box((0, 0), (3, 4))
+        points = box.sample_points()
+        brute = max(distance(space, a, b) for a in points for b in points)
+        value, _ = diameter_with_witness(space, box)
+        assert value == brute == pytest.approx(expected, abs=1e-4)
+
     def test_twelve_point_witness_set_under_taxicab(self):
         space = vector_space(4, 1, exact=True)
         pts = []

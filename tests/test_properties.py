@@ -28,6 +28,7 @@ from mclab import (
     space_from_id,
     vector_space,
 )
+import mclab.properties as properties
 from mclab.sampling import sample_finite_points, sample_point, sample_t
 from mclab.verdicts import first_failure
 
@@ -323,6 +324,15 @@ class TestDiameterStrict:
         assert verdict.holds
         assert verdict.witness["k_hat"] == F(1, 2)
 
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_box_pair_ratio_is_one_half_under_every_p(self, p):
+        space = vector_space(2, p)
+        A = Box((0.0, 0.0), (2.0, 2.0))
+        C = Box((0.5, 0.5), (1.5, 1.5))
+        verdict = check_diameter_strict(space, A, C)
+        assert verdict.holds
+        assert verdict.witness["k_hat"] == 0.5
+
     def test_singleton_inside_has_zero_ratio(self):
         space = vector_space(2, math.inf, exact=True)
         A = Box((0, 0), (2, 2))
@@ -340,24 +350,60 @@ class TestDiameterStrict:
 class TestUniformModulus:
     def test_euclidean_modulus_matches_the_closed_form(self):
         space = vector_space(2, 2)
-        got = estimate_uniform_modulus(space, [0.5, 1.0, 1.5], budget=90_000)
+        got = estimate_uniform_modulus(space, [0.5, 1.0, 1.5])
         for eps, delta in got:
             oracle = 1 - math.sqrt(1 - eps * eps / 4)
             assert delta == pytest.approx(oracle, abs=1e-3)
 
     def test_extreme_separation_forces_the_center(self):
         space = vector_space(2, 2)
-        ((_, delta),) = estimate_uniform_modulus(space, [2.0], budget=5000)
+        ((_, delta),) = estimate_uniform_modulus(space, [2.0])
         assert delta == pytest.approx(1.0, abs=1e-3)
 
     def test_vanishing_separation_gives_vanishing_modulus(self):
         space = vector_space(2, 2)
-        ((_, delta),) = estimate_uniform_modulus(space, [1e-3], budget=5000)
+        ((_, delta),) = estimate_uniform_modulus(space, [1e-3])
         assert 0 <= delta < 1e-3
 
     def test_refused_without_unique_midpoints(self):
         with pytest.raises(UniqueMidpointUndefined):
             estimate_uniform_modulus(vector_space(2, 1), [1.0])
+
+    @pytest.mark.parametrize("eps", [-0.5, 2.5])
+    def test_a_separation_outside_zero_to_two_is_refused(self, eps, monkeypatch):
+        def no_distance(*args):
+            raise AssertionError("a distance was measured before the refusal")
+
+        monkeypatch.setattr(properties, "distance", no_distance)
+        with pytest.raises(MclabError, match=str(eps)):
+            estimate_uniform_modulus(vector_space(2, 2), [1.0, eps])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2, 3, 4])
+    def test_the_sweep_attains_the_closed_form(self, p, dim):
+        eps_values = [0, 0.25, 0.5, 1, 1.5, 1.9]
+        got = estimate_uniform_modulus(vector_space(dim, p), eps_values)
+        assert [eps for eps, _ in got] == eps_values
+        for eps, delta in got:
+            assert delta == pytest.approx(_closed_form_modulus(p, dim, eps), abs=1e-9)
+
+
+def _closed_form_modulus(p, dim, eps):
+    """eps/2 on the line; Clarkson's modulus for p >= 2; for 1 < p < 2
+    Hanner's root of (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2, by bisection
+    (the left side falls as d grows on [0, 1])."""
+    if dim == 1:
+        return eps / 2
+    if p >= 2:
+        return 1 - (1 - (eps / 2) ** p) ** (1 / p)
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        d = (lo + hi) / 2
+        if (1 - d + eps / 2) ** p + abs(1 - d - eps / 2) ** p > 2:
+            lo = d
+        else:
+            hi = d
+    return lo
 
 
 class TestCertificateSelfVerification:

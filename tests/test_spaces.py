@@ -635,7 +635,7 @@ def test_unique_midpoints_gates_every_single_valued_operation(sid, unique):
         lambda: unique_midpoint(space, x, y, F(1, 2)),
         lambda: midpoint_map(space, y, F(1, 2))(x),
         lambda: semigroup_compose(space, y, [F(1, 2)], plan),
-        lambda: estimate_uniform_modulus(space, [0.5], budget=50),
+        lambda: estimate_uniform_modulus(space, [0.5]),
     ]
     for operation in operations:
         if unique:
