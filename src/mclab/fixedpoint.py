@@ -40,7 +40,7 @@ from fractions import Fraction
 from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vector
 from .convexsets import Box, MetricBall, MidConvention, midpoint_set
 from .errors import DomainEscape, MclabError, SolverFailure
-from .sampling import HIGH, LOW, SamplePlan
+from .sampling import SamplePlan, sample_point
 from .spaces import MetricSpace, check_point, distance, distances, vlerp
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
@@ -77,17 +77,11 @@ class Rotation:
         )
 
 
-@dataclass(frozen=True)
-class BoxProjection:
-    """Componentwise clamp onto an axis-aligned box."""
+class BoxProjection(Box):
+    """Componentwise clamp onto an axis-aligned box: the box's own
+    `nearest`, with its bounds checked as a box domain's are."""
 
-    lower: tuple
-    upper: tuple
-
-    def apply(self, x):
-        return tuple(
-            min(max(c, lo), hi) for c, lo, hi in zip(x, self.lower, self.upper)
-        )
+    apply = Box.nearest
 
 
 @dataclass(frozen=True)
@@ -627,8 +621,8 @@ def semigroup_compose(
     rng = plan.rng()
     best_ratio = 0
     for _ in range(plan.count):
-        a = tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
-        b = tuple(rng.uniform(LOW, HIGH) for _ in range(space.dim))
+        a = sample_point(rng, space, plan)
+        b = sample_point(rng, space, plan)
         if a == b:
             continue
         num = distance(space, composed(a), composed(b))

@@ -42,10 +42,13 @@ from .verdicts import FAILS, HOLDS, REFUSED, PropertyVerdict, first_failure, ver
 PROPERTY_NAMES = ("A", "B", "Bprime", "Bdoubleprime", "C")
 
 
-def _sample_xy(rng, space, plan):
-    if plan.anchor_x is not None and plan.anchor_y is not None:
-        return tuple(plan.anchor_x), tuple(plan.anchor_y)
-    return sample_distinct_pair(rng, space, plan)
+def _refuse_unused(name: str, plan: SamplePlan, fields) -> None:
+    """Refuse a plan that sets a field the checker `name` never draws from
+    (B'' and homogeneity draw no (x, y) pair, homogeneity no t): its
+    verdict would record the field as if the draws had honoured it."""
+    for field in fields:
+        if getattr(plan, field) is not None:
+            raise MclabError(f"{name} does not use the sample plan's {field}")
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +108,7 @@ def _check_a(space, conv, plan, diam_tol, tol):
     def trials():
         rng = plan.rng()
         for k in range(plan.count):
-            x, y = _sample_xy(rng, space, plan)
+            x, y = sample_distinct_pair(rng, space, plan)
             t = sample_t(rng, space, plan, k)
             rep = midpoint_set(space, x, y, t, conv, tol=tol)
             diam, (p, q) = diameter_with_witness(space, rep)
@@ -189,6 +192,7 @@ def _check_bprime(space, conv, plan, tol):
 
 def _check_bdoubleprime(space, conv, plan, tol):
     """Property (B''): Hausdorff contraction of the set-lifted union."""
+    _refuse_unused("Bdoubleprime", plan, ("anchor_x",))
 
     def trials():
         rng = plan.rng()
@@ -231,7 +235,7 @@ def _check_c(space, conv, plan, tol):
 
     def trials():
         rng = plan.rng()
-        x, y = _sample_xy(rng, space, plan)
+        x, y = sample_distinct_pair(rng, space, plan)
         d = distance(space, x, y)
         seg = segment(space, x, y, t_grid, conv, tol=tol)
         pool = segment_points(seg)
@@ -334,6 +338,7 @@ def check_homogeneity(
     """
     if space.carrier != VECTOR:
         raise MclabError("homogeneity checks need a vector carrier")
+    _refuse_unused("Homogeneity", plan, ("anchor_x", "t_values"))
     zero = (0,) * space.dim
     e1 = (1,) + (0,) * (space.dim - 1)
 
@@ -389,7 +394,7 @@ def check_diameter_strict(
             )
     delta_c, _ = diameter_with_witness(space, C)
     # the interior of a box has the same diameter as its closure
-    delta_int = distance(space, A.lower, A.upper)
+    delta_int, _ = diameter_with_witness(space, A)
     k_hat = delta_c / delta_int if delta_c else delta_c
     threshold = 1 if space.exact else 1 - tol
     return verdict(

@@ -39,6 +39,9 @@ class SamplePlan:
                 "a sample plan needs coord_denominator >= 1 and t_denominator >= 2, "
                 f"not {self.coord_denominator} and {self.t_denominator}"
             )
+        # the pair draw takes the anchors as its pair only when both are set
+        if (self.anchor_x is None) != (self.anchor_y is None):
+            raise MclabError("a sample plan sets anchor_x and anchor_y together")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -74,6 +77,9 @@ def sample_point(rng: random.Random, space: MetricSpace, plan: SamplePlan):
 
 
 def sample_distinct_pair(rng: random.Random, space: MetricSpace, plan: SamplePlan):
+    """The plan's anchors if it sets them, else two distinct sampled points."""
+    if plan.anchor_x is not None:
+        return tuple(plan.anchor_x), tuple(plan.anchor_y)
     x = sample_point(rng, space, plan)
     y = sample_point(rng, space, plan)
     while y == x:

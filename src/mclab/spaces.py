@@ -2,13 +2,13 @@
 
 Two carrier kinds are supported: real/rational vectors of a fixed dimension
 under the d_p family of metrics (p in [1, inf]), and piecewise-polynomial
-functions on [0, 1] of degree at most 2 under the integral (L1) or supremum
-metric.  Every operation runs in one of two arithmetic modes: exact, where
-scalars are `fractions.Fraction` and results are bit-exact rationals, or
-float.  Exact mode is restricted to the metrics whose values stay rational
-for rational inputs: d_1, d_inf, the L1 integral metric, and the sup metric
-(the supremum of a rational piecewise quadratic is attained at a rational
-point).
+functions on [0, 1] of degree at most 2 under the integral metric (p = 1) or
+the supremum metric (p = inf).  Every operation runs in one of two
+arithmetic modes: exact, where scalars are `fractions.Fraction` and results
+are bit-exact rationals, or float.  Exact mode is restricted to p in
+{1, inf} on either carrier, the metrics whose values stay rational for
+rational inputs: d_1, d_inf, the integral metric, and the sup metric (the
+supremum of a rational piecewise quadratic is attained at a rational point).
 """
 from __future__ import annotations
 
@@ -32,42 +32,37 @@ from .errors import (
 VECTOR = "vector"
 PW_POLY = "pwpoly"
 
-METRIC_DP = "dp"
-METRIC_L1_FN = "l1fn"
-METRIC_LINF_FN = "linffn"
-
 _EXACT_P_VALUES = (1, math.inf)
 
 
 @dataclass(frozen=True)
 class MetricSpace:
-    """Space descriptor: carrier kind, dimension, metric selector, arithmetic mode."""
+    """Space descriptor: carrier kind, dimension, metric exponent p,
+    arithmetic mode.  A function carrier's p names its metric: 1 the
+    integral metric, inf the sup metric."""
 
     carrier: str
     dim: int | None
-    metric: str
-    p: float | None
+    p: float
     exact: bool
 
     def __post_init__(self):
         if self.carrier == VECTOR:
-            if self.metric != METRIC_DP:
-                raise MclabError("vector carriers use the d_p metric family")
             if self.dim is None or self.dim < 1:
                 raise MclabError("vector carrier needs a positive dimension")
             if self.p is None or (self.p < 1 and self.p != math.inf):
                 raise MclabError("p must lie in [1, inf]")
-            if self.exact and self.p not in _EXACT_P_VALUES:
-                raise ExactArithmeticUnsupported(
-                    f"exact arithmetic supports p in {{1, inf}}, not p={self.p}"
-                )
         elif self.carrier == PW_POLY:
-            if self.metric not in (METRIC_L1_FN, METRIC_LINF_FN):
-                raise MclabError("function carriers use the L1 or sup metric")
+            if self.p not in _EXACT_P_VALUES:
+                raise MclabError("function carriers take p = 1 (L1) or p = inf (sup)")
             if self.dim is not None:
                 raise MclabError("function carriers have no vector dimension")
         else:
             raise MclabError(f"unknown carrier {self.carrier!r}")
+        if self.exact and self.p not in _EXACT_P_VALUES:
+            raise ExactArithmeticUnsupported(
+                f"exact arithmetic supports p in {{1, inf}}, not p={self.p}"
+            )
 
     @property
     def id(self) -> str:
@@ -76,9 +71,9 @@ class MetricSpace:
     @property
     def unique_midpoints(self) -> bool:
         """Whether every midpoint set is a single point: only the strictly
-        convex d_p, 1 < p < inf; d_1, d_inf and the function-space metrics
-        have midpoint sets with distinct points."""
-        return self.carrier == VECTOR and self.p not in (1, math.inf)
+        convex d_p, 1 < p < inf; p = 1 and p = inf, on either carrier, have
+        midpoint sets with distinct points."""
+        return self.p not in _EXACT_P_VALUES
 
     def require_unique_midpoints(self) -> None:
         """Refuse, with UniqueMidpointUndefined, a space whose midpoint sets
@@ -104,15 +99,15 @@ class MetricSpace:
 
 
 def vector_space(dim: int, p: float, exact: bool = False) -> MetricSpace:
-    return MetricSpace(VECTOR, dim, METRIC_DP, p, exact)
+    return MetricSpace(VECTOR, dim, p, exact)
 
 
 def l1_function_space(exact: bool = True) -> MetricSpace:
-    return MetricSpace(PW_POLY, None, METRIC_L1_FN, None, exact)
+    return MetricSpace(PW_POLY, None, 1, exact)
 
 
 def linf_function_space(exact: bool = True) -> MetricSpace:
-    return MetricSpace(PW_POLY, None, METRIC_LINF_FN, None, exact)
+    return MetricSpace(PW_POLY, None, math.inf, exact)
 
 
 def _p_tag(p) -> str:
@@ -128,7 +123,7 @@ def space_id(space: MetricSpace) -> str:
     if space.carrier == VECTOR:
         suffix = "-exact" if space.exact else ""
         return f"vec{space.dim}-p{_p_tag(space.p)}{suffix}"
-    tag = "l1fn" if space.metric == METRIC_L1_FN else "linffn"
+    tag = "l1fn" if space.p == 1 else "linffn"
     return tag + ("-exact" if space.exact else "")
 
 
@@ -241,8 +236,7 @@ class PiecewisePoly:
     def value(self, x):
         idx = bisect_right(self.breakpoints, x) - 1
         idx = min(max(idx, 0), len(self.pieces) - 1)
-        c0, c1, c2 = self.pieces[idx]
-        return c0 + c1 * x + c2 * x * x
+        return _quad_value(self.pieces[idx], x)
 
 
 def constant_fn(c: Scalar) -> PiecewisePoly:
@@ -312,9 +306,9 @@ def _dp_rescaled(diffs, p) -> float:
 
 def distances(space: MetricSpace, y, points) -> list:
     """`[distance(space, q, y) for q in points]`, equal in value and type:
-    the one-row case of `distance_table`, for the fixed-point objective, a
-    lifted union's chords and a point's nearest member of a finite set.  A
-    single point is one `distance`, which sets up less than a table."""
+    the one-row case of `distance_table`, for the fixed-point objective and
+    a point's nearest member of a finite set.  A single point is one
+    `distance`, which sets up less than a table."""
     if space.carrier != VECTOR or len(points) == 1:
         return [distance(space, q, y) for q in points]
     return _flat_table(space, (y,), points)
@@ -399,7 +393,7 @@ def pl_distance(space: MetricSpace, f: PiecewisePoly, g: PiecewisePoly) -> Scala
     check_point(space, f)
     check_point(space, g)
     segments = _merged_diff(f, g)
-    if space.metric == METRIC_L1_FN:
+    if space.p == 1:
         total = 0
         for u, v, coeffs in segments:
             total += _abs_quad_integral(coeffs, u, v, space.exact)

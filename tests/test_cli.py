@@ -279,6 +279,19 @@ INPUT_ERRORS = {
         {},
         "bad mapping spec: entry '-1e400' lies beyond the float range",
     ),
+    # a projection's bounds are checked as a box domain's are
+    "spec-box-projection-inverted": (
+        ["fixedpoint", "spec.json"],
+        {
+            "spec.json": dict(
+                DOUBLING_SPEC,
+                kind="box_projection",
+                parameters={"lower": [1, 1], "upper": [0, 0]},
+            )
+        },
+        {},
+        "box lower bound exceeds upper bound",
+    ),
     "spec-x0-huge-integer": (
         ["fixedpoint", "spec.json"],
         {"spec.json": dict(ROT_SPEC, x0=[10**400, 0])},

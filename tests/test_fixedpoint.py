@@ -99,6 +99,13 @@ class TestVerifyHybrid:
         verdict = verify_hybrid(SP2, spec, NONSPREADING, SamplePlan(count=10_000))
         assert verdict.holds
 
+    def test_box_projection_is_the_boxs_nearest_point(self):
+        projection = BoxProjection((0, 0.5), (1, 2))
+        for z in [(-3, 1), (0.5, 2.5), (2, -1), (0.25, 1)]:
+            assert projection.apply(z) == Box((0, 0.5), (1, 2)).nearest(z)
+        with pytest.raises(MclabError, match="lower bound exceeds upper bound"):
+            BoxProjection((1, 1), (0, 0))
+
     def test_doubling_fails_with_doubled_distances(self):
         spec = MappingSpec(
             Affine(((2, 0), (0, 2)), (0, 0)), WholeSpace(2, radius=4)

@@ -49,6 +49,11 @@ class TestMengerConvexity:
         verdict = check_menger_convex(space, SamplePlan(count=300, seed=4))
         assert verdict.holds
 
+    def test_equal_anchors_are_its_pair(self):
+        plan = SamplePlan(count=5, anchor_x=(0, 0, 0), anchor_y=(0, 0, 0))
+        with pytest.raises(MclabError, match="two distinct endpoints"):
+            check_menger_convex(space_from_id("vec3-p1-exact"), plan)
+
 
 class TestSamplePlan:
     @pytest.mark.parametrize("count", [0, -3])
@@ -65,6 +70,12 @@ class TestSamplePlan:
         # these raised ZeroDivisionError or randrange's ValueError mid-check
         with pytest.raises(MclabError, match="denominator"):
             SamplePlan(count=3, **denominators)
+
+    @pytest.mark.parametrize("anchor", ["anchor_x", "anchor_y"])
+    def test_a_plan_refuses_one_anchor(self, anchor):
+        # a verdict would record an anchor that no pair draw can honour
+        with pytest.raises(MclabError, match="anchor_x and anchor_y"):
+            SamplePlan(count=5, **{anchor: (0, 0, 0)})
 
 
 class TestPropertyA:
@@ -155,6 +166,14 @@ class TestPropertyBPrime:
             w["rhs"], abs=1e-12
         )
 
+    def test_the_witness_pair_is_the_plans_anchors(self):
+        plan = SamplePlan(count=200, seed=3, anchor_x=(0, 0, 0), anchor_y=(2, 0, 0))
+        verdict = check_property(space_from_id("vec3-pinf-exact"), "Bprime", plan=plan)
+        assert verdict.fails
+        assert verdict.witness["x"] == (0, 0, 0)
+        assert verdict.witness["y"] == (2, 0, 0)
+        assert verdict.plan["anchor_x"] == [0, 0, 0]
+
 
 class TestPropertyBDoublePrime:
     def test_lifted_union_contraction_on_finite_sets(self):
@@ -167,6 +186,12 @@ class TestPropertyBDoublePrime:
         )
         assert verdict.holds
         assert verdict.max_slack <= 1e-9
+
+    def test_anchors_are_refused(self):
+        # it draws no (x, y) pair, so its verdict must not record one
+        plan = SamplePlan(count=5, anchor_x=(0, 0), anchor_y=(1, 0))
+        with pytest.raises(MclabError, match="anchor_x"):
+            check_property(vector_space(2, 2), "Bdoubleprime", plan=plan)
 
     @pytest.mark.parametrize("space_id", ["vec2-p1.5", "vec3-p2", "vec6-p2"])
     @pytest.mark.parametrize("conv", [FX, FY])
@@ -313,6 +338,18 @@ class TestHomogeneity:
         # probe list starts with alpha = 0; a single-sample run covers it
         verdict = check_homogeneity(space, SamplePlan(count=1, seed=1), tol=0)
         assert verdict.samples >= 1
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("anchor_x", {"anchor_x": (0, 0), "anchor_y": (1, 0)}),
+            ("t_values", {"t_values": (F(1, 2),)}),
+        ],
+    )
+    def test_a_plan_field_it_never_draws_from_is_refused(self, field, fields):
+        # it draws scalars and single points, never an (x, y) pair or a t
+        with pytest.raises(MclabError, match=field):
+            check_homogeneity(vector_space(2, 2), SamplePlan(count=5, **fields))
 
 
 class TestDiameterStrict:

@@ -14,6 +14,8 @@ from mclab import (
     ConfigError,
     DimensionMismatch,
     ExactArithmeticUnsupported,
+    MclabError,
+    MetricSpace,
     PiecewisePoly,
     SamplePlan,
     UniqueMidpointUndefined,
@@ -33,7 +35,7 @@ from mclab import (
     unique_midpoint,
     vector_space,
 )
-from mclab.spaces import VECTOR, vlerp
+from mclab.spaces import PW_POLY, VECTOR, space_id, vlerp
 
 
 class TestVectorDistance:
@@ -482,6 +484,15 @@ class TestFloatMetricAxioms:
 
 
 class TestPiecewiseDistance:
+    def test_a_function_carrier_names_its_metric_by_p(self):
+        assert (l1_function_space().p, linf_function_space().p) == (1, math.inf)
+        assert [space_id(s) for s in (l1_function_space(), linf_function_space())] == [
+            "l1fn-exact",
+            "linffn-exact",
+        ]
+        with pytest.raises(MclabError, match="p = 1"):
+            MetricSpace(PW_POLY, None, 2, False)
+
     def test_constants_in_integral_metric(self):
         space = l1_function_space()
         assert pl_distance(space, constant_fn(0), constant_fn(2)) == 2
