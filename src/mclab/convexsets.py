@@ -20,7 +20,8 @@ a midpoint set holds only rationals.  A d_inf box is built in one frame, in
 both arithmetic modes: on an exact space x, y and the radii are integers
 over twice their common denominator, where every axis midpoint
 (lo + hi) // 2 is exact, and one Fraction is made per bound at the end; on
-a float space they are the floats themselves.
+a float space they are the floats themselves.  A construction takes no
+tolerance: it guards its own rounding relative to the scale of its inputs.
 
 Every member of a midpoint set lies on both bounding spheres, and one
 check tests it: `sphere_equivalence_check` runs it for the library and the
@@ -74,6 +75,10 @@ from .spaces import (
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
 DEFAULT_TOL = 1e-9
+
+# a float construction allows DEFAULT_TOL of its inputs' scale for rounding,
+# the scale at least the least normal float, below which rounding is absolute
+MIN_SCALE = 2.0**-1022
 
 # a d_1 midpoint set has up to 2^m vertices for m differing coordinates
 MAX_SIMPLEX_AXES = 10
@@ -462,7 +467,6 @@ def midpoint_set(
     y,
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
-    tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
     ball around y, the radii splitting d(x, y) according to the convention.
@@ -470,7 +474,7 @@ def midpoint_set(
     measured."""
     _check_endpoints(space, x, y, (t,))
     d = None if space.unique_midpoints else distance(space, x, y)
-    return _midpoint_rep(space, x, y, t, conv, d, tol)
+    return _midpoint_rep(space, x, y, t, conv, d)
 
 
 def _check_endpoints(space: MetricSpace, x, y, ts) -> None:
@@ -498,13 +502,13 @@ def _check_parameter(space: MetricSpace, t: Scalar) -> None:
         )
 
 
-def _midpoint_rep(space: MetricSpace, x, y, t, conv, d, tol) -> SetRep:
+def _midpoint_rep(space: MetricSpace, x, y, t, conv, d) -> SetRep:
     """B[x, r1] ∩ B[y, r2] for (r1, r2) = radii_for(conv, t, d) and
     d = d(x, y), with rational radii on an exact space.  A strictly convex
     d_p reads no d: its set is the chord point."""
     p = space.p
     if p == math.inf:
-        den, bounds, _ = _sup_frame(space, x, y, *radii_for(conv, t, d), tol)
+        den, bounds, _ = _sup_frame(space, x, y, *radii_for(conv, t, d))
         if den is not None:
             bounds = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi in bounds]
         lower, upper = zip(*bounds)
@@ -524,7 +528,7 @@ def _chord_point(x, y, t: Scalar, conv: MidConvention):
     return vlerp(x, y, t if conv is MidConvention.FROM_X else 1 - t)
 
 
-def _sup_frame(space: MetricSpace, x, y, r1, r2, tol):
+def _sup_frame(space: MetricSpace, x, y, r1, r2):
     """B[x, r1] ∩ B[y, r2] under d_inf for r1 + r2 = d(x, y), as (den, the
     per-axis bounds (lo, hi), the spheres ((x, r1), (y, r2))).  Each bound
     is max(x_i - r1, y_i - r2) or min(x_i + r1, y_i + r2).  On an exact
@@ -540,9 +544,9 @@ def _sup_frame(space: MetricSpace, x, y, r1, r2, tol):
     for a, b in zip(x, y):
         lo, hi = max(a - r1, b - r2), min(a + r1, b + r2)
         if lo > hi:
-            # r1 + r2 can round to slightly below d in float mode,
-            # collapsing the tight coordinate by a few ulps
-            if den is not None or lo - hi > tol:
+            # r1 + r2 can round below d, emptying a tight float axis by a few ulps
+            scale = max(abs(a) + abs(b) + r1 + r2, MIN_SCALE)
+            if den is not None or lo - hi > DEFAULT_TOL * scale:
                 raise InternalInconsistency(
                     "empty box intersection for a sup-metric midpoint set"
                 )
@@ -706,7 +710,7 @@ def _sphere_check(space, x, y, t, conv, d, tol):
     r1, r2 = radii_for(conv, t, d)
     rep = held = None  # held: (samples, max_slack) of a check that holds
     if space.p == math.inf:
-        den, bounds, spheres = _sup_frame(space, x, y, r1, r2, tol)
+        den, bounds, spheres = _sup_frame(space, x, y, r1, r2)
         axes = _grid_axes(bounds, den is not None)
         gap = _sphere_gap(axes, spheres)
         if gap <= space.limit(tol):
@@ -714,12 +718,12 @@ def _sphere_check(space, x, y, t, conv, d, tol):
     elif space.exact and space.p == 1:
         held = 0, 0
     else:
-        rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+        rep = _midpoint_rep(space, x, y, t, conv, d)
         if space.p == 1:
             held = _simplex_gap(rep, r1, r2, space.limit(tol))
     if held is None:
         if rep is None:
-            rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+            rep = _midpoint_rep(space, x, y, t, conv, d)
         return _spheres_verdict(space, x, y, t, conv, rep, r1, r2, tol), rep
     samples, max_slack = held
     return verdict(
@@ -737,15 +741,15 @@ def segment(
     y,
     t_grid,
     conv: MidConvention = MidConvention.FROM_X,
-    tol: float = DEFAULT_TOL,
 ) -> Segment:
     """Sampled segment: one midpoint set per parameter in `t_grid`, each
     refused as `midpoint_set` refuses it, built from one d(x, y) and
-    checked by the sphere check."""
+    checked by the sphere check, exact or relative to the segment's scale."""
     t_grid = tuple(t_grid)
     _check_endpoints(space, x, y, t_grid)
     # the sphere check reads d, so d is measured even for chord points
     d = distance(space, x, y)
+    tol = 0 if space.exact else DEFAULT_TOL * max(*map(abs, (*x, *y)), d, MIN_SCALE)
     samples = []
     for t in t_grid:
         check, rep = _sphere_check(space, x, y, t, conv, d, tol)
@@ -754,7 +758,7 @@ def segment(
                 f"segment sample at t={t} misses its spheres by {check.max_slack}"
             )
         if rep is None:
-            rep = _midpoint_rep(space, x, y, t, conv, d, tol)
+            rep = _midpoint_rep(space, x, y, t, conv, d)
         samples.append((t, rep))
     return Segment(tuple(x), tuple(y), tuple(samples))
 
@@ -788,7 +792,6 @@ def lifted_union(
     y,
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
-    tol: float = DEFAULT_TOL,
 ) -> SetRep:
     """Union of midpoint sets with y over representative points of A."""
     if not isinstance(A, (Singleton, FiniteSet, Box)):
@@ -802,7 +805,7 @@ def lifted_union(
         if tuple(a) == tuple(y):
             parts.append(Singleton(tuple(y)))
         else:
-            parts.append(midpoint_set(space, a, y, t, conv, tol=tol))
+            parts.append(midpoint_set(space, a, y, t, conv))
     if all(isinstance(p, Singleton) for p in parts):
         points = tuple(dict.fromkeys(tuple(p.point) for p in parts))
         return FiniteSet(points)

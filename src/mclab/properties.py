@@ -92,7 +92,7 @@ def check_property(
         raise MclabError(f"unknown property {which!r}")
     plan = plan or SamplePlan()
     if which == "A":
-        return _check_a(space, conv, plan, diam_tol, tol)
+        return _check_a(space, conv, plan, diam_tol)
     if which == "B":
         return _check_b(space, plan, tol)
     if which == "Bprime":
@@ -102,7 +102,7 @@ def check_property(
     return _check_c(space, conv, plan, tol)
 
 
-def _check_a(space, conv, plan, diam_tol, tol):
+def _check_a(space, conv, plan, diam_tol):
     """Property (A): every midpoint set is a single point."""
 
     def trials():
@@ -110,7 +110,7 @@ def _check_a(space, conv, plan, diam_tol, tol):
         for k in range(plan.count):
             x, y = sample_distinct_pair(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            rep = midpoint_set(space, x, y, t, conv, tol=tol)
+            rep = midpoint_set(space, x, y, t, conv)
             diam, (p, q) = diameter_with_witness(space, rep)
             yield diam, lambda: {
                 "x": x,
@@ -125,7 +125,7 @@ def _check_a(space, conv, plan, diam_tol, tol):
                 "distance_to_y_2": distance(space, q, y),
             }
 
-    return first_failure("A", trials(), diam_tol, plan, conv, worst=0)
+    return first_failure("A", trials(), space.limit(diam_tol), plan, conv, worst=0)
 
 
 def _check_b(space, plan, tol):
@@ -154,7 +154,7 @@ def _check_b(space, plan, tol):
             equality_hit = equality_hit or (x != z and abs(slack) <= 1e-6)
             yield slack, lambda: {"x": x, "y": y, "z": z, "t": t, "lhs": lhs, "rhs": rhs}
 
-    b = first_failure("B", trials(), tol, plan)
+    b = first_failure("B", trials(), space.limit(tol), plan)
     if b.holds:
         b.witness = {"equality_attained": equality_hit}
     return b
@@ -172,8 +172,8 @@ def _check_bprime(space, conv, plan, tol):
             while z == y or z == x:
                 z = sample_point(rng, space, plan)
             t = sample_t(rng, space, plan, k)
-            cx = midpoint_set(space, x, y, t, conv, tol=tol)
-            cz = midpoint_set(space, z, y, t, conv, tol=tol)
+            cx = midpoint_set(space, x, y, t, conv)
+            cz = midpoint_set(space, z, y, t, conv)
             h = hausdorff(space, cx, cz)
             rhs = t * distance(space, x, z)
             yield h.value - rhs, lambda: {
@@ -187,7 +187,7 @@ def _check_bprime(space, conv, plan, tol):
                 "hausdorff_witness": h.witness,
             }
 
-    return first_failure("Bprime", trials(), tol, plan, conv)
+    return first_failure("Bprime", trials(), space.limit(tol), plan, conv)
 
 
 def _check_bdoubleprime(space, conv, plan, tol):
@@ -210,8 +210,8 @@ def _check_bdoubleprime(space, conv, plan, tol):
                 CA = FiniteSet(tuple(chords[: len(pts_a)]))
                 CB = FiniteSet(tuple(chords[len(pts_a) :]))
             else:
-                CA = lifted_union(space, A, y, t, conv, tol=tol)
-                CB = lifted_union(space, B, y, t, conv, tol=tol)
+                CA = lifted_union(space, A, y, t, conv)
+                CB = lifted_union(space, B, y, t, conv)
             lhs = hausdorff(space, CA, CB).value
             rhs = t * hausdorff(space, A, B).value
             yield lhs - rhs, lambda: {
@@ -223,7 +223,7 @@ def _check_bdoubleprime(space, conv, plan, tol):
                 "rhs": rhs,
             }
 
-    return first_failure("Bdoubleprime", trials(), tol, plan, conv)
+    return first_failure("Bdoubleprime", trials(), space.limit(tol), plan, conv)
 
 
 def _check_c(space, conv, plan, tol):
@@ -237,7 +237,7 @@ def _check_c(space, conv, plan, tol):
         rng = plan.rng()
         x, y = sample_distinct_pair(rng, space, plan)
         d = distance(space, x, y)
-        seg = segment(space, x, y, t_grid, conv, tol=tol)
+        seg = segment(space, x, y, t_grid, conv)
         pool = segment_points(seg)
         # seeded random exploration of (u, v, s) triples over the pool; an
         # ordered scan would spend the whole budget near one corner
@@ -248,7 +248,7 @@ def _check_c(space, conv, plan, tol):
             if u == v:
                 continue
             s = t_grid[rng.randrange(len(t_grid))]
-            rep = midpoint_set(space, u, v, s, conv, tol=tol)
+            rep = midpoint_set(space, u, v, s, conv)
             for w in rep.sample_points()[: plan.count - checks]:
                 checks += 1
                 dsum = distance(space, x, w) + distance(space, w, y)
@@ -291,8 +291,8 @@ def check_betweenness(
     """
     if not t1 < t2:
         raise MclabError("need t1 < t2")
-    rep1 = midpoint_set(space, x, y, t1, conv, tol=tol)
-    rep2 = midpoint_set(space, x, y, t2, conv, tol=tol)
+    rep1 = midpoint_set(space, x, y, t1, conv)
+    rep2 = midpoint_set(space, x, y, t2, conv)
     limit = space.limit(tol)
     if not rep1.contains(p1, limit):
         raise MembershipError("p1 is not a member of the first midpoint set")
@@ -369,7 +369,7 @@ def check_homogeneity(
                 "cap": cap,
             }
 
-    return first_failure("Homogeneity", trials(), tol, plan, worst=0)
+    return first_failure("Homogeneity", trials(), space.limit(tol), plan, worst=0)
 
 
 # --------------------------------------------------------------------------
@@ -396,10 +396,9 @@ def check_diameter_strict(
     # the interior of a box has the same diameter as its closure
     delta_int, _ = diameter_with_witness(space, A)
     k_hat = delta_c / delta_int if delta_c else delta_c
-    threshold = 1 if space.exact else 1 - tol
     return verdict(
         "DiameterStrict",
-        HOLDS if k_hat < threshold else FAILS,
+        HOLDS if k_hat < 1 - space.limit(tol) else FAILS,
         samples=len(points),
         witness={
             "diameter_inner": delta_c,

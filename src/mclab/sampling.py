@@ -39,6 +39,8 @@ class SamplePlan:
                 "a sample plan needs coord_denominator >= 1 and t_denominator >= 2, "
                 f"not {self.coord_denominator} and {self.t_denominator}"
             )
+        if self.t_values is not None and not self.t_values:
+            raise MclabError("a sample plan's t_values, when set, needs a value")
         # the pair draw takes the anchors as its pair only when both are set
         if (self.anchor_x is None) != (self.anchor_y is None):
             raise MclabError("a sample plan sets anchor_x and anchor_y together")

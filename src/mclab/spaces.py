@@ -50,7 +50,7 @@ class MetricSpace:
         if self.carrier == VECTOR:
             if self.dim is None or self.dim < 1:
                 raise MclabError("vector carrier needs a positive dimension")
-            if self.p is None or (self.p < 1 and self.p != math.inf):
+            if self.p is None or not self.p >= 1:
                 raise MclabError("p must lie in [1, inf]")
         elif self.carrier == PW_POLY:
             if self.p not in _EXACT_P_VALUES:

@@ -153,15 +153,15 @@ PUBLIC_OPTIONS = {
     "find_fixed_point": ["orbit_n", "window", "tol", "budget", "rmax"],
     "hausdorff": [],
     "l1_function_space": ["exact"],
-    "lifted_union": ["conv", "tol"],
+    "lifted_union": ["conv"],
     "linf_function_space": ["exact"],
     "make_asymptotic_functional": ["n", "window", "rmax"],
     "midpoint_map": ["conv"],
-    "midpoint_set": ["conv", "tol"],
+    "midpoint_set": ["conv"],
     "orbit": ["rmax"],
     "pl_distance": [],
     "poly_fn": ["c1", "c2"],
-    "segment": ["conv", "tol"],
+    "segment": ["conv"],
     "semigroup_compose": ["plan", "conv", "tol"],
     "space_from_id": [],
     "sphere_equivalence_check": ["conv", "tol"],
@@ -263,3 +263,25 @@ def test_reports_have_one_encoder():
             if isinstance(node, ast.FunctionDef) and node.name == "to_json"
         ]
     assert found == []
+
+
+def test_every_sampled_verdict_compares_through_the_space_limit():
+    # each `first_failure` limit is `space.limit(...)`: 0 on an exact space,
+    # so no exact slack can hold below a positive tolerance
+    calls = [
+        (path.name, node)
+        for path in sorted(Path(mclab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "first_failure"
+    ]
+    found = []
+    for name, call in calls:
+        limit = call.args[2] if len(call.args) > 2 else None
+        limit = next((k.value for k in call.keywords if k.arg == "limit"), limit)
+        if not (
+            isinstance(limit, ast.Call)
+            and isinstance(limit.func, ast.Attribute)
+            and limit.func.attr == "limit"
+        ):
+            found.append(f"{name}:{call.lineno}")
+    assert calls and found == []

@@ -487,6 +487,28 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("space, prop", [("vec3-p2", "C"), ("vec3-pinf", "menger")])
+    def test_a_float_verdict_at_tol_zero_fails_on_rounding(self, space, prop, tmp_path):
+        # a construction checked its own rounding against tol, so tol 0 ended
+        # in an InternalInconsistency traceback before any report was written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 0}))
+        argv = ["check", "--space", space, "--props", prop, "--seed", "1"]
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / f"check-{space}.json").read_text())
+        [entry] = report["reports"]
+        assert entry["outcome"] == "fails" and entry["maxSlack"] > 0
+
+    def test_an_exact_verdict_compares_its_slack_with_zero(self, tmp_path):
+        # with tol 10, B' held with maxSlack 207/64 and B'' with maxSlack 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 10}))
+        argv = ["check", "--space", "vec3-p1-exact", "--props", "Bprime,Bdoubleprime"]
+        argv += ["--expect", "Bprime=fails,Bdoubleprime=fails", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "check-vec3-p1-exact.json").read_text())
+        assert [r["samples"] for r in report["reports"]] == [1, 1]
+
     def test_bad_space_id_exits_two(self, tmp_path):
         assert (
             main(["check", "--space", "nope", "--props", "A", "--out", str(tmp_path)])

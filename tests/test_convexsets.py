@@ -1443,7 +1443,9 @@ class TestSegment:
         with pytest.raises(InternalInconsistency, match="t=0.25"):
             segment(space_from_id("vec2-p2"), (0.0, 0.0), (4.0, 2.0), [0.25], FX)
 
-    def test_a_simplex_built_at_half_its_t_is_refused(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1, 1e30])
+    def test_a_simplex_built_at_half_its_t_is_refused(self, scale, monkeypatch):
+        # the check is relative to the segment's scale, not loosened by it
         build = convexsets._midpoint_rep
 
         def halved(space, x, y, t, *rest):
@@ -1451,8 +1453,49 @@ class TestSegment:
 
         monkeypatch.setattr(convexsets, "_midpoint_rep", halved)
         x, y = (0.1, 0.2, -0.3), (0.7, -0.4, 0.9)
+        x, y = tuple(c * scale for c in x), tuple(c * scale for c in y)
         with pytest.raises(InternalInconsistency, match="t=0.25"):
             segment(space_from_id("vec3-p1"), x, y, [0.25], FX)
+
+    # coordinates near 1e30, where a guard with an absolute allowance of
+    # DEFAULT_TOL refused every segment and this d_inf box
+    X30 = (9.692967757656201e29, -1.6342029042953056e30, 9.132499968102356e29)
+    Y30 = (-1.9298383065821998e30, 8.487354946641168e29, 8.060937016300782e29)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("conv", [FX, FY])
+    def test_a_segment_at_a_large_scale_is_built(self, p, conv):
+        t_grid = [0.125, 0.25, 0.5]
+        seg = segment(vector_space(3, p), self.X30, self.Y30, t_grid, conv)
+        assert [t for t, _ in seg.samples] == t_grid
+
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_an_exact_segment_beyond_the_float_range_is_built(self, p):
+        x, y = (F(10**400), F(0)), (F(0), F(0))
+        seg = segment(vector_space(2, p, exact=True), x, y, [F(1, 2)], FX)
+        assert segment_points(seg)[:2] == [x, y]
+
+    def test_a_sup_box_at_a_large_scale_is_built(self):
+        space = vector_space(3, math.inf)
+        rep = midpoint_set(space, self.X30, self.Y30, 0.13473562012125537)
+        assert isinstance(rep, Box)
+
+    @given(
+        st.sampled_from([1, 1.5, 2, 3, math.inf]),
+        st.integers(1, 6),
+        # 1e-315 is subnormal, where rounding errs by an absolute amount
+        st.sampled_from([1e-315, 1e-6, 1.0, 1e6, 1e30]),
+        st.randoms(use_true_random=False),
+        st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3),
+        st.sampled_from([FX, FY]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_float_segment_at_any_scale_is_built(self, p, dim, scale, rng, t_grid, conv):
+        x = tuple(rng.uniform(-2, 2) * scale for _ in range(dim))
+        y = tuple(rng.uniform(-2, 2) * scale for _ in range(dim))
+        assume(x != y)
+        seg = segment(vector_space(dim, p), x, y, t_grid, conv)
+        assert len(seg.samples) == len(t_grid)
 
     @pytest.mark.parametrize(
         "space, x, y, t_grid, error, message",

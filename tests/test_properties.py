@@ -77,6 +77,11 @@ class TestSamplePlan:
         with pytest.raises(MclabError, match="anchor_x and anchor_y"):
             SamplePlan(count=5, **{anchor: (0, 0, 0)})
 
+    def test_a_plan_refuses_empty_t_values(self):
+        # the verdict recorded t_values [] while every trial drew a random t
+        with pytest.raises(MclabError, match="t_values"):
+            SamplePlan(count=3, t_values=())
+
 
 class TestPropertyA:
     def test_holds_on_strictly_convex_spaces(self):
@@ -207,8 +212,8 @@ class TestPropertyBDoublePrime:
                 A, B = FiniteSet(pts_a), FiniteSet(pts_b)
                 y = sample_point(rng, space, plan)
                 t = sample_t(rng, space, plan, k)
-                CA = lifted_union(space, A, y, t, conv, tol=tol)
-                CB = lifted_union(space, B, y, t, conv, tol=tol)
+                CA = lifted_union(space, A, y, t, conv)
+                CB = lifted_union(space, B, y, t, conv)
                 lhs = hausdorff(space, CA, CB).value
                 rhs = t * hausdorff(space, A, B).value
                 yield lhs - rhs, lambda: {"lhs": lhs, "rhs": rhs}

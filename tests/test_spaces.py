@@ -452,6 +452,13 @@ class TestDpRange:
         assert distances(space, b, [a, b]) == [math.inf, 0.0]
 
 
+@pytest.mark.parametrize("p", [float("nan"), 0.5, -math.inf])
+def test_a_vector_p_below_one_or_nan_is_refused(p):
+    # p = nan built a space whose every distance was nan
+    with pytest.raises(MclabError, match=r"p must lie in \[1, inf\]"):
+        vector_space(2, p)
+
+
 class TestFloatMetricAxioms:
     """Identity and symmetry hold with no tolerance on the float vector ids,
     over the whole float range; the triangle inequality holds up to
