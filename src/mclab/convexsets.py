@@ -8,9 +8,9 @@ axis-aligned box for d_inf, and a capped simplex for d_1 (the points of the
 coordinate box of x and y whose offsets from x sum to the first radius),
 sampled at its vertices.  The single point is the chord point
 x + s(y - x), with s the share radii_for(conv, t, 1)[0] of d(x, y): it is
-built from t alone, by one helper, for `midpoint_set`, `unique_midpoint`
-and `chord_points`, so none of them measures a distance.  A lifted union is
-kept as the union of its parts.
+built from t alone, its share by one helper, for `midpoint_set`,
+`unique_midpoint` and `chord_points`, so none of them measures a
+distance.  A lifted union is kept as the union of its parts.
 A closed ball of any metric is a `MetricBall`: the fixed-point solvers use
 it as a domain and the nested-family solver as a constraint, and its
 constructor is where a center and radius are validated.
@@ -27,8 +27,9 @@ Every member of a midpoint set lies on both bounding spheres, and one
 check tests it: `sphere_equivalence_check` runs it for the library and the
 Menger checker, and `segment` on every midpoint set it stores.  It
 measures d(x, y) once, since the check reads the radii and d (a segment
-once for all its parameters, chord points included), and branches once on
-the space.  A d_inf box is read in its frame from per-axis extremes
+once for all its parameters, chord points included), refuses a float d
+that is not finite, and branches once on the space.  A d_inf box is
+read in its frame from per-axis extremes
 instead of a scan of its 3^n sample grid: over the grid, d_inf(z, x) runs
 from the largest per-axis minimum of |z_i - x_i| to the largest per-axis
 maximum, so the worst sphere gap sits at one of four numbers, and only a
@@ -469,11 +470,12 @@ def midpoint_set(
     conv: MidConvention = MidConvention.FROM_Y,
 ) -> SetRep:
     """Intersection of the ball of one radius around x with the complementary
-    ball around y, the radii splitting d(x, y) according to the convention.
-    Under a strictly convex d_p it is the chord point, and no distance is
-    measured."""
+    ball around y, the radii splitting d(x, y) according to the convention;
+    refused where d(x, y) is not finite.  Under a strictly convex d_p it is
+    the chord point: no distance is measured, so none is refused, and a
+    chord that overflows keeps its infinite coordinates."""
     _check_endpoints(space, x, y, (t,))
-    d = None if space.unique_midpoints else distance(space, x, y)
+    d = None if space.unique_midpoints else _finite_distance(space, x, y)
     return _midpoint_rep(space, x, y, t, conv, d)
 
 
@@ -489,6 +491,17 @@ def _check_endpoints(space: MetricSpace, x, y, ts) -> None:
         raise MclabError("midpoint set needs two distinct endpoints")
     for t in ts:
         _check_parameter(space, t)
+
+
+def _finite_distance(space: MetricSpace, x, y) -> Scalar:
+    """d(x, y) for checked endpoints, refused where it is not finite: a
+    float d that overflows to inf, or is NaN, splits into no radii and
+    leaves no sphere to check.  An exact d is always finite, and is not
+    compared."""
+    d = distance(space, x, y)
+    if not (space.exact or d < math.inf):
+        raise MclabError(f"midpoint sets need a finite distance d(x, y), not {d}")
+    return d
 
 
 def _check_parameter(space: MetricSpace, t: Scalar) -> None:
@@ -515,17 +528,16 @@ def _midpoint_rep(space: MetricSpace, x, y, t, conv, d) -> SetRep:
         return Box(lower, upper)
     if p == 1:
         return CappedSimplex(tuple(x), tuple(y), radii_for(conv, t, d)[0])
-    return Singleton(_chord_point(x, y, t, conv))
+    return Singleton(vlerp(x, y, _chord_share(t, conv)))
 
 
-def _chord_point(x, y, t: Scalar, conv: MidConvention):
-    """The one member of a strictly convex midpoint set: the point on the
-    straight chord from x to y at the share of d(x, y) that the first
-    radius takes, radii_for(conv, t, 1)[0], so no distance is read.  The
-    share is written out, t or exactly 1 - t, since `chord_points` calls
-    this once per point.  Every route to a unique midpoint takes it from
-    here."""
-    return vlerp(x, y, t if conv is MidConvention.FROM_X else 1 - t)
+def _chord_share(t: Scalar, conv: MidConvention) -> Scalar:
+    """The share of d(x, y) that the first radius takes, radii_for(conv, t,
+    1)[0], written out as t or exactly 1 - t: the one member of a strictly
+    convex midpoint set is `vlerp(x, y, share)`, the point at that share of
+    the straight chord from x to y, so no distance is read.  Every route to
+    a unique midpoint takes its share from here."""
+    return t if conv is MidConvention.FROM_X else 1 - t
 
 
 def _sup_frame(space: MetricSpace, x, y, r1, r2):
@@ -561,11 +573,13 @@ def unique_midpoint(space: MetricSpace, x, y, t: Scalar):
     Defined only on the strictly convex vector metrics d_p, 1 < p < inf,
     where the two-ball intersection is a single point; on d_1, d_inf and the
     function-space metrics the intersection can contain distinct points, so
-    the request is refused rather than silently resolved.
+    the request is refused rather than silently resolved.  No distance is
+    measured, so none is refused: a chord that overflows keeps its
+    infinite coordinates.
     """
     space.require_unique_midpoints()
     _check_endpoints(space, x, y, (t,))
-    return _chord_point(x, y, t, MidConvention.FROM_Y)
+    return vlerp(x, y, _chord_share(t, MidConvention.FROM_Y))
 
 
 # --------------------------------------------------------------------------
@@ -686,21 +700,22 @@ def sphere_equivalence_check(
 ) -> PropertyVerdict:
     """Whether every sampled member of `midpoint_set` lies on both bounding
     spheres: t is checked as `midpoint_set` checks it, and d(x, y) is
-    measured once.  A d_inf box is read in the frame of `_sup_frame`: over
-    its sample grid, |d_inf(z, c) - r| is largest at an end of the per-axis
-    range of d_inf(z, c) (also in float, where rounding is monotone), and
-    an exact gap is an integer, compared with 0 before any Fraction is
-    made.  An exact d_1 simplex holds by its offset invariant: every vertex
-    has offsets in [0, cap_i] summing to r1, so it lies on both spheres,
-    and no vertex is enumerated or counted.  A float d_1 simplex is built
-    and walked by `_simplex_gap`, which reports the scan's vertex count and
-    largest gap without listing a point or a distance table.  Any other set
-    and a box that fails are built and scanned by `_spheres_verdict`, as is
-    a simplex the walk hands back; the scan names its first off-sphere
-    point.  The Menger checker runs each of its trials through here."""
+    measured once and refused where it is not finite.  A d_inf box is read
+    in the frame of `_sup_frame`: over its sample grid, |d_inf(z, c) - r|
+    is largest at an end of the per-axis range of d_inf(z, c) (also in
+    float, where rounding is monotone), and an exact gap is an integer,
+    compared with 0 before any Fraction is made.  An exact d_1 simplex
+    holds by its offset invariant: every vertex has offsets in [0, cap_i]
+    summing to r1, so it lies on both spheres, and no vertex is enumerated
+    or counted.  A float d_1 simplex is built and walked by `_simplex_gap`,
+    which reports the scan's vertex count and largest gap without listing a
+    point or a distance table.  Any other set and a box that fails are
+    built and scanned by `_spheres_verdict`, as is a simplex the walk hands
+    back; the scan names its first off-sphere point.  The Menger checker
+    runs each of its trials through here."""
     _check_endpoints(space, x, y, (t,))
     # the check reads r1, r2 and d, so d is measured even for a chord point
-    return _sphere_check(space, x, y, t, conv, distance(space, x, y), tol)[0]
+    return _sphere_check(space, x, y, t, conv, _finite_distance(space, x, y), tol)[0]
 
 
 def _sphere_check(space, x, y, t, conv, d, tol):
@@ -743,12 +758,13 @@ def segment(
     conv: MidConvention = MidConvention.FROM_X,
 ) -> Segment:
     """Sampled segment: one midpoint set per parameter in `t_grid`, each
-    refused as `midpoint_set` refuses it, built from one d(x, y) and
-    checked by the sphere check, exact or relative to the segment's scale."""
+    refused as `midpoint_set` refuses it, built from one d(x, y), refused
+    where it is not finite, and checked by the sphere check, exact or
+    relative to the segment's scale."""
     t_grid = tuple(t_grid)
     _check_endpoints(space, x, y, t_grid)
     # the sphere check reads d, so d is measured even for chord points
-    d = distance(space, x, y)
+    d = _finite_distance(space, x, y)
     tol = 0 if space.exact else DEFAULT_TOL * max(*map(abs, (*x, *y)), d, MIN_SCALE)
     samples = []
     for t in t_grid:
@@ -778,12 +794,12 @@ def segment_points(seg: Segment):
 def chord_points(space: MetricSpace, points, y, t: Scalar, conv: MidConvention) -> list:
     """The unique midpoint of each point a of `points` with y at t, in
     order: y itself for a == y, which keeps y's bits (a -0.0 coordinate
-    included), else `_chord_point(a, y, t, conv)`, as `midpoint_set` builds
-    it.  No distance is measured."""
+    included), else `vlerp(a, y, share)`, as `midpoint_set` builds it, the
+    share taken once per call.  No distance is measured."""
     space.require_unique_midpoints()
     _check_parameter(space, t)
-    y = tuple(y)
-    return [y if a == y else _chord_point(a, y, t, conv) for a in map(tuple, points)]
+    y, share = tuple(y), _chord_share(t, conv)
+    return [y if a == y else vlerp(a, y, share) for a in map(tuple, points)]
 
 
 def lifted_union(

@@ -23,10 +23,14 @@ minima the distance from B to A (distances are never -0.0, so these have
 the bits of a `min` over (distance, point) pairs).  Their result's witness
 is built when it is first read, so a caller that reads only the value pays
 for no search; a table that mixes number types, or a NaN value, builds it
-at once, since there the search picks the value's type.  The witness
-search runs only in a direction that decides the result, and only over its
-rows whose minimum is the deciding value, since no other row can attain or
-tie it.  Exactness comes from the space: a result
+at once, since there the search picks the value's type.  The value alone
+comes from `finite_hausdorff_value(space, points_a, points_b)`, the same
+minima step over two point lists with no set, no result and no witness
+search built: (B''), which reads Hausdorff values only, takes both its
+values there on a strictly convex space, and its right side everywhere.
+The witness search runs only in a direction that decides the result, and
+only over its rows whose minimum is the deciding value, since no other row
+can attain or tie it.  Exactness comes from the space: a result
 is marked exact on an exact space when A's sample points attain the
 supremum, that is A finite, or A a capped simplex (whose vertices are its
 sample points) and B convex.  Witness pairs are always returned; ties
@@ -225,23 +229,33 @@ def _decide(forward, backward, forward_result, backward_result):
     return there if there[1] <= back[1] else back
 
 
-def _finite_pair(space, A, B):
-    """hausdorff for two finite sets, from one `distance_table` of A
-    against B: its row minima give A -> B, its column minima B -> A
-    (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min` and
-    `max` (distances are never -0.0, so a `min` over numbers returns the
-    bits of a `min` over (distance, point) pairs).  The value is the larger
-    of the two, and the witness is searched for when first read, in the
-    direction that decides, or on a tie in both, the smaller witness
-    winning.  That needs a table of one number type, as on an exact vector
-    space (Fractions) or under a strictly convex d_p (floats), where equal
+def _finite_minima(space, pts_a, pts_b):
+    """The minima step of two finite sets: one `distance_table` of A
+    against B, whose row minima give A -> B and whose column minima give
+    B -> A (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min`
+    and `max` (distances are never -0.0, so a `min` over numbers returns
+    the bits of a `min` over (distance, point) pairs).  Returns (the value,
+    (table, row minima, column minima, forward, backward)), the value being
+    the larger direction, or None where the table cannot give it: that
+    needs a table of one number type, as on an exact vector space
+    (Fractions) or under a strictly convex d_p (floats), where equal
     distances have equal bits.  Where int, Fraction and float coordinates
-    mix, or a NaN compares to neither value, the search picks the value's
-    type or the value itself, so it runs at once."""
-    pts_a, pts_b = _rep_points(A), _rep_points(B)
+    mix, the witness search picks the value's type, and a NaN compares to
+    neither direction."""
     rows = distance_table(space, pts_a, pts_b)
     row_minima, column_minima = list(map(min, rows)), list(map(min, zip(*rows)))
     forward, backward = max(row_minima), max(column_minima)
+    step = rows, row_minima, column_minima, forward, backward
+    comparable = forward >= backward or backward > forward
+    if comparable and (space.unique_midpoints or (space.exact and space.carrier == VECTOR)):
+        return (backward if backward > forward else forward), step
+    return None, step
+
+
+def _search(pts_a, pts_b, rows, row_minima, column_minima, forward, backward):
+    """The (value, witness) of two finite sets from their minima step: the
+    search runs in the direction that decides, or on a tie in both, the
+    smaller witness winning."""
 
     def there():
         return _deciding(pts_a, rows, row_minima, forward, pts_b)
@@ -249,15 +263,32 @@ def _finite_pair(space, A, B):
     def back():
         return _deciding(pts_b, list(zip(*rows)), column_minima, backward, pts_a)
 
-    # a NaN compares to neither value
-    comparable = forward >= backward or backward > forward
-    if comparable and (space.unique_midpoints or (space.exact and space.carrier == VECTOR)):
-        return HausdorffResult._deferred(
-            backward if backward > forward else forward,
-            lambda: _decide(forward, backward, there, back)[1],
-            space.exact,
-        )
-    return HausdorffResult(*_decide(forward, backward, there, back), space.exact)
+    return _decide(forward, backward, there, back)
+
+
+def _finite_pair(space, A, B):
+    """hausdorff for two finite sets, from their minima step.  Where the
+    table gives the value, the witness is searched for when first read;
+    elsewhere the search runs at once."""
+    pts_a, pts_b = _rep_points(A), _rep_points(B)
+    value, step = _finite_minima(space, pts_a, pts_b)
+    if value is None:
+        return HausdorffResult(*_search(pts_a, pts_b, *step), space.exact)
+    return HausdorffResult._deferred(
+        value, lambda: _search(pts_a, pts_b, *step)[1], space.exact
+    )
+
+
+def finite_hausdorff_value(space: MetricSpace, points_a, points_b) -> Scalar:
+    """`hausdorff(space, FiniteSet(points_a), FiniteSet(points_b)).value`,
+    equal in bits and in type, with no set, result or witness search built
+    where the minima step gives the value; elsewhere the search that
+    `hausdorff` runs picks it.  For a caller, such as (B''), that reads
+    only values."""
+    if not points_a or not points_b:
+        raise EmptySetError("finite set representation must be nonempty")
+    value, step = _finite_minima(space, points_a, points_b)
+    return _search(points_a, points_b, *step)[0] if value is None else value
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:

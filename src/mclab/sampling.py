@@ -100,8 +100,17 @@ def sample_t(rng: random.Random, space: MetricSpace, plan: SamplePlan, index: in
 
 
 def sample_finite_points(rng: random.Random, space: MetricSpace, plan: SamplePlan):
-    """1 to MAX_SET_SIZE distinct points, each drawn by `sample_point`."""
+    """1 to MAX_SET_SIZE distinct points, as `sample_point` draws them one
+    by one.  On a float space the `size * dim` uniforms are drawn in one
+    pass and cut into points: the same calls of `rng.random` in the same
+    order."""
     size = rng.randint(1, MAX_SET_SIZE)
-    points = [sample_point(rng, space, plan) for _ in range(size)]
+    if space.exact:
+        points = [sample_point(rng, space, plan) for _ in range(size)]
+    else:
+        assert space.carrier == VECTOR
+        random = rng.random
+        coords = iter([LOW + (HIGH - LOW) * random() for _ in range(size * space.dim)])
+        points = zip(*[coords] * space.dim)
     # duplicates are harmless for sets; drop them for cleanliness
     return tuple(dict.fromkeys(points))

@@ -1434,12 +1434,12 @@ class TestSegment:
 
     def test_a_chord_point_of_the_other_convention_is_refused(self, monkeypatch):
         # each point of such a segment lies between x and y, but off its spheres
-        chord = convexsets._chord_point
+        share = convexsets._chord_share
 
-        def flipped(x, y, t, conv):
-            return chord(x, y, t, FY if conv is FX else FX)
+        def flipped(t, conv):
+            return share(t, FY if conv is FX else FX)
 
-        monkeypatch.setattr(convexsets, "_chord_point", flipped)
+        monkeypatch.setattr(convexsets, "_chord_share", flipped)
         with pytest.raises(InternalInconsistency, match="t=0.25"):
             segment(space_from_id("vec2-p2"), (0.0, 0.0), (4.0, 2.0), [0.25], FX)
 
@@ -1540,6 +1540,44 @@ class TestSegment:
         assert len(set(interior)) >= 2
         chord = {tuple(c * F(1, 2) for c in y), x, y}
         assert any(p not in chord for p in interior)
+
+
+# d(x, y) of HUGE overflows to inf, and that of NAN_PAIR is NaN from
+# inf - inf, for every p
+HUGE = (1e308, 1e308), (-1e308, -1e308)
+NAN_PAIR = (math.inf, 0.0), (math.inf, 1.0)
+
+
+class TestNonFiniteDistance:
+    """A float pair whose measured d(x, y) is not finite has no radii to
+    split and no spheres to check: every route that measures d refuses it,
+    where the parent gave an inf simplex, a false `holds` or an
+    `InternalInconsistency`."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    @pytest.mark.parametrize("pair", [HUGE, NAN_PAIR])
+    def test_a_segment_is_refused(self, p, pair):
+        with pytest.raises(MclabError, match="finite distance") as raised:
+            segment(vector_space(2, p), *pair, [0.5])
+        assert type(raised.value) is MclabError
+
+    @pytest.mark.parametrize("p", [1, math.inf])
+    @pytest.mark.parametrize("pair", [HUGE, NAN_PAIR])
+    def test_a_midpoint_set_is_refused(self, p, pair):
+        with pytest.raises(MclabError, match="finite distance"):
+            midpoint_set(vector_space(2, p), *pair, 0.5)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+    @pytest.mark.parametrize("pair", [HUGE, NAN_PAIR])
+    def test_a_sphere_check_is_refused(self, p, pair):
+        with pytest.raises(MclabError, match="finite distance"):
+            sphere_equivalence_check(vector_space(2, p), *pair, 0.5)
+
+    @pytest.mark.parametrize("p", [1.5, 2, 3])
+    def test_a_chord_point_measures_nothing_and_refuses_nothing(self, p):
+        space = vector_space(2, p)
+        assert midpoint_set(space, *HUGE, 0.5) == Singleton((-math.inf, -math.inf))
+        assert unique_midpoint(space, *HUGE, 0.5) == (-math.inf, -math.inf)
 
 
 class TestMembershipWithoutSlack:

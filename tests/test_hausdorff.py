@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mclab import (
     Box,
     CappedSimplex,
+    EmptySetError,
     FiniteSet,
     MclabError,
     SamplePlan,
@@ -33,7 +34,12 @@ from mclab import (
     vector_space,
 )
 from mclab.convexsets import segment_points
-from mclab.hausdorff import HausdorffResult, _directed_boxes, _finite_pair
+from mclab.hausdorff import (
+    HausdorffResult,
+    _directed_boxes,
+    _finite_pair,
+    finite_hausdorff_value,
+)
 
 
 def _corners(box: Box):
@@ -411,6 +417,67 @@ class TestFinitePairs:
         assert result.exact
 
 
+@st.composite
+def _point_list_pairs(draw):
+    """(space, points of A, points of B) under float d_1, d_1.5, d_2, d_3
+    and d_inf and exact d_1 and d_inf, as lists or tuples of 1-6 points,
+    one point often.  Float coordinates mix ints with floats, and reach
+    1e-160 and 1e160, where d_p powers fall below `_DP_SUM_FLOOR` or
+    raise `OverflowError` in `_flat_table`."""
+    exact = draw(st.booleans())
+    p = draw(st.sampled_from([1, math.inf] if exact else [1, 1.5, 2, 3, math.inf]))
+    dim = draw(st.integers(1, 4))
+    if exact:
+        coord = st.integers(-6, 6).map(lambda k: F(k, 4))
+    else:
+        unit = st.floats(-2, 2, allow_nan=False)
+        coord = st.one_of(
+            st.integers(-3, 3),
+            st.integers(-3, 3).map(lambda k: k / 2),
+            unit,
+            unit.map(lambda v: v * 1e-160),
+            unit.map(lambda v: v * 1e160),
+        )
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    points = st.one_of(
+        st.lists(point, min_size=1, max_size=1), st.lists(point, min_size=1, max_size=6)
+    )
+    as_tuple = draw(st.booleans())
+    pts_a, pts_b = draw(points), draw(points)
+    if as_tuple:
+        pts_a, pts_b = tuple(pts_a), tuple(pts_b)
+    return vector_space(dim, p, exact=exact), pts_a, pts_b
+
+
+class TestValueEntry:
+    """`finite_hausdorff_value` is the value of `hausdorff` on two finite
+    sets, in bits and in type, on every space."""
+
+    @given(_point_list_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_hausdorff_value(self, case):
+        space, pts_a, pts_b = case
+        want = hausdorff(space, FiniteSet(tuple(pts_a)), FiniteSet(tuple(pts_b))).value
+        got = finite_hausdorff_value(space, pts_a, pts_b)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+    def test_mixed_number_types_take_the_searched_value(self):
+        # the table alone gives 1.0; the smallest witness picks the int 1
+        space = vector_space(1, 1)
+        value = finite_hausdorff_value(space, [(0,)], [(1.0,), (-1,)])
+        assert type(value) is int and value == 1
+
+    def test_a_nan_first_row_takes_the_searched_value(self):
+        space = vector_space(1, math.inf)
+        assert math.isnan(finite_hausdorff_value(space, [(math.inf,), (0.0,)], [(math.inf,)]))
+
+    @pytest.mark.parametrize("pts_a, pts_b", [([], [(0.0,)]), ([(0.0,)], ())])
+    def test_an_empty_side_is_refused_as_a_set_refuses_it(self, pts_a, pts_b):
+        with pytest.raises(EmptySetError):
+            finite_hausdorff_value(vector_space(1, 2), pts_a, pts_b)
+
+
 class TestExactHausdorffProperties:
     """ROADMAP item 5: on exact finite sets the Hausdorff distance is a
     metric with no tolerance, and the closed-form box distance equals a
@@ -610,3 +677,35 @@ class TestWorkCounts:
         )
         assert verdict.samples == 40
         assert (len(rows), len(searches)) == (0, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_float_d2_bdoubleprime_check_builds_no_set_or_result(self, seed, monkeypatch):
+        # (B'') reads only Hausdorff values: 4 finite sets and 2 results
+        # per trial would mean its set and result objects are back
+        built = []
+        post_init, init = FiniteSet.__post_init__, HausdorffResult.__init__
+        deferred = HausdorffResult._deferred.__func__
+
+        def counting_set(self):
+            built.append(FiniteSet)
+            post_init(self)
+
+        def counting_result(self, *args, **kwargs):
+            built.append(HausdorffResult)
+            init(self, *args, **kwargs)
+
+        def counting_deferred(cls, *args):
+            built.append(HausdorffResult)
+            return deferred(cls, *args)
+
+        monkeypatch.setattr(FiniteSet, "__post_init__", counting_set)
+        monkeypatch.setattr(HausdorffResult, "__init__", counting_result)
+        monkeypatch.setattr(HausdorffResult, "_deferred", classmethod(counting_deferred))
+        space = space_from_id("vec3-p2")
+        verdict = check_property(space, "Bdoubleprime", plan=SamplePlan(count=40, seed=seed))
+        assert verdict.samples == 40
+        assert built == []
+        # the counters see what `hausdorff` builds
+        hausdorff(space, FiniteSet(((0.0,) * 3,)), FiniteSet(((1.0,) * 3,)))
+        hausdorff(space, Singleton((0.0,) * 3), Box((0.0,) * 3, (1.0,) * 3))
+        assert built == [FiniteSet, FiniteSet, HausdorffResult, *[HausdorffResult] * 3]

@@ -66,14 +66,33 @@ def test_a_domain_point_is_drawn_as_uniforms_until_one_lies_inside(seed, dim):
         )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("dim", [1, 3, 6])
-def test_float_finite_points_are_sample_points_drawn_one_by_one(seed, dim):
-    space, plan = vector_space(dim, 2), SamplePlan()
+def _same_finite_points(space, seed):
+    """`sample_finite_points` gives the points, in value and type, and the
+    generator state that per-point `sample_point` draws give."""
+    plan = SamplePlan()
     rng, ref = random.Random(seed), random.Random(seed)
+
+    def bits(points):
+        return [[(type(c), c.hex() if isinstance(c, float) else c) for c in q] for q in points]
+
     for _ in range(25):
         got = sample_finite_points(rng, space, plan)
         size = ref.randint(1, MAX_SET_SIZE)
         want = tuple(dict.fromkeys(sample_point(ref, space, plan) for _ in range(size)))
-        assert [[c.hex() for c in q] for q in got] == [[c.hex() for c in q] for q in want]
+        assert bits(got) == bits(want)
+        assert all(type(q) is tuple for q in got)
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_float_finite_points_are_sample_points_drawn_one_by_one(seed, dim):
+    # one pass of uniforms cut into points: the same generator calls
+    _same_finite_points(vector_space(dim, 2), seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dim", range(1, 11))
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_exact_finite_points_are_sample_points_drawn_one_by_one(seed, dim, p):
+    _same_finite_points(vector_space(dim, p, exact=True), seed)
