@@ -144,13 +144,8 @@ class Box:
             lo - tol <= c <= hi + tol for lo, c, hi in zip(self.lower, z, self.upper)
         )
 
-    def axis_values(self):
-        """Sample values per coordinate: the bound of a degenerate axis, else
-        both bounds and their midpoint."""
-        return _grid_axes(zip(self.lower, self.upper))
-
     def sample_points(self):
-        return list(itertools.product(*self.axis_values()))
+        return list(itertools.product(*_grid_axes(zip(self.lower, self.upper))))
 
     def nearest(self, z):
         """Clamp z into the box: a nearest point in every d_p."""
@@ -809,12 +804,12 @@ def lifted_union(
     t: Scalar,
     conv: MidConvention = MidConvention.FROM_Y,
 ) -> SetRep:
-    """Union of midpoint sets with y over representative points of A."""
+    """Union of midpoint sets with y over representative points of A: y for
+    a point equal to y, else its `midpoint_set`, on every space.  A union
+    of singletons, as every union is under a strictly convex d_p, is the
+    `FiniteSet` of their points, deduplicated in order."""
     if not isinstance(A, (Singleton, FiniteSet, Box)):
         raise MclabError("lifted unions need a finite or box representation")
-    if space.unique_midpoints:
-        points = chord_points(space, A.sample_points(), y, t, conv)
-        return FiniteSet(tuple(dict.fromkeys(points)))
     _check_parameter(space, t)
     parts = []
     for a in A.sample_points():

@@ -20,14 +20,14 @@ Hausdorff distances.  Two finite sets share one `distance_table`, which
 checks each point once and transposes each axis once: its row minima,
 taken with the builtin `min`, give the distance from A to B, its column
 minima the distance from B to A (distances are never -0.0, so these have
-the bits of a `min` over (distance, point) pairs).  Their result's witness
-is built when it is first read, so a caller that reads only the value pays
-for no search; a table that mixes number types, or a NaN value, builds it
-at once, since there the search picks the value's type.  The value alone
-comes from `finite_hausdorff_value(space, points_a, points_b)`, the same
-minima step over two point lists with no set, no result and no witness
-search built: (B''), which reads Hausdorff values only, takes both its
-values there on a strictly convex space, and its right side everywhere.
+the bits of a `min` over (distance, point) pairs).  A result carries its
+witness.  The value alone comes from `finite_hausdorff_value(space,
+points_a, points_b)`, the same minima step over two point lists with no
+set, no result and no witness search built; where a table mixes number
+types, or holds a NaN value, the search runs there too, since it picks
+the value's type.  (B') and (B'') read their values there on a strictly
+convex space, and (B'') its right side everywhere; (B') builds a witness
+only for a failing trial.
 The witness search runs only in a direction that decides the result, and
 only over its rows whose minimum is the deciding value, since no other row
 can attain or tie it.  Exactness comes from the space: a result
@@ -61,29 +61,6 @@ class HausdorffResult:
     value: Scalar
     witness: tuple  # (point in A, nearest point of B)
     exact: bool
-
-    def __reduce__(self):
-        # a pickle or copy carries the witness, not the search that builds it
-        return HausdorffResult, (self.value, self.witness, self.exact)
-
-    @classmethod
-    def _deferred(cls, value, build, exact):
-        """A result whose witness `build()` makes when it is first read."""
-        result = object.__new__(cls)
-        vars(result).update(value=value, exact=exact, _build=build)
-        return result
-
-    def __getattr__(self, name):
-        # reached only for a name the instance lacks: a deferred witness is
-        # built once and kept, as if it had been given
-        build = vars(self).get("_build") if name == "witness" else None
-        if build is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        object.__setattr__(self, "witness", build())
-        del vars(self)["_build"]
-        return self.witness
 
 
 def _rep_points(rep: SetRep):
@@ -267,16 +244,10 @@ def _search(pts_a, pts_b, rows, row_minima, column_minima, forward, backward):
 
 
 def _finite_pair(space, A, B):
-    """hausdorff for two finite sets, from their minima step.  Where the
-    table gives the value, the witness is searched for when first read;
-    elsewhere the search runs at once."""
+    """hausdorff for two finite sets, from their minima step."""
     pts_a, pts_b = _rep_points(A), _rep_points(B)
-    value, step = _finite_minima(space, pts_a, pts_b)
-    if value is None:
-        return HausdorffResult(*_search(pts_a, pts_b, *step), space.exact)
-    return HausdorffResult._deferred(
-        value, lambda: _search(pts_a, pts_b, *step)[1], space.exact
-    )
+    step = _finite_minima(space, pts_a, pts_b)[1]
+    return HausdorffResult(*_search(pts_a, pts_b, *step), space.exact)
 
 
 def finite_hausdorff_value(space: MetricSpace, points_a, points_b) -> Scalar:

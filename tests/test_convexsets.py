@@ -474,6 +474,11 @@ def test_every_public_sphere_check_checks_its_parameter():
                 check(**args, t=t)
 
 
+def _axis_values(box):
+    """The per-axis values of a box's sample grid."""
+    return convexsets._grid_axes(zip(box.lower, box.upper))
+
+
 def _integer_gap(box, spheres):
     """`_sphere_gap` of an exact box in the integer frame of
     `sphere_equivalence_check`: bounds, centres and radii over twice their
@@ -525,7 +530,7 @@ class TestSupBoxOnSpheres:
         # the per-axis gap over both spheres decides as the scan does, and
         # is the slack of a box that holds
         spheres = tuple(zip((x, y), radii_for(conv, t, distance(space, x, y))))
-        gap = convexsets._sphere_gap(box.axis_values(), spheres)
+        gap = convexsets._sphere_gap(_axis_values(box), spheres)
         assert (gap <= space.limit(DEFAULT_TOL)) == (outcome == "holds")
         if outcome == "holds":
             assert _same(gap if gap > 0 else 0, max_slack)
@@ -547,7 +552,7 @@ class TestSupBoxOnSpheres:
     def test_gap_is_the_largest_gap_of_the_scan(self, case):
         space, x, y, t, conv, box = case
         points = box.sample_points()
-        axes = box.axis_values()
+        axes = _axis_values(box)
         assert math.prod(map(len, axes)) == len(points)
         for sphere in zip((x, y), radii_for(conv, t, distance(space, x, y))):
             c, r = sphere
@@ -558,7 +563,7 @@ class TestSupBoxOnSpheres:
 
     @pytest.mark.parametrize("space, x, y, box", _ROUNDING_BOXES)
     def test_a_midpoint_rounded_onto_a_bound_equals_the_scan(self, space, x, y, box):
-        axes = box.axis_values()
+        axes = _axis_values(box)
         assert any(len(set(v)) < len(v) for v in axes)
         points = box.sample_points()
         gaps = []
@@ -586,12 +591,12 @@ class TestSupBoxOnSpheres:
 
     def test_sample_points_read_the_axis_values(self):
         box = Box((F(0), F(1), F(2)), (F(1), F(1), F(3)))
-        assert box.axis_values() == [
+        assert _axis_values(box) == [
             (0, F(1, 2), 1),
             (1,),
             (2, F(5, 2), 3),
         ]
-        assert box.sample_points() == list(itertools.product(*box.axis_values()))
+        assert box.sample_points() == list(itertools.product(*_axis_values(box)))
 
 
 # rationals with unlike denominators, ints among them
@@ -1170,15 +1175,6 @@ class TestOnePassSphereTrial:
         assert len(calls) == 1
 
 
-def _lifted_by_point(space, A, y, t, conv):
-    """The lifted union as one `midpoint_set` per point of A."""
-    parts = [
-        (tuple(y),) if tuple(a) == tuple(y) else (midpoint_set(space, a, y, t, conv).point,)
-        for a in A.sample_points()
-    ]
-    return FiniteSet(tuple(dict.fromkeys(p for (p,) in parts)))
-
-
 @st.composite
 def _strictly_convex_unions(draw):
     """(space, A, y, t, conv): a finite set of 1-8 float points in dimension
@@ -1195,17 +1191,8 @@ def _strictly_convex_unions(draw):
 
 
 class TestBatchedLiftedUnion:
-    """A strictly convex lifted union from `chord_points` against one
-    `midpoint_set` per point: the same points in the same order and types."""
-
-    @given(_strictly_convex_unions())
-    @settings(max_examples=300, deadline=None)
-    def test_one_row_equals_the_per_point_loop(self, case):
-        space, A, y, t, conv = case
-        union = lifted_union(space, A, y, t, conv)
-        plain = _lifted_by_point(space, A, y, t, conv)
-        assert type(union) is FiniteSet
-        assert _same_points(union.points, plain.points)
+    """A strictly convex lifted union, one `midpoint_set` per point, against
+    `chord_points`: the same points in the same order and types."""
 
     @given(_strictly_convex_unions())
     @settings(max_examples=200, deadline=None)
@@ -1215,6 +1202,20 @@ class TestBatchedLiftedUnion:
         assert len(chords) == len(A.sample_points())
         union = lifted_union(space, A, y, t, conv)
         assert _same_points(union.points, tuple(dict.fromkeys(chords)))
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+    @pytest.mark.parametrize(
+        "dim, point, y",
+        [
+            # a strictly convex union took each chord with `zip`, which
+            # cut (0.0,) against a 2-D y to (0.5,) and a 3-D y to 2-D
+            (2, (0.0,), (1.0, 1.0)),
+            (2, (0.0, 0.0), (1.0, 1.0, 1.0)),
+        ],
+    )
+    def test_a_point_of_the_wrong_dimension_is_refused(self, p, dim, point, y):
+        with pytest.raises(DimensionMismatch):
+            lifted_union(vector_space(dim, p), FiniteSet((point,)), y, 0.5)
 
     def test_chord_points_keep_order_and_repeats(self):
         space = vector_space(2, 2)

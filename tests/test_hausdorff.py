@@ -29,6 +29,7 @@ from mclab import (
     distance,
     distances,
     hausdorff,
+    midpoint_set,
     segment,
     space_from_id,
     vector_space,
@@ -363,7 +364,7 @@ class TestFinitePairs:
 
     @given(st.one_of(_finite_pairs(), _exact_lattice_pairs()))
     @settings(max_examples=300, deadline=None)
-    def test_a_witness_read_late_is_the_eager_one(self, case):
+    def test_a_finite_pair_result_is_the_row_by_row_one(self, case):
         space, A, B = case
         want = _row_by_row_result(space, A, B)
         got = hausdorff(space, A, B)
@@ -383,18 +384,15 @@ class TestFinitePairs:
         _assert_same_result(result, _row_by_row_result(space, A, B))
         assert type(result.value) is int and result.witness == ((-1,), (0,))
 
-    def test_a_deferred_result_is_a_frozen_value(self):
+    def test_a_finite_pair_result_is_a_frozen_value(self):
         space = vector_space(2, 2)
         A, B = FiniteSet(((0.0, 0.0), (4.0, 0.0))), FiniteSet(((0.0, 1.0),))
         result = hausdorff(space, A, B)
-        assert "witness" not in vars(result)
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.witness = ()
         assert pickle.loads(pickle.dumps(result)) == result
         assert copy.deepcopy(result) == result
         assert result == HausdorffResult(math.hypot(4, 1), ((4.0, 0.0), (0.0, 1.0)), False)
-        with pytest.raises(AttributeError, match="no attribute 'witnes'"):
-            result.witnes
 
     def test_a_nan_first_row_searches_every_row(self):
         # inf - inf is NaN: the NaN first row decides, as in the full scan
@@ -679,12 +677,67 @@ class TestWorkCounts:
         assert (len(rows), len(searches)) == (0, 0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_float_d2_bprime_check_calls_no_hausdorff(self, seed, monkeypatch):
+        # (B') on chord points reads the value only: one `hausdorff` call,
+        # or one result, per trial (40 here) would mean that work is back
+        module = importlib.import_module("mclab.properties")
+        calls, built, init = [], [], HausdorffResult.__init__
+
+        def counting(*args):
+            calls.append(None)
+            return hausdorff(*args)
+
+        def counting_result(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(module, "hausdorff", counting)
+        monkeypatch.setattr(HausdorffResult, "__init__", counting_result)
+        verdict = check_property(
+            space_from_id("vec3-p2"), "Bprime", plan=SamplePlan(count=40, seed=seed)
+        )
+        assert verdict.holds and verdict.samples == 40
+        assert (len(calls), len(built)) == (0, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_failing_float_d2_bprime_trial_builds_the_hausdorff_witness(self, seed):
+        # with no tolerance, rounding fails (B') on d_2: the witness is the
+        # one `hausdorff` gives for the trial's two midpoint sets
+        space = space_from_id("vec3-p2")
+        verdict = check_property(space, "Bprime", plan=SamplePlan(count=40, seed=seed), tol=0)
+        assert verdict.outcome == "fails"
+        w = verdict.witness
+        cx = midpoint_set(space, w["x"], w["y"], w["t"])
+        cz = midpoint_set(space, w["z"], w["y"], w["t"])
+        result = hausdorff(space, cx, cz)
+        assert _witness_bits(w["hausdorff_witness"]) == _witness_bits(result.witness)
+        assert _bits(w["lhs"]) == _bits(result.value)
+
+    @pytest.mark.parametrize("space_id", ["vec3-p1", "vec3-pinf"])
+    def test_a_failing_bprime_check_off_chord_points_calls_hausdorff_once_a_trial(
+        self, space_id, monkeypatch
+    ):
+        # the failing trial's witness reuses its one result
+        module = importlib.import_module("mclab.properties")
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return hausdorff(*args)
+
+        monkeypatch.setattr(module, "hausdorff", counting)
+        verdict = check_property(
+            space_from_id(space_id), "Bprime", plan=SamplePlan(count=40, seed=1)
+        )
+        assert verdict.outcome == "fails"
+        assert len(calls) == verdict.samples
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_float_d2_bdoubleprime_check_builds_no_set_or_result(self, seed, monkeypatch):
         # (B'') reads only Hausdorff values: 4 finite sets and 2 results
         # per trial would mean its set and result objects are back
         built = []
         post_init, init = FiniteSet.__post_init__, HausdorffResult.__init__
-        deferred = HausdorffResult._deferred.__func__
 
         def counting_set(self):
             built.append(FiniteSet)
@@ -694,13 +747,8 @@ class TestWorkCounts:
             built.append(HausdorffResult)
             init(self, *args, **kwargs)
 
-        def counting_deferred(cls, *args):
-            built.append(HausdorffResult)
-            return deferred(cls, *args)
-
         monkeypatch.setattr(FiniteSet, "__post_init__", counting_set)
         monkeypatch.setattr(HausdorffResult, "__init__", counting_result)
-        monkeypatch.setattr(HausdorffResult, "_deferred", classmethod(counting_deferred))
         space = space_from_id("vec3-p2")
         verdict = check_property(space, "Bdoubleprime", plan=SamplePlan(count=40, seed=seed))
         assert verdict.samples == 40
