@@ -48,9 +48,7 @@ from .fixedpoint import (
     asymptotic_center,
     find_fixed_point,
     make_asymptotic_functional,
-    midpoint_map,
     orbit,
-    semigroup_compose,
     verify_hybrid,
 )
 from .fixtures import FIXTURES

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success or expected outcome, 1 property or solver failure,
 2 usage or configuration error.  A command raises ConfigError for a bad
-input before it writes any report; `main` alone turns that into exit 2.
+input before it writes any report, or for an --out it cannot write; `main`
+alone turns that into exit 2.
 """
 from __future__ import annotations
 
@@ -58,8 +59,12 @@ def _plan_from_config(cfg: RunConfig, count=None) -> SamplePlan:
 
 def _finish(cfg: RunConfig, name: str, payload, md: str, line: str, ok: bool) -> int:
     """Write the JSON and Markdown reports `name`, print the summary line and
-    return the exit code of a command that succeeded if `ok`."""
-    write_reports(cfg.out_dir, name, payload, md)
+    return the exit code of a command that succeeded if `ok`.  An --out
+    that cannot be made or written is a ConfigError."""
+    try:
+        write_reports(cfg.out_dir, name, payload, md)
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {cfg.out_dir!r}: {exc}") from exc
     print(line)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -253,7 +258,7 @@ def cmd_nested(args, cfg: RunConfig) -> int:
         f"- common point: {fmt_value(point)}\n"
         f"- max constraint violation: {fmt_value(violation)}\n"
     )
-    line = f"nested: common point found, violation={violation:.3g}"
+    line = f"nested: common point found, violation={float(violation):.3g}"
     return _finish(cfg, "nested", payload, md, line, True)
 
 
@@ -310,8 +315,8 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    # the one input boundary: a bad flag, config value, space id, spec or
-    # family raises ConfigError before any report is written
+    # the one input boundary: a bad flag, config value, space id, spec,
+    # family or --out raises ConfigError
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
         if args.command == "reproduce":

@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Scalar, in_float_range, parse_float, parse_scalar, parse_vector
-from .convexsets import Box, MetricBall, MidConvention, midpoint_set
+from .convexsets import Box, MetricBall
 from .errors import DomainEscape, MclabError, SolverFailure
-from .sampling import SamplePlan, sample_point
+from .sampling import SamplePlan
 from .spaces import MetricSpace, check_point, distance, distances, vlerp
 from .verdicts import FAILS, HOLDS, PropertyVerdict, verdict
 
@@ -350,9 +350,9 @@ def asymptotic_center(space: MetricSpace, F: AsymptoticFunctional, y) -> Scalar:
 
     A tail that has settled on one point, as most contractions' do, costs
     one `distance`: `distances` gives that value, and the maximum of one
-    value is itself.  `find_fixed_point` evaluates the same value through
-    `_tail_value` with its search's acceptance threshold, which stops after
-    the first tail point once that point alone reaches the threshold."""
+    value is itself.  `find_fixed_point` reads a closed-form center's value
+    here; its search reads `_tail_value` with an acceptance threshold,
+    which stops once the first tail point alone reaches the threshold."""
     return _tail_value(space, F, y, None)
 
 
@@ -539,7 +539,7 @@ def find_fixed_point(
     closed = closed_form_center(space, F, spec.domain)
     if closed is not None:
         u0, method = closed
-        f_val, evals = _tail_value(space, F, u0, None), 0
+        f_val, evals = asymptotic_center(space, F, u0), 0
     else:
         method = METHOD_SEARCH
         u0, f_val, evals = pattern_search(
@@ -560,90 +560,6 @@ def find_fixed_point(
         converged=residual <= tol,
         method=method,
     )
-
-
-# --------------------------------------------------------------------------
-# the semigroup of midpoint maps toward a common point
-
-
-def midpoint_map(
-    space: MetricSpace, y, t: Scalar, conv: MidConvention = MidConvention.FROM_Y
-):
-    """Single-valued midpoint map x -> m(x, y, t), the one point of
-    `midpoint_set(space, x, y, t, conv)`; requires 1 < p < inf.
-
-    Under the FROM_Y convention the map contracts with factor t.  The common
-    point is fixed exactly: the two balls around y both have radius zero, so
-    the map short-circuits to y when x == y.
-    """
-    space.require_unique_midpoints()
-    yt = tuple(y)
-
-    def mapping(x):
-        if tuple(x) == yt:
-            return yt
-        return midpoint_set(space, x, yt, t, conv).point
-
-    return mapping
-
-
-@dataclass(frozen=True)
-class SemigroupReport:
-    t_list: tuple
-    lipschitz_estimate: Scalar
-    product_bound: Scalar
-    within_bound: bool
-    fixes_y: bool
-    samples: int
-    seed: int
-
-
-def semigroup_compose(
-    space: MetricSpace,
-    y,
-    t_list,
-    plan: SamplePlan | None = None,
-    conv: MidConvention = MidConvention.FROM_Y,
-    tol: float = 1e-9,
-):
-    """Compose the midpoint maps for the listed parameters (first entry
-    applied first) and estimate the composition's Lipschitz constant over
-    sampled pairs.  Returns (composed mapping, report)."""
-    space.require_unique_midpoints()
-    plan = plan or SamplePlan()
-    maps = [midpoint_map(space, y, t, conv) for t in t_list]
-
-    def composed(x):
-        for m in maps:
-            x = m(x)
-        return x
-
-    rng = plan.rng()
-    best_ratio = 0
-    for _ in range(plan.count):
-        a = sample_point(rng, space, plan)
-        b = sample_point(rng, space, plan)
-        if a == b:
-            continue
-        num = distance(space, composed(a), composed(b))
-        den = distance(space, a, b)
-        ratio = num / den
-        if ratio > best_ratio:
-            best_ratio = ratio
-    product = 1
-    for t in t_list:
-        product *= t if conv is MidConvention.FROM_Y else (1 - t)
-    fixes_y = composed(tuple(y)) == tuple(y)
-    report = SemigroupReport(
-        t_list=tuple(t_list),
-        lipschitz_estimate=best_ratio,
-        product_bound=product,
-        within_bound=best_ratio <= product + tol,
-        fixes_y=fixes_y,
-        samples=plan.count,
-        seed=plan.seed,
-    )
-    return composed, report
 
 
 # --------------------------------------------------------------------------

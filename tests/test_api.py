@@ -73,13 +73,11 @@ PUBLIC_NAMES = [
     "lifted_union",
     "linf_function_space",
     "make_asymptotic_functional",
-    "midpoint_map",
     "midpoint_set",
     "orbit",
     "pl_distance",
     "poly_fn",
     "segment",
-    "semigroup_compose",
     "space_from_id",
     "sphere_equivalence_check",
     "unique_midpoint",
@@ -156,13 +154,11 @@ PUBLIC_OPTIONS = {
     "lifted_union": ["conv"],
     "linf_function_space": ["exact"],
     "make_asymptotic_functional": ["n", "window", "rmax"],
-    "midpoint_map": ["conv"],
     "midpoint_set": ["conv"],
     "orbit": ["rmax"],
     "pl_distance": [],
     "poly_fn": ["c1", "c2"],
     "segment": ["conv"],
-    "semigroup_compose": ["plan", "conv", "tol"],
     "space_from_id": [],
     "sphere_equivalence_check": ["conv", "tol"],
     "unique_midpoint": [],

@@ -1000,6 +1000,32 @@ class TestNestedCommand:
         path = write_json(tmp_path / "cantor.json", fam)
         assert main(["nested", path, "--cantor", "--out", str(tmp_path)]) == 0
 
+    def test_an_exact_violation_prints_as_a_float(self, tmp_path, capsys):
+        # the search stops at a positive Fraction violation below fp_tol
+        fam = [
+            [
+                {"center": ["5/4", "1/4", "7/4"], "radius": "5500001/1000000"},
+                {"center": ["-3/2", "-2", "-3/4"], "radius": "2000001/1000000"},
+                {"center": ["-1", "-1/4", "1/2"], "radius": "2000001/1000000"},
+            ]
+        ]
+        path = write_json(tmp_path / "fam.json", fam)
+        argv = ["nested", path, "--space", "vec3-p1-exact", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        line = "nested: common point found, violation=1.55e-07"
+        assert capsys.readouterr().out.splitlines() == [line]
+
+    @pytest.mark.parametrize(
+        "out", ["file", "file/reports"], ids=["existing-file", "under-a-file"]
+    )
+    def test_an_out_that_cannot_be_a_directory_exits_two(self, out, tmp_path, capsys):
+        path = write_json(tmp_path / "fam.json", [[{"center": [0, 0], "radius": 1}]])
+        (tmp_path / "file").write_text("")
+        assert main(["nested", path, "--out", str(tmp_path / out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: cannot write reports to '{tmp_path / out}'")
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs_and_directories(self, tmp_path):

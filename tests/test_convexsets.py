@@ -99,6 +99,29 @@ class TestMidpointSet:
         with pytest.raises(MclabError):
             midpoint_set(space, (1.0, 1.0), (1.0, 1.0), 0.5)
 
+    @given(
+        st.sampled_from([1.5, 2, 3]),
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.floats(-2, 2), min_size=2 * n, max_size=2 * n)
+        ),
+        st.floats(0.02, 0.98),
+        st.floats(0.02, 0.98),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_maps_toward_y_compose(self, p, coords, t1, t2):
+        # m(., y, t2) after m(., y, t1) is m(., y, t1 * t2) under FROM_Y, and
+        # m(., y, 1 - (1 - t1) * (1 - t2)) under FROM_X
+        n = len(coords) // 2
+        x, y = tuple(coords[:n]), tuple(coords[n:])
+        assume(x != y)
+        space = vector_space(n, p)
+        for conv, t in ((FY, t1 * t2), (FX, 1 - (1 - t1) * (1 - t2))):
+            first = midpoint_set(space, x, y, t1, conv).point
+            # the map toward y fixes y
+            composed = first if first == y else midpoint_set(space, first, y, t2, conv).point
+            direct = midpoint_set(space, x, y, t, conv).point
+            assert distance(space, composed, direct) <= 1e-12
+
     def test_conventions_coincide_at_one_half(self):
         exact_spaces = [vector_space(3, 1, exact=True), vector_space(3, math.inf, exact=True)]
         rng = random.Random(5)

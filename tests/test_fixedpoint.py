@@ -19,21 +19,16 @@ from mclab import (
     MappingSpec,
     MclabError,
     MetricBall,
-    MidConvention,
     Rotation,
     SamplePlan,
     SolverFailure,
-    UniqueMidpointUndefined,
     WholeSpace,
     asymptotic_center,
     distance,
     distances,
     find_fixed_point,
     make_asymptotic_functional,
-    midpoint_map,
-    midpoint_set,
     orbit,
-    semigroup_compose,
     vector_space,
     verify_hybrid,
 )
@@ -741,70 +736,6 @@ class TestClosedFormCenter:
             assert result.evaluations == 0
         closed = {"single-point", "two-point-midpoint"}
         assert closed | {"box-midpoint" if p == math.inf else "compass-search"} == methods
-
-
-class TestSemigroup:
-    def test_composed_contraction_factor(self):
-        y = (0.25, -0.5)
-        _, report = semigroup_compose(SP2, y, [0.5, 1 / 3], SamplePlan(count=1000))
-        assert abs(report.lipschitz_estimate - 1 / 6) <= 1e-9
-        assert report.within_bound
-        assert report.fixes_y
-
-    def test_single_map_factor_equals_t(self):
-        _, report = semigroup_compose(SP2, (0.0, 0.0), [0.4], SamplePlan(count=500))
-        assert abs(report.lipschitz_estimate - 0.4) <= 1e-9
-
-    def test_common_point_fixed_exactly(self):
-        y = (1.0, 2.0)
-        composed, report = semigroup_compose(SP2, y, [0.5, 0.25], SamplePlan(count=10))
-        assert composed(y) == y
-        assert report.fixes_y
-
-    def test_associativity_pointwise(self):
-        import random
-
-        y = (0.5, 0.5)
-        a, b, c = 0.5, 1 / 3, 0.25
-        left, _ = semigroup_compose(SP2, y, [a, b, c], SamplePlan(count=10))
-        ab, _ = semigroup_compose(SP2, y, [a, b], SamplePlan(count=10))
-        c_map = midpoint_map(SP2, y, c)
-        rng = random.Random(23)
-        for _ in range(1000):
-            x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-            via_pair = c_map(ab(x))
-            direct = left(x)
-            assert distance(SP2, via_pair, direct) <= 1e-12
-
-    def test_refused_without_unique_midpoints(self):
-        with pytest.raises(UniqueMidpointUndefined):
-            semigroup_compose(vector_space(2, math.inf), (0.0, 0.0), [0.5])
-
-    def test_literal_convention_contracts_with_one_minus_t(self):
-        _, report = semigroup_compose(
-            SP2,
-            (0.0, 0.0),
-            [0.25],
-            SamplePlan(count=500),
-            conv=MidConvention.FROM_X,
-        )
-        assert abs(report.lipschitz_estimate - 0.75) <= 1e-9
-
-    @given(
-        st.sampled_from([1.5, 2, 3]),
-        st.sampled_from(list(MidConvention)),
-        st.lists(st.floats(-2, 2), min_size=6, max_size=6),
-        st.floats(0.02, 0.98),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_map_is_the_midpoint_set_point_bit_for_bit(self, p, conv, coords, t):
-        space = vector_space(3, p)
-        x, y = tuple(coords[:3]), tuple(coords[3:])
-        if x == y:
-            return
-        got = midpoint_map(space, y, t, conv)(x)
-        want = midpoint_set(space, x, y, t, conv).point
-        assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 class TestMappingJson:

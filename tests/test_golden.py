@@ -13,6 +13,8 @@ new case can be added without rewriting the others.
 """
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
 import sys
@@ -20,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+import mclab
+import mclab.cli as cli
 from mclab import FIXTURES
 from mclab.cli import main
 
@@ -178,6 +182,83 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
     written = run_case(case, tmp_path)
     assert written.read_bytes() == golden
     assert b"stale report" not in written.with_suffix(".md").read_bytes()
+
+
+# the functions and methods of src/mclab that no golden command calls; a
+# name leaves the list when a command comes to reach it or it is deleted,
+# and none joins it
+UNREACHED = [
+    "arith.rational_sqrt",
+    "cli._fail",
+    "convexsets.FiniteSet.contains",
+    "convexsets.SampledOracle.contains",
+    "convexsets.SampledOracle.sample_points",
+    "convexsets.SetUnion.contains",
+    "convexsets.Singleton.contains",
+    "convexsets.Singleton.nearest",
+    "convexsets._l1_shrink",
+    "convexsets._near",
+    "convexsets.diameter",
+    "errors.SolverFailure.__init__",
+    "fixedpoint.Composition.apply",
+    "fixedpoint._out_of_float_range",
+    "hausdorff._finite_pair",
+    "nested._failure_certificate",
+    "nested.build_shrinking_family",
+    "nested.cantor_point",
+    "properties.check_diameter_strict",
+    "properties.estimate_uniform_modulus",
+    "properties.estimate_uniform_modulus.unit",
+    "spaces.PiecewisePoly.value",
+    "spaces.vadd",
+    "verdicts.PropertyVerdict.refused",
+]
+
+
+def _defs() -> dict:
+    """The dotted name of every `def` in src/mclab, keyed by (file, first
+    line) as its code object records them: the first decorator's line for a
+    decorated function."""
+    names = {}
+
+    def visit(node, filename, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, filename, f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                names[(filename, first)] = f"{prefix}.{child.name}"
+                visit(child, filename, names[(filename, first)])
+            else:
+                visit(child, filename, prefix)
+
+    for path in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        module = "mclab" if path.stem == "__init__" else f"mclab.{path.stem}"
+        filename = importlib.import_module(module).__file__
+        visit(ast.parse(path.read_text(encoding="utf-8")), filename, path.stem)
+    return names
+
+
+def test_the_functions_no_golden_command_reaches_are_the_pinned_list(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("MCLAB_")]:
+        monkeypatch.delenv(key)
+    # main keeps the parser it first builds: clear it, so that this run
+    # calls build_parser whatever ran before
+    monkeypatch.setattr(cli, "_parser", None)
+    names = _defs()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for case in CASES:
+            run_case(case, tmp_path)
+    finally:
+        sys.setprofile(None)
+    assert sorted(names[key] for key in names.keys() - called) == UNREACHED
 
 
 if __name__ == "__main__":

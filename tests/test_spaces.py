@@ -27,10 +27,8 @@ from mclab import (
     estimate_uniform_modulus,
     l1_function_space,
     linf_function_space,
-    midpoint_map,
     pl_distance,
     poly_fn,
-    semigroup_compose,
     space_from_id,
     unique_midpoint,
     vector_space,
@@ -647,12 +645,9 @@ def test_unique_midpoints_gates_every_single_valued_operation(sid, unique):
         x, y = (0,) * space.dim, (1,) + (0,) * (space.dim - 1)
     else:
         x, y = constant_fn(0), constant_fn(1)
-    plan = SamplePlan(count=3, seed=1)
-    assert check_property(space, "B", plan=plan).refused is not unique
+    assert check_property(space, "B", plan=SamplePlan(count=3, seed=1)).refused is not unique
     operations = [
         lambda: unique_midpoint(space, x, y, F(1, 2)),
-        lambda: midpoint_map(space, y, F(1, 2))(x),
-        lambda: semigroup_compose(space, y, [F(1, 2)], plan),
         lambda: estimate_uniform_modulus(space, [0.5]),
     ]
     for operation in operations:
