@@ -19,16 +19,20 @@ from mclab import (
     MappingSpec,
     MclabError,
     MetricBall,
+    MidConvention,
     Rotation,
     SamplePlan,
     SolverFailure,
+    UniqueMidpointUndefined,
     WholeSpace,
     asymptotic_center,
     distance,
     distances,
     find_fixed_point,
     make_asymptotic_functional,
+    midpoint_set,
     orbit,
+    unique_midpoint,
     vector_space,
     verify_hybrid,
 )
@@ -736,6 +740,88 @@ class TestClosedFormCenter:
             assert result.evaluations == 0
         closed = {"single-point", "two-point-midpoint"}
         assert closed | {"box-midpoint" if p == math.inf else "compass-search"} == methods
+
+
+class TestSemigroup:
+    """The single-valued midpoint maps toward a common point y, each formed
+    as x -> unique_midpoint(space, x, y, t), or as the one point of
+    `midpoint_set` under a named convention."""
+
+    @staticmethod
+    def _chain(space, x, y, t_list, conv=MidConvention.FROM_Y):
+        # the listed maps toward y, the first applied first
+        for t in t_list:
+            x = midpoint_set(space, x, y, t, conv).point
+        return x
+
+    @staticmethod
+    def _lipschitz(space, f, count, seed=0):
+        # the largest sampled ratio d(f(a), f(b)) / d(a, b)
+        rng = random.Random(seed)
+        best = 0
+        for _ in range(count):
+            a = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            b = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            if a != b:
+                best = max(best, distance(SP2, f(a), f(b)) / distance(SP2, a, b))
+        return best
+
+    def test_composed_contraction_factor(self):
+        y = (0.25, -0.5)
+        estimate = self._lipschitz(SP2, lambda x: self._chain(SP2, x, y, [0.5, 1 / 3]), 1000)
+        assert abs(estimate - 1 / 6) <= 1e-9
+
+    def test_single_map_factor_equals_t(self):
+        y = (0.0, 0.0)
+        estimate = self._lipschitz(SP2, lambda x: unique_midpoint(SP2, x, y, 0.4), 500)
+        assert abs(estimate - 0.4) <= 1e-9
+
+    def test_common_point_fixed_exactly(self):
+        # each map carries x to the point at t * d(x, y) from y, so y is the
+        # common fixed point; at x = y the two balls have radius zero and the
+        # request is refused rather than answered
+        y = (1.0, 2.0)
+        rng = random.Random(7)
+        for _ in range(100):
+            x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            image = self._chain(SP2, x, y, [0.5, 0.25])
+            assert abs(distance(SP2, image, y) - 0.125 * distance(SP2, x, y)) <= 1e-12
+        with pytest.raises(MclabError):
+            midpoint_set(SP2, y, y, 0.5)
+
+    def test_associativity_pointwise(self):
+        y = (0.5, 0.5)
+        a, b, c = 0.5, 1 / 3, 0.25
+        rng = random.Random(23)
+        for _ in range(1000):
+            x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            left = self._chain(SP2, x, y, [a, b, c])
+            assert distance(SP2, left, self._chain(SP2, x, y, [a * b, c])) <= 1e-12
+            assert distance(SP2, left, unique_midpoint(SP2, x, y, a * b * c)) <= 1e-12
+
+    def test_refused_without_unique_midpoints(self):
+        with pytest.raises(UniqueMidpointUndefined):
+            unique_midpoint(vector_space(2, math.inf), (1.0, 0.0), (0.0, 0.0), 0.5)
+
+    def test_literal_convention_contracts_with_one_minus_t(self):
+        y = (0.0, 0.0)
+        step = lambda x: self._chain(SP2, x, y, [0.25], MidConvention.FROM_X)
+        assert abs(self._lipschitz(SP2, step, 500) - 0.75) <= 1e-9
+
+    @given(
+        st.sampled_from([1.5, 2, 3]),
+        st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+        st.floats(0.02, 0.98),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_map_is_the_midpoint_set_point_bit_for_bit(self, p, coords, t):
+        space = vector_space(3, p)
+        x, y = tuple(coords[:3]), tuple(coords[3:])
+        if x == y:
+            return
+        got = unique_midpoint(space, x, y, t)
+        want = midpoint_set(space, x, y, t, MidConvention.FROM_Y).point
+        assert [_bits(c) for c in got] == [_bits(c) for c in want]
 
 
 class TestMappingJson:
