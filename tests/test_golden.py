@@ -52,7 +52,8 @@ CHECK_PROPS = {"vec1-p2": "menger,A,B,Bprime,Bdoubleprime,C,homogeneity"}
 # (2, 1) nonspreading case) on a box, a halving affine map on the whole
 # space, one 3-D affine contraction per float distance branch (d_1, d_inf
 # and a general p), a 3-D signed-permutation contraction whose float orbit
-# ends in a 2-cycle, and a feasible family of nested balls
+# ends in a 2-cycle, a feasible family of nested balls, a vanishing-diameter
+# family run with --cantor, and a family whose search stalls
 # column sums (the d_1 operator norm) and row sums (the d_inf one) are at
 # most 3/4, so the map contracts in every d_p
 _CONTRACTION = [[0.25, 0.25, 0], [0, 0.5, 0.25], [0.25, 0, 0.25]]
@@ -131,7 +132,19 @@ INPUTS = {
         [{"center": [0.25, 0], "radius": 1.25}, {"center": [0, 1], "radius": 1}],
         [{"center": [0.125, 0], "radius": 1.125}],
     ],
+    "nested-cantor": [
+        [{"center": [0.5**n, 0.25**n], "radius": 2 * 0.5**n}] for n in range(1, 31)
+    ],
+    # two disjoint balls: the search stalls after 51 sweeps and the command
+    # exits 1 with its failure report; an `infeasible` outcome for such a
+    # family (ROADMAP item 1) regenerates this golden by design
+    "nested-stalled": [
+        [{"center": [0, 0], "radius": 1}, {"center": [3, 0], "radius": 1}],
+    ],
 }
+
+# flags a case passes beyond its input and the common ones
+EXTRA_FLAGS = {"nested-cantor": ["--cantor"]}
 
 CASES = (
     [f"check-{space}" for space in CHECK_EXPECT]
@@ -165,7 +178,7 @@ def run_case(case: str, out_dir: Path) -> Path:
         source = out_dir / f"{case}-input.json"
         source.write_text(json.dumps(INPUTS[case]), encoding="utf-8")
         argv = [command, str(source), *common]
-    main(argv)
+    main(argv + EXTRA_FLAGS.get(case, []))
     return out_dir / f"{report_stem(case)}.json"
 
 
@@ -189,7 +202,6 @@ def test_report_bytes_match_golden(case, tmp_path, monkeypatch):
 # and none joins it
 UNREACHED = [
     "arith.rational_sqrt",
-    "cli._fail",
     "convexsets.FiniteSet.contains",
     "convexsets.SampledOracle.contains",
     "convexsets.SampledOracle.sample_points",
@@ -199,18 +211,14 @@ UNREACHED = [
     "convexsets._l1_shrink",
     "convexsets._near",
     "convexsets.diameter",
-    "errors.SolverFailure.__init__",
     "fixedpoint.Composition.apply",
     "fixedpoint._out_of_float_range",
     "hausdorff._finite_pair",
-    "nested._failure_certificate",
     "nested.build_shrinking_family",
-    "nested.cantor_point",
     "properties.check_diameter_strict",
     "properties.estimate_uniform_modulus",
     "properties.estimate_uniform_modulus.unit",
     "spaces.PiecewisePoly.value",
-    "spaces.vadd",
     "verdicts.PropertyVerdict.refused",
 ]
 
