@@ -10,9 +10,11 @@ R^n, so the cyclic steps converge, also when over-relaxed by a factor in
 (0, 2) (Bauschke & Borwein, SIAM Review 1996; Censor & Lent, Math.
 Programming 1982); from the second sweep on each step is over-relaxed.
 Each distance from the current point to a center is measured once per
-position of the point.  A family whose diameter estimates vanish admits a
-unique common point up to the final diameter; this is checked by
-restarting the solver from a second start.
+position of the point.  A family whose diameter estimates vanish has a
+common point unique up to the last estimate: two points within tol of
+every ball lie within r + tol of the center c of each ball B[c, r], so
+the last set's smallest ball puts them within the last estimate plus
+2 tol of each other, in any metric.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from .arith import parse_scalar, parse_vector
 from .convexsets import MetricBall
 from .errors import NestingError, SolverFailure
-from .spaces import MetricSpace, distance, vadd, vlerp
+from .spaces import MetricSpace, distance, vlerp
 
 
 @dataclass(frozen=True)
@@ -95,23 +97,23 @@ _RELAX = Fraction(9, 5)
 _PATIENCE = 50
 
 
-def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6, start=None):
+def common_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):
     """Point satisfying every ball constraint within tol, found by cyclic
-    projection (Bauschke & Borwein, SIAM Review 1996), one
-    `MetricBall.project` step per violated ball.  The first sweep takes
-    each step as it is, so a family that one sweep solves gets the plain
-    projection; from the second sweep on each step is over-relaxed by
-    `_RELAX`, z <- z + _RELAX (w - z).  Every returned point meets tol by
-    its measured distances.  Raises SolverFailure when `_PATIENCE` sweeps
-    pass without a new best violation or the `_MAX_SWEEPS` budget runs out
-    (infeasible input, or a search that failed); its certificate holds
-    the sweeps run and the point of the smallest violation seen, with that
-    violation.
+    projection (Bauschke & Borwein, SIAM Review 1996) from the first ball's
+    center, one `MetricBall.project` step per violated ball.  The first
+    sweep takes each step as it is, so a family that one sweep solves gets
+    the plain projection; from the second sweep on each step is
+    over-relaxed by `_RELAX`, z <- z + _RELAX (w - z).  Every returned
+    point meets tol by its measured distances.  Raises SolverFailure when
+    `_PATIENCE` sweeps pass without a new best violation or the
+    `_MAX_SWEEPS` budget runs out (infeasible input, or a search that
+    failed); its certificate holds the sweeps run and the point of the
+    smallest violation seen, with that violation.
 
     Each d(z, c_i) is measured once per position of z: a projection that
     leaves z where it is keeps its distance for the violation pass, and the
     violation pass's distances serve the next sweep until z moves."""
-    z = tuple(start) if start is not None else family.sets[0][0].center
+    z = family.sets[0][0].center
     balls = tuple(family.all_balls())
     relax = _RELAX if space.exact else float(_RELAX)
     known = [None] * len(balls)  # d(z, c_i) at the current z, where measured
@@ -166,8 +168,10 @@ def _failure_certificate(best, sweeps):
 def cantor_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):
     """Common point of a family whose diameter estimates drop below tol.
 
-    Two solver starts must agree within twice the final diameter estimate
-    plus tol; their first result is returned.
+    The point is unique up to the bound the last estimate gives: let est be
+    the least 2r over the balls B[c, r] of the last set.  The returned point
+    and any other point within tol of every ball lie within r + tol of c,
+    so within est + 2 tol of each other, in any metric.
     """
     est = family.diam_estimates
     if any(a <= b for a, b in zip(est, est[1:])):
@@ -176,19 +180,7 @@ def cantor_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):
         raise NestingError(
             f"diameter estimates never drop below tol ({est[-1]} >= {tol})"
         )
-    first_center = family.sets[0][0].center
-    radius0 = family.sets[0][0].radius
-    offset = (radius0,) + (0,) * (len(first_center) - 1)
-    z1 = common_point(space, family, tol, start=first_center)
-    z2 = common_point(space, family, tol, start=vadd(first_center, offset))
-    gap = distance(space, z1, z2)
-    bound = 2 * est[-1] + tol
-    if gap > bound:
-        raise SolverFailure(
-            "restarted searches disagree beyond the diameter bound",
-            certificate={"gap": gap, "bound": bound},
-        )
-    return z1
+    return common_point(space, family, tol)
 
 
 def family_from_json(data, space: MetricSpace) -> NestedFamily:

@@ -140,7 +140,7 @@ PUBLIC_OPTIONS = {
     "check_homogeneity": ["cap", "tol"],
     "check_menger_convex": ["tol"],
     "check_property": ["conv", "plan", "diam_tol", "tol"],
-    "common_point": ["tol", "start"],
+    "common_point": ["tol"],
     "constant_fn": [],
     "directed_hausdorff": [],
     "distance": [],

@@ -1000,6 +1000,16 @@ class TestNestedCommand:
         path = write_json(tmp_path / "cantor.json", fam)
         assert main(["nested", path, "--cantor", "--out", str(tmp_path)]) == 0
 
+    def test_cantor_accepts_a_point_within_the_diameter_bound(self, tmp_path):
+        # the last set is one point; under d_1.5 a search from another start
+        # lands 1.09e-6 from this one, within the bound est + 2 tol = 2e-6
+        fam = [[{"center": [0, 0], "radius": 1}], [{"center": [0.5, 0.25], "radius": 0}]]
+        path = write_json(tmp_path / "fam.json", fam)
+        argv = ["nested", path, "--space", "vec2-p1.5", "--cantor", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "nested.json").read_text())
+        assert report["result"]["max_violation"] <= report["config"]["fp_tol"]
+
     def test_an_exact_violation_prints_as_a_float(self, tmp_path, capsys):
         # the search stops at a positive Fraction violation below fp_tol
         fam = [

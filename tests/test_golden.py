@@ -219,6 +219,7 @@ UNREACHED = [
     "properties.estimate_uniform_modulus",
     "properties.estimate_uniform_modulus.unit",
     "spaces.PiecewisePoly.value",
+    "spaces.vadd",
     "verdicts.PropertyVerdict.refused",
 ]
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclab import (
     MetricBall,
@@ -21,7 +23,7 @@ from mclab import (
 import mclab.nested as nested
 from mclab.cli import main
 from mclab.nested import family_from_json, max_violation
-from mclab.spaces import vlerp
+from mclab.spaces import vadd, vlerp, vscale
 
 SP2 = vector_space(2, 2)
 
@@ -250,6 +252,26 @@ class TestDistanceReuse:
         assert 0 < counts["solver"] <= 0.8 * counts["oracle"]
 
 
+@st.composite
+def _vanishing_families(draw):
+    """(space, family) of 3-6 nested single balls under d_p, p in
+    {1, 1.5, 2, 3, inf}, in 2-3 dimensions, with last radius in
+    [1e-9, 2.5e-7]: each center moves at most 0.9 of the radius lost."""
+    space = vector_space(draw(st.integers(2, 3)), draw(st.sampled_from([1, 1.5, 2, 3, math.inf])))
+    coords = st.lists(st.floats(-1, 1), min_size=space.dim, max_size=space.dim)
+    steps = draw(st.lists(st.floats(0.01, 1), min_size=2, max_size=5))
+    radii = [draw(st.floats(1e-9, 2.5e-7))]
+    for step in reversed(steps):
+        radii.insert(0, radii[0] + step)
+    centers = [tuple(2 * x for x in draw(coords))]
+    for step in steps:
+        direction = draw(coords)
+        norm = distance(space, direction, (0,) * space.dim)
+        scale = draw(st.floats(0, 0.9)) * step / norm if norm > 0 else 0
+        centers.append(vadd(centers[-1], vscale(direction, scale)))
+    return space, build_shrinking_family(space, centers, radii)
+
+
 class TestCantorPoint:
     def test_fixed_center_halving_radii(self):
         c = (0.25, -0.3)
@@ -259,14 +281,17 @@ class TestCantorPoint:
         pt = cantor_point(SP2, family, tol=1e-6)
         assert distance(SP2, pt, c) <= 1e-6
 
-    def test_restart_agreement_bound(self):
-        c = (0.25, -0.3)
-        family = build_shrinking_family(
-            SP2, [c] * 50, [0.5**n for n in range(1, 51)]
-        )
-        z1 = common_point(SP2, family, tol=1e-6, start=family.sets[0][0].center)
-        z2 = common_point(SP2, family, tol=1e-6, start=(2.0, 2.0))
-        assert distance(SP2, z1, z2) <= 2 * 2.0**-50 + 1e-6
+    @given(_vanishing_families())
+    @settings(max_examples=200, deadline=None)
+    def test_the_point_meets_the_diameter_bound(self, drawn):
+        # any point within tol of every ball lies within r + tol of the
+        # last center, which bounds how far two such points can be apart
+        space, family = drawn
+        pt = cantor_point(space, family, tol=1e-6)
+        violation, _ = max_violation(space, family, pt)
+        assert violation <= 1e-6
+        (last,) = family.sets[-1]
+        assert distance(space, pt, last.center) <= last.radius + 1e-6 + 1e-12
 
     def test_sup_metric_boxes_as_balls_exact_zero_violation(self):
         space = vector_space(2, math.inf, exact=True)
