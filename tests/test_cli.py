@@ -1001,8 +1001,8 @@ class TestNestedCommand:
         assert main(["nested", path, "--cantor", "--out", str(tmp_path)]) == 0
 
     def test_cantor_accepts_a_point_within_the_diameter_bound(self, tmp_path):
-        # the last set is one point; under d_1.5 a search from another start
-        # lands 1.09e-6 from this one, within the bound est + 2 tol = 2e-6
+        # the last set is one point, so est = 0: a point within fp_tol of
+        # every ball is the common point up to the bound 2 fp_tol
         fam = [[{"center": [0, 0], "radius": 1}], [{"center": [0.5, 0.25], "radius": 0}]]
         path = write_json(tmp_path / "fam.json", fam)
         argv = ["nested", path, "--space", "vec2-p1.5", "--cantor", "--out", str(tmp_path)]
