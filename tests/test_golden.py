@@ -52,7 +52,8 @@ CHECK_PROPS = {"vec1-p2": "menger,A,B,Bprime,Bdoubleprime,C,homogeneity"}
 # (2, 1) nonspreading case) on a box, a halving affine map on the whole
 # space, one 3-D affine contraction per float distance branch (d_1, d_inf
 # and a general p), a 3-D signed-permutation contraction whose float orbit
-# ends in a 2-cycle, a feasible family of nested balls, a vanishing-diameter
+# ends in a 2-cycle, a composition, a map whose hybrid inequality
+# overflows, a feasible family of nested balls, a vanishing-diameter
 # family run with --cantor, and a family whose search stalls
 # column sums (the d_1 operator norm) and row sums (the d_inf one) are at
 # most 3/4, so the map contracts in every d_p
@@ -126,6 +127,36 @@ INPUTS = {
         "alpha": 1,
         "beta": 0,
         "x0": [-1.76, 2.51, -1.29],
+    },
+    # a halving affine map followed by a box projection, as one composition
+    "fixedpoint-composition": {
+        "space": "vec2-p2",
+        "kind": "composition",
+        "parameters": {
+            "maps": [
+                {
+                    "kind": "affine",
+                    "parameters": {"matrix": [[0.5, 0], [0, 0.5]], "offset": [1, -1]},
+                },
+                {
+                    "kind": "box_projection",
+                    "parameters": {"lower": [0, -2], "upper": [3, 0]},
+                },
+            ]
+        },
+        "domain": {"repr": "box", "lower": [-4, -4], "upper": [4, 4]},
+        "alpha": 1,
+        "beta": 0,
+        "x0": [3, 3],
+    },
+    # the hybrid inequality's squared distances leave the float range: the
+    # command exits 1 with the finite sampled pair as its certificate
+    "fixedpoint-overflow": {
+        "space": "vec1-p2",
+        "kind": "affine",
+        "parameters": {"matrix": [[1e200]], "offset": [0]},
+        "alpha": 1,
+        "beta": 0,
     },
     "nested-feasible": [
         [{"center": [0.5, 0], "radius": 1.5}],
@@ -211,8 +242,6 @@ UNREACHED = [
     "convexsets._l1_shrink",
     "convexsets._near",
     "convexsets.diameter",
-    "fixedpoint.Composition.apply",
-    "fixedpoint._out_of_float_range",
     "hausdorff._finite_pair",
     "nested.build_shrinking_family",
     "properties.check_diameter_strict",
