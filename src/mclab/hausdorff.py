@@ -16,26 +16,22 @@ change the result, since a complete row is the least (distance, point)
 over every part, equal pairs going to the part listed first, and a row
 that can attain or tie the maximum never breaks.
 Boxes under the sup metric are compared per coordinate as interval
-Hausdorff distances.  Two finite sets share one `distance_table`, which
-checks each point once and transposes each axis once: its row minima,
-taken with the builtin `min`, give the distance from A to B, its column
-minima the distance from B to A (distances are never -0.0, so these have
-the bits of a `min` over (distance, point) pairs).  A result carries its
-witness.  The value alone comes from `finite_hausdorff_value(space,
-points_a, points_b)`, the same minima step over two point lists with no
-set, no result and no witness search built; where a table mixes number
-types, or holds a NaN value, the search runs there too, since it picks
-the value's type.  (B') and (B'') read their values there on a strictly
-convex space, and (B'') its right side everywhere; (B') builds a witness
-only for a failing trial.
-The witness search runs only in a direction that decides the result, and
-only over its rows whose minimum is the deciding value, since no other row
-can attain or tie it.  Exactness comes from the space: a result
-is marked exact on an exact space when A's sample points attain the
-supremum, that is A finite, or A a capped simplex (whose vertices are its
-sample points) and B convex.  Witness pairs are always returned; ties
-break to the lexicographically smallest witness so results are
-deterministic.
+Hausdorff distances.  `hausdorff` takes both directed results for every
+pair, finite pairs included, and keeps the larger value, the smaller
+witness on a tie; a result carries its witness.  The value alone comes
+from `finite_hausdorff_value(space, points_a, points_b)`: where one
+`distance_table` of the two point lists holds one number type (an exact
+vector space, a strictly convex d_p, or d_1 and d_inf over float
+coordinates), its row and column minima give the value with no set or
+result built; elsewhere it is `hausdorff`'s value, whose witness order
+picks the value's type where int, Fraction and float distances tie.
+(B') reads its values there on a strictly convex space, and (B'') its
+right side everywhere; (B') builds a witness only for a failing trial.
+Exactness comes from the space: a result is marked exact on an exact space
+when A's sample points attain the supremum, that is A finite, or A a capped
+simplex (whose vertices are its sample points) and B convex.  Witness pairs
+are always returned; ties break to the lexicographically smallest witness so
+results are deterministic.
 """
 from __future__ import annotations
 
@@ -183,95 +179,49 @@ def directed_hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffRes
     return HausdorffResult(value, witness, exact=exact)
 
 
-def _deciding(points, lines, minima, top, others):
-    """`_directed_points` over the rows (a, nearest distance, nearest point
-    of `others`), `lines` holding each a's distances, that can decide:
-    those whose minimum is `top`, the largest of `minima`, since no other
-    row can attain or tie it.  A NaN `top` comes only from a NaN first
-    line, which no line beats, and equals no minimum: then every row is
-    searched."""
-    keep = [i for i, m in enumerate(minima) if m == top] or range(len(minima))
-    return _directed_points((points[i], *min(zip(lines[i], others))) for i in keep)
-
-
-def _decide(forward, backward, forward_result, backward_result):
-    """The (value, witness) of the direction whose value, `forward` or
-    `backward`, is larger, from its thunk; on a tie both thunks run and the
-    smaller witness wins."""
-    if forward > backward:
-        return forward_result()
-    if backward > forward:
-        return backward_result()
-    there, back = forward_result(), backward_result()
-    return there if there[1] <= back[1] else back
-
-
-def _finite_minima(space, pts_a, pts_b):
-    """The minima step of two finite sets: one `distance_table` of A
-    against B, whose row minima give A -> B and whose column minima give
-    B -> A (d(a, b) and d(b, a) are bit-equal), taken with the builtin `min`
-    and `max` (distances are never -0.0, so a `min` over numbers returns
-    the bits of a `min` over (distance, point) pairs).  Returns (the value,
-    (table, row minima, column minima, forward, backward)), the value being
-    the larger direction, or None where the table cannot give it: that
-    needs a table of one number type, as on an exact vector space
-    (Fractions) or under a strictly convex d_p (floats), where equal
-    distances have equal bits.  Where int, Fraction and float coordinates
-    mix, the witness search picks the value's type, and a NaN compares to
-    neither direction."""
-    rows = distance_table(space, pts_a, pts_b)
-    row_minima, column_minima = list(map(min, rows)), list(map(min, zip(*rows)))
-    forward, backward = max(row_minima), max(column_minima)
-    step = rows, row_minima, column_minima, forward, backward
-    comparable = forward >= backward or backward > forward
-    if comparable and (space.unique_midpoints or (space.exact and space.carrier == VECTOR)):
-        return (backward if backward > forward else forward), step
-    return None, step
-
-
-def _search(pts_a, pts_b, rows, row_minima, column_minima, forward, backward):
-    """The (value, witness) of two finite sets from their minima step: the
-    search runs in the direction that decides, or on a tie in both, the
-    smaller witness winning."""
-
-    def there():
-        return _deciding(pts_a, rows, row_minima, forward, pts_b)
-
-    def back():
-        return _deciding(pts_b, list(zip(*rows)), column_minima, backward, pts_a)
-
-    return _decide(forward, backward, there, back)
-
-
-def _finite_pair(space, A, B):
-    """hausdorff for two finite sets, from their minima step."""
-    pts_a, pts_b = _rep_points(A), _rep_points(B)
-    step = _finite_minima(space, pts_a, pts_b)[1]
-    return HausdorffResult(*_search(pts_a, pts_b, *step), space.exact)
+def _table_gives_value(space, points_a, points_b) -> bool:
+    """Whether a `distance_table` of the two point lists holds one number
+    type, so that equal values have equal bits: Fractions on an exact
+    vector space, floats under a strictly convex d_p, and floats under d_1
+    and d_inf when every coordinate is a float (`abs` never returns -0.0).
+    A function space's points are no coordinate lists, and an exact one's
+    table mixes int 0 with Fractions."""
+    if space.carrier != VECTOR:
+        return False
+    if space.unique_midpoints or space.exact:
+        return True
+    return all(type(c) is float for q in (*points_a, *points_b) for c in q)
 
 
 def finite_hausdorff_value(space: MetricSpace, points_a, points_b) -> Scalar:
     """`hausdorff(space, FiniteSet(points_a), FiniteSet(points_b)).value`,
-    equal in bits and in type, with no set, result or witness search built
-    where the minima step gives the value; elsewhere the search that
-    `hausdorff` runs picks it.  For a caller, such as (B''), that reads
-    only values."""
+    equal in bits and in type.  Where one `distance_table` holds one number
+    type its row minima give A -> B and its column minima B -> A, taken
+    with the builtin `min` and `max`, with no set or result built; a NaN
+    direction, or a table that mixes types, takes `hausdorff`'s value,
+    whose witness order picks the value's type.  For a caller, such as
+    (B''), that reads only values."""
     if not points_a or not points_b:
         raise EmptySetError("finite set representation must be nonempty")
-    value, step = _finite_minima(space, points_a, points_b)
-    return _search(points_a, points_b, *step)[0] if value is None else value
+    if _table_gives_value(space, points_a, points_b):
+        rows = distance_table(space, points_a, points_b)
+        forward, backward = max(map(min, rows)), max(map(min, zip(*rows)))
+        if forward >= backward:
+            return forward
+        if backward > forward:
+            return backward
+    return hausdorff(space, FiniteSet(tuple(points_a)), FiniteSet(tuple(points_b))).value
 
 
 def hausdorff(space: MetricSpace, A: SetRep, B: SetRep) -> HausdorffResult:
-    """max of the two directed distances; witness from the deciding direction."""
-    if isinstance(A, _FINITE) and isinstance(B, _FINITE):
-        return _finite_pair(space, A, B)
+    """max of the two directed distances, with that direction's witness; on
+    a tie the smaller witness."""
     forward = directed_hausdorff(space, A, B)
     backward = directed_hausdorff(space, B, A)
-    value, witness = _decide(
-        forward.value,
-        backward.value,
-        lambda: (forward.value, forward.witness),
-        lambda: (backward.value, backward.witness),
-    )
-    return HausdorffResult(value, witness, exact=forward.exact and backward.exact)
+    if backward.value > forward.value or (
+        not forward.value > backward.value and backward.witness < forward.witness
+    ):
+        chosen = backward
+    else:
+        chosen = forward
+    return HausdorffResult(chosen.value, chosen.witness, exact=forward.exact and backward.exact)

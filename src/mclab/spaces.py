@@ -205,13 +205,14 @@ def check_point(space: MetricSpace, point) -> None:
 # --------------------------------------------------------------------------
 # piecewise polynomials on [0, 1]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PiecewisePoly:
     """Piecewise polynomial of degree <= 2 on [0, 1].
 
     `pieces[i]` is the coefficient triple (c0, c1, c2) of c0 + c1*x + c2*x**2
     valid on [breakpoints[i], breakpoints[i+1]].  Coefficients are global in
-    x, not local to the piece.
+    x, not local to the piece.  Points order as (breakpoints, pieces)
+    tuples, which is how Hausdorff ties break to the smallest witness.
     """
 
     breakpoints: tuple

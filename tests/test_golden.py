@@ -242,7 +242,6 @@ UNREACHED = [
     "convexsets._l1_shrink",
     "convexsets._near",
     "convexsets.diameter",
-    "hausdorff._finite_pair",
     "nested.build_shrinking_family",
     "properties.check_diameter_strict",
     "properties.estimate_uniform_modulus",

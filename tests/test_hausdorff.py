@@ -38,9 +38,9 @@ from mclab.convexsets import segment_points
 from mclab.hausdorff import (
     HausdorffResult,
     _directed_boxes,
-    _finite_pair,
     finite_hausdorff_value,
 )
+from mclab.spaces import constant_fn, poly_fn
 
 
 def _corners(box: Box):
@@ -330,8 +330,9 @@ def _exact_lattice_pairs(draw):
 
 
 class TestFinitePairs:
-    """hausdorff on two finite sets reads one `distance_table`; it must
-    agree with the two directed distances measured point by point."""
+    """hausdorff on two finite sets takes its two directed results; it must
+    agree with the two directed distances read off a table built row by
+    row."""
 
     @given(_finite_pairs())
     @settings(max_examples=300, deadline=None)
@@ -349,12 +350,6 @@ class TestFinitePairs:
         result = hausdorff(space, A, B)
         assert result == expected
         assert type(result.value) is type(expected.value)
-
-    @given(_finite_pairs())
-    @settings(max_examples=300, deadline=None)
-    def test_one_table_equals_the_row_by_row_build(self, case):
-        space, A, B = case
-        _assert_same_result(_finite_pair(space, A, B), _row_by_row_result(space, A, B))
 
     @given(_exact_lattice_pairs())
     @settings(max_examples=300, deadline=None)
@@ -402,6 +397,25 @@ class TestFinitePairs:
         result = hausdorff(space, A, B)
         assert math.isnan(result.value)
         assert result.witness == ((math.inf,), (math.inf,))
+
+    @pytest.mark.parametrize(
+        "space_id, other",
+        [
+            ("linffn-exact", poly_fn(0, 1)),
+            ("linffn", poly_fn(0, 1)),
+            ("l1fn-exact", constant_fn(2)),
+            ("l1fn", constant_fn(2)),
+        ],
+    )
+    def test_function_points_that_tie_break_to_the_smallest_witness(self, space_id, other):
+        # both points of A are at distance 1 from B; functions order as
+        # (breakpoints, pieces) tuples, so the constant 0 comes first
+        space = space_from_id(space_id)
+        A = FiniteSet((constant_fn(0), other))
+        B = FiniteSet((constant_fn(1),))
+        result = hausdorff(space, A, B)
+        assert result.value == 1
+        assert result.witness == (constant_fn(0), constant_fn(1))
 
     def test_ties_break_to_the_smallest_witness(self):
         space = vector_space(1, 1, exact=True)
@@ -465,6 +479,64 @@ class TestValueEntry:
         space = vector_space(1, 1)
         value = finite_hausdorff_value(space, [(0,)], [(1.0,), (-1,)])
         assert type(value) is int and value == 1
+
+    @pytest.mark.parametrize("space_id", ["vec3-p1", "vec3-pinf"])
+    def test_float_d1_and_dinf_lists_read_the_table_alone(self, space_id, monkeypatch):
+        # every coordinate a float: the table's minima give the value, with
+        # no directed distance and no result built
+        module = importlib.import_module("mclab.hausdorff")
+        calls, built, init = [], [], HausdorffResult.__init__
+
+        def counting(*args):
+            calls.append(None)
+            return directed_hausdorff(*args)
+
+        def counting_result(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(module, "directed_hausdorff", counting)
+        monkeypatch.setattr(HausdorffResult, "__init__", counting_result)
+        rng = random.Random(5)
+        space = space_from_id(space_id)
+        for _ in range(20):
+            pts_a, pts_b = (
+                [tuple(rng.choice([rng.uniform(-2, 2), 0.5, -0.0]) for _ in range(3))
+                 for _ in range(rng.randint(1, 5))]
+                for _ in range(2)
+            )
+            value = finite_hausdorff_value(space, pts_a, pts_b)
+            assert type(value) is float
+        assert (calls, built) == ([], [])
+
+    def test_a_mixed_list_takes_one_hausdorff_call(self, monkeypatch):
+        module = importlib.import_module("mclab.hausdorff")
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return hausdorff(*args)
+
+        monkeypatch.setattr(module, "hausdorff", counting)
+        value = finite_hausdorff_value(vector_space(1, 1), [(0,)], [(1.0,), (-1,)])
+        assert type(value) is int and value == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("space_id", ["l1fn", "l1fn-exact", "linffn-exact"])
+    @pytest.mark.parametrize(
+        "pts_a, pts_b",
+        [
+            ((constant_fn(0), constant_fn(2)), (constant_fn(1),)),
+            ((constant_fn(0), poly_fn(0, 1)), (constant_fn(1), poly_fn(1, -1))),
+            ((poly_fn(0, 0, 1),), (constant_fn(0), poly_fn(0, 1))),
+        ],
+    )
+    def test_function_spaces_take_the_hausdorff_value(self, space_id, pts_a, pts_b):
+        space = space_from_id(space_id)
+        want = hausdorff(space, FiniteSet(pts_a), FiniteSet(pts_b)).value
+        got = finite_hausdorff_value(space, pts_a, pts_b)
+        assert type(got) is type(want)
+        assert got == want
 
     def test_a_nan_first_row_takes_the_searched_value(self):
         space = vector_space(1, math.inf)
@@ -652,10 +724,10 @@ class TestWorkCounts:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_float_d2_bdoubleprime_trial_measures_no_chord_row(self, seed, monkeypatch):
         # (B'') reads only Hausdorff values, and a chord point is built from
-        # t alone; a chord row per trial (40 here) or 80-84 witness
-        # searches over these seeds would mean that work is back
+        # t alone; a chord row per trial (40 here) or a directed distance
+        # per value read would mean that work is back
         module = importlib.import_module("mclab.hausdorff")
-        distances, deciding = importlib.import_module("mclab.spaces").distances, module._deciding
+        distances = importlib.import_module("mclab.spaces").distances
         rows, searches = [], []
 
         def counting(*args):
@@ -664,12 +736,12 @@ class TestWorkCounts:
 
         def searching(*args):
             searches.append(None)
-            return deciding(*args)
+            return directed_hausdorff(*args)
 
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "mclab" and vars(mod).get("distances") is distances:
                 monkeypatch.setattr(mod, "distances", counting)
-        monkeypatch.setattr(module, "_deciding", searching)
+        monkeypatch.setattr(module, "directed_hausdorff", searching)
         verdict = check_property(
             space_from_id("vec3-p2"), "Bdoubleprime", plan=SamplePlan(count=40, seed=seed)
         )
@@ -753,7 +825,8 @@ class TestWorkCounts:
         verdict = check_property(space, "Bdoubleprime", plan=SamplePlan(count=40, seed=seed))
         assert verdict.samples == 40
         assert built == []
-        # the counters see what `hausdorff` builds
+        # the counters see what `hausdorff` builds: two directed results
+        # and the chosen one, for a finite pair as for any other
         hausdorff(space, FiniteSet(((0.0,) * 3,)), FiniteSet(((1.0,) * 3,)))
         hausdorff(space, Singleton((0.0,) * 3), Box((0.0,) * 3, (1.0,) * 3))
-        assert built == [FiniteSet, FiniteSet, HausdorffResult, *[HausdorffResult] * 3]
+        assert built == [FiniteSet, FiniteSet, *[HausdorffResult] * 6]
