@@ -628,23 +628,29 @@ def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
 
 
 def _domain_from_json(obj, space: MetricSpace) -> Domain:
+    """The domain of a JSON spec; refused where some axis is wider than the
+    float range, since sampling draws lo + (hi - lo) * u on every axis."""
     if obj is None:
         return WholeSpace(space.dim)
     if not isinstance(obj, dict):
         raise MclabError(f"a domain must be a JSON object, not {obj!r}")
     repr_tag = obj.get("repr")
     if repr_tag == "ball":
-        return MetricBall(
+        domain = MetricBall(
             space,
             parse_vector(obj["center"], "center", parse_float),
             parse_float(obj["radius"]),
         )
-    if repr_tag == "box":
+    elif repr_tag == "box":
         lower = parse_vector(obj["lower"], "lower", _float_scalar)
         upper = parse_vector(obj["upper"], "upper", _float_scalar)
         for bound in (lower, upper):
             check_point(space, bound)
-        return Box(lower, upper)
-    if repr_tag == "all":
-        return WholeSpace(space.dim, parse_float(obj.get("radius", 8.0)))
-    raise MclabError(f"unknown domain representation {repr_tag!r}")
+        domain = Box(lower, upper)
+    elif repr_tag == "all":
+        domain = WholeSpace(space.dim, parse_float(obj.get("radius", 8.0)))
+    else:
+        raise MclabError(f"unknown domain representation {repr_tag!r}")
+    for lo, hi in zip(domain.lower, domain.upper):
+        in_float_range(hi - lo, "the width of a domain axis")
+    return domain

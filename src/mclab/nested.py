@@ -174,8 +174,8 @@ def cantor_point(space: MetricSpace, family: NestedFamily, tol: float = 1e-6):
     so within est + 2 tol of each other, in any metric.
     """
     est = family.diam_estimates
-    if any(a <= b for a, b in zip(est, est[1:])):
-        raise NestingError("diameter estimates must be strictly decreasing")
+    if any(a < b for a, b in zip(est, est[1:])):
+        raise NestingError("diameter estimates must not increase")
     if est[-1] >= tol:
         raise NestingError(
             f"diameter estimates never drop below tol ({est[-1]} >= {tol})"

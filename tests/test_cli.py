@@ -873,6 +873,22 @@ class TestFixedpointCommand:
                 dict(DOUBLING_SPEC, domain={"repr": "all", "radius": -1}),
                 "window radius must be at least 0",
             ),
+            # sampling draws lo + (hi - lo) * u, which an axis wider than
+            # the float range sends to inf
+            (
+                dict(ROT_SPEC, domain={"repr": "all", "radius": 1e308}),
+                "the width of a domain axis lies beyond the float range",
+            ),
+            (
+                dict(
+                    ROT_SPEC, domain={"repr": "box", "lower": [-1e308] * 2, "upper": [1e308] * 2}
+                ),
+                "the width of a domain axis lies beyond the float range",
+            ),
+            (
+                dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0], "radius": 1e308}),
+                "the width of a domain axis lies beyond the float range",
+            ),
         ],
         ids=[
             "box-lower-above-upper",
@@ -881,6 +897,9 @@ class TestFixedpointCommand:
             "3d-box",
             "3d-x0",
             "negative-window",
+            "window-wider-than-floats",
+            "box-wider-than-floats",
+            "ball-wider-than-floats",
         ],
     )
     def test_invalid_domain_or_start_exits_two(self, bad, message, tmp_path, capsys):
@@ -1006,6 +1025,20 @@ class TestNestedCommand:
         fam = [[{"center": [0, 0], "radius": 1}], [{"center": [0.5, 0.25], "radius": 0}]]
         path = write_json(tmp_path / "fam.json", fam)
         argv = ["nested", path, "--space", "vec2-p1.5", "--cantor", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "nested.json").read_text())
+        assert report["result"]["max_violation"] <= report["config"]["fp_tol"]
+
+    def test_cantor_accepts_repeated_diameter_estimates(self, tmp_path):
+        # the first two sets are equal; the family still decreases, and its
+        # last estimate 2e-9 is below fp_tol
+        fam = [
+            [{"center": [0, 0], "radius": 1}],
+            [{"center": [0, 0], "radius": 1}],
+            [{"center": [0, 0], "radius": 1e-9}],
+        ]
+        path = write_json(tmp_path / "fam.json", fam)
+        argv = ["nested", path, "--space", "vec2-p2", "--cantor", "--out", str(tmp_path)]
         assert main(argv) == 0
         report = json.loads((tmp_path / "nested.json").read_text())
         assert report["result"]["max_violation"] <= report["config"]["fp_tol"]

@@ -315,6 +315,19 @@ class TestCantorPoint:
             cantor_point(SP2, family, tol=1e-6)
 
 
+    def test_an_increasing_estimate_rejected(self):
+        # the second set's smallest ball is larger than the first's
+        family = family_of_balls(
+            [
+                [MetricBall(SP2, (0.0, 0.0), 1e-9)],
+                [MetricBall(SP2, (0.0, 0.0), 1.0)],
+                [MetricBall(SP2, (0.0, 0.0), 1e-9)],
+            ]
+        )
+        with pytest.raises(NestingError, match="must not increase"):
+            cantor_point(SP2, family, tol=1e-6)
+
+
 class TestJson:
     def test_round_trip(self):
         family = drifting_family(2)
