@@ -25,8 +25,9 @@ vector space, a strictly convex d_p, or d_1 and d_inf over float
 coordinates), its row and column minima give the value with no set or
 result built; elsewhere it is `hausdorff`'s value, whose witness order
 picks the value's type where int, Fraction and float distances tie.
-(B') reads its values there on a strictly convex space, and (B'') its
-right side everywhere; (B') builds a witness only for a failing trial.
+(B') and (B'') read their values there on a strictly convex space, and
+(B'') its right side everywhere; (B') builds a witness only for a failing
+trial.
 Exactness comes from the space: a result is marked exact on an exact space
 when A's sample points attain the supremum, that is A finite, or A a capped
 simplex (whose vertices are its sample points) and B convex.  Witness pairs

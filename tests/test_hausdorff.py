@@ -498,15 +498,16 @@ class TestValueEntry:
         monkeypatch.setattr(module, "directed_hausdorff", counting)
         monkeypatch.setattr(HausdorffResult, "__init__", counting_result)
         rng = random.Random(5)
+
+        def points():
+            return [
+                tuple(rng.choice([rng.uniform(-2, 2), 0.5, -0.0]) for _ in range(3))
+                for _ in range(rng.randint(1, 5))
+            ]
+
         space = space_from_id(space_id)
         for _ in range(20):
-            pts_a, pts_b = (
-                [tuple(rng.choice([rng.uniform(-2, 2), 0.5, -0.0]) for _ in range(3))
-                 for _ in range(rng.randint(1, 5))]
-                for _ in range(2)
-            )
-            value = finite_hausdorff_value(space, pts_a, pts_b)
-            assert type(value) is float
+            assert type(finite_hausdorff_value(space, points(), points())) is float
         assert (calls, built) == ([], [])
 
     def test_a_mixed_list_takes_one_hausdorff_call(self, monkeypatch):
