@@ -194,7 +194,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
         )
         x0 = parse_vector(data.get("x0", (0.0,) * space.dim), "x0", parse_float)
         check_point(space, x0)
-    except (MclabError, KeyError, ValueError) as exc:
+    except (MclabError, ValueError) as exc:
         raise ConfigError(f"bad mapping spec: {exc}") from exc
     plan = _plan_from_config(cfg, count=min(cfg.sample_count, 2000))
     payload = {"config": cfg.resolved(), "space": space.id}
@@ -205,16 +205,7 @@ def cmd_fixedpoint(args, cfg: RunConfig) -> int:
             md = "# Fixed point\n\nHybrid inequality fails; witness recorded.\n"
             line = "fixedpoint: hybrid inequality FAILS"
             return _finish(cfg, "fixedpoint", payload, md, line, False)
-        result = find_fixed_point(
-            space,
-            spec,
-            x0,
-            orbit_n=cfg.fp_orbit_n,
-            window=cfg.fp_window,
-            tol=cfg.fp_tol,
-            budget=cfg.fp_budget,
-            rmax=cfg.fp_rmax,
-        )
+        result = find_fixed_point(space, spec, x0, tol=cfg.fp_tol)
     except (SolverFailure, DomainEscape) as exc:
         md = f"# Fixed point\n\nSolver failed: {exc}\n"
         return _fail(cfg, "fixedpoint", payload, exc, md)

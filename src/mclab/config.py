@@ -1,4 +1,4 @@
-"""Run configuration: tolerances, sample plans, solver knobs, output paths.
+"""Run configuration: seed, tolerances, sample plans, convention, output path.
 
 Resolution order: built-in defaults, then a JSON config file, then MCLAB_*
 environment variables, then explicit command-line flags.  The seed is
@@ -27,11 +27,7 @@ class RunConfig:
     coord_denominator: int = 16
     t_denominator: int = 16
     convention: str = "fromy"
-    fp_orbit_n: int = 256
-    fp_window: int = 32
     fp_tol: float = 1e-6
-    fp_budget: int = 20_000
-    fp_rmax: float = 1e6
     out_dir: str = "reports"
 
     def resolved(self) -> dict:
@@ -47,21 +43,16 @@ _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 # least allowed value of each bounded key: a run draws at least one sample,
-# tolerances and the orbit bound are distances, exact coordinates
-# k/coord_denominator need a positive denominator, exact parameters
-# k/t_denominator need some k with 0 < k/t_denominator < 1, and the solver
-# needs an orbit step, a tail point and a functional evaluation
+# tolerances are distances, exact coordinates k/coord_denominator need a
+# positive denominator, and exact parameters k/t_denominator need some k
+# with 0 < k/t_denominator < 1
 _MINIMUMS = {
     "sample_count": 1,
     "tol": 0,
     "diam_tol": 0,
     "coord_denominator": 1,
     "t_denominator": 2,
-    "fp_orbit_n": 1,
-    "fp_window": 1,
     "fp_tol": 0,
-    "fp_budget": 1,
-    "fp_rmax": 0,
 }
 
 # the values `convention` accepts: the midpoint conventions
@@ -126,11 +117,5 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     if cfg.convention not in _CONVENTIONS:
         raise ConfigError(
             f"convention must be one of {_CONVENTIONS}, not {cfg.convention!r}"
-        )
-    if cfg.fp_window > cfg.fp_orbit_n:
-        # the tail window is taken from the orbit's points
-        raise ConfigError(
-            f"fp_window must be at least 1 and at most fp_orbit_n ({cfg.fp_orbit_n}), "
-            f"not {cfg.fp_window!r}"
         )
     return cfg

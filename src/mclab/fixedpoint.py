@@ -100,6 +100,14 @@ Mapping = Affine | Rotation | BoxProjection | Composition
 # the slack of every domain membership test
 DOMAIN_TOL = 1e-12
 
+# the solver's settings: the orbit length, the tail window of the
+# functional, the compass search's evaluation budget, and the distance from
+# the start beyond which an orbit is unbounded
+_ORBIT_STEPS = 256
+_WINDOW = 32
+_BUDGET = 20_000
+_RMAX = 1e6
+
 
 @dataclass(frozen=True)
 class WholeSpace:
@@ -273,15 +281,9 @@ class OrbitResult:
     bounded: bool
 
 
-def orbit(
-    space: MetricSpace,
-    spec: MappingSpec,
-    x0,
-    n: int,
-    rmax: float = 1e6,
-) -> OrbitResult:
-    """Iterate the mapping from x0; flag the orbit unbounded as soon as the
-    distance back to x0 exceeds rmax.
+def orbit(space: MetricSpace, spec: MappingSpec, x0, n: int) -> OrbitResult:
+    """Iterate the mapping n steps from x0; flag the orbit unbounded as soon
+    as the distance back to x0 exceeds _RMAX.
 
     The mapping is a function of its point alone, so once x_k repeats an
     earlier x_j bit for bit the orbit cycles through x_j, ..., x_{k-1} from
@@ -308,7 +310,7 @@ def orbit(
         r = distance(space, x, x0)
         if r > radius:
             radius = r
-        if radius > rmax:
+        if radius > _RMAX:
             return OrbitResult(tuple(points), radius, False)
     return OrbitResult(tuple(points), radius, True)
 
@@ -372,46 +374,37 @@ def _tail_value(space: MetricSpace, F: AsymptoticFunctional, y, threshold) -> Sc
 
 
 def make_asymptotic_functional(
-    space: MetricSpace,
-    spec: MappingSpec,
-    x0,
-    n: int = 256,
-    window: int = 32,
-    rmax: float = 1e6,
+    space: MetricSpace, spec: MappingSpec, x0
 ) -> AsymptoticFunctional:
-    orb = orbit(space, spec, x0, n, rmax)
+    """The functional of the last _WINDOW points of the _ORBIT_STEPS-step
+    orbit from x0; an unbounded orbit raises SolverFailure."""
+    orb = orbit(space, spec, x0, _ORBIT_STEPS)
     if not orb.bounded:
         if _finite(orb.radius):
             raise SolverFailure(
                 "orbit unbounded; the tail functional is undefined",
-                certificate={"radius": orb.radius, "rmax": rmax},
+                certificate={"radius": orb.radius, "rmax": _RMAX},
             )
         # an inf radius has no JSON number, so the certificate omits it
         raise SolverFailure(
             "orbit unbounded: its distance from the start left the float range;"
             " the tail functional is undefined",
-            certificate={"rmax": rmax},
+            certificate={"rmax": _RMAX},
         )
-    return AsymptoticFunctional(orb.points, window, orb.radius)
+    return AsymptoticFunctional(orb.points, _WINDOW, orb.radius)
 
 
 # --------------------------------------------------------------------------
 # minimising the tail functional: closed forms, else a compass search
 
 
-def pattern_search(
-    f,
-    lower,
-    upper,
-    feasible,
-    budget: int = 20_000,
-    xtol: float = 1e-9,
-):
+def pattern_search(f, lower, upper, feasible, xtol: float = 1e-9):
     """Derivative-free compass search over a box with deterministic scan order.
 
     Starts from the best feasible point of a grid of 5 values per axis, then
     repeatedly tries +/- step moves along each axis, halving the step
-    whenever no move improves.  Returns (point, value, evaluations).
+    whenever no move improves, until the step is at most `xtol` or _BUDGET
+    evaluations are spent.  Returns (point, value, evaluations).
 
     `f(z, threshold)` is called with the value a candidate must fall below
     to be accepted (None while there is no best point): the best value on
@@ -430,7 +423,7 @@ def pattern_search(
     best_val = None
     evals = 0
     for cand in itertools.product(*axes):
-        if evals >= budget:
+        if evals >= _BUDGET:
             break
         if not feasible(cand):
             continue
@@ -441,7 +434,7 @@ def pattern_search(
     if best is None:
         raise SolverFailure("no feasible starting point on the initial grid")
     step = max((hi - lo) for lo, hi in zip(lower, upper)) / 4 or 1.0
-    while step > xtol and evals < budget:
+    while step > xtol and evals < _BUDGET:
         improved = False
         for i in range(n):
             for sgn in (1, -1):
@@ -458,9 +451,9 @@ def pattern_search(
                     best, best_val = cand, v
                     improved = True
                     break
-                if evals >= budget:
+                if evals >= _BUDGET:
                     break
-            if improved or evals >= budget:
+            if improved or evals >= _BUDGET:
                 break
         if not improved:
             step /= 2
@@ -511,14 +504,7 @@ def closed_form_center(space: MetricSpace, F: AsymptoticFunctional, domain: Doma
 
 
 def find_fixed_point(
-    space: MetricSpace,
-    spec: MappingSpec,
-    x0,
-    orbit_n: int = 256,
-    window: int = 32,
-    tol: float = 1e-6,
-    budget: int = 20_000,
-    rmax: float = 1e6,
+    space: MetricSpace, spec: MappingSpec, x0, tol: float = 1e-6
 ) -> FixedPointResult:
     """Minimise the orbit-tail functional over the domain and report the
     minimiser with its residual d(T u, u).
@@ -534,7 +520,7 @@ def find_fixed_point(
     than silently accepted: a one-point tail is a fixed point only when the
     orbit has settled on it.
     """
-    F = make_asymptotic_functional(space, spec, x0, orbit_n, window, rmax)
+    F = make_asymptotic_functional(space, spec, x0)
 
     closed = closed_form_center(space, F, spec.domain)
     if closed is not None:
@@ -547,7 +533,6 @@ def find_fixed_point(
             spec.domain.lower,
             spec.domain.upper,
             feasible=lambda z: spec.domain.contains(z, DOMAIN_TOL),
-            budget=budget,
             xtol=min(tol * 1e-3, 1e-9),
         )
     residual = distance(space, spec.apply(u0), u0)
@@ -587,6 +572,13 @@ def _sized_vector(value, what: str, dim: int, convert=_float_scalar) -> tuple:
     return out
 
 
+def _required(obj: dict, key: str):
+    """obj[key]; a key the spec leaves out raises MclabError naming it."""
+    if key not in obj:
+        raise MclabError(f"missing key {key!r}")
+    return obj[key]
+
+
 def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
     """The mapping of a JSON spec, acting on R^dim."""
     if not isinstance(obj, dict):
@@ -597,16 +589,18 @@ def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
         raise MclabError(f"parameters must be a JSON object, not {params!r}")
     if kind == "affine":
         matrix = _sized_vector(
-            params["matrix"],
+            _required(params, "matrix"),
             "matrix",
             dim,
             lambda row: _sized_vector(row, "matrix row", dim),
         )
-        offset = _sized_vector(params["offset"], "offset", dim)
+        offset = _sized_vector(_required(params, "offset"), "offset", dim)
         return Affine(matrix, offset)
     if kind == "rotation":
         if dim != 2:
             raise MclabError(f"a rotation needs a 2-dimensional space, not {dim}")
+        if ("turns" in params) == ("angle" in params):
+            raise MclabError("a rotation needs exactly one of turns and angle")
         if "turns" in params:
             turns = in_float_range(Fraction(str(parse_scalar(params["turns"]))), "turns")
             angle = in_float_range(2 * math.pi * float(turns), "the angle of turns")
@@ -615,13 +609,13 @@ def _mapping_only_from_json(obj: dict, dim: int) -> Mapping:
         center = _sized_vector(params.get("center", (0.0, 0.0)), "center", 2, parse_float)
         return Rotation(angle, center)
     if kind == "box_projection":
-        lower = _sized_vector(params["lower"], "lower", dim)
-        upper = _sized_vector(params["upper"], "upper", dim)
+        lower = _sized_vector(_required(params, "lower"), "lower", dim)
+        upper = _sized_vector(_required(params, "upper"), "upper", dim)
         return BoxProjection(lower, upper)
     if kind == "composition":
         return Composition(
             parse_vector(
-                params["maps"], "maps", lambda m: _mapping_only_from_json(m, dim)
+                _required(params, "maps"), "maps", lambda m: _mapping_only_from_json(m, dim)
             )
         )
     raise MclabError(f"unknown mapping kind {kind!r}")
@@ -638,12 +632,12 @@ def _domain_from_json(obj, space: MetricSpace) -> Domain:
     if repr_tag == "ball":
         domain = MetricBall(
             space,
-            parse_vector(obj["center"], "center", parse_float),
-            parse_float(obj["radius"]),
+            parse_vector(_required(obj, "center"), "center", parse_float),
+            parse_float(_required(obj, "radius")),
         )
     elif repr_tag == "box":
-        lower = parse_vector(obj["lower"], "lower", _float_scalar)
-        upper = parse_vector(obj["upper"], "upper", _float_scalar)
+        lower = parse_vector(_required(obj, "lower"), "lower", _float_scalar)
+        upper = parse_vector(_required(obj, "upper"), "upper", _float_scalar)
         for bound in (lower, upper):
             check_point(space, bound)
         domain = Box(lower, upper)

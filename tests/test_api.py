@@ -4,6 +4,7 @@ these lists."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import enum
 import inspect
 import types
@@ -11,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import mclab
+import mclab.config
 
 PUBLIC_NAMES = [
     "Affine",
@@ -148,14 +150,14 @@ PUBLIC_OPTIONS = {
     "distances": [],
     "estimate_uniform_modulus": [],
     "family_of_balls": [],
-    "find_fixed_point": ["orbit_n", "window", "tol", "budget", "rmax"],
+    "find_fixed_point": ["tol"],
     "hausdorff": [],
     "l1_function_space": ["exact"],
     "lifted_union": ["conv"],
     "linf_function_space": ["exact"],
-    "make_asymptotic_functional": ["n", "window", "rmax"],
+    "make_asymptotic_functional": [],
     "midpoint_set": ["conv"],
-    "orbit": ["rmax"],
+    "orbit": [],
     "pl_distance": [],
     "poly_fn": ["c1", "c2"],
     "segment": ["conv"],
@@ -230,6 +232,21 @@ def test_every_private_helper_has_a_caller_in_the_package():
     everywhere = sum(map(names, trees), Counter())
     unused = [n.name for n in defs if everywhere[n.name] == names(n)[n.name]]
     assert defs and unused == []
+
+
+def test_every_config_key_is_read_by_a_command():
+    # every report writes the whole config, so a key that no command reads
+    # is a false claim about the evidence of every report
+    cli = Path(mclab.__file__).parent / "cli.py"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+    }
+    keys = [f.name for f in dataclasses.fields(mclab.config.RunConfig)]
+    assert keys and [k for k in keys if k not in read] == []
 
 
 def test_reports_have_one_encoder():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import mclab.fixedpoint as fixedpoint
 from mclab.cli import main
 from mclab.convexsets import MAX_BOX_AXES
 
@@ -38,6 +39,16 @@ TRANSLATION_SPEC = {
     "alpha": 1,
     "beta": 0,
     "x0": [0, 0],
+}
+
+BOX_PROJECTION_SPEC = {
+    "space": "vec2-p2",
+    "kind": "box_projection",
+    "parameters": {"lower": [0, 0], "upper": [1, 1]},
+    "domain": {"repr": "box", "lower": [-2, -2], "upper": [2, 2]},
+    "alpha": 1,
+    "beta": 0,
+    "x0": [1, 0],
 }
 
 # d_3 powers of differences near 1e120 overflow a float
@@ -667,7 +678,7 @@ class TestFixedpointCommand:
         assert "witness" in report["hybrid"]
 
     def test_translation_spec_unbounded_orbit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MCLAB_FP_RMAX", "100")
+        monkeypatch.setattr(fixedpoint, "_RMAX", 100.0)
         spec = write_json(tmp_path / "translate.json", TRANSLATION_SPEC)
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "fixedpoint.json").read_text())
@@ -746,10 +757,12 @@ class TestFixedpointCommand:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_specs_with_magnitudes_up_to_1e300_exit_without_traceback(
-        self, spec, tmp_path
+        self, spec, tmp_path, monkeypatch
     ):
+        # a smaller search budget bounds the run time
+        monkeypatch.setattr(fixedpoint, "_BUDGET", 2000)
         path = write_json(tmp_path / "spec.json", spec)
-        cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20, "fp_budget": 2000})
+        cfg = write_json(tmp_path / "cfg.json", {"sample_count": 20})
         rc = main(["fixedpoint", path, "--out", str(tmp_path), "--config", cfg])
         assert rc in (0, 1, 2)
         if rc != 2:
@@ -827,6 +840,72 @@ class TestFixedpointCommand:
         spec = write_json(tmp_path / "bad.json", bad)
         assert main(["fixedpoint", spec, "--out", str(tmp_path)]) == 2
         assert "bad mapping spec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(DOUBLING_SPEC, parameters={"offset": [0, 0]}), "missing key 'matrix'"),
+            (
+                dict(DOUBLING_SPEC, parameters={"matrix": [[1, 0], [0, 1]]}),
+                "missing key 'offset'",
+            ),
+            (
+                dict(BOX_PROJECTION_SPEC, parameters={"upper": [1, 1]}),
+                "missing key 'lower'",
+            ),
+            (
+                dict(BOX_PROJECTION_SPEC, parameters={"lower": [0, 0]}),
+                "missing key 'upper'",
+            ),
+            (dict(DOUBLING_SPEC, kind="composition", parameters={}), "missing key 'maps'"),
+            (
+                dict(
+                    DOUBLING_SPEC,
+                    kind="composition",
+                    parameters={"maps": [{"kind": "affine", "parameters": {}}]},
+                ),
+                "missing key 'matrix'",
+            ),
+            (dict(ROT_SPEC, domain={"repr": "ball", "radius": 1}), "missing key 'center'"),
+            (dict(ROT_SPEC, domain={"repr": "ball", "center": [0, 0]}), "missing key 'radius'"),
+            (dict(ROT_SPEC, domain={"repr": "box", "upper": [1, 1]}), "missing key 'lower'"),
+            (dict(ROT_SPEC, domain={"repr": "box", "lower": [-1, -1]}), "missing key 'upper'"),
+            (
+                dict(ROT_SPEC, parameters={"center": [0, 0]}),
+                "a rotation needs exactly one of turns and angle",
+            ),
+        ],
+        ids=[
+            "matrix",
+            "offset",
+            "lower",
+            "upper",
+            "maps",
+            "composed-matrix",
+            "ball-center",
+            "ball-radius",
+            "box-lower",
+            "box-upper",
+            "rotation-turns-or-angle",
+        ],
+    )
+    def test_missing_spec_key_is_named(self, bad, message, tmp_path, capsys):
+        # a missing key printed only its KeyError text: "bad mapping spec: 'center'"
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: bad mapping spec: {message}" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_rotation_with_both_turns_and_angle_exits_two(self, tmp_path, capsys):
+        # the angle was silently ignored in favour of the turns
+        bad = dict(ROT_SPEC, parameters={"turns": "1/4", "angle": 0.1})
+        spec = write_json(tmp_path / "bad.json", bad)
+        assert main(["fixedpoint", spec, "--out", str(tmp_path / "out")]) == 2
+        assert (
+            "bad mapping spec: a rotation needs exactly one of turns and angle"
+            in capsys.readouterr().out
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_map_that_leaves_the_domain_exits_one(self, tmp_path, capsys):
         escaping = dict(

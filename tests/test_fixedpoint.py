@@ -43,6 +43,7 @@ from mclab.fixedpoint import (
     OrbitResult,
     _sample_domain_point,
     _tail_value,
+    closed_form_center,
     mapping_from_json,
     pattern_search,
 )
@@ -183,11 +184,12 @@ class TestOrbit:
         assert orb.bounded
         assert orb.points[-1] == pytest.approx((1.0, 1.0))
 
-    def test_translation_flagged_unbounded(self):
+    def test_translation_flagged_unbounded(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_RMAX", 100.0)
         spec = MappingSpec(
             Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )
-        orb = orbit(SP2, spec, (0.0, 0.0), 500, rmax=100.0)
+        orb = orbit(SP2, spec, (0.0, 0.0), 500)
         assert not orb.bounded
         assert orb.radius > 100.0
 
@@ -196,7 +198,7 @@ class TestOrbit:
             orbit(SP2, rotation_spec(), (5.0, 0.0), 10)
 
 
-def _iterated_orbit(space, spec, x0, n, rmax=1e6):
+def _iterated_orbit(space, spec, x0, n):
     """The orbit by plain iteration of all n steps: the reference for the
     orbit's stop at its first exact repeat."""
     if not spec.domain.contains(x0, DOMAIN_TOL):
@@ -212,7 +214,7 @@ def _iterated_orbit(space, spec, x0, n, rmax=1e6):
         r = distance(space, x, x0)
         if r > radius:
             radius = r
-        if radius > rmax:
+        if radius > fixedpoint._RMAX:
             return OrbitResult(tuple(points), radius, False)
     return OrbitResult(tuple(points), radius, True)
 
@@ -257,9 +259,9 @@ class TestOrbitStopsAtItsFirstRepeat:
     """The orbit that stops at its first exact repeat gives the points,
     radius and bound of the full iteration, bit for bit."""
 
-    def assert_same_orbit(self, space, spec, x0, n=256, rmax=1e6):
-        got = orbit(space, spec, x0, n, rmax)
-        want = _iterated_orbit(space, spec, x0, n, rmax)
+    def assert_same_orbit(self, space, spec, x0, n=256):
+        got = orbit(space, spec, x0, n)
+        want = _iterated_orbit(space, spec, x0, n)
         assert [repr(q) for q in got.points] == [repr(q) for q in want.points]
         assert (type(got.radius), repr(got.radius)) == (type(want.radius), repr(want.radius))
         assert got.bounded == want.bounded
@@ -301,9 +303,10 @@ class TestOrbitStopsAtItsFirstRepeat:
         got = self.assert_same_orbit(vector_space(1, 2), spec, (0.0,))
         assert [repr(q) for q in got.points[:3]] == ["(0.0,)", "(-0.0,)", "(0.0,)"]
 
-    def test_unbounded_orbit(self):
+    def test_unbounded_orbit(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_RMAX", 100.0)
         spec = MappingSpec(Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, 1e7))
-        got = self.assert_same_orbit(SP2, spec, (0.0, 0.0), n=500, rmax=100.0)
+        got = self.assert_same_orbit(SP2, spec, (0.0, 0.0), n=500)
         assert not got.bounded
 
     def test_orbit_that_leaves_the_domain(self):
@@ -350,7 +353,7 @@ class TestAsymptoticCenter:
         # elsewhere it may grow, so the trend is recorded rather than assumed
         at_fix, elsewhere = [], []
         for n in (16, 32, 64, 128):
-            F = make_asymptotic_functional(SP2, spec, (-3.0, 3.0), n=n, window=8)
+            F = AsymptoticFunctional(orbit(SP2, spec, (-3.0, 3.0), n).points, 8)
             at_fix.append(asymptotic_center(SP2, F, (1.0, 1.0)))
             elsewhere.append(asymptotic_center(SP2, F, (0.0, 0.0)))
         assert all(b <= a + 1e-15 for a, b in zip(at_fix, at_fix[1:]))
@@ -557,15 +560,17 @@ class TestFindFixedPoint:
         )
         assert result.f_value <= grid_best + 1e-9
 
-    def test_unbounded_orbit_is_an_error(self):
+    def test_unbounded_orbit_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_RMAX", 50.0)
         spec = MappingSpec(
             Affine(((1, 0), (0, 1)), (1.0, 0.0)), WholeSpace(2, radius=1e7)
         )
         with pytest.raises(SolverFailure):
-            find_fixed_point(SP2, spec, (0.0, 0.0), rmax=50.0)
+            find_fixed_point(SP2, spec, (0.0, 0.0))
 
-    def test_exhausted_budget_reported_not_hidden(self):
-        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0), budget=30)
+    def test_exhausted_budget_reported_not_hidden(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_BUDGET", 30)
+        result = find_fixed_point(SP2, rotation_spec(), (1.0, 0.0))
         assert result.evaluations <= 30
         if result.residual > 1e-6:
             assert not result.converged
@@ -592,16 +597,18 @@ class TestFindFixedPoint:
         assert f_tu <= f_u + 1e-6
 
     @pytest.mark.parametrize("dom", ["ball", "box", "all"])
-    def test_orbit_radius_is_the_largest_distance_to_the_start(self, dom):
+    def test_orbit_radius_is_the_largest_distance_to_the_start(self, dom, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_BUDGET", 50)
         space = vector_space(3, 2)
         for seed in range(5):
             spec, x0 = _signed_permutation_contraction(seed, dom)
-            result = find_fixed_point(space, spec, x0, budget=50)
+            result = find_fixed_point(space, spec, x0)
             want = max(distances(space, x0, _iterated_orbit(space, spec, x0, 256).points))
             assert repr(result.orbit_radius) == repr(want)
 
-    def test_a_start_the_map_fixes_has_float_radius_zero(self):
-        result = find_fixed_point(SP2, rotation_spec(), (0.0, 0.0), budget=50)
+    def test_a_start_the_map_fixes_has_float_radius_zero(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_BUDGET", 50)
+        result = find_fixed_point(SP2, rotation_spec(), (0.0, 0.0))
         assert repr(result.orbit_radius) == "0.0"
 
 
@@ -653,11 +660,15 @@ class TestClosedFormCenter:
         assert (result.evaluations, result.residual, result.f_value) == (0, 0.0, 0.0)
         assert result.method == "single-point" and result.converged
 
-    def test_one_point_tail_of_an_unsettled_orbit_is_not_a_fixed_point(self):
+    def test_one_point_tail_of_an_unsettled_orbit_is_not_a_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(fixedpoint, "_ORBIT_STEPS", 64)
+        monkeypatch.setattr(fixedpoint, "_WINDOW", 1)
         space = vector_space(3, 2)
         spec = _unsettled_contraction()
         orb = orbit(space, spec, (3.0, -2.0, 1.0), 64)
-        result = find_fixed_point(space, spec, (3.0, -2.0, 1.0), orbit_n=64, window=1)
+        F = AsymptoticFunctional(orb.points, 1)
+        assert closed_form_center(space, F, spec.domain) == (orb.points[-1], "single-point")
+        result = find_fixed_point(space, spec, (3.0, -2.0, 1.0))
         last = orb.points[-1]
         assert result.point == last and result.method == "single-point"
         assert result.residual == distance(space, spec.apply(last), last) > 1e-6
