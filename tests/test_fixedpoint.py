@@ -661,15 +661,16 @@ class TestClosedFormCenter:
         assert result.method == "single-point" and result.converged
 
     def test_one_point_tail_of_an_unsettled_orbit_is_not_a_fixed_point(self, monkeypatch):
-        monkeypatch.setattr(fixedpoint, "_ORBIT_STEPS", 64)
-        monkeypatch.setattr(fixedpoint, "_WINDOW", 1)
         space = vector_space(3, 2)
         spec = _unsettled_contraction()
         orb = orbit(space, spec, (3.0, -2.0, 1.0), 64)
-        F = AsymptoticFunctional(orb.points, 1)
-        assert closed_form_center(space, F, spec.domain) == (orb.points[-1], "single-point")
-        result = find_fixed_point(space, spec, (3.0, -2.0, 1.0))
         last = orb.points[-1]
+        F = AsymptoticFunctional(orb.points, 1)
+        assert closed_form_center(space, F, spec.domain) == (last, "single-point")
+        # the solver on that tail: a 64-step orbit and a one-point window
+        monkeypatch.setattr(fixedpoint, "_ORBIT_STEPS", 64)
+        monkeypatch.setattr(fixedpoint, "_WINDOW", 1)
+        result = find_fixed_point(space, spec, (3.0, -2.0, 1.0))
         assert result.point == last and result.method == "single-point"
         assert result.residual == distance(space, spec.apply(last), last) > 1e-6
         assert not result.converged
